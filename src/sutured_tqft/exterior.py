@@ -31,8 +31,6 @@ RING_Z = "z"
 RING_F2 = "f2"
 _RINGS = (RING_Z, RING_F2)
 
-MAX_RANK = 64
-
 
 def _check_ring(ring: str) -> str:
     if ring not in _RINGS:
@@ -81,8 +79,8 @@ class Multivector:
 
     def __init__(self, rank: int, terms: dict[int, int], ring: str = RING_Z,
                  dual: bool = False):
-        if not (0 <= rank <= MAX_RANK):
-            raise ValueError(f"rank {rank} outside supported range 0..{MAX_RANK}")
+        if rank < 0:
+            raise ValueError(f"negative rank {rank}")
         _check_ring(ring)
         self.rank = rank
         self.ring = ring

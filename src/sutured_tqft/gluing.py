@@ -6,7 +6,9 @@ seam move to the interior; positive suture vertices that do so are
 "swallowed", and the wedge of their boundary-evaluation functionals
 orients the gluing.  The induced map on contact algebras is the interior
 product against that wedge composed with the chain-level pushforward,
-re-expressed in a homology basis of the glued surface.
+re-expressed in a homology basis of the glued surface.  That basis is a
+direct summand of the middle homology, so the rewrite applies Lambda of
+a left inverse and checks that the result maps back onto its input.
 
 Cutting along interior arcs is the inverse construction: `cut_open`
 returns the cut surface together with the gluing that undoes it, and
@@ -25,9 +27,9 @@ from .errors import (
     UnsupportedSurfaceError,
     ValidationError,
 )
-from .exterior import Multivector, indices_of, interior, induced_map, RING_F2, RING_Z
+from .exterior import Multivector, interior, induced_map, RING_F2, RING_Z
 from .homology import HomologyBasis, RelativeH1, induced_matrix
-from .linalg import f2_solve, invert_unimodular, solve_z
+from .linalg import f2_left_inverse, invert_unimodular, left_inverse_z
 from .surface import (
     Refinement,
     Surface,
@@ -343,39 +345,25 @@ class GluingOrientationEta:
 
 def _express_in_sub_exterior(j: list[list[int]], y: Multivector,
                              src_rank: int, ring: str) -> Multivector:
-    """Solve Lambda(J) x = y where J is the column matrix of a sub-basis."""
-    nrows = len(j)
-    cols = [Multivector.vector(nrows, [j[i][k] for i in range(nrows)], ring)
-            for k in range(src_rank)]
-    out_terms: dict[int, int] = {}
-    for k in sorted({m.bit_count() for m in y.terms}):
-        src_masks = [m for m in range(1 << src_rank) if m.bit_count() == k]
-        wedges = []
-        for mask in src_masks:
-            acc = Multivector.unit(nrows, ring)
-            for idx in indices_of(mask):
-                acc = acc.wedge(cols[idx])
-                if acc.is_zero():
-                    break
-            wedges.append(acc)
-        tgt_masks = [m for m in range(1 << nrows) if m.bit_count() == k]
-        yk = y.grade_project(k)
-        if ring == RING_F2:
-            rows = [sum(((w.terms.get(t, 0) & 1) << c) for c, w in enumerate(wedges))
-                    for t in tgt_masks]
-            b = [yk.terms.get(t, 0) & 1 for t in tgt_masks]
-            sol = f2_solve(rows, b, len(src_masks))
-        else:
-            a = [[w.terms.get(t, 0) for w in wedges] for t in tgt_masks]
-            b = [yk.terms.get(t, 0) for t in tgt_masks]
-            sol = solve_z(a, b)
-        if sol is None:
-            raise InternalConsistencyError(
-                "interior product left the image of the glued sub-basis")
-        for mask, c in zip(src_masks, sol):
-            if c:
-                out_terms[mask] = c
-    return Multivector(src_rank, out_terms, ring)
+    """Solve Lambda(J) x = y where J is the column matrix of a sub-basis.
+
+    J is injective with a free cokernel, so it has a left inverse Q over
+    the ring, and x = Lambda(Q) y whenever y lies in the image of Lambda(J).
+    """
+    if ring == RING_F2:
+        q_rows = f2_left_inverse([sum((v & 1) << c for c, v in enumerate(row)) for row in j],
+                                 src_rank)
+        q = None if q_rows is None else [[(r >> i) & 1 for i in range(y.rank)]
+                                         for r in q_rows]
+    else:
+        q = left_inverse_z(j)
+    if q is None:
+        raise InternalConsistencyError("glued sub-basis is not a direct summand")
+    x = induced_map(q, y, target_rank=src_rank)
+    if induced_map(j, x, target_rank=y.rank) != y:
+        raise InternalConsistencyError(
+            "interior product left the image of the glued sub-basis")
+    return x
 
 
 def gluing_morphism(g: GluedSurfaceData, x: Multivector,

@@ -26,8 +26,8 @@ __all__ = [
     "f2_rank",
     "f2_solve",
     "f2_invert",
+    "f2_left_inverse",
     "f2_row_space",
-    "f2_in_row_space",
 ]
 
 Matrix = list[list[int]]
@@ -311,12 +311,6 @@ def f2_row_space(rows: Sequence[int]) -> list[int]:
     return basis
 
 
-def f2_in_row_space(rows: Sequence[int], vec: int) -> bool:
-    for b in f2_row_space(rows):
-        vec = min(vec, vec ^ b)
-    return vec == 0
-
-
 def f2_solve(a_rows: Sequence[int], b: Sequence[int], ncols: int) -> list[int] | None:
     """Solve A*x = b over F2; A given as row bitmasks (bit j = column j)."""
     colmask = (1 << ncols) - 1
@@ -366,3 +360,19 @@ def f2_invert(a_rows: Sequence[int], n: int) -> list[int] | None:
     for col, piv in enumerate(order):
         inv[col] = rows[piv] >> n
     return inv
+
+
+def f2_left_inverse(rows: Sequence[int], ncols: int) -> list[int] | None:
+    """F2 matrix Q (row bitmasks) with Q*J = I, or None when J is not injective.
+
+    J is given as row bitmasks.  Q inverts the square block of the first
+    ``ncols`` independent rows of J and is zero on the other rows.
+    """
+    picked: list[int] = []
+    for i, row in enumerate(rows):
+        if len(picked) < ncols and f2_rank([rows[p] for p in picked] + [row]) > len(picked):
+            picked.append(i)
+    inv = f2_invert([rows[i] for i in picked], ncols) if len(picked) == ncols else None
+    if inv is None:
+        return None
+    return [sum(((r >> t) & 1) << picked[t] for t in range(ncols)) for r in inv]

@@ -32,6 +32,14 @@ def test_contact_nested_z():
     assert text == "b1\n"
 
 
+def test_contact_beyond_rank_64():
+    # 80 outermost chords: rank 79, a single-term element
+    render = ",".join(f"{2 * i + 1}-{2 * i + 2}" for i in range(80))
+    code, text = capture(["contact", "--diagram", render])
+    assert code == 0
+    assert text == "1\n"
+
+
 def test_enumerate_count_only():
     code, text = capture(["enumerate", "3", "--count-only"])
     assert code == 0

@@ -64,7 +64,10 @@ def test_text_form():
 
 def test_rank_bound_enforced():
     with pytest.raises(ValueError):
-        Multivector.zero(65)
+        Multivector.zero(-1)
+    # no upper cap: coefficients are keyed by unbounded int bitmasks
+    wide = Multivector.basis_vector(80, 79).wedge(Multivector.basis_vector(80, 0))
+    assert wide.terms == {(1 << 79) | 1: -1}
 
 
 @settings(max_examples=200)

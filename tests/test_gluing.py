@@ -5,7 +5,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sutured_tqft.gluing as gluing_module
+from sutured_tqft.axioms import run_axiom_suite
 from sutured_tqft.contact import contact_element, default_basis
 from sutured_tqft.dividing import (
     ChordDiagram,
@@ -15,8 +18,15 @@ from sutured_tqft.dividing import (
     infer_face_signs,
     orient_by_signs,
 )
-from sutured_tqft.errors import InvalidGluingError
-from sutured_tqft.exterior import Multivector, RING_F2, RING_Z, interior
+from sutured_tqft.errors import InternalConsistencyError, InvalidGluingError
+from sutured_tqft.exterior import (
+    Multivector,
+    RING_F2,
+    RING_Z,
+    indices_of,
+    induced_map,
+    interior,
+)
 from sutured_tqft.gluing import (
     Gluing,
     GluingOrientationEta,
@@ -30,10 +40,11 @@ from sutured_tqft.gluing import (
     pushforward_class,
     quadrangulate,
     square_chord_family,
+    _express_in_sub_exterior,
     _realize_arc,
 )
 from sutured_tqft.homology import HomologyBasis, RelativeH1, induced_matrix
-from sutured_tqft.linalg import f2_rank, f2_row_space, invert_unimodular
+from sutured_tqft.linalg import f2_rank, f2_row_space, f2_solve, invert_unimodular, solve_z
 from sutured_tqft.models import annulus_model, annulus_surface, disk_model, one_holed_torus
 from sutured_tqft.surface import (
     chain_add,
@@ -206,6 +217,183 @@ def test_interior_image_spans_the_sub_algebra():
                 acc = acc.wedge(cols[idx])
         b_rows.append(sum((c & 1) << t for t, c in acc.terms.items()))
     assert f2_row_space(a_rows) == f2_row_space(b_rows)
+
+
+# -- the sub-exterior solve against the C(L,k)-sized oracle ---------------
+
+def _express_by_exterior_solve(j, y, src_rank, ring):
+    """Solve Lambda(J) x = y where J is the column matrix of a sub-basis."""
+    nrows = len(j)
+    cols = [Multivector.vector(nrows, [j[i][k] for i in range(nrows)], ring)
+            for k in range(src_rank)]
+    out_terms = {}
+    for k in sorted({m.bit_count() for m in y.terms}):
+        src_masks = [m for m in range(1 << src_rank) if m.bit_count() == k]
+        wedges = []
+        for mask in src_masks:
+            acc = Multivector.unit(nrows, ring)
+            for idx in indices_of(mask):
+                acc = acc.wedge(cols[idx])
+                if acc.is_zero():
+                    break
+            wedges.append(acc)
+        tgt_masks = [m for m in range(1 << nrows) if m.bit_count() == k]
+        yk = y.grade_project(k)
+        if ring == RING_F2:
+            rows = [sum(((w.terms.get(t, 0) & 1) << c) for c, w in enumerate(wedges))
+                    for t in tgt_masks]
+            b = [yk.terms.get(t, 0) & 1 for t in tgt_masks]
+            sol = f2_solve(rows, b, len(src_masks))
+        else:
+            a = [[w.terms.get(t, 0) for w in wedges] for t in tgt_masks]
+            b = [yk.terms.get(t, 0) for t in tgt_masks]
+            sol = solve_z(a, b)
+        if sol is None:
+            raise InternalConsistencyError(
+                "interior product left the image of the glued sub-basis")
+        for mask, c in zip(src_masks, sol):
+            if c:
+                out_terms[mask] = c
+    return Multivector(src_rank, out_terms, ring)
+
+
+def _swallowing_site(n, a, b):
+    """Four-halfedge arcs of standard_disk(n) that start at the alpha_minus
+    vertices 4a+3 and 4b+3; welding them swallows one positive suture
+    whenever 2 <= (b - a) mod n <= n - 2."""
+    m = 4 * n
+    p, q = 4 * a + 3, 4 * b + 3
+    return (tuple(2 * ((p + i) % m) for i in range(4)),
+            tuple(2 * ((q + 3 - i) % m) for i in range(4)))
+
+
+def _scrambled_basis(rng, basis):
+    """Another basis of the same homology, by elementary moves on the
+    cycles; over F2 one cycle is tripled, which keeps an F2 basis that is
+    not an integral one."""
+    cycles = [dict(c) for c in basis.cycles]
+    for _ in range(basis.rank if basis.rank > 1 else 0):
+        k, i = rng.sample(range(basis.rank), 2)
+        cycles[k] = chain_add(cycles[k], cycles[i], rng.choice((-1, 1)))
+    if basis.ring == RING_F2 and cycles:
+        cycles[0] = chain_scale(cycles[0], 3)
+    return HomologyBasis(basis.h1, basis.ring, cycles=cycles)
+
+
+def _solve_data(g, ring, rng=None):
+    """The pieces of gluing_morphism around its final solve: the host ->
+    mid matrix, eta, J, and the mid and result ranks.  With rng, the host
+    and result bases are scrambled."""
+    hb = default_basis(g.gluing.host, ring)
+    tb = default_basis(g.result, ring)
+    if rng is not None:
+        hb, tb = _scrambled_basis(rng, hb), _scrambled_basis(rng, tb)
+    mid = glued_relative_basis(g, ring)
+    m = induced_matrix(hb, mid, push=lambda c: pushforward_class(g, c))
+    eta_mv = GluingOrientationEta.default(g).functional(mid)
+    return m, eta_mv, induced_matrix(tb, mid), mid.rank, tb.rank
+
+
+def _degree_sets(rank):
+    """Every degree at once, then each degree alone."""
+    return [range(rank + 1)] + [[d] for d in range(rank + 1)]
+
+
+def _random_element(rng, rank, ring, degrees):
+    terms = {}
+    for d in degrees:
+        for _ in range(2):
+            mask = sum(1 << i for i in rng.sample(range(rank), d))
+            terms[mask] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return Multivector(rank, terms, ring)
+
+
+def _compare_solves(g, ring, xs, rng=None):
+    """Both solves agree on the contracted image of every host element in
+    xs, and both invert Lambda(J) on result-basis elements."""
+    m, eta_mv, j, mid_rank, tb_rank = _solve_data(g, ring, rng)
+    for x in xs:
+        y = interior(eta_mv, induced_map(m, x, target_rank=mid_rank))
+        new = _express_in_sub_exterior(j, y, tb_rank, ring)
+        assert new == _express_by_exterior_solve(j, y, tb_rank, ring)
+        assert induced_map(j, new, target_rank=mid_rank) == y
+    return j, mid_rank, tb_rank
+
+
+@pytest.mark.parametrize("scramble", [False, True])
+@pytest.mark.parametrize("ring", [RING_Z, RING_F2])
+def test_left_inverse_solve_matches_exterior_solve(ring, scramble):
+    rng = random.Random(20260823)
+    for n in range(4, 11):  # host rank L = n - 1 = 3..9
+        g = glue(Gluing(standard_disk(n), *_swallowing_site(n, 0, n // 2)))
+        assert len(g.swallowed) == 1
+        L = n - 1
+        xs = [_random_element(rng, L, ring, ds) for ds in _degree_sets(L)]
+        j, mid_rank, tb_rank = _compare_solves(g, ring, xs, rng if scramble else None)
+        for ds in _degree_sets(tb_rank):
+            x0 = _random_element(rng, tb_rank, ring, ds)
+            y0 = induced_map(j, x0, target_rank=mid_rank)
+            assert _express_in_sub_exterior(j, y0, tb_rank, ring) == x0
+            assert _express_by_exterior_solve(j, y0, tb_rank, ring) == x0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_left_inverse_solve_matches_exterior_solve_drawn(data):
+    n = data.draw(st.integers(4, 8), label="n")
+    a = data.draw(st.integers(0, n - 1), label="a")
+    b = (a + data.draw(st.integers(2, n - 2), label="offset")) % n
+    ring = data.draw(st.sampled_from([RING_Z, RING_F2]), label="ring")
+    terms = data.draw(st.dictionaries(st.integers(0, (1 << (n - 1)) - 1),
+                                      st.integers(-3, 3), max_size=8), label="x")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="basis seed")
+    g = glue(Gluing(standard_disk(n), *_swallowing_site(n, a, b)))
+    _compare_solves(g, ring, [Multivector(n - 1, terms, ring)], random.Random(seed))
+
+
+def test_left_inverse_solve_matches_exterior_solve_on_axiom_corpus(monkeypatch):
+    # every solve the axiom suite makes over its 200-gluing corpus
+    solve = gluing_module._express_in_sub_exterior
+    calls, mismatches = [], []
+
+    def checked(j, y, src_rank, ring):
+        x = solve(j, y, src_rank, ring)
+        calls.append(src_rank)
+        if x != _express_by_exterior_solve(j, y, src_rank, ring):
+            mismatches.append((j, y))
+        return x
+
+    monkeypatch.setattr(gluing_module, "_express_in_sub_exterior", checked)
+    assert all(r.verdict for r in run_axiom_suite())
+    assert len(calls) > 200 and max(calls) >= 4
+    assert mismatches == []
+
+
+def test_off_image_input_is_an_internal_error():
+    g = glue(Gluing(standard_disk(4), *_swallowing_site(4, 0, 2)))
+    _, _, j, mid_rank, tb_rank = _solve_data(g, RING_Z)
+    # J has rank tb_rank < mid_rank, so at least mid_rank - tb_rank of the
+    # degree-1 generators of the middle algebra lie outside its image
+    raised = 0
+    for i in range(mid_rank):
+        try:
+            _express_in_sub_exterior(j, Multivector.basis_vector(mid_rank, i, RING_Z),
+                                     tb_rank, RING_Z)
+        except InternalConsistencyError:
+            raised += 1
+    assert raised >= mid_rank - tb_rank > 0
+
+
+def test_respect_at_rank_fourteen():
+    # the exterior solve would face a C(14,6) x C(13,6) system here
+    cd = ChordDiagram.parse("1-30,2-23,3-22,4-5,6-21,7-8,9-20,10-19,11-12,"
+                            "13-14,15-18,16-17,24-29,25-28,26-27")
+    ds = chord_to_dividing_set(cd)
+    g = glue(Gluing(ds.surface, *_swallowing_site(15, 0, 7)))
+    assert g.swallowed and default_basis(ds.surface, RING_Z).rank == 14
+    assert len(contact_element(ds, ring=RING_Z).value.terms) == 24
+    assert check_respect(g, ds, ring=RING_Z)
+    assert check_respect(g, ds, ring=RING_F2)
 
 
 def test_simple_gluing_is_invertible():

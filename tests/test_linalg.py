@@ -8,6 +8,7 @@ from sympy.matrices.normalforms import invariant_factors
 from sutured_tqft.linalg import (
     det_q,
     f2_invert,
+    f2_left_inverse,
     f2_rank,
     f2_solve,
     identity,
@@ -101,7 +102,38 @@ def test_left_inverse():
         q = left_inverse_z(j)
         assert q is not None
         assert mat_mul(q, j) == identity(k)
-    assert left_inverse_z([[2], [0]]) is None  # saturated? no: index 2
+    # injective, but the image has index 2, so it is not a direct summand
+    assert left_inverse_z([[2], [0]]) is None
+
+
+def f2_mat_mul(a_rows, b_rows):
+    """Product of F2 matrices given as row bitmasks."""
+    out = []
+    for row in a_rows:
+        acc = 0
+        for t, b in enumerate(b_rows):
+            if (row >> t) & 1:
+                acc ^= b
+        out.append(acc)
+    return out
+
+
+def test_f2_left_inverse():
+    rng = random.Random(41)
+    count = 0
+    while count < 20:
+        n = rng.randint(1, 7)
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        if f2_invert(rows, n) is None:
+            continue
+        count += 1
+        k = rng.randint(0, n)
+        j = [row & ((1 << k) - 1) for row in rows]  # first k columns
+        q = f2_left_inverse(j, k)
+        assert q is not None and len(q) == k
+        assert f2_mat_mul(q, j) == [1 << i for i in range(k)]
+    # two equal columns: not injective
+    assert f2_left_inverse([0b11, 0b00, 0b11], 2) is None
 
 
 def test_rank_q():
