@@ -10,9 +10,9 @@ a 2**L contact-element basis, and one-suture ("simple") gluing morphisms
 are invertible, with the two smallest disks carrying the expected
 modules.
 
-Every check is a pure function returning an AxiomReport, so the harness
-can fan them out over a thread pool; all randomness is drawn up front
-from one seed and the seed is echoed in every randomized report.
+Every check is a pure function returning an AxiomReport, and the harness
+runs them one after another; all randomness is drawn up front from one
+seed and the seed is echoed in every randomized report.
 
 The module also carries a replayable instance of the excess-intersection
 induction used to put dividing sets in minimal position against a cut
@@ -21,9 +21,7 @@ times and two companions obtained by local surgery meet it once.
 """
 
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -629,6 +627,8 @@ def random_glued_dividing_sets(rng: random.Random, count: int,
                                max_n: int = 5):
     """(DividingSet, Gluing) pairs: a random chord diagram on a disk and
     a random self-gluing site covering one or two sutures."""
+    if count > 0 and max_n < 2:
+        raise ValidationError(f"glued dividing sets need max_n >= 2, got {max_n}")
     diagrams = {n: enumerate_chord_diagrams(n) for n in range(2, max_n + 1)}
     out = []
     attempts = 0
@@ -809,13 +809,12 @@ def _merge(axiom: int, instance: str, reports, seed=None) -> AxiomReport:
 
 
 def run_axiom_suite(seed: int = DEFAULT_SEED, max_n: int = 5,
-                    gluing_samples: int = 200,
-                    workers: int | None = None) -> list[AxiomReport]:
+                    gluing_samples: int = 200) -> list[AxiomReport]:
     """Build the seeded corpus and run every axiom check over it.
 
     All random draws happen up front on one generator, so the report
     list is a pure function of the arguments; the checks themselves are
-    independent and run on a thread pool.
+    independent and run one after another.
     """
     rng = random.Random(seed)
 
@@ -914,10 +913,7 @@ def run_axiom_suite(seed: int = DEFAULT_SEED, max_n: int = 5,
 
     jobs = [grading_job, union_job, trivial_job, gluing_job, relabel_job,
             basis_job, uniqueness_job, excess_job]
-    count = workers or min(len(jobs), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        reports = list(pool.map(lambda f: f(), jobs))
-    return sorted(reports, key=lambda r: (r.axiom, r.instance))
+    return sorted((job() for job in jobs), key=lambda r: (r.axiom, r.instance))
 
 
 def _welding_diagram():

@@ -56,6 +56,8 @@ def _cmd_contact(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
+    if args.n < 1:
+        raise ValidationError(f"need at least one chord, got {args.n}")
     diagrams = enumerate_chord_diagrams(args.n)
     if args.count_only:
         print(len(diagrams), file=out)

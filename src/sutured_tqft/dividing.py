@@ -31,6 +31,7 @@ from .errors import InvalidChordDiagramError, InvalidDividingSetError
 from .surface import (
     Refinement,
     Surface,
+    UnionFind,
     add_detached_circle,
     chain_boundary,
     chain_from_path,
@@ -57,7 +58,8 @@ def boundary_arc_signs(s: Surface) -> dict[int, int]:
             if s.mark_of(s.tail(h)) in ("F_plus", "F_minus"):
                 start = idx
                 break
-        assert start is not None, "boundary circle has no suture"
+        if start is None:
+            raise InvalidDividingSetError("boundary circle has no suture")
         sign = 0
         for i in range(len(circle)):
             h = circle[(start + i) % len(circle)]
@@ -170,11 +172,12 @@ def dividing_set_violations(s: Surface, k_halfedges, face_signs) -> list[str]:
     for v, d in degree.items():
         if d > 2:
             out.append(f"vertex {v} meets {d} K edges")
+    boundary = s.boundary_vertices()
     for v in s.vertices:
         kind = s.mark_of(v)
         if kind in ("F_plus", "F_minus") and degree.get(v, 0) != 1:
             out.append(f"suture {v} meets {degree.get(v, 0)} K edges")
-        elif v in s.boundary_vertices() and kind not in ("F_plus", "F_minus") \
+        elif v in boundary and kind not in ("F_plus", "F_minus") \
                 and degree.get(v, 0) != 0:
             out.append(f"boundary vertex {v} meets K away from the sutures")
     return out
@@ -236,25 +239,14 @@ class RegionDecomposition:
 def regions(ds: DividingSet) -> RegionDecomposition:
     s = ds.surface
     kset = ds.k_edges()
-    parent = list(range(len(s.faces)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    pieces = UnionFind()
     for e in s.edges():
-        if e in kset or not s.is_interior_edge(e):
-            continue
-        a, b = find(s.face_of(e)), find(s.face_of(s.twin[e]))
-        if a != b:
-            parent[a] = b
+        if e not in kset and s.is_interior_edge(e):
+            pieces.union(s.face_of(e), s.face_of(s.twin[e]))
     groups: dict[int, set[int]] = {}
     for f in range(len(s.faces)):
-        groups.setdefault(find(f), set()).add(f)
-    touches = {f for f in range(len(s.faces))
-               if any(not s.in_face(s.twin[h]) for h in s.faces[f])}
+        groups.setdefault(pieces.find(f), set()).add(f)
+    touches = {s.face_of(h) for h in s.boundary_halfedges()}
     comps = []
     for faces in groups.values():
         sign = ds.face_signs[next(iter(faces))]

@@ -31,8 +31,10 @@ from .exterior import Multivector, interior, induced_map, RING_F2, RING_Z
 from .homology import HomologyBasis, RelativeH1, induced_matrix
 from .linalg import f2_left_inverse, invert_unimodular, left_inverse_z
 from .surface import (
+    MARK_KEYS,
     Refinement,
     Surface,
+    UnionFind,
     split_face,
     subdivide_edge,
     validate_surface,
@@ -83,15 +85,16 @@ def gluing_violations(host: Surface, gamma: tuple[int, ...],
     if len(gamma) != len(gamma_prime):
         out.append("gamma and gamma_prime have different lengths")
         return out
-    for h in (*gamma, *gamma_prime):
+    glued = (*gamma, *gamma_prime)
+    for h in glued:
         if h not in host.twin:
             out.append(f"unknown halfedge {h}")
             return out
-        if not host.in_face(h) or not host.is_boundary_halfedge(h):
+        if not host.is_boundary_halfedge(h):
             out.append(f"halfedge {h} is not a face-resident boundary halfedge")
     if out:
         return out
-    canon = [host.canonical(h) for h in (*gamma, *gamma_prime)]
+    canon = [host.canonical(h) for h in glued]
     if len(set(canon)) != len(canon):
         out.append("gamma and gamma_prime reuse an edge")
 
@@ -114,7 +117,7 @@ def gluing_violations(host: Surface, gamma: tuple[int, ...],
     # Every end of an identified stretch must sit at a suture vertex, so
     # marked points never end up half-identified.
     degree: dict[int, int] = {}
-    for h in (*gamma, *gamma_prime):
+    for h in glued:
         for v in (host.tail(h), host.head[h]):
             degree[v] = degree.get(v, 0) + 1
     for v, d in sorted(degree.items()):
@@ -124,31 +127,19 @@ def gluing_violations(host: Surface, gamma: tuple[int, ...],
             out.append(f"glued stretch ends at non-suture vertex {v}")
 
     if not out and gamma:
-        # Reject identifications that close off a component entirely.
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for h in host.twin:
-            a, b = find(host.tail(h)), find(host.head[h])
-            if a != b:
-                parent[a] = b
+        # Reject identifications that close off a component entirely: the
+        # host components they merge must keep a boundary halfedge unglued.
+        merged = UnionFind()
         for a, b in link.items():
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        glued_edges = {host.canonical(h) for h in (*gamma, *gamma_prime)}
-        open_comps = {find(host.tail(h)) for h in host.boundary_halfedges()
-                      if host.canonical(h) not in glued_edges}
-        for h in host.boundary_halfedges():
-            if find(host.tail(h)) not in open_comps:
-                out.append("gluing would close a component")
-                break
+            merged.union(host.component_of(a), host.component_of(b))
+        unglued: dict[int, int] = {}
+        for c in list(merged.parent):
+            root = merged.find(c)
+            unglued[root] = unglued.get(root, 0) + host.boundary_size(c)
+        for h in glued:
+            unglued[merged.find(host.component_of(host.head[h]))] -= 1
+        if 0 in unglued.values():
+            out.append("gluing would close a component")
     return out
 
 
@@ -220,23 +211,12 @@ class GluedSurfaceData:
 def glue(tau: Gluing) -> GluedSurfaceData:
     """Weld each gamma[i] to gamma_prime[i] reversed and remark the quotient."""
     host = tau.host
-
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    seams = UnionFind()
     for a, b in tau.vertex_map().items():
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+        seams.union(a, b)
     classes: dict[int, list[int]] = {}
     for v in host.vertices:
-        classes.setdefault(find(v), []).append(v)
+        classes.setdefault(seams.find(v), []).append(v)
     vmap: dict[int, int] = {}
     for members in classes.values():
         root = min(members)
@@ -255,10 +235,11 @@ def glue(tau: Gluing) -> GluedSurfaceData:
             del head[dead]
             halfedge_map[dead] = alive
     head = {h: vmap[v] for h, v in head.items()}
-    faces = [list(w) for w in host.faces]
-
-    result = Surface(twin, head, faces)
-    boundary = result.boundary_vertices()
+    # the quotient boundary is the host boundary minus the glued halfedges
+    glued = {*tau.gamma, *tau.gamma_prime}
+    boundary = {vmap[v] for h in host.boundary_halfedges() if h not in glued
+                for v in (host.head[h], host.tail(h))}
+    marks: dict[str, set[int]] = {k: set() for k in MARK_KEYS}
     swallowed = []
     for members in sorted(classes.values(), key=min):
         root = min(members)
@@ -267,7 +248,7 @@ def glue(tau: Gluing) -> GluedSurfaceData:
             continue
         if len(members) == 1:
             (kind,) = kinds
-            result.marks[kind].add(root)
+            marks[kind].add(root)
             continue
         if kinds <= {"F_plus", "F_minus"}:
             # A marked point glued to a marked point becomes interior.
@@ -279,9 +260,10 @@ def glue(tau: Gluing) -> GluedSurfaceData:
             raise InternalConsistencyError(f"mixed mark class {sorted(members)}")
         (kind,) = kinds
         if root in boundary:
-            result.marks[kind].add(root)
+            marks[kind].add(root)
         elif kind == "alpha_plus":
             swallowed.append(root)
+    result = Surface(twin, head, host.faces, marks)
     validate_surface(result)
     return GluedSurfaceData(
         gluing=tau,
@@ -439,50 +421,18 @@ def _fan_groups(s: Surface, v: int, cut_edges: set[int]) -> tuple[dict[int, int]
     the cut edges are severed; group 0 keeps the old vertex id."""
     fan = s.outgoing_fan(v)
     n = len(fan)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    corners = UnionFind()
     # Crossing the ray of fan[i] moves between the corners at positions
     # i-1 and i, so an uncut ray merges them.
     for i in range(1, n):
         if s.canonical(fan[i]) not in cut_edges:
-            parent[find(i)] = find(i - 1)
+            corners.union(i, i - 1)
     if v not in s.boundary_vertices() and s.canonical(fan[0]) not in cut_edges:
-        parent[find(0)] = find(n - 1)
-    order: list[int] = []
+        corners.union(0, n - 1)
+    ordinal: dict[int, int] = {}
     for i in range(n):
-        r = find(i)
-        if r not in order:
-            order.append(r)
-    ordinal = {r: k for k, r in enumerate(order)}
-    return {fan[i]: ordinal[find(i)] for i in range(n)}, len(order)
-
-
-def _seam_suture_kind(s: Surface, v: int) -> str:
-    """Mark for a fresh seam vertex, read off its boundary neighbours: the
-    stretch from a negative to a positive suture end is positive."""
-    for circle in s.boundary_circles():
-        tails = [s.tail(h) for h in circle]
-        if v not in tails:
-            continue
-        i = tails.index(v)
-        n = len(tails)
-        prev = nxt = None
-        for d in range(1, n):
-            prev = prev or s.mark_of(tails[(i - d) % n])
-            nxt = nxt or s.mark_of(tails[(i + d) % n])
-        if prev == "alpha_minus" and nxt == "alpha_plus":
-            return "F_plus"
-        if prev == "alpha_plus" and nxt == "alpha_minus":
-            return "F_minus"
-        raise InternalConsistencyError(
-            f"seam vertex {v} sits between {prev} and {nxt}")
-    raise InternalConsistencyError(f"seam vertex {v} is not on the boundary")
+        ordinal.setdefault(corners.find(i), len(ordinal))
+    return {fan[i]: ordinal[corners.find(i)] for i in range(n)}, len(ordinal)
 
 
 def cut_open(s: Surface, arcs) -> tuple[Surface, Gluing]:
@@ -496,8 +446,7 @@ def cut_open(s: Surface, arcs) -> tuple[Surface, Gluing]:
     """
     arcs = [tuple(a) for a in arcs]
     if not arcs:
-        out = s.copy()
-        return out, Gluing(out, (), ())
+        return s, Gluing(s, (), ())
 
     boundary = s.boundary_vertices()
     cut_edges: set[int] = set()
@@ -537,53 +486,51 @@ def cut_open(s: Surface, arcs) -> tuple[Surface, Gluing]:
                 raise InvalidGluingError(
                     f"cut arcs cross at interior vertices {sorted(shared - ends)}")
 
-    s2 = s.copy()
-    partner: dict[int, int] = {}
-    nxt_h = s2.fresh_halfedge()
+    twin = dict(s.twin)
+    head = dict(s.head)
+    nxt_h = s.fresh_halfedge()
     for c in sorted(cut_edges):
         t = s.twin[c]
-        partner[c], partner[t] = nxt_h, nxt_h + 1
+        for h, p in ((c, nxt_h), (t, nxt_h + 1)):
+            twin[h], twin[p] = p, h
+            head[p] = s.tail(h)
         nxt_h += 2
-    for h, p in partner.items():
-        s2.twin[h] = p
-        s2.twin[p] = h
-        s2.head[p] = s.tail(h)
 
     affected = sorted({v for verts in arc_vertices for v in verts})
     copies: dict[int, list[int]] = {}
-    fresh_v = s2.fresh_vertex()
+    fresh_v = s.fresh_vertex()
     head_fix: dict[int, int] = {}
     for v in affected:
         assign, ngroups = _fan_groups(s, v, cut_edges)
-        ids = [v]
-        for _ in range(ngroups - 1):
-            ids.append(fresh_v)
-            fresh_v += 1
-        copies[v] = ids
-        for x, hv in s2.head.items():
+        copies[v] = ids = [v, *range(fresh_v, fresh_v + ngroups - 1)]
+        fresh_v += ngroups - 1
+        for x, hv in head.items():
             if hv != v:
                 continue
-            node = s2.walk_next(x) if s2.in_face(x) else s2.twin[x]
+            # the face walks are unchanged, so they find the corner of x
+            node = s.walk_next(x) if s.in_face(x) else twin[x]
             head_fix[x] = ids[assign[node]]
-    s2.head.update(head_fix)
+    head.update(head_fix)
 
-    for verts in arc_vertices:
+    marks = {k: set(vs) for k, vs in s.marks.items()}
+    for path, verts in zip(arcs, arc_vertices):
         for v in (verts[0], verts[-1]):
-            kind = s.mark_of(v)
-            for u in copies[v]:
-                s2.marks[kind].add(u)
-    for verts in arc_vertices:
+            marks[s.mark_of(v)].update(copies[v])
         sides = copies[verts[1]]
         if len(sides) != 2:
             raise InternalConsistencyError(
                 f"cut vertex {verts[1]} split into {len(sides)} copies")
-        kinds = {u: _seam_suture_kind(s2, u) for u in sides}
-        if set(kinds.values()) != {"F_plus", "F_minus"}:
-            raise InternalConsistencyError(
-                f"seam sutures at {sides} came out {kinds}")
-        for u, kind in kinds.items():
-            s2.marks[kind].add(u)
+        # The seam copy left of the arc lies on a boundary stretch running
+        # from the first arc end to the last, the other copy on one running
+        # back; a stretch from a negative to a positive suture is positive.
+        left = head[path[0]]
+        right, = set(sides) - {left}
+        if s.mark_of(verts[0]) == "alpha_minus":
+            left, right = right, left
+        marks["F_minus"].add(left)
+        marks["F_plus"].add(right)
 
+    s2 = Surface(twin, head, s.faces, marks)
     validate_surface(s2)
     gamma = tuple(h for path in arcs for h in path)
     gamma_prime = tuple(s.twin[h] for path in arcs for h in path)
@@ -820,7 +767,7 @@ def quadrangulate(s: Surface) -> DecompositionResult:
     invertible change of basis.
     """
     validate_surface(s)
-    ref = Refinement(s.copy())
+    ref = Refinement(s)
     cur = ref.surface
     cuts: list[tuple[int, ...]] = []
     gam: list[int] = []

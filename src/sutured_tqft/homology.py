@@ -19,7 +19,8 @@ from .errors import InternalConsistencyError, ValidationError
 from .exterior import RING_F2, RING_Z
 from .linalg import (Matrix, det_q, f2_invert, f2_rank, identity,
                      invert_unimodular, mat_vec, smith_normal_form, transpose)
-from .surface import (Surface, chain_add, chain_boundary, face_boundary_chain)
+from .surface import (Surface, UnionFind, chain_add, chain_boundary,
+                      face_boundary_chain)
 
 __all__ = ["RelativeH1", "HomologyBasis", "induced_matrix"]
 
@@ -44,24 +45,14 @@ class RelativeH1:
         def mv(v: int) -> int:
             return -1 if v in self.rel else v
 
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        forest = UnionFind()
         tree_edges: list[int] = []
         self.cotree: list[int] = []
         for e in surface.edges():
-            a, b = find(mv(surface.tail(e))), find(mv(surface.head[e]))
-            if a == b:
-                self.cotree.append(e)
-            else:
-                parent[a] = b
+            if forest.union(mv(surface.tail(e)), mv(surface.head[e])):
                 tree_edges.append(e)
+            else:
+                self.cotree.append(e)
 
         # BFS parent pointers in the merged forest; up[v] = (edge, parent,
         # sign of the edge when traversed from v toward the parent)
@@ -90,8 +81,8 @@ class RelativeH1:
 
         k = len(self.cotree)
         nfaces = len(surface.faces)
-        mat = [[face_boundary_chain(surface, j).get(self.cotree[i], 0)
-                for j in range(nfaces)] for i in range(k)]
+        face_chains = [face_boundary_chain(surface, j) for j in range(nfaces)]
+        mat = [[chain.get(e, 0) for chain in face_chains] for e in self.cotree]
         sf = smith_normal_form(mat)
         if any(d != 1 for d in sf.diag):
             raise InternalConsistencyError(

@@ -13,6 +13,13 @@ The sutured structure marks four disjoint sets of boundary vertices
 boundary circle the marked vertices must repeat the cyclic pattern
 F+ a+ F- a- with the same positive multiplicity for all four sets.
 
+Surfaces are immutable: the constructor is the only writer, mark sets
+are frozensets and face walks tuples, and every refinement or gluing
+builds a new surface.  So each derived index (face and walk position of
+a halfedge, boundary halfedges, the start of each vertex's fan, edges,
+boundary circles, component ids) is built once, on first use, and never
+invalidated.
+
 1-chains on the complex are dicts mapping the canonical halfedge of an
 edge (the smaller id of the twin pair) to an integer coefficient.
 """
@@ -20,12 +27,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .errors import InvalidSurfaceError
 
 __all__ = [
     "Surface",
+    "UnionFind",
     "MARK_KEYS",
     "validate_complex",
     "validate_marking",
@@ -49,21 +58,121 @@ __all__ = [
 MARK_KEYS = ("F_plus", "alpha_plus", "F_minus", "alpha_minus")
 
 
+class UnionFind:
+    """Disjoint sets over hashable items; an item joins on first use."""
+
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        parent = self.parent
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        """Merge the sets of a and b; False if they were one set already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
 class Surface:
-    """Halfedge complex with sutured boundary marks."""
+    """Immutable halfedge complex with sutured boundary marks.
+
+    ``twin`` and ``head`` are plain dicts for lookup speed; treat them as
+    read-only.  Derived indices are built on first use and never change.
+    """
 
     def __init__(self, twin: dict[int, int], head: dict[int, int],
-                 faces: list[list[int]], marks: dict[str, set[int]] | None = None):
+                 faces: Sequence[Sequence[int]],
+                 marks: dict[str, Iterable[int]] | None = None):
         self.twin = dict(twin)
         self.head = dict(head)
-        self.faces = [list(w) for w in faces]
-        self.marks = {k: set() for k in MARK_KEYS}
+        self.faces = tuple(tuple(w) for w in faces)
+        self.marks = dict.fromkeys(MARK_KEYS, frozenset())
         if marks:
             for k, vs in marks.items():
                 if k not in MARK_KEYS:
                     raise InvalidSurfaceError(f"unknown mark class {k!r}")
-                self.marks[k] = set(vs)
-        self._face_of: dict[int, int] | None = None
+                self.marks[k] = frozenset(vs)
+
+    # -- derived indices, each built once on first use ----------------------
+    # Only queries on hot paths are indexed; sets that are cheap to rebuild
+    # per call (vertices, boundary vertices, components) are not kept, so a
+    # surface's indices stay smaller than its own twin and head dicts.
+    @cached_property
+    def _face_of(self) -> dict[int, int]:
+        return {h: fi for fi, walk in enumerate(self.faces) for h in walk}
+
+    @cached_property
+    def _walk_pos(self) -> dict[int, int]:
+        return {h: p for walk in self.faces for p, h in enumerate(walk)}
+
+    @cached_property
+    def _boundary(self) -> tuple[int, ...]:
+        face_of = self._face_of
+        return tuple(sorted(h for h, t in self.twin.items()
+                            if h in face_of and t not in face_of))
+
+    @cached_property
+    def _fan_start(self) -> dict[int, int]:
+        """Vertex -> first halfedge of its outgoing fan: the outgoing
+        boundary halfedge, else the smallest outgoing id."""
+        head, twin = self.head, self.twin
+        start: dict[int, int] = {}
+        for h, t in twin.items():
+            if h < start.get(head[t], h + 1):
+                start[head[t]] = h
+        for h in self._boundary:
+            start[head[twin[h]]] = h
+        return start
+
+    @cached_property
+    def _edges(self) -> tuple[int, ...]:
+        return tuple(sorted(h for h, t in self.twin.items() if h < t))
+
+    @cached_property
+    def _circles(self) -> tuple[tuple[int, ...], ...]:
+        head, twin = self.head, self.twin
+        succ = {head[twin[h]]: h for h in self._boundary}
+        seen: set[int] = set()
+        circles = []
+        for start in self._boundary:
+            if start in seen:
+                continue
+            circle = [start]
+            seen.add(start)
+            cur = start
+            while True:
+                nxt = succ.get(head[cur])
+                if nxt is None or nxt == start:
+                    break
+                circle.append(nxt)
+                seen.add(nxt)
+                cur = nxt
+            circles.append(tuple(circle))
+        return tuple(circles)
+
+    @cached_property
+    def _components(self) -> tuple[dict[int, int], list[int]]:
+        """(vertex -> component id, numbered by least vertex; boundary
+        halfedges per component)."""
+        cells = UnionFind()
+        head = self.head
+        for h, t in self.twin.items():
+            cells.union(head[h], head[t])
+        roots: dict[int, int] = {}
+        comp_of = {v: roots.setdefault(cells.find(v), len(roots))
+                   for v in sorted(self.vertices)}
+        sizes = [0] * len(roots)
+        for h in self._boundary:
+            sizes[comp_of[head[h]]] += 1
+        return comp_of, sizes
 
     # -- basic accessors --------------------------------------------------
     @property
@@ -76,72 +185,47 @@ class Surface:
     def canonical(self, h: int) -> int:
         return min(h, self.twin[h])
 
-    def edges(self) -> list[int]:
-        return sorted(h for h in self.twin if h < self.twin[h])
+    def edges(self) -> tuple[int, ...]:
+        return self._edges
 
     def face_of(self, h: int) -> int | None:
-        if self._face_of is None:
-            self._face_of = {}
-            for fi, walk in enumerate(self.faces):
-                for x in walk:
-                    self._face_of[x] = fi
         return self._face_of.get(h)
 
     def in_face(self, h: int) -> bool:
-        return self.face_of(h) is not None
+        return h in self._face_of
 
     def is_interior_edge(self, h: int) -> bool:
-        return self.in_face(h) and self.in_face(self.twin[h])
+        face_of = self._face_of
+        return h in face_of and self.twin[h] in face_of
 
     def is_boundary_halfedge(self, h: int) -> bool:
         """Face-resident halfedge whose reversal lies in no face."""
-        return self.in_face(h) and not self.in_face(self.twin[h])
+        face_of = self._face_of
+        return h in face_of and self.twin[h] not in face_of
 
-    def boundary_halfedges(self) -> list[int]:
-        return sorted(h for h in self.twin if self.is_boundary_halfedge(h))
+    def boundary_halfedges(self) -> tuple[int, ...]:
+        return self._boundary
 
     def boundary_vertices(self) -> set[int]:
-        out = set()
-        for h in self.twin:
-            if self.is_boundary_halfedge(h):
-                out.add(self.head[h])
-                out.add(self.tail(h))
-        return out
+        head, twin = self.head, self.twin
+        return {v for h in self._boundary for v in (head[h], head[twin[h]])}
 
     def walk_next(self, h: int) -> int:
-        fi = self.face_of(h)
-        assert fi is not None, f"halfedge {h} lies in no face"
+        fi = self._face_of.get(h)
+        if fi is None:
+            raise InvalidSurfaceError(f"halfedge {h} lies in no face")
         walk = self.faces[fi]
-        return walk[(walk.index(h) + 1) % len(walk)]
+        return walk[(self._walk_pos[h] + 1) % len(walk)]
 
     def walk_prev(self, h: int) -> int:
-        fi = self.face_of(h)
-        assert fi is not None, f"halfedge {h} lies in no face"
-        walk = self.faces[fi]
-        return walk[walk.index(h) - 1]
+        fi = self._face_of.get(h)
+        if fi is None:
+            raise InvalidSurfaceError(f"halfedge {h} lies in no face")
+        return self.faces[fi][self._walk_pos[h] - 1]
 
-    def boundary_circles(self) -> list[list[int]]:
+    def boundary_circles(self) -> tuple[tuple[int, ...], ...]:
         """Boundary circles as halfedge cycles in the induced orientation."""
-        succ: dict[int, int] = {}
-        for h in self.twin:
-            if self.is_boundary_halfedge(h):
-                succ.setdefault(self.tail(h), h)
-        remaining = {h for h in self.twin if self.is_boundary_halfedge(h)}
-        circles = []
-        while remaining:
-            start = min(remaining)
-            circle = [start]
-            remaining.discard(start)
-            cur = start
-            while True:
-                nxt = succ.get(self.head[cur])
-                if nxt is None or nxt == start:
-                    break
-                circle.append(nxt)
-                remaining.discard(nxt)
-                cur = nxt
-            circles.append(circle)
-        return circles
+        return self._circles
 
     def outgoing_fan(self, v: int) -> list[int]:
         """Outgoing halfedges at v in counterclockwise order.
@@ -151,17 +235,15 @@ class Surface:
         for an interior vertex it is a cycle cut at the smallest id.
         The counterclockwise successor of outgoing h is twin(walk_prev(h)).
         """
-        outgoing = [h for h in self.twin if self.tail(h) == v]
-        if not outgoing:
+        start = self._fan_start.get(v)
+        if start is None:
             return []
-        starts = [h for h in outgoing if self.is_boundary_halfedge(h)]
-        start = starts[0] if starts else min(outgoing)
+        face_of, pos, twin, faces = self._face_of, self._walk_pos, self.twin, self.faces
         fan = [start]
         cur = start
-        while True:
-            if not self.in_face(cur):
-                break  # rotated off the surface at a boundary vertex
-            nxt = self.twin[self.walk_prev(cur)]
+        # stops when the fan rotates off the surface at a boundary vertex
+        while cur in face_of:
+            nxt = twin[faces[face_of[cur]][pos[cur] - 1]]
             if nxt == start:
                 break
             fan.append(nxt)
@@ -173,23 +255,21 @@ class Surface:
         return len(self.vertices) - len(self.edges()) + len(self.faces)
 
     def components(self) -> list[set[int]]:
-        """Vertex sets of connected components (edge connectivity)."""
-        parent = {v: v for v in self.vertices}
+        """Vertex sets of connected components (edge connectivity), by
+        least vertex."""
+        comp_of, sizes = self._components
+        comps: list[set[int]] = [set() for _ in sizes]
+        for v, c in comp_of.items():
+            comps[c].add(v)
+        return comps
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def component_of(self, v: int) -> int:
+        """Index in ``components()`` of the component holding vertex v."""
+        return self._components[0][v]
 
-        for h in self.twin:
-            a, b = find(self.head[h]), find(self.tail(h))
-            if a != b:
-                parent[a] = b
-        comps: dict[int, set[int]] = {}
-        for v in self.vertices:
-            comps.setdefault(find(v), set()).add(v)
-        return sorted(comps.values(), key=min)
+    def boundary_size(self, c: int) -> int:
+        """Number of boundary halfedges on component c."""
+        return self._components[1][c]
 
     def genus(self) -> int:
         """Total genus, summed over components."""
@@ -214,8 +294,8 @@ class Surface:
 
     # -- copying and relabeling -------------------------------------------
     def copy(self) -> "Surface":
-        return Surface(self.twin, self.head, self.faces,
-                       {k: set(vs) for k, vs in self.marks.items()})
+        """Surfaces are immutable, so a copy is the surface itself."""
+        return self
 
     def relabel(self, vmap: dict[int, int] | None = None,
                 hmap: dict[int, int] | None = None,
@@ -307,10 +387,9 @@ def validate_complex(s: Surface, allow_closed: bool = False) -> None:
     # boundary vertex
     b_in: dict[int, int] = {}
     b_out: dict[int, int] = {}
-    for h in s.twin:
-        if s.is_boundary_halfedge(h):
-            b_in[s.head[h]] = b_in.get(s.head[h], 0) + 1
-            b_out[s.tail(h)] = b_out.get(s.tail(h), 0) + 1
+    for h in s.boundary_halfedges():
+        b_in[s.head[h]] = b_in.get(s.head[h], 0) + 1
+        b_out[s.tail(h)] = b_out.get(s.tail(h), 0) + 1
     for v in set(b_in) | set(b_out):
         if b_in.get(v, 0) != 1 or b_out.get(v, 0) != 1:
             raise InvalidSurfaceError(f"boundary is pinched at vertex {v}")
@@ -470,27 +549,23 @@ def subdivide_edge(s: Surface, h: int) -> tuple[Refinement, int]:
     Halfedge h keeps its id on the tail-side piece and twin(h) keeps its
     id on the head-side piece, so faceless twins stay faceless.
     """
-    s2 = s.copy()
-    t = s2.twin[h]
-    u, v = s2.tail(h), s2.head[h]
-    m = s2.fresh_vertex()
-    h2 = s2.fresh_halfedge()
+    t = s.twin[h]
+    u, v = s.tail(h), s.head[h]
+    m = s.fresh_vertex()
+    h2 = s.fresh_halfedge()
     t2 = h2 + 1
     # after: h: u->m twin t2: m->u;  h2: m->v twin t: v->m
-    s2.head[h] = m
-    s2.head[h2] = v
-    s2.head[t] = m
-    s2.head[t2] = u
-    s2.twin[h], s2.twin[t2] = t2, h
-    s2.twin[h2], s2.twin[t] = t, h2
-    for walk in s2.faces:
+    head = {**s.head, h: m, h2: v, t: m, t2: u}
+    twin = {**s.twin, h: t2, t2: h, h2: t, t: h2}
+    faces = [list(w) for w in s.faces]
+    for walk in faces:
         if h in walk:
             idx = walk.index(h)
             walk[idx:idx + 1] = [h, h2]
         if t in walk:
             idx = walk.index(t)
             walk[idx:idx + 1] = [t, t2]
-    s2._face_of = None
+    s2 = Surface(twin, head, faces, s.marks)
     c = min(h, t)
     edge_map = {c: [(h, 1), (h2, 1)] if c == h else [(t, 1), (t2, 1)]}
     return Refinement(s2, edge_map), m
@@ -507,23 +582,19 @@ def split_face(s: Surface, face_id: int, i: int, j: int) -> tuple[Refinement, in
     """
     if i > j:
         i, j = j, i
-    s2 = s.copy()
-    walk = s2.faces[face_id]
+    walk = s.faces[face_id]
     if not (0 <= i < j < len(walk)):
         raise InvalidSurfaceError(f"bad corner positions {i}, {j} for face of size {len(walk)}")
-    vi, vj = s2.tail(walk[i]), s2.tail(walk[j])
+    vi, vj = s.tail(walk[i]), s.tail(walk[j])
     if vi == vj:
         raise InvalidSurfaceError("split_face corners share a vertex (loop edge)")
-    a = s2.fresh_halfedge()
+    a = s.fresh_halfedge()
     b = a + 1
-    s2.twin[a], s2.twin[b] = b, a
-    s2.head[a], s2.head[b] = vj, vi
-    side = walk[i:j] + [b]
-    complement = walk[j:] + walk[:i] + [a]
-    s2.faces[face_id] = complement
-    s2.faces.append(side)
-    s2._face_of = None
-    return Refinement(s2), a, len(s2.faces) - 1, face_id
+    faces = list(s.faces)
+    faces[face_id] = walk[j:] + walk[:i] + (a,)
+    faces.append(walk[i:j] + (b,))
+    s2 = Surface({**s.twin, a: b, b: a}, {**s.head, a: vj, b: vi}, faces, s.marks)
+    return Refinement(s2), a, len(faces) - 1, face_id
 
 
 def add_detached_circle(s: Surface, face_id: int, pos: int) -> tuple[Refinement, tuple[int, int], int]:
@@ -534,19 +605,18 @@ def add_detached_circle(s: Surface, face_id: int, pos: int) -> tuple[Refinement,
     eligible for a dividing set.  Returns (refinement, (a, b) circle
     halfedges bounding the inner 2-gon counterclockwise, inner face id).
     """
-    s2 = s.copy()
-    walk = s2.faces[face_id]
-    w = s2.tail(walk[pos])
-    c1 = s2.fresh_vertex()
+    walk = s.faces[face_id]
+    w = s.tail(walk[pos])
+    c1 = s.fresh_vertex()
     c2 = c1 + 1
-    a = s2.fresh_halfedge()
+    a = s.fresh_halfedge()
     ta, b, tb, k, tk = a + 1, a + 2, a + 3, a + 4, a + 5
-    s2.twin.update({a: ta, ta: a, b: tb, tb: b, k: tk, tk: k})
-    s2.head.update({a: c2, ta: c1, b: c1, tb: c2, k: c1, tk: w})
-    s2.faces.append([a, b])
-    s2.faces[face_id] = walk[:pos] + [k, tb, ta, tk] + walk[pos:]
-    s2._face_of = None
-    return Refinement(s2), (a, b), len(s2.faces) - 1
+    twin = {**s.twin, a: ta, ta: a, b: tb, tb: b, k: tk, tk: k}
+    head = {**s.head, a: c2, ta: c1, b: c1, tb: c2, k: c1, tk: w}
+    faces = list(s.faces)
+    faces[face_id] = walk[:pos] + (k, tb, ta, tk) + walk[pos:]
+    faces.append((a, b))
+    return Refinement(Surface(twin, head, faces, s.marks)), (a, b), len(faces) - 1
 
 
 # -- builders -------------------------------------------------------------

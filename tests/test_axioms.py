@@ -1,5 +1,6 @@
 """The five structural axioms, the uniqueness machinery, and the harness."""
 
+import hashlib
 import json
 import random
 
@@ -330,6 +331,22 @@ def test_suite_reports_pass_and_serialize():
     for r in reports:
         blob = json.dumps(r.to_json_dict())
         assert json.loads(blob) == r.to_json_dict()
+
+
+def test_suite_output_is_locked():
+    # The seeded draws depend on which gluing sites gluing_violations
+    # accepts, so any change to that set moves these digests.
+    reports = run_axiom_suite(seed=7, max_n=3, gluing_samples=20)
+    blob = json.dumps([r.to_json_dict() for r in reports], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "dbf613e847de206bee3767b4a48b14db0bb16f5003875428887528d4e00170c1")
+    rng = random.Random(7)
+    surfaces = [random_sutured_surface(rng).to_json_dict() for _ in range(3)]
+    corpus = [[ds.to_json_dict(), tau.to_json_dict()]
+              for ds, tau in random_glued_dividing_sets(rng, 20, max_n=4)]
+    blob = json.dumps([surfaces, corpus], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "037e9383bb3ad8e0fdf279690e3df286ae7ee4f8534aea453bd8461209afc3aa")
 
 
 def test_suite_is_deterministic():

@@ -241,6 +241,35 @@ def test_malformed_inputs_exit_two(argv, capsys):
     capsys.readouterr()
 
 
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_contact_on_unmarked_complex_exits_two(tmp_path, capsys):
+    data = chord_to_dividing_set(ChordDiagram.parse("1-4,2-3")).to_json_dict()
+    data["marks"] = {k: [] for k in data["marks"]}
+    p = tmp_path / "unmarked.json"
+    p.write_text(json.dumps(data))
+    code, _ = capture(["contact", "--input", str(p)])
+    assert code == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_enumerate_without_chords_exits_two(n, capsys):
+    for extra in ([], ["--count-only"]):
+        code, text = capture(["enumerate", n, *extra])
+        assert (code, text) == (2, "")
+        _assert_one_line_error(capsys)
+
+
+def test_axioms_with_one_suture_disks_only_exits_two(capsys):
+    code, text = capture(["axioms", "--seed", "1", "--max-n", "1"])
+    assert (code, text) == (2, "")
+    _assert_one_line_error(capsys)
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     code, _ = capture(["contact", "--input", str(tmp_path / "absent.json")])
     assert code == 2

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sutured_tqft.gluing as gluing_module
-from sutured_tqft.axioms import run_axiom_suite
+from sutured_tqft.axioms import random_sutured_surface, run_axiom_suite
 from sutured_tqft.contact import contact_element, default_basis
 from sutured_tqft.dividing import (
     ChordDiagram,
@@ -99,6 +99,126 @@ def test_gluing_that_closes_a_sphere_is_rejected():
     assert "close" in " ".join(gluing_violations(s, gamma, gamma_prime))
     with pytest.raises(InvalidGluingError):
         Gluing(s, gamma, gamma_prime)
+
+
+def _union_find_gluing_violations(host, gamma, gamma_prime):
+    """The validation as first written: a union-find over every host
+    halfedge and two passes over the sorted boundary per call."""
+    out = []
+    if len(gamma) != len(gamma_prime):
+        out.append("gamma and gamma_prime have different lengths")
+        return out
+    boundary = sorted(h for h in host.twin
+                      if host.in_face(h) and not host.in_face(host.twin[h]))
+    for h in (*gamma, *gamma_prime):
+        if h not in host.twin:
+            out.append(f"unknown halfedge {h}")
+            return out
+        if h not in boundary:
+            out.append(f"halfedge {h} is not a face-resident boundary halfedge")
+    if out:
+        return out
+    canon = [host.canonical(h) for h in (*gamma, *gamma_prime)]
+    if len(set(canon)) != len(canon):
+        out.append("gamma and gamma_prime reuse an edge")
+    link = {}
+    for g, gp in zip(gamma, gamma_prime):
+        for a, b in ((host.tail(g), host.head[gp]), (host.head[g], host.tail(gp))):
+            if a == b:
+                out.append(f"vertex {a} would be glued to itself")
+            elif link.setdefault(a, b) != b:
+                out.append(f"vertex {a} sent to both {link[a]} and {b}")
+    values = [b for _, b in sorted(link.items())]
+    if len(set(values)) != len(values):
+        out.append("vertex identification is not injective")
+    for a, b in sorted(link.items()):
+        ka, kb = host.mark_of(a), host.mark_of(b)
+        if kb != gluing_module._OPPOSITE_MARK[ka]:
+            out.append(f"marks of glued vertices {a} ({ka}) and {b} ({kb}) clash")
+    degree = {}
+    for h in (*gamma, *gamma_prime):
+        for v in (host.tail(h), host.head[h]):
+            degree[v] = degree.get(v, 0) + 1
+    for v, d in sorted(degree.items()):
+        if d > 2:
+            out.append(f"vertex {v} is an endpoint of {d} glued halfedges")
+        if d == 1 and host.mark_of(v) not in ("alpha_plus", "alpha_minus"):
+            out.append(f"glued stretch ends at non-suture vertex {v}")
+    if not out and gamma:
+        parent = {}
+
+        def find(x):
+            parent.setdefault(x, x)
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for h in host.twin:
+            a, b = find(host.tail(h)), find(host.head[h])
+            if a != b:
+                parent[a] = b
+        for a, b in link.items():
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+        glued_edges = {host.canonical(h) for h in (*gamma, *gamma_prime)}
+        open_comps = {find(host.tail(h)) for h in boundary
+                      if host.canonical(h) not in glued_edges}
+        for h in boundary:
+            if find(host.tail(h)) not in open_comps:
+                out.append("gluing would close a component")
+                break
+    return out
+
+
+def _boundary_arcs(s, sutures):
+    """Boundary runs from an alpha vertex over `sutures` marked points; a
+    run over every alpha vertex of its circle goes once around it."""
+    alpha = s.marks["alpha_plus"] | s.marks["alpha_minus"]
+    arcs = []
+    for circle in s.boundary_circles():
+        m = len(circle)
+        at = [i for i in range(m) if s.tail(circle[i]) in alpha]
+        if sutures > len(at):
+            continue
+        for j in range(len(at)):
+            i, stop = at[j], at[(j + sutures) % len(at)]
+            run = [circle[i]]
+            i = (i + 1) % m
+            while i != stop:
+                run.append(circle[i])
+                i = (i + 1) % m
+            arcs.append(tuple(run))
+    return arcs
+
+
+def test_gluing_violations_match_union_find_version():
+    rng = random.Random(3)
+    hosts = [standard_disk(n) for n in (3, 4, 5)]
+    hosts += [annulus_model().surface,
+              disjoint_union(standard_disk(1), standard_disk(1))[0],
+              disjoint_union(standard_disk(1), standard_disk(2))[0]]
+    hosts += [random_sutured_surface(rng) for _ in range(2)]
+    seen = set()
+    for host in hosts:
+        arcs = [a for k in (1, 2, 4) for a in _boundary_arcs(host, k)]
+        for ga in arcs:
+            for gb in arcs:
+                for gp in (tuple(reversed(gb)), gb):
+                    got = gluing_violations(host, ga, gp)
+                    assert got == _union_find_gluing_violations(host, ga, gp)
+                    seen.update(got or ["accepted"])
+    # two one-suture disks: weld both halves of one onto the other
+    s, _, hmap = disjoint_union(standard_disk(1), standard_disk(1))
+    halves = _boundary_arcs(s, 1)
+    for ga, gb in itertools.product(itertools.permutations(halves, 2), repeat=2):
+        gamma, gamma_prime = ga[0] + ga[1], tuple(reversed(gb[0] + gb[1]))
+        got = gluing_violations(s, gamma, gamma_prime)
+        assert got == _union_find_gluing_violations(s, gamma, gamma_prime)
+        seen.update(got or ["accepted"])
+    assert {"accepted", "gluing would close a component"} <= seen
+    assert any("clash" in v for v in seen) and any("reuse" in v for v in seen)
 
 
 def test_gluing_json_round_trip():

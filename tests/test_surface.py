@@ -1,9 +1,14 @@
 """Halfedge complex structure, validation, refinement, and JSON."""
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sutured_tqft.axioms import _suture_corner_sites, random_sutured_surface
 from sutured_tqft.errors import InvalidSurfaceError
+from sutured_tqft.gluing import Gluing, cut_open, glue, quadrangulate
+from sutured_tqft.models import annulus_model, one_holed_torus
 from sutured_tqft.surface import (Refinement, Surface, add_detached_circle,
                                   chain_add, chain_boundary, chain_from_path,
                                   disjoint_union, disk_position, split_face,
@@ -73,17 +78,16 @@ def test_json_malformed():
 
 def test_validate_rejects_broken_twin():
     s = standard_disk(1)
-    s.twin[0] = 0
-    with pytest.raises(InvalidSurfaceError):
-        validate_complex(s)
+    broken = Surface({**s.twin, 0: 0}, s.head, s.faces, s.marks)
+    with pytest.raises(InvalidSurfaceError, match="its own twin"):
+        validate_complex(broken)
 
 
 def test_validate_rejects_repeated_halfedge():
     s = standard_disk(1)
-    s.faces.append([s.faces[0][0]])
-    s._face_of = None
-    with pytest.raises(InvalidSurfaceError):
-        validate_complex(s)
+    broken = Surface(s.twin, s.head, [*s.faces, [s.faces[0][0]]], s.marks)
+    with pytest.raises(InvalidSurfaceError, match="appears twice"):
+        validate_complex(broken)
 
 
 def test_validate_rejects_pinched_boundary():
@@ -108,19 +112,46 @@ def test_validate_closed_component():
 def test_validate_marking_pattern():
     s = standard_disk(1)
     validate_marking(s)
-    s.marks["F_plus"], s.marks["F_minus"] = s.marks["F_minus"], s.marks["F_plus"]
+    swapped = Surface(s.twin, s.head, s.faces,
+                      {**s.marks, "F_plus": s.marks["F_minus"],
+                       "F_minus": s.marks["F_plus"]})
     # pattern becomes F- a+ F+ a- which is not a rotation of F+ a+ F- a-
-    with pytest.raises(InvalidSurfaceError):
-        validate_marking(s)
+    with pytest.raises(InvalidSurfaceError, match="pattern broken"):
+        validate_marking(swapped)
 
 
 def test_validate_marking_off_boundary():
     ref, _, _, _ = split_face(standard_disk(1), 0, 1, 3)
     ref2, m = subdivide_edge(ref.surface, ref.surface.faces[-1][-1])
     s = ref2.surface
-    s.marks["F_plus"].add(m)
-    with pytest.raises(InvalidSurfaceError):
-        validate_marking(s)
+    stray = Surface(s.twin, s.head, s.faces,
+                    {**s.marks, "F_plus": s.marks["F_plus"] | {m}})
+    with pytest.raises(InvalidSurfaceError, match="not on the boundary"):
+        validate_marking(stray)
+
+
+def test_surfaces_are_immutable():
+    s = standard_disk(3)
+    before = s.to_json_dict()
+    assert s.copy() is s
+    with pytest.raises(AttributeError):
+        s.marks["F_plus"].add(99)
+    with pytest.raises(AttributeError):
+        s.faces[0].append(99)
+    split_face(s, 0, 1, 5)
+    subdivide_edge(s, 0)
+    add_detached_circle(s, 0, 2)
+    glue(Gluing(s, *_suture_corner_sites(s)[0]))
+    dec = quadrangulate(s)  # cuts open refinements of s and glues them back
+    assert s.to_json_dict() == before
+    assert cut_open(dec.pieces, [])[0] is dec.pieces
+
+
+def test_walk_steps_reject_faceless_halfedges():
+    s = standard_disk(1)
+    for step in (s.walk_next, s.walk_prev):
+        with pytest.raises(InvalidSurfaceError, match="lies in no face"):
+            step(1)
 
 
 def test_split_face_topology():
@@ -283,3 +314,156 @@ def test_random_refinements_preserve_validity(n, seeds):
     # original vertices keep their ids, so the boundary 0-chain is unchanged
     moved = transport_chain(ref, base_chain)
     assert chain_boundary(s2, moved) == chain_boundary(s, base_chain)
+
+
+# -- the indexed queries against naive definitions --------------------------
+
+def naive_face_of(s, h):
+    for fi, walk in enumerate(s.faces):
+        if h in walk:
+            return fi
+    return None
+
+
+def naive_is_boundary(s, h):
+    return naive_face_of(s, h) is not None and naive_face_of(s, s.twin[h]) is None
+
+
+def naive_walk_next(s, h):
+    walk = list(s.faces[naive_face_of(s, h)])
+    return walk[(walk.index(h) + 1) % len(walk)]
+
+
+def naive_walk_prev(s, h):
+    walk = list(s.faces[naive_face_of(s, h)])
+    return walk[walk.index(h) - 1]
+
+
+def naive_boundary_halfedges(s):
+    return sorted(h for h in s.twin if naive_is_boundary(s, h))
+
+
+def naive_boundary_vertices(s):
+    return {v for h in naive_boundary_halfedges(s) for v in (s.head[h], s.tail(h))}
+
+
+def naive_boundary_circles(s):
+    succ = {}
+    for h in naive_boundary_halfedges(s):
+        succ.setdefault(s.tail(h), h)
+    remaining = set(naive_boundary_halfedges(s))
+    circles = []
+    while remaining:
+        start = min(remaining)
+        circle = [start]
+        remaining.discard(start)
+        cur = start
+        while True:
+            nxt = succ.get(s.head[cur])
+            if nxt is None or nxt == start:
+                break
+            circle.append(nxt)
+            remaining.discard(nxt)
+            cur = nxt
+        circles.append(circle)
+    return circles
+
+
+def naive_outgoing_fan(s, v):
+    outgoing = [h for h in s.twin if s.tail(h) == v]
+    if not outgoing:
+        return []
+    starts = [h for h in outgoing if naive_is_boundary(s, h)]
+    start = starts[0] if starts else min(outgoing)
+    fan = [start]
+    cur = start
+    while naive_face_of(s, cur) is not None:
+        nxt = s.twin[naive_walk_prev(s, cur)]
+        if nxt == start:
+            break
+        fan.append(nxt)
+        cur = nxt
+    return fan
+
+
+def naive_components(s):
+    adjacent = {v: set() for v in s.head.values()}
+    for h in s.twin:
+        adjacent[s.head[h]].add(s.tail(h))
+        adjacent[s.tail(h)].add(s.head[h])
+    comps = []
+    seen = set()
+    for v in sorted(adjacent):
+        if v in seen:
+            continue
+        comp = {v}
+        stack = [v]
+        while stack:
+            for w in adjacent[stack.pop()] - comp:
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def assert_indices_match_naive(s):
+    assert s.vertices == set(s.head.values())
+    assert list(s.edges()) == sorted(h for h in s.twin if h < s.twin[h])
+    for h in [*s.twin, max(s.twin) + 1]:
+        fi = naive_face_of(s, h)
+        assert s.face_of(h) == fi
+        assert s.in_face(h) == (fi is not None)
+        if h not in s.twin:
+            continue
+        assert s.is_boundary_halfedge(h) == naive_is_boundary(s, h)
+        assert s.is_interior_edge(h) == (
+            fi is not None and naive_face_of(s, s.twin[h]) is not None)
+        if fi is not None:
+            assert s.walk_next(h) == naive_walk_next(s, h)
+            assert s.walk_prev(h) == naive_walk_prev(s, h)
+    assert list(s.boundary_halfedges()) == naive_boundary_halfedges(s)
+    assert s.boundary_vertices() == naive_boundary_vertices(s)
+    assert [list(c) for c in s.boundary_circles()] == naive_boundary_circles(s)
+    for v in s.vertices:
+        assert s.outgoing_fan(v) == naive_outgoing_fan(s, v)
+    comps = naive_components(s)
+    assert list(s.components()) == comps
+    for i, comp in enumerate(comps):
+        assert all(s.component_of(v) == i for v in comp)
+        assert s.boundary_size(i) == sum(
+            1 for h in naive_boundary_halfedges(s) if s.head[h] in comp)
+
+
+def _index_corpus():
+    out = [standard_disk(n) for n in range(1, 6)]
+    out += [annulus_model().surface, one_holed_torus(),
+            disjoint_union(standard_disk(2), standard_disk(3))[0]]
+    rng = random.Random(5)
+    out += [random_sutured_surface(rng) for _ in range(6)]
+    return out
+
+
+def test_indices_match_naive_definitions():
+    for s in _index_corpus():
+        assert_indices_match_naive(s)
+
+
+def test_indices_match_naive_on_cut_and_glued_surfaces():
+    dec = quadrangulate(one_holed_torus())
+    assert_indices_match_naive(dec.pieces)
+    assert_indices_match_naive(dec.refined)
+    for host in (standard_disk(4), annulus_model().surface):
+        for gamma, gamma_prime in _suture_corner_sites(host, sutures=2)[:4]:
+            assert_indices_match_naive(glue(Gluing(host, gamma, gamma_prime)).result)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_indices_match_naive_on_drawn_surfaces(seed):
+    rng = random.Random(seed)
+    s = random_sutured_surface(rng)
+    assert_indices_match_naive(s)
+    sites = _suture_corner_sites(s)
+    if sites:
+        assert_indices_match_naive(glue(Gluing(s, *rng.choice(sites))).result)
