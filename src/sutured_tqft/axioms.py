@@ -282,8 +282,13 @@ def check_gluing_axiom(corpus, seed: int | None = None,
     witness = None
     for ds, tau in corpus:
         data = glue(tau)
-        good = (check_respect(data, ds, ring=RING_F2)
-                and check_respect(data, ds, ring=RING_Z))
+        # the integral H1 of each side is shared by the F2 and the Z check
+        hb = default_basis(tau.host, RING_F2)
+        rb = default_basis(data.result, RING_F2)
+        good = (check_respect(data, ds, ring=RING_F2, host_basis=hb, result_basis=rb)
+                and check_respect(data, ds, ring=RING_Z,
+                                  host_basis=HomologyBasis(hb.h1, RING_Z),
+                                  result_basis=HomologyBasis(rb.h1, RING_Z)))
         count += 1
         if not good:
             ok = False
@@ -627,15 +632,15 @@ def random_glued_dividing_sets(rng: random.Random, count: int,
                                max_n: int = 5):
     """(DividingSet, Gluing) pairs: a random chord diagram on a disk and
     a random self-gluing site covering one or two sutures."""
-    if count > 0 and max_n < 2:
-        raise ValidationError(f"glued dividing sets need max_n >= 2, got {max_n}")
+    if count > 0 and max_n < 3:
+        # disks with at most two chords have no one- or two-suture site
+        raise ValidationError(f"glued dividing sets need max_n >= 3, got {max_n}")
     diagrams = {n: enumerate_chord_diagrams(n) for n in range(2, max_n + 1)}
     out = []
     attempts = 0
     while len(out) < count:
         attempts += 1
         if attempts > 64 * (count + 1):
-            # diagrams with n <= 2 refine to surfaces without gluing sites
             raise ValidationError(
                 f"drew only {len(out)} of {count} glueable dividing sets "
                 f"with at most {max_n} chords")

@@ -167,8 +167,7 @@ class DualStructure:
         self.rank = model.rank
         self._pt = transpose(model.pairing)
         d = int(det_q(model.pairing))
-        want = 1 if ring == RING_Z else 1 & 1
-        if (d if ring == RING_Z else d % 2) != want:
+        if (d if ring == RING_Z else d % 2) != 1:
             raise InternalConsistencyError(
                 f"top generators pair to {d}, expected 1 -- model pairing is off")
 

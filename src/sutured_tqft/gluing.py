@@ -400,12 +400,17 @@ def check_respect(g: GluedSurfaceData, ds: DividingSet,
     """Does the gluing morphism send c(K) to c(K_tau)?
 
     Exact equality mod 2; over the integers equality is only demanded up
-    to a global sign.
+    to a global sign.  Missing bases are the default ones, built once and
+    shared by both contact elements and the morphism.
     """
+    pushed = push_dividing_set(g, ds)
+    if host_basis is None:
+        host_basis = default_basis(g.gluing.host, ring)
+    if result_basis is None:
+        result_basis = default_basis(g.result, ring)
     x = contact_element(ds, omega=omega, ring=ring, basis=host_basis).value
     lhs = gluing_morphism(g, x, eta=eta, host_basis=host_basis,
                           result_basis=result_basis)
-    pushed = push_dividing_set(g, ds)
     rhs = contact_element(pushed, ring=ring, basis=result_basis).value
     if ring == RING_F2:
         return lhs == rhs
@@ -823,8 +828,12 @@ def quadrangulate(s: Surface) -> DecompositionResult:
     zb_whole = default_basis(refined, RING_Z)
     mat = induced_matrix(zb_pieces, zb_whole,
                          push=lambda c: pushforward_class(glued, c))
-    if zb_pieces.rank != zb_whole.rank or invert_unimodular(mat) is None:
+    if zb_pieces.rank != zb_whole.rank:
         raise InternalConsistencyError("re-welding morphism is not invertible")
+    try:
+        invert_unimodular(mat)
+    except InternalConsistencyError as exc:
+        raise InternalConsistencyError("re-welding morphism is not invertible") from exc
     return DecompositionResult(
         refined=refined,
         refinement=Refinement(refined, ref.edge_map, ref.vertex_map),

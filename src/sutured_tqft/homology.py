@@ -6,7 +6,9 @@ merged into one root -- yields a fundamental cycle z_e for every cotree
 edge e; these form an integral basis of the lattice of relative
 1-cycles, and the coordinates of any relative cycle in that basis are
 just its restriction to the cotree edges.  Smith normal form of the
-face-boundary matrix in cycle coordinates then presents the quotient.
+face-boundary matrix in cycle coordinates then presents the quotient:
+a class is reduced by the rows of U past the rank only, and a prescribed
+integral basis is inverted with one more Smith form.
 Surface pairs never produce torsion; we assert that all invariant
 factors are 1, which also makes the mod-2 reduction of the same
 integral basis a basis of the F2 homology.
@@ -17,8 +19,8 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InternalConsistencyError, ValidationError
 from .exterior import RING_F2, RING_Z
-from .linalg import (Matrix, det_q, f2_invert, f2_rank, identity,
-                     invert_unimodular, mat_vec, smith_normal_form, transpose)
+from .linalg import (Matrix, f2_invert, f2_rank, invert_unimodular, mat_vec,
+                     smith_normal_form, transpose)
 from .surface import (Surface, UnionFind, chain_add, chain_boundary,
                       face_boundary_chain)
 
@@ -131,8 +133,9 @@ class RelativeH1:
     def reduce(self, chain: Chain, ring: str = RING_Z) -> list[int]:
         """Class of a relative cycle in the generic quotient basis."""
         w = self.coordinates(chain, ring)
-        uw = mat_vec(self.snf.u, w)
-        out = uw[self.snf.rank:]
+        # rows of U past the rank give the class; the rows before it are boundaries
+        nz = [(j, x) for j, x in enumerate(w) if x]
+        out = [sum(row[j] * x for j, x in nz) for row in self.snf.u[self.snf.rank:]]
         if ring == RING_F2:
             out = [x % 2 for x in out]
         return out
@@ -168,9 +171,11 @@ class HomologyBasis:
             cols = [h1.reduce(c, ring) for c in cycles]
             cmat = transpose(cols)
             if ring == RING_Z:
-                if abs(det_q(cmat)) != 1:
-                    raise ValidationError("prescribed cycles are not an integral basis")
-                self._c_inv = invert_unimodular(cmat)
+                try:
+                    self._c_inv = invert_unimodular(cmat)
+                except InternalConsistencyError as exc:
+                    raise ValidationError(
+                        "prescribed cycles are not an integral basis") from exc
             else:
                 rows = [sum((cmat[i][j] & 1) << j for j in range(self.rank))
                         for i in range(self.rank)]

@@ -180,15 +180,18 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
     d = sf.d
     t = 0
     while True:
-        # deterministic pivot: smallest |value|, lowest (row, col) tiebreak
+        # deterministic pivot: smallest |value|, lowest (row, col) tiebreak;
+        # nothing beats a unit, so the scan stops at the first one
         pivot = None
         best = None
         for i in range(t, nrows):
-            for j in range(t, ncols):
-                if d[i][j]:
-                    v = abs(d[i][j])
-                    if best is None or v < best:
-                        best, pivot = v, (i, j)
+            for j, x in enumerate(d[i][t:], t):
+                if x and (best is None or abs(x) < best):
+                    best, pivot = abs(x), (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         pi, pj = pivot
@@ -220,15 +223,11 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
                 break
         if d[t][t] < 0:
             sf._row_neg(t)
-        # enforce divisibility d_t | everything below-right
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if d[i][j] % d[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        # enforce divisibility d_t | everything below-right; a unit divides all
+        p = d[t][t]
+        offender = None if p == 1 else next(
+            (i for i in range(t + 1, nrows)
+             if any(x % p for x in d[i][t + 1:])), None)
         if offender is not None:
             sf._row_add(t, offender, 1)
             continue
@@ -254,18 +253,22 @@ def solve_z(a: Sequence[Sequence[int]], b: Sequence[int]) -> list[int] | None:
 
 
 def invert_unimodular(c: Sequence[Sequence[int]]) -> Matrix:
-    """Inverse of an integer matrix with determinant ±1."""
+    """Inverse of a square integer matrix with determinant ±1.
+
+    One Smith form U*C*V = I gives C^-1 = V*U; a matrix that is not
+    square, or whose invariant factors are not all 1, is not unimodular.
+    """
     n = len(c)
-    det = det_q(c)
-    if abs(det) != 1:
-        raise InternalConsistencyError(f"matrix is not unimodular (det={det})")
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        x = solve_z(c, e)
-        assert x is not None
-        cols.append(x)
-    return transpose(cols)
+    if any(len(row) != n for row in c):
+        raise InternalConsistencyError("matrix is not unimodular (not square)")
+    sf = smith_normal_form(c)
+    if sf.rank != n or any(di != 1 for di in sf.diag):
+        raise InternalConsistencyError(
+            f"matrix is not unimodular (invariant factors {sf.diag}, size {n})")
+    inv = mat_mul(sf.v, sf.u)
+    if mat_mul(c, inv) != identity(n):
+        raise InternalConsistencyError("unimodular inverse failed its check")
+    return inv
 
 
 def left_inverse_z(j: Sequence[Sequence[int]]) -> Matrix | None:

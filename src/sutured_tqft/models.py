@@ -29,8 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .errors import InternalConsistencyError
 from .exterior import RING_F2, RING_Z
 from .homology import HomologyBasis, RelativeH1
+from .linalg import det_q, f2_invert
 from .surface import (
     Refinement,
     Surface,
@@ -189,11 +191,13 @@ def check_model(model: SurfaceModel, ring: str = RING_Z) -> None:
     model.basis_plus(ring)
     model.basis_minus(ring)
     n = len(model.pairing)
-    assert n == len(model.beta_minus) and all(len(r) == len(model.beta_plus) for r in model.pairing)
+    if n != len(model.beta_minus) or any(len(r) != len(model.beta_plus)
+                                         for r in model.pairing):
+        raise InternalConsistencyError("model pairing does not match the bases")
     if ring == RING_F2:
-        from .linalg import f2_invert
         rows = [sum((abs(v) % 2) << j for j, v in enumerate(r)) for r in model.pairing]
-        assert f2_invert(rows, n) is not None
+        invertible = f2_invert(rows, n) is not None
     else:
-        from .linalg import det_q
-        assert abs(det_q([list(r) for r in model.pairing])) == 1
+        invertible = abs(det_q([list(r) for r in model.pairing])) == 1
+    if not invertible:
+        raise InternalConsistencyError(f"model pairing is not invertible over {ring}")

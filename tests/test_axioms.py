@@ -179,6 +179,18 @@ def test_gluing_axiom_on_sampled_corpus():
     assert r.verdict and r.seed == 23 and "12" in r.instance
 
 
+def test_disks_with_two_chords_have_no_gluing_sites():
+    for n in (1, 2):
+        for cd in enumerate_chord_diagrams(n):
+            surface = chord_to_dividing_set(cd).surface
+            for sutures in (1, 2):
+                assert _suture_corner_sites(surface, sutures=sutures) == []
+    # so a corpus on them cannot be drawn, and none is attempted
+    with pytest.raises(ValidationError, match="max_n >= 3"):
+        random_glued_dividing_sets(random.Random(1), 1, max_n=2)
+    assert random_glued_dividing_sets(random.Random(1), 0, max_n=2) == []
+
+
 def test_corner_sites_match_hand_count():
     assert len(_suture_corner_sites(standard_disk(2))) == 0
     assert len(_suture_corner_sites(standard_disk(3))) == 6

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -262,6 +263,14 @@ def test_enumerate_without_chords_exits_two(n, capsys):
         code, text = capture(["enumerate", n, *extra])
         assert (code, text) == (2, "")
         _assert_one_line_error(capsys)
+
+
+def test_axioms_with_two_chord_disks_fails_fast(capsys):
+    start = time.perf_counter()
+    code, text = capture(["axioms", "--seed", "1", "--max-n", "2"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, text) == (2, "")
+    _assert_one_line_error(capsys)
 
 
 def test_axioms_with_one_suture_disks_only_exits_two(capsys):

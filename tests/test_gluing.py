@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sutured_tqft.axioms as axioms_module
 import sutured_tqft.gluing as gluing_module
 from sutured_tqft.axioms import random_sutured_surface, run_axiom_suite
 from sutured_tqft.contact import contact_element, default_basis
@@ -18,7 +19,7 @@ from sutured_tqft.dividing import (
     infer_face_signs,
     orient_by_signs,
 )
-from sutured_tqft.errors import InternalConsistencyError, InvalidGluingError
+from sutured_tqft.errors import InternalConsistencyError, InvalidGluingError, ValidationError
 from sutured_tqft.exterior import (
     Multivector,
     RING_F2,
@@ -489,6 +490,87 @@ def test_left_inverse_solve_matches_exterior_solve_on_axiom_corpus(monkeypatch):
     assert mismatches == []
 
 
+def _unshared_respect_sides(g, ds, ring):
+    """Both sides of the respect check with every default basis built on
+    its own, as before the bases were shared."""
+    lhs = gluing_morphism(g, contact_element(ds, ring=ring).value)
+    rhs = contact_element(push_dividing_set(g, ds), ring=ring).value
+    return lhs, rhs
+
+
+def test_shared_bases_match_unshared_on_axiom_corpus(monkeypatch):
+    # every respect check the axiom suite makes over its 200-gluing corpus
+    respect = axioms_module.check_respect
+    rings = []
+
+    def checked(g, ds, ring, host_basis, result_basis):
+        assert host_basis.cycles == default_basis(g.gluing.host, ring).cycles
+        assert result_basis.cycles == default_basis(g.result, ring).cycles
+        verdict = respect(g, ds, ring=ring, host_basis=host_basis,
+                          result_basis=result_basis)
+        lhs, rhs = _unshared_respect_sides(g, ds, ring)
+        x = contact_element(ds, ring=ring, basis=host_basis).value
+        assert gluing_morphism(g, x, host_basis=host_basis,
+                               result_basis=result_basis) == lhs
+        pushed = push_dividing_set(g, ds)
+        assert contact_element(pushed, ring=ring, basis=result_basis).value == rhs
+        assert verdict == (lhs == rhs or (ring == RING_Z and lhs == rhs.scale(-1)))
+        rings.append(ring)
+        return verdict
+
+    monkeypatch.setattr(axioms_module, "check_respect", checked)
+    assert all(r.verdict for r in run_axiom_suite())
+    assert rings.count(RING_F2) == rings.count(RING_Z) > 200
+
+
+def test_respect_builds_each_default_basis_once(monkeypatch):
+    ds, host, tau = _welding_fixture()
+    g = glue(tau)
+    new_h1 = RelativeH1.__init__
+    built, passed = [], []
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        new_h1(self, *args, **kwargs)
+
+    def spy(fn, *keys):
+        def wrapper(*args, **kwargs):
+            passed.append([kwargs[k] for k in keys])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(RelativeH1, "__init__", counting_init)
+    monkeypatch.setattr(gluing_module, "contact_element",
+                        spy(contact_element, "basis"))
+    monkeypatch.setattr(gluing_module, "gluing_morphism",
+                        spy(gluing_morphism, "host_basis", "result_basis"))
+    for ring in (RING_F2, RING_Z):
+        built.clear()
+        passed.clear()
+        assert check_respect(g, ds, ring=ring)
+        # host and result bases, the two regions, and the middle homology
+        assert len(built) == 5
+        [hb], [mhb, mrb], [rb] = passed
+        assert hb is mhb and rb is mrb
+        assert hb.ring == rb.ring == ring
+        assert hb.cycles == default_basis(host, ring).cycles
+        assert rb.cycles == default_basis(g.result, ring).cycles
+
+
+def test_respect_checks_the_dividing_set_surface_first(monkeypatch):
+    g = glue(Gluing(standard_disk(4), *_swallowing_site(4, 0, 2)))
+    ds = chord_to_dividing_set(ChordDiagram.parse("1-2,3-4"))
+
+    def too_early(*args, **kwargs):
+        raise AssertionError("work done before the surface check")
+
+    for name in ("contact_element", "default_basis", "gluing_morphism"):
+        monkeypatch.setattr(gluing_module, name, too_early)
+    for ring in (RING_Z, RING_F2):
+        with pytest.raises(ValidationError, match="different surface"):
+            check_respect(g, ds, ring=ring)
+
+
 def test_off_image_input_is_an_internal_error():
     g = glue(Gluing(standard_disk(4), *_swallowing_site(4, 0, 2)))
     _, _, j, mid_rank, tb_rank = _solve_data(g, RING_Z)
@@ -628,6 +710,16 @@ def test_quadrangulate_carries_one_suture_disks_atomically():
     dec = quadrangulate(s)
     assert dec.cuts == ()
     assert _same_surface(dec.pieces, s)
+
+
+def test_quadrangulate_reports_a_singular_reweld(monkeypatch):
+    def singular(c):
+        raise InternalConsistencyError("matrix is not unimodular")
+
+    monkeypatch.setattr(gluing_module, "invert_unimodular", singular)
+    with pytest.raises(InternalConsistencyError,
+                       match="re-welding morphism is not invertible"):
+        quadrangulate(standard_disk(3))
 
 
 def test_quadrangulate_piece_counts():

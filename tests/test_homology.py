@@ -1,17 +1,22 @@
 """Relative H_1: tree-cotree computation against a naive rank oracle."""
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sutured_tqft.axioms import random_sutured_surface
 from sutured_tqft.errors import ValidationError
 from sutured_tqft.exterior import RING_F2, RING_Z
 from sutured_tqft.homology import HomologyBasis, RelativeH1, induced_matrix
-from sutured_tqft.linalg import rank_q
+from sutured_tqft.linalg import mat_vec, rank_q
+from sutured_tqft.models import annulus_surface, one_holed_torus
 from sutured_tqft.surface import (Surface, chain_add, chain_boundary,
                                   chain_from_path, face_boundary_chain,
                                   split_face, standard_disk, subdivide_edge,
                                   transport_chain)
 
+from test_linalg import assert_same_smith
 from test_surface import one_vertex_torus
 
 
@@ -98,7 +103,7 @@ def test_prescribed_non_basis_rejected():
     s = standard_disk(3)
     h = RelativeH1(s, s.marks["alpha_plus"])
     r0, r1 = h.representative(0), h.representative(1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="not an integral basis"):
         HomologyBasis(h, RING_Z, [r0, chain_add(r0, r0)])
     with pytest.raises(ValidationError):
         HomologyBasis(h, RING_F2, [r0, r0])
@@ -162,3 +167,38 @@ def test_random_refined_disks_match_oracle(n, seeds):
         for i in range(h.rank):
             basisz = HomologyBasis(h, RING_Z)
             assert basisz.express(h.representative(i))[i] == 1
+
+
+def _surfaces_with_relative_sets():
+    rng = random.Random(3)
+    surfaces = [standard_disk(n) for n in range(1, 6)]
+    surfaces += [annulus_surface(), one_holed_torus(), one_vertex_torus()]
+    surfaces += [random_sutured_surface(rng) for _ in range(6)]
+    for s in surfaces:
+        for rel in (set(), s.marks["alpha_plus"], s.marks["alpha_minus"]):
+            yield s, RelativeH1(s, rel)
+
+
+def test_face_boundary_smith_forms_match_full_scan_reference():
+    for s, h in _surfaces_with_relative_sets():
+        chains = [face_boundary_chain(s, j) for j in range(len(s.faces))]
+        assert_same_smith([[c.get(e, 0) for c in chains] for e in h.cotree])
+
+
+def test_reduce_matches_the_full_product_with_u():
+    rng = random.Random(17)
+    seen_rank = 0
+    for s, h in _surfaces_with_relative_sets():
+        seen_rank = max(seen_rank, h.rank)
+        for _ in range(4):
+            chain = {}
+            for z in h.cycles:
+                chain = chain_add(chain, z, rng.randint(-3, 3))
+            for f in range(len(s.faces)):
+                chain = chain_add(chain, face_boundary_chain(s, f), rng.randint(-2, 2))
+            for ring in (RING_Z, RING_F2):
+                full = mat_vec(h.snf.u, h.coordinates(chain, ring))[h.snf.rank:]
+                if ring == RING_F2:
+                    full = [x % 2 for x in full]
+                assert h.reduce(chain, ring) == full
+    assert seen_rank >= 4

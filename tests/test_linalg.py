@@ -5,7 +5,9 @@ import pytest
 from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import invariant_factors
 
+from sutured_tqft.errors import InternalConsistencyError
 from sutured_tqft.linalg import (
+    SmithForm,
     det_q,
     f2_invert,
     f2_left_inverse,
@@ -54,6 +56,92 @@ def test_smith_transforms_and_oracle():
             assert sf.diag == oracle
 
 
+def reference_smith_normal_form(a):
+    """The Smith loop with full pivot and divisibility scans at every step:
+    the oracle for the unit-pivot shortcuts of `smith_normal_form`."""
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    sf = SmithForm(nrows, ncols)
+    sf.d = [list(row) for row in a]
+    d = sf.d
+    t = 0
+    while True:
+        pivot = None
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if d[i][j]:
+                    v = abs(d[i][j])
+                    if best is None or v < best:
+                        best, pivot = v, (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            sf._row_swap(t, pi)
+        if pj != t:
+            sf._col_swap(t, pj)
+        while True:
+            done = True
+            for i in range(t + 1, nrows):
+                if d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    sf._row_add(i, t, -q)
+                    if d[i][t]:
+                        sf._row_swap(t, i)
+                        done = False
+            if not done:
+                continue
+            for j in range(t + 1, ncols):
+                if d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    sf._col_add(j, t, -q)
+                    if d[t][j]:
+                        sf._col_swap(t, j)
+                        done = False
+            if done:
+                break
+        if d[t][t] < 0:
+            sf._row_neg(t)
+        offender = None
+        for i in range(t + 1, nrows):
+            for j in range(t + 1, ncols):
+                if d[i][j] % d[t][t]:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            sf._row_add(t, offender, 1)
+            continue
+        t += 1
+        if t >= min(nrows, ncols):
+            break
+    sf.diag = [d[i][i] for i in range(min(nrows, ncols)) if d[i][i]]
+    return sf
+
+
+def assert_same_smith(a):
+    got, want = smith_normal_form(a), reference_smith_normal_form(a)
+    for field in ("d", "u", "u_inv", "v", "v_inv", "diag"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def test_smith_matches_full_scan_reference():
+    rng = random.Random(7)
+    for _ in range(40):
+        assert_same_smith(random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5)))
+    rng = random.Random(61)
+    for _ in range(150):
+        # mostly units, as in face-boundary matrices
+        assert_same_smith(random_matrix(rng, rng.randint(1, 9), rng.randint(1, 9), -1, 1))
+    for _ in range(40):
+        a = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), -1, 1)
+        assert_same_smith([[2 * x for x in row] for row in a])  # no unit at all
+    assert_same_smith([[2, 1], [1, 1]])
+    assert_same_smith([[3, 0, -1], [0, 2, 0]])
+
+
 def test_solve_z_roundtrip():
     rng = random.Random(13)
     for _ in range(40):
@@ -83,6 +171,15 @@ def random_unimodular(rng, n):
     return m
 
 
+def reference_invert_unimodular(c):
+    """The determinant check plus one solve per column: the oracle for
+    the one-Smith-form inverse."""
+    n = len(c)
+    assert abs(det_q(c)) == 1
+    cols = [solve_z(c, [1 if i == j else 0 for i in range(n)]) for j in range(n)]
+    return [list(row) for row in zip(*cols)] if n else []
+
+
 def test_invert_unimodular():
     rng = random.Random(99)
     for _ in range(20):
@@ -90,6 +187,32 @@ def test_invert_unimodular():
         u = random_unimodular(rng, n)
         assert abs(det_q(u)) == 1
         assert mat_mul(u, invert_unimodular(u)) == identity(n)
+
+
+def test_invert_unimodular_matches_column_solves():
+    rng = random.Random(2024)
+    for n in list(range(0, 9)) + [12, 16, 20, 24]:
+        u = random_unimodular(rng, n)
+        # permuted rows, some negated, so the pivots move around
+        perm = list(range(n))
+        rng.shuffle(perm)
+        u = [[-x for x in u[p]] if rng.random() < 0.3 else u[p] for p in perm]
+        assert invert_unimodular(u) == reference_invert_unimodular(u)
+
+
+@pytest.mark.parametrize("c", [
+    [[2]],
+    [[1, 1], [1, 1]],
+    [[2, 1], [0, 1]],
+    [[1, 2], [3, 4]],
+    [[0, 0], [0, 0]],
+    [[1, 0, 0], [0, 1, 0]],
+    [[1, 0], [0, 1], [0, 0]],
+    [[1, 0], [0]],
+])
+def test_invert_unimodular_rejects_other_matrices(c):
+    with pytest.raises(InternalConsistencyError, match="not unimodular"):
+        invert_unimodular(c)
 
 
 def test_left_inverse():

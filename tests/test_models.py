@@ -1,6 +1,9 @@
 """Prescribed homology bases for disks, annuli, and the one-holed torus."""
+from dataclasses import replace
+
 import pytest
 
+from sutured_tqft.errors import InternalConsistencyError
 from sutured_tqft.exterior import RING_F2, RING_Z
 from sutured_tqft.homology import RelativeH1
 from sutured_tqft.linalg import det_q
@@ -17,6 +20,19 @@ def test_disk_model_is_basis(n):
     check_model(model, RING_F2)
     assert model.rank == n - 1
     assert len(model.beta_minus) == n - 1
+
+
+@pytest.mark.parametrize("pairing, message", [
+    (((0, -1), (1, 0), (0, 0)), "does not match"),
+    (((0, -1), (1,)), "does not match"),
+    (((0, -2), (1, 0)), "not invertible"),
+])
+def test_check_model_rejects_a_bad_pairing(pairing, message):
+    # typed errors, so the check survives python -O
+    model = replace(annulus_model(), pairing=pairing)
+    for ring in (RING_Z, RING_F2):
+        with pytest.raises(InternalConsistencyError, match=message):
+            check_model(model, ring)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
