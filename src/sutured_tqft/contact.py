@@ -166,7 +166,7 @@ class DualStructure:
         self.ring = ring
         self.rank = model.rank
         self._pt = transpose(model.pairing)
-        d = int(det_q(model.pairing))
+        d = det_q(model.pairing)
         if (d if ring == RING_Z else d % 2) != 1:
             raise InternalConsistencyError(
                 f"top generators pair to {d}, expected 1 -- model pairing is off")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .contact import ContactElement, DualStructure
 from .dividing import ChordDiagram, enumerate_chord_diagrams
-from .errors import InvalidChordDiagramError, ValidationError
+from .errors import InternalConsistencyError, InvalidChordDiagramError, ValidationError
 from .exterior import Multivector, RING_F2, RING_Z, induced_map
 from .models import disk_model
 
@@ -40,15 +40,22 @@ def _region_sectors(cd: ChordDiagram) -> list[list[int]]:
     """Boundary sectors of the cut disk, grouped by region.
 
     Sector s runs from F_s to F_{s+1} and contains the suture alpha_s.
-    Chord (a, b) has sectors a..b-1 on its inside; since chords do not
-    cross, two sectors lie in one region exactly when every chord puts
-    them on the same side.
+    Chord (a, b) has sectors a..b-1 on its inside.  Chords do not cross,
+    so the chords around a sector are nested and the innermost one names
+    its region.  One walk over the sectors keeps the open chords on a
+    stack: sector s opens the chord starting at s or closes the one
+    ending there, and then lies in the region of the top of the stack.
+    Groups come out in order of their smallest sector, each ascending.
     """
-    n2 = 2 * cd.n
-    groups: dict[frozenset[int], list[int]] = {}
-    for s in range(1, n2 + 1):
-        key = frozenset(k for k, (a, b) in enumerate(cd.pairs) if a <= s < b)
-        groups.setdefault(key, []).append(s)
+    starts = {a for a, _ in cd.pairs}
+    open_chords = [0]  # 0 stands for the outer region
+    groups: dict[int, list[int]] = {}
+    for s in range(1, 2 * cd.n + 1):
+        if s in starts:
+            open_chords.append(s)
+        else:
+            open_chords.pop()
+        groups.setdefault(open_chords[-1], []).append(s)
     return list(groups.values())
 
 
@@ -65,19 +72,18 @@ def disk_contact_element(cd: ChordDiagram, ring: str = RING_Z) -> ContactElement
     rank = cd.n - 1
     out = Multivector.unit(rank, ring)
     degree = 0
-    for region in sorted(_region_sectors(cd), key=min):
+    for region in _region_sectors(cd):
         parity = {s % 2 for s in region}
-        assert len(parity) == 1, "region touches boundary arcs of both signs"
+        if len(parity) != 1:
+            raise InternalConsistencyError("region touches boundary arcs of both signs")
         if parity == {0}:
             continue
-        alphas = sorted(region)
-        for u, w in zip(alphas, alphas[1:]):
-            coeffs = [0] * rank
-            for j in range(u, w, 2):
-                coeffs[(j - 1) // 2] = 1
-            out = out.wedge(Multivector.vector(rank, coeffs, ring))
+        for u, w in zip(region, region[1:]):
+            path = Multivector(rank, {1 << ((j - 1) // 2): 1 for j in range(u, w, 2)}, ring)
+            out = out.wedge(path)
             degree += 1
-    assert not out.is_zero() and out.is_homogeneous()
+    if out.is_zero() or not out.is_homogeneous():
+        raise InternalConsistencyError("contact element is zero or inhomogeneous")
     return ContactElement(value=out, grade=degree, ring=ring)
 
 

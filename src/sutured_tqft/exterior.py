@@ -12,6 +12,16 @@ defined by adjunction against it:
     <interior(x, y) | g> = <y | x ^ g>
 
 with the contracting factor wedged on the left.
+
+Signs follow one rule.  Write P(b) for the positions with an odd number
+of b's bits strictly below them; merging the index set a before a
+disjoint b costs the sign -1 exactly when a & P(b) has an odd number of
+bits, the parity of crossing pairs.  ``wedge``, ``interior`` and
+``induced_map`` compute P once per term of one factor and reuse it across
+the other; over F2, where every stored coefficient is 1, they skip signs
+and toggle.  Their results are built without the range and ring checks
+of the public constructor: every mask is a union or difference of
+in-range masks, F2 toggles stay in {0, 1} and Z needs no reduction.
 """
 from __future__ import annotations
 
@@ -42,15 +52,23 @@ def _norm(c: int, ring: str) -> int:
     return c % 2 if ring == RING_F2 else c
 
 
+def _odd_below(b: int) -> int:
+    """P(b): the positions with an odd number of b's bits strictly below.
+
+    The XOR, over the bits y of b, of the (infinite) mask of positions
+    above y; negative when b has odd degree, which ``a & P(b)`` absorbs.
+    """
+    p = 0
+    while b:
+        low = b & -b
+        p ^= -(low << 1)
+        b ^= low
+    return p
+
+
 def merge_sign(a: int, b: int) -> int:
     """Sign (+1/-1) of merging index sets a before b: parity of crossing pairs."""
-    count = 0
-    rest = b
-    while rest:
-        low = rest & -rest
-        count += (a >> low.bit_length()).bit_count()
-        rest ^= low
-    return -1 if count & 1 else 1
+    return -1 if (a & _odd_below(b)).bit_count() & 1 else 1
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -94,6 +112,18 @@ class Multivector:
             if c:
                 clean[mask] = c
         self.terms = clean
+
+    @classmethod
+    def _built(cls, rank: int, terms: dict[int, int], ring: str,
+               dual: bool) -> "Multivector":
+        """Kernel output: in range and reduced by construction, so only
+        the zero coefficients are dropped."""
+        out = object.__new__(cls)
+        out.rank = rank
+        out.ring = ring
+        out.dual = dual
+        out.terms = {m: c for m, c in terms.items() if c} if 0 in terms.values() else terms
+        return out
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -188,13 +218,22 @@ class Multivector:
     def wedge(self, other: "Multivector") -> "Multivector":
         self._like(other, "wedge")
         terms: dict[int, int] = {}
-        for ma, ca in self.terms.items():
+        get = terms.get
+        if self.ring == RING_F2:
+            for mb in other.terms:
+                for ma in self.terms:
+                    if not ma & mb:
+                        m = ma | mb
+                        terms[m] = get(m, 0) ^ 1
+        else:
             for mb, cb in other.terms.items():
-                if ma & mb:
-                    continue
-                m = ma | mb
-                terms[m] = terms.get(m, 0) + merge_sign(ma, mb) * ca * cb
-        return Multivector(self.rank, terms, self.ring, self.dual)
+                p = _odd_below(mb)
+                for ma, ca in self.terms.items():
+                    if not ma & mb:
+                        m = ma | mb
+                        c = ca * cb
+                        terms[m] = get(m, 0) + (-c if (ma & p).bit_count() & 1 else c)
+        return Multivector._built(self.rank, terms, self.ring, self.dual)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Multivector)
@@ -254,19 +293,32 @@ def interior(x: Multivector, y: Multivector) -> Multivector:
 
     Defined by <interior(x, y) | g> = <y | x ^ g>.  On basis wedges:
     iota_{e_J}(e*_I) = sign(J, I\\J) e*_{I\\J} when J is a subset of I.
+    By graded commutativity sign(J, R) = (-1)^(|J||R|) sign(R, J), so the
+    sign is the parity of R & P(J), complemented when |J| is odd.
     """
     if x.rank != y.rank or x.ring != y.ring:
         raise ValueError("interior: mismatched algebras")
     if x.dual == y.dual:
         raise ValueError("interior: arguments must have opposite variance")
     terms: dict[int, int] = {}
-    for mi, cy in y.terms.items():
+    get = terms.get
+    if y.ring == RING_F2:
+        for mj in x.terms:
+            for mi in y.terms:
+                if (mi & mj) == mj:
+                    rest = mi ^ mj
+                    terms[rest] = get(rest, 0) ^ 1
+    else:
         for mj, cx in x.terms.items():
-            if mj & ~mi:
-                continue
-            rest = mi & ~mj
-            terms[rest] = terms.get(rest, 0) + merge_sign(mj, rest) * cx * cy
-    return Multivector(y.rank, terms, y.ring, y.dual)
+            p = _odd_below(mj)
+            if mj.bit_count() & 1:
+                p = ~p
+            for mi, cy in y.terms.items():
+                if (mi & mj) == mj:
+                    rest = mi ^ mj
+                    c = cx * cy
+                    terms[rest] = get(rest, 0) + (-c if (rest & p).bit_count() & 1 else c)
+    return Multivector._built(y.rank, terms, y.ring, y.dual)
 
 
 def induced_map(matrix: Sequence[Sequence[int]], x: Multivector,
@@ -280,12 +332,15 @@ def induced_map(matrix: Sequence[Sequence[int]], x: Multivector,
                                [matrix[i][j] for i in range(rows)] + [0] * (target_rank - rows),
                                x.ring, x.dual)
             for j in range(x.rank)]
-    out = Multivector.zero(target_rank, x.ring, x.dual)
+    terms: dict[int, int] = {}
+    get = terms.get
+    f2 = x.ring == RING_F2
     for mask, c in x.terms.items():
         acc = Multivector.unit(target_rank, x.ring, x.dual)
         for j in indices_of(mask):
             acc = acc.wedge(cols[j])
             if acc.is_zero():
                 break
-        out = out + acc.scale(c)
-    return out
+        for m, v in acc.terms.items():
+            terms[m] = get(m, 0) ^ 1 if f2 else get(m, 0) + c * v
+    return Multivector._built(target_rank, terms, x.ring, x.dual)

@@ -84,26 +84,27 @@ def rank_q(a: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def det_q(a: Sequence[Sequence[int]]) -> Fraction:
-    """Determinant of a square matrix, exactly."""
+def det_q(a: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, by fraction-free (Bareiss)
+    elimination: each entry update divides exactly by the previous pivot."""
     n = len(a)
-    rows = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
+    rows = [list(row) for row in a]
+    sign, prev = 1, 1
     for col in range(n):
         piv = next((r for r in range(col, n) if rows[r][col]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        prow = [x * inv for x in rows[col]]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], prow)]
-    return det
+            sign = -sign
+        prow = rows[col]
+        p = prow[col]
+        for row in rows[col + 1:]:
+            c = row[col]
+            for j in range(col + 1, n):
+                row[j] = (row[j] * p - c * prow[j]) // prev
+        prev = p
+    return sign * prev
 
 
 class SmithForm:

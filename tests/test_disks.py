@@ -1,11 +1,14 @@
 """Disk specialization: region-rule contact elements, bypass rotations,
 matchability against the product criterion, and the solid-torus pairing."""
 
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sutured_tqft import disks
 from sutured_tqft.contact import contact_element
 from sutured_tqft.disks import (
     TorusParameters,
@@ -27,7 +30,11 @@ from sutured_tqft.dividing import (
     chord_to_dividing_set,
     enumerate_chord_diagrams,
 )
-from sutured_tqft.errors import InvalidChordDiagramError, ValidationError
+from sutured_tqft.errors import (
+    InternalConsistencyError,
+    InvalidChordDiagramError,
+    ValidationError,
+)
 from sutured_tqft.exterior import Multivector, RING_F2, RING_Z, induced_map, pair
 from sutured_tqft.models import disk_arc_chain, disk_model
 
@@ -69,6 +76,38 @@ def test_region_rule_matches_homology_pipeline(n):
         slowz = contact_element(ds, ring=RING_Z,
                                 basis=model.basis_plus(RING_Z)).value
         assert fastz == slowz or fastz == slowz.scale(-1)
+
+
+def reference_region_sectors(cd):
+    """Group sectors by the set of chords around them: the oracle for the
+    one-pass walk."""
+    groups = {}
+    for s in range(1, 2 * cd.n + 1):
+        key = frozenset(k for k, (a, b) in enumerate(cd.pairs) if a <= s < b)
+        groups.setdefault(key, []).append(s)
+    return list(groups.values())
+
+
+def test_region_sectors_match_reference():
+    for n in range(1, 9):
+        for cd in enumerate_chord_diagrams(n):
+            assert disks._region_sectors(cd) == reference_region_sectors(cd)
+    rng = random.Random(4040)
+    for _ in range(200):
+        cd = _random_diagram(rng, rng.randint(9, 40))
+        assert disks._region_sectors(cd) == reference_region_sectors(cd)
+
+
+def test_region_rule_failures_are_internal_errors(monkeypatch):
+    cd = ChordDiagram.parse("1-4,2-3")
+    monkeypatch.setattr(disks, "_region_sectors", lambda _: [[1, 2], [3, 4]])
+    with pytest.raises(InternalConsistencyError,
+                       match="region touches boundary arcs of both signs"):
+        disk_contact_element(cd)
+    # one positive region listed twice: its path wedges with itself to zero
+    monkeypatch.setattr(disks, "_region_sectors", lambda _: [[1, 3], [1, 3], [2, 4]])
+    with pytest.raises(InternalConsistencyError, match="zero or inhomogeneous"):
+        disk_contact_element(cd)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -294,3 +333,58 @@ def test_dehn_twist_family_meets_the_pipeline(name, n):
     got = contact_element(ds, ring=RING_Z, basis=model.basis_plus(RING_Z)).value
     want = dehn_twist_family(n).value
     assert got == want or got == want.scale(-1)
+
+
+# -- locked outputs --------------------------------------------------------
+
+def _random_diagram(rng, n):
+    """A uniform noncrossing matching on 2n sutures, via a random Dyck word
+    (cycle lemma: the rotation after the first prefix minimum)."""
+    steps = [1] * n + [-1] * (n + 1)
+    rng.shuffle(steps)
+    total = low = cut = 0
+    for i, step in enumerate(steps):
+        total += step
+        if total < low:
+            low, cut = total, i + 1
+    opened, pairs = [], []
+    for pos, step in enumerate((steps[cut:] + steps[:cut])[:-1], start=1):
+        if step > 0:
+            opened.append(pos)
+        else:
+            pairs.append((opened.pop(), pos))
+    return ChordDiagram(n, tuple(sorted(pairs)))
+
+
+def _sign_normal_terms(x):
+    terms = sorted(x.terms.items())
+    flip = -1 if terms and terms[0][1] < 0 else 1
+    return [(m, flip * c) for m, c in terms]
+
+
+def test_disk_outputs_are_locked():
+    """One digest over the disk formulas, recorded before the exterior
+    kernel was rewritten: region-rule contact elements over both rings,
+    the wedge matchability criterion and the solid-torus verdict."""
+    rng = random.Random(20261018)
+    diagrams = [cd for n in range(1, 8) for cd in enumerate_chord_diagrams(n)]
+    diagrams += [_random_diagram(rng, rng.randint(8, 24)) for _ in range(40)]
+    record = []
+    for cd in diagrams:
+        record.append((cd.render(),
+                       _sign_normal_terms(disk_contact_element(cd, RING_Z).value),
+                       sorted(disk_contact_element(cd, RING_F2).value.terms)))
+    for i in range(40):
+        n = rng.randint(4, 14)
+        a = _random_diagram(rng, n)
+        b = rotate_diagram(a, rng.randrange(1, 2 * n)) if i % 2 else _random_diagram(rng, n)
+        record.append((a.render(), b.render(),
+                       matchable_via_wedge(a, b, RING_Z), matchable_via_wedge(a, b, RING_F2)))
+    for _ in range(40):
+        q = rng.randint(1, 4)
+        n = rng.randint(1, 12 // q)
+        p = rng.choice([p for p in range(-3, 4) if math.gcd(p, q) == 1])
+        cd = _random_diagram(rng, n * q)
+        record.append((cd.render(), n, p, q, solid_torus_tight(cd, TorusParameters(n, p, q))))
+    digest = hashlib.sha256(repr(record).encode()).hexdigest()
+    assert digest == "0507a58b09d8fcc44242f840864d0e99a0a09eaf615c507dd853950ab1e71a9d"

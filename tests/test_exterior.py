@@ -1,4 +1,5 @@
-"""Exterior algebra kernel: laws, pairing oracle, interior-product adjunction."""
+"""Exterior algebra kernel: laws, pairing oracle, interior-product adjunction,
+and the per-pair loops the kernel replaced as differential oracles."""
 import itertools
 
 import pytest
@@ -244,3 +245,124 @@ def test_f2_normalization():
     y = mv(3, [((0,), 3)], ring=RING_F2)
     assert y.terms == {1: 1}
     assert (y + y).is_zero()
+
+
+# -- differential oracles: the per-pair loops the kernel replaced -----------
+
+def reference_merge_sign(a, b):
+    """Count, bit by bit of b, the bits of a above it."""
+    count = 0
+    rest = b
+    while rest:
+        low = rest & -rest
+        count += (a >> low.bit_length()).bit_count()
+        rest ^= low
+    return -1 if count & 1 else 1
+
+
+def reference_wedge(x, y):
+    terms = {}
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            if ma & mb:
+                continue
+            m = ma | mb
+            terms[m] = terms.get(m, 0) + reference_merge_sign(ma, mb) * ca * cb
+    return Multivector(x.rank, terms, x.ring, x.dual)
+
+
+def reference_interior(x, y):
+    terms = {}
+    for mi, cy in y.terms.items():
+        for mj, cx in x.terms.items():
+            if mj & ~mi:
+                continue
+            rest = mi & ~mj
+            terms[rest] = terms.get(rest, 0) + reference_merge_sign(mj, rest) * cx * cy
+    return Multivector(y.rank, terms, y.ring, y.dual)
+
+
+def reference_induced_map(matrix, x, target_rank=None):
+    rows = len(matrix)
+    if target_rank is None:
+        target_rank = rows
+    cols = [Multivector.vector(target_rank,
+                               [matrix[i][j] for i in range(rows)] + [0] * (target_rank - rows),
+                               x.ring, x.dual)
+            for j in range(x.rank)]
+    out = Multivector.zero(target_rank, x.ring, x.dual)
+    for mask, c in x.terms.items():
+        acc = Multivector.unit(target_rank, x.ring, x.dual)
+        for j in indices_of(mask):
+            acc = reference_wedge(acc, cols[j])
+            if acc.is_zero():
+                break
+        out = out + acc.scale(c)
+    return out
+
+
+def assert_kernel_output(got, want):
+    """Equal to the oracle, and unchanged by the public constructor's
+    range and ring checks, which the kernel skips."""
+    assert got == want
+    rewrapped = Multivector(got.rank, dict(got.terms), got.ring, got.dual)
+    assert rewrapped == got and rewrapped.terms == got.terms
+
+
+def test_merge_sign_matches_loop_on_all_disjoint_pairs():
+    rank = 10
+    full = (1 << rank) - 1
+    for a in range(1 << rank):
+        free = full & ~a
+        b = free
+        while True:  # every submask of the complement, 0 included
+            assert merge_sign(a, b) == reference_merge_sign(a, b)
+            if not b:
+                break
+            b = (b - 1) & free
+
+
+coefficients = st.one_of(st.integers(-3, 3), st.integers(-(1 << 40), 1 << 40))
+
+
+@st.composite
+def kernel_inputs(draw, rank, ring, dual, max_terms=10, inside=()):
+    """Mixed-degree elements; with ``inside``, half the masks are drawn
+    as subsets of those masks, so contractions do not all vanish."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mask = draw(st.integers(0, (1 << rank) - 1))
+        if inside and draw(st.booleans()):
+            mask &= draw(st.sampled_from(sorted(inside)))
+        terms[mask] = draw(coefficients)
+    return Multivector(rank, terms, ring, dual)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12), rings, st.booleans(), st.data())
+def test_wedge_matches_reference(rank, ring, dual, data):
+    x = data.draw(kernel_inputs(rank, ring, dual))
+    y = data.draw(kernel_inputs(rank, ring, dual))
+    assert_kernel_output(x.wedge(y), reference_wedge(x, y))
+    assert_kernel_output(y.wedge(x), reference_wedge(y, x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12), rings, st.booleans(), st.data())
+def test_interior_matches_reference(rank, ring, dual, data):
+    y = data.draw(kernel_inputs(rank, ring, dual))
+    x = data.draw(kernel_inputs(rank, ring, not dual, inside=y.terms))
+    assert_kernel_output(interior(x, y), reference_interior(x, y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12), rings, st.booleans(), st.integers(0, 8),
+       st.integers(-1, 3), st.booleans(), st.data())
+def test_induced_map_matches_reference(rank, ring, dual, rows, extra, zero, data):
+    """Non-square and zero matrices, and targets wider than the matrix."""
+    x = data.draw(kernel_inputs(rank, ring, dual, max_terms=6))
+    matrix = [[0 if zero else data.draw(coefficients) for _ in range(rank)]
+              for _ in range(rows)]
+    target = None if extra < 0 else rows + extra
+    assert_kernel_output(induced_map(matrix, x, target),
+                         reference_induced_map(matrix, x, target))

@@ -1,5 +1,6 @@
 """Exact matrix kernels: Smith form against sympy, solvers, F2 elimination."""
 import random
+from fractions import Fraction
 
 import pytest
 from sympy import Matrix as SymMatrix
@@ -257,6 +258,50 @@ def test_f2_left_inverse():
         assert f2_mat_mul(q, j) == [1 << i for i in range(k)]
     # two equal columns: not injective
     assert f2_left_inverse([0b11, 0b00, 0b11], 2) is None
+
+
+def reference_det_q(a):
+    """Fraction-exact Gaussian elimination: the oracle for the Bareiss
+    determinant."""
+    n = len(a)
+    rows = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        prow = [x * inv for x in rows[col]]
+        for r in range(col + 1, n):
+            if rows[r][col]:
+                c = rows[r][col]
+                rows[r] = [x - c * y for x, y in zip(rows[r], prow)]
+    return det
+
+
+def test_det_q_matches_fraction_elimination():
+    rng = random.Random(87)
+    singular = 0
+    for trial in range(400):
+        n = trial % 9
+        a = random_matrix(rng, n, n, -3, 3)
+        if n >= 2 and trial % 3 == 0:
+            i, j = rng.sample(range(n), 2)
+            a[i] = list(a[j])  # a repeated row
+        if n >= 1 and trial % 7 == 0:
+            a[rng.randrange(n)] = [0] * n
+        d = det_q(a)
+        assert type(d) is int
+        assert d == reference_det_q(a)
+        singular += d == 0
+    assert 100 < singular < 400
+    assert det_q([]) == 1
+    assert det_q([[0, 1], [1, 0]]) == -1
+    assert det_q([[2, 1, 0], [-1, 3, 1], [0, 1, 1]]) == 5
 
 
 def test_rank_q():
