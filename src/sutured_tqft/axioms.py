@@ -141,7 +141,6 @@ def check_grading(s: Surface, instance: str = "surface") -> AxiomReport:
         for ring in (RING_Z, RING_F2):
             HomologyBasis(h1, ring, cycles=reps)  # raises unless a basis
     ranks = [comb(length, i) for i in range(length + 1)] if length >= 0 else []
-    assert sum(ranks) == (1 << length if length >= 0 else 0) or not ok
     gradings = [length - 2 * i for i in range(len(ranks))]
     witness = None if ok else {
         "surface": s.to_json_dict(), "rank": h1.rank, "expected": length}
@@ -176,7 +175,8 @@ def check_disjoint_union(s1: Surface, s2: Surface,
         cycles += [{hmap[h]: c for h, c in cyc.items()} for cyc in b2.cycles]
         bu = HomologyBasis(RelativeH1(union, sorted(union.marks["alpha_plus"])),
                            ring, cycles=cycles)
-        assert bu.rank == b1.rank + b2.rank
+        if bu.rank != b1.rank + b2.rank:
+            raise InternalConsistencyError("union basis is not the two factor bases")
         t = tensor_multivector(contact_element(k1, ring=ring, basis=b1).value,
                                contact_element(k2, ring=ring, basis=b2).value)
         cu = contact_element(ku, ring=ring, basis=bu).value
@@ -550,7 +550,8 @@ def check_uniqueness_hypotheses(seed: int = DEFAULT_SEED, samples: int = 12,
             data = glue(Gluing(host, gamma, gamma_prime))
         except InvalidGluingError:
             continue
-        assert data.swallowed == (), "one-suture site swallowed a vertex"
+        if data.swallowed:
+            raise InternalConsistencyError("one-suture site swallowed a vertex")
         hb = default_basis(host, RING_Z)
         rb = glued_relative_basis(data, RING_Z)
         mat = induced_matrix(hb, rb,
@@ -859,8 +860,6 @@ def run_axiom_suite(seed: int = DEFAULT_SEED, max_n: int = 5,
     respect_corpus.append((
         welding, Gluing(welding.surface, (30, 0, 2, 4), (20, 18, 16, 14))))
 
-    relabel_jobs = _relabel_instances()
-
     basis_surfaces = [(f"disk with {n} sutures", standard_disk(n))
                       for n in range(2, max_n + 1)]
     basis_surfaces += [("annulus", annulus_model().surface),
@@ -868,57 +867,36 @@ def run_axiom_suite(seed: int = DEFAULT_SEED, max_n: int = 5,
                        ("disk pair", disjoint_union(standard_disk(2),
                                                     standard_disk(3))[0])]
 
-    def grading_job():
-        return _merge(1, f"graded ranks on {len(named)} surfaces",
-                      [check_grading(s, instance=nm) for nm, s in named],
-                      seed=seed)
-
-    def union_job():
-        reports = [check_disjoint_union(a.surface, b.surface, a, b,
-                                        instance=f"pair {i}")
-                   for i, (a, b) in enumerate(du_pairs)]
-        return _merge(2, f"{len(du_pairs)} disjoint unions", reports,
-                      seed=seed)
-
-    def trivial_job():
-        reports = [check_trivial_closed(ds, instance=nm)
-                   for nm, ds in trivial]
-        _, k0 = annulus_fixture("K0")
-        essential = not contact_element(k0, ring=RING_F2).value.is_zero()
-        reports.append(AxiomReport(
-            3, "essential core circle keeps its element nonzero", essential))
-        return _merge(3, f"{len(reports)} closed-curve instances", reports,
-                      seed=seed)
-
-    def gluing_job():
-        return check_gluing_axiom(
-            respect_corpus, seed=seed,
-            instance=f"{len(respect_corpus)} glued dividing sets")
-
-    def relabel_job():
-        return _merge(5, f"{len(relabel_jobs)} relabeling instances",
-                      [job() for job in relabel_jobs], seed=seed)
-
-    def basis_job():
-        reports = [check_basis_of_contact_elements(s, instance=nm)
-                   for nm, s in basis_surfaces]
-        return _merge(1, "square-family contact bases", reports, seed=seed)
-
-    def uniqueness_job():
-        return check_uniqueness_hypotheses(seed=seed)
-
-    def excess_job():
-        replay = excess_intersection_replay()
-        witness = None if replay["verdict"] else {
-            "crossings": list(replay["crossings"]),
-            "sets": [ds.to_json_dict() for ds in replay["sets"]]}
-        return AxiomReport(
-            4, "excess-intersection induction replay on the grid disk",
-            replay["verdict"], witness)
-
-    jobs = [grading_job, union_job, trivial_job, gluing_job, relabel_job,
-            basis_job, uniqueness_job, excess_job]
-    return sorted((job() for job in jobs), key=lambda r: (r.axiom, r.instance))
+    reports = [
+        _merge(1, f"graded ranks on {len(named)} surfaces",
+               [check_grading(s, instance=nm) for nm, s in named], seed=seed),
+        _merge(2, f"{len(du_pairs)} disjoint unions",
+               [check_disjoint_union(a.surface, b.surface, a, b, instance=f"pair {i}")
+                for i, (a, b) in enumerate(du_pairs)], seed=seed),
+    ]
+    closed = [check_trivial_closed(ds, instance=nm) for nm, ds in trivial]
+    _, k0 = annulus_fixture("K0")
+    closed.append(AxiomReport(
+        3, "essential core circle keeps its element nonzero",
+        not contact_element(k0, ring=RING_F2).value.is_zero()))
+    reports.append(_merge(3, f"{len(closed)} closed-curve instances", closed, seed=seed))
+    reports.append(check_gluing_axiom(
+        respect_corpus, seed=seed, instance=f"{len(respect_corpus)} glued dividing sets"))
+    relabelings = _relabel_reports()
+    reports.append(_merge(5, f"{len(relabelings)} relabeling instances", relabelings,
+                          seed=seed))
+    reports.append(_merge(1, "square-family contact bases",
+                          [check_basis_of_contact_elements(s, instance=nm)
+                           for nm, s in basis_surfaces], seed=seed))
+    reports.append(check_uniqueness_hypotheses(seed=seed))
+    replay = excess_intersection_replay()
+    witness = None if replay["verdict"] else {
+        "crossings": list(replay["crossings"]),
+        "sets": [ds.to_json_dict() for ds in replay["sets"]]}
+    reports.append(AxiomReport(
+        4, "excess-intersection induction replay on the grid disk",
+        replay["verdict"], witness))
+    return sorted(reports, key=lambda r: (r.axiom, r.instance))
 
 
 def _welding_diagram():
@@ -934,51 +912,36 @@ def _annulus_circle_site():
     return ds, min(regions(ds).faces_plus)
 
 
-def _relabel_instances():
+def _relabel_reports():
     """Deterministic relabeling checks: identity on a fixture, the disk
     rotation by one suture period, and the annulus reflection."""
-    jobs = []
-
-    def identity_job():
-        _, ds = annulus_fixture("K-")
-        vmap = {v: v for v in ds.surface.vertices}
-        return check_relabel_invariance(
-            ds.surface, vmap, dividing_sets=(ds,),
-            instance="identity on the negative annulus set")
-
-    jobs.append(identity_job)
-
+    _, ds = annulus_fixture("K-")
+    reports = [check_relabel_invariance(
+        ds.surface, {v: v for v in ds.surface.vertices}, dividing_sets=(ds,),
+        instance="identity on the negative annulus set")]
+    dm = disk_model(3)
+    am = annulus_model()
     for ring in (RING_F2, RING_Z):
-        def rotation_job(ring=ring):
-            dm = disk_model(3)
-            s = dm.surface
-            vmap = {v: (v + 4) % 12 for v in s.vertices}
-            pairs = []
-            table = []
-            for cd in enumerate_chord_diagrams(3):
-                x = disk_contact_element(cd, ring).value
-                y = disk_contact_element(rotate_diagram(cd, 2), ring).value
-                pairs.append((x, y))
-                table.append(x)
-            tau = Gluing(s, (2, 4), (16, 14))
-            return check_relabel_invariance(
-                s, vmap, paired_elements=pairs, permuted_sets=(table,),
-                gluings=(tau,), basis=dm.basis_plus(ring), ring=ring,
-                instance="disk rotation by one suture period")
-
-        def reflection_job(ring=ring):
-            am = annulus_model()
-            vmap = {0: 4, 4: 0, 1: 7, 7: 1, 2: 6, 6: 2, 3: 5, 5: 3}
-            table = []
-            for name in ("L0", "L1", "K+", "K-", "K0"):
-                model, ds = annulus_fixture(name)
-                table.append(contact_element(
-                    ds, ring=ring, basis=model.basis_plus(ring)).value)
-            return check_relabel_invariance(
-                am.surface, vmap, permuted_sets=(table,),
-                basis=am.basis_plus(ring), ring=ring,
-                instance="annulus reflection swapping the circles")
-
-        jobs.append(rotation_job)
-        jobs.append(reflection_job)
-    return jobs
+        pairs = []
+        table = []
+        for cd in enumerate_chord_diagrams(3):
+            x = disk_contact_element(cd, ring).value
+            y = disk_contact_element(rotate_diagram(cd, 2), ring).value
+            pairs.append((x, y))
+            table.append(x)
+        reports.append(check_relabel_invariance(
+            dm.surface, {v: (v + 4) % 12 for v in dm.surface.vertices},
+            paired_elements=pairs, permuted_sets=(table,),
+            gluings=(Gluing(dm.surface, (2, 4), (16, 14)),),
+            basis=dm.basis_plus(ring), ring=ring,
+            instance="disk rotation by one suture period"))
+        table = []
+        for name in ("L0", "L1", "K+", "K-", "K0"):
+            model, ds = annulus_fixture(name)
+            table.append(contact_element(
+                ds, ring=ring, basis=model.basis_plus(ring)).value)
+        reports.append(check_relabel_invariance(
+            am.surface, {0: 4, 4: 0, 1: 7, 7: 1, 2: 6, 6: 2, 3: 5, 5: 3},
+            permuted_sets=(table,), basis=am.basis_plus(ring), ring=ring,
+            instance="annulus reflection swapping the circles"))
+    return reports

@@ -3,13 +3,15 @@ verification with stable line-oriented output.
 
 Every command prints one result per line; lines starting with `#` are
 comments.  Exit codes: 0 on success, 1 when a boolean verdict comes out
-false, 2 on malformed input.  Randomized commands take their entropy
-from a mandatory --seed flag.
+false, 2 on malformed or unsupported input, 3 when an internal invariant
+fails (a bug).  Randomized commands take their entropy from a mandatory
+--seed flag.
 """
 
 import argparse
 import json
 import sys
+from math import comb
 
 from .axioms import run_axiom_suite
 from .contact import contact_element, default_basis, render_multivector
@@ -58,14 +60,13 @@ def _cmd_contact(args, out) -> int:
 def _cmd_enumerate(args, out) -> int:
     if args.n < 1:
         raise ValidationError(f"need at least one chord, got {args.n}")
-    diagrams = enumerate_chord_diagrams(args.n)
     if args.count_only:
-        print(len(diagrams), file=out)
+        print(comb(2 * args.n, args.n) // (args.n + 1), file=out)  # Catalan
         return 0
     labels = _disk_labels(args.n)
     lines = [f"{cd.render()}\t"
              f"{render_multivector(disk_contact_element(cd, args.ring).value, labels)}"
-             for cd in diagrams]
+             for cd in enumerate_chord_diagrams(args.n)]
     for line in sorted(lines):
         print(line, file=out)
     return 0
@@ -221,12 +222,12 @@ def run(argv=None, out=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args, out)
-    except ValidationError as exc:
+    except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -35,36 +35,6 @@ from .surface import Surface
 
 
 @dataclass(frozen=True)
-class HomologyOrientation:
-    """A generator of the top exterior power of H_1(R+, a+; Z).
-
-    Stored as a top-degree multivector in the region's deterministic
-    basis; only its sign matters.
-    """
-    generator: Multivector
-
-    def __post_init__(self):
-        g = self.generator
-        top = (1 << g.rank) - 1
-        if set(g.terms) != {top}:
-            raise ValidationError("orientation generator must be a single top-degree term")
-        if self.sign not in (1, -1):
-            raise ValidationError("orientation generator must be unimodular")
-
-    @property
-    def sign(self) -> int:
-        top = (1 << self.generator.rank) - 1
-        return self.generator.terms.get(top, 0)
-
-    def reversed(self) -> "HomologyOrientation":
-        return HomologyOrientation(self.generator.scale(-1))
-
-    @classmethod
-    def default(cls, rank: int, ring: str = RING_Z) -> "HomologyOrientation":
-        return cls(Multivector.top(rank, ring))
-
-
-@dataclass(frozen=True)
 class ContactElement:
     value: Multivector
     grade: int
@@ -72,19 +42,6 @@ class ContactElement:
 
     def is_zero(self) -> bool:
         return self.value.is_zero()
-
-
-@dataclass(frozen=True)
-class ContactSubset:
-    """The orientation-independent set {c(K, w), c(K, -w)} over Z."""
-    members: frozenset[Multivector]
-
-    @classmethod
-    def of(cls, x: Multivector) -> "ContactSubset":
-        return cls(frozenset((x, x.scale(-1))))
-
-    def __contains__(self, x: Multivector) -> bool:
-        return x in self.members
 
 
 def default_basis(s: Surface, ring: str, side: str = "plus") -> HomologyBasis:
@@ -103,17 +60,12 @@ def region_homology(ds: DividingSet, side: str = "plus") -> RelativeH1:
     return RelativeH1(sub, rel)
 
 
-def _element(ds: DividingSet, side: str, omega, ring: str,
+def _element(ds: DividingSet, side: str, ring: str,
              basis: HomologyBasis | None) -> ContactElement:
     dual = side == "minus"
     if basis is None:
         basis = default_basis(ds.surface, ring, side)
     hr = region_homology(ds, side)
-    if omega is None:
-        omega = HomologyOrientation.default(hr.rank, ring)
-    if omega.generator.rank != hr.rank:
-        raise ValidationError(
-            f"orientation lives in rank {omega.generator.rank}, region has rank {hr.rank}")
     x = Multivector.unit(basis.rank, ring, dual=dual)
     for i in range(hr.rank):
         # subsurfaces keep halfedge ids, so region cycles are ambient chains
@@ -124,33 +76,25 @@ def _element(ds: DividingSet, side: str, omega, ring: str,
             break
     reg = regions(ds)
     grade = reg.l_k if side == "plus" else reg.l_minus_k
-    return ContactElement(x.scale(omega.sign).grade_project(grade), grade, ring)
+    return ContactElement(x.grade_project(grade), grade, ring)
 
 
-def contact_element(ds: DividingSet, omega: HomologyOrientation | None = None,
-                    ring: str = RING_Z,
+def contact_element(ds: DividingSet, ring: str = RING_Z,
                     basis: HomologyBasis | None = None) -> ContactElement:
     """c(K): the degree-L(K) part of the pushed orientation class of R+.
 
-    Over F2 the orientation argument is irrelevant and may be omitted;
-    over Z omitting it selects the ascending wedge of the deterministic
-    basis of H_1(R+, a+).  ``basis`` fixes the coordinates on the
-    ambient H_1 (for disks and annuli, pass the model basis so results
+    Over Z the sign is fixed by orienting H_1(R+, a+) with the ascending
+    wedge of its deterministic basis.  ``basis`` fixes the coordinates on
+    the ambient H_1 (for disks and annuli, pass the model basis so results
     come out in beta coordinates).
     """
-    return _element(ds, "plus", omega, ring, basis)
+    return _element(ds, "plus", ring, basis)
 
 
-def negative_contact_element(ds: DividingSet, omega: HomologyOrientation | None = None,
-                             ring: str = RING_Z,
+def negative_contact_element(ds: DividingSet, ring: str = RING_Z,
                              basis: HomologyBasis | None = None) -> ContactElement:
     """c-(K): the mirror element through R-, graded by L-(K), dual-valued."""
-    return _element(ds, "minus", omega, ring, basis)
-
-
-def contact_subset(ds: DividingSet, basis: HomologyBasis | None = None) -> ContactSubset:
-    """The pair {x, -x} of integral contact elements (order <= 2)."""
-    return ContactSubset.of(contact_element(ds, ring=RING_Z, basis=basis).value)
+    return _element(ds, "minus", ring, basis)
 
 
 class DualStructure:

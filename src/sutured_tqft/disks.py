@@ -13,17 +13,15 @@ import math
 from dataclasses import dataclass
 
 from .contact import ContactElement, DualStructure
-from .dividing import ChordDiagram, enumerate_chord_diagrams
+from .dividing import ChordDiagram
 from .errors import InternalConsistencyError, InvalidChordDiagramError, ValidationError
 from .exterior import Multivector, RING_F2, RING_Z, induced_map
 from .models import disk_model
 
 __all__ = [
-    "DiskContactTable",
     "BypassTriple",
     "TorusParameters",
     "disk_contact_element",
-    "disk_contact_table",
     "bypass_triple_at",
     "matchable",
     "matching_curve_count",
@@ -31,8 +29,6 @@ __all__ = [
     "rotation_map",
     "rotate_diagram",
     "solid_torus_tight",
-    "dehn_twist_action",
-    "dehn_twist_family",
 ]
 
 
@@ -85,28 +81,6 @@ def disk_contact_element(cd: ChordDiagram, ring: str = RING_Z) -> ContactElement
     if out.is_zero() or not out.is_homogeneous():
         raise InternalConsistencyError("contact element is zero or inhomogeneous")
     return ContactElement(value=out, grade=degree, ring=ring)
-
-
-@dataclass(frozen=True)
-class DiskContactTable:
-    """Contact elements of every diagram on 2n sutures, keyed by diagram."""
-    n: int
-    ring: str
-    table: dict
-
-
-def disk_contact_table(n: int, ring: str = RING_F2) -> DiskContactTable:
-    table = {}
-    seen: dict[frozenset, ChordDiagram] = {}
-    for cd in enumerate_chord_diagrams(n):
-        ce = disk_contact_element(cd, ring)
-        key = frozenset(ce.value.terms.items())
-        if key in seen:
-            raise AssertionError(
-                f"contact elements of {cd.render()} and {seen[key].render()} collide")
-        seen[key] = cd
-        table[cd] = ce
-    return DiskContactTable(n, ring, table)
 
 
 # -- bypass rotations ------------------------------------------------------
@@ -256,18 +230,3 @@ def solid_torus_tight(cd: ChordDiagram, params: TorusParameters) -> bool:
     y = induced_map(mat, Multivector(c.rank, dict(c.terms), RING_F2, dual=True))
     return DualStructure(disk_model(big), RING_F2).pair(y, c) == 1
 
-
-# -- the annulus twist family ----------------------------------------------
-
-
-def dehn_twist_action() -> tuple[tuple[int, int], ...]:
-    """Action of a positive twist about the core on the annulus basis:
-    beta_1 -> beta_1 + beta_2, beta_2 -> beta_2."""
-    return ((1, 0), (1, 1))
-
-
-def dehn_twist_family(n: int) -> ContactElement:
-    """c(L_n) = beta_1 + n beta_2: the boundary-parallel arcs dragged
-    around the core n times."""
-    return ContactElement(value=Multivector.vector(2, [1, n], RING_Z),
-                          grade=1, ring=RING_Z)

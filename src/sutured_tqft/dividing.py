@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidChordDiagramError, InvalidDividingSetError
+from .errors import (InternalConsistencyError, InvalidChordDiagramError,
+                     InvalidDividingSetError, json_field)
 from .surface import (
     Refinement,
     Surface,
@@ -119,9 +120,10 @@ def orient_by_signs(s: Surface, k_edges, signs: dict[int, int]) -> tuple[int, ..
         t = s.twin[h]
         if signs[s.face_of(h)] > 0:
             out.append(h)
-        else:
-            assert signs[s.face_of(t)] > 0, f"edge {h} borders two negative faces"
+        elif signs[s.face_of(t)] > 0:
             out.append(t)
+        else:
+            raise InternalConsistencyError(f"edge {h} borders two negative faces")
     return tuple(out)
 
 
@@ -191,14 +193,13 @@ class DividingSet:
     boundary-adjacent face still make sense.
     """
 
-    def __init__(self, surface: Surface, k_halfedges, face_signs, check: bool = True):
+    def __init__(self, surface: Surface, k_halfedges, face_signs):
         self.surface = surface
         self.k_halfedges = tuple(k_halfedges)
         self.face_signs = dict(face_signs)
-        if check:
-            bad = dividing_set_violations(surface, self.k_halfedges, self.face_signs)
-            if bad:
-                raise InvalidDividingSetError("; ".join(bad))
+        bad = dividing_set_violations(surface, self.k_halfedges, self.face_signs)
+        if bad:
+            raise InvalidDividingSetError("; ".join(bad))
 
     def k_edges(self) -> set[int]:
         return {self.surface.canonical(h) for h in self.k_halfedges}
@@ -213,8 +214,16 @@ class DividingSet:
     @classmethod
     def from_json_dict(cls, d: dict) -> "DividingSet":
         s = Surface.from_json_dict(d)
-        signs = {int(f): (1 if v == "+" else -1) for f, v in d["signs"].items()}
-        return cls(s, [int(h) for h in d["K"]], signs)
+        k = json_field(d, "K", list, InvalidDividingSetError)
+        signs = json_field(d, "signs", dict, InvalidDividingSetError)
+        for v in signs.values():
+            if v not in ("+", "-"):
+                raise InvalidDividingSetError(f"face sign {v!r} is not '+' or '-'")
+        try:
+            face_signs = {int(f): 1 if v == "+" else -1 for f, v in signs.items()}
+        except ValueError as exc:
+            raise InvalidDividingSetError(f"face id in 'signs' is not an integer: {exc}") from None
+        return cls(s, k, face_signs)
 
 
 @dataclass(frozen=True)
@@ -250,7 +259,8 @@ def regions(ds: DividingSet) -> RegionDecomposition:
     comps = []
     for faces in groups.values():
         sign = ds.face_signs[next(iter(faces))]
-        assert all(ds.face_signs[f] == sign for f in faces)
+        if any(ds.face_signs[f] != sign for f in faces):
+            raise InternalConsistencyError("a region of K mixes face signs")
         comps.append((sign, frozenset(faces), not (faces & touches)))
     comps.sort(key=lambda c: min(c[1]))
     fplus = frozenset(f for sign, faces, _ in comps if sign > 0 for f in faces)
@@ -269,10 +279,6 @@ def regions(ds: DividingSet) -> RegionDecomposition:
     )
 
 
-def is_non_isolating(ds: DividingSet) -> bool:
-    return regions(ds).is_non_isolating()
-
-
 def positive_region(ds: DividingSet) -> Surface:
     """The subsurface R+ spanned by the positive faces (marks restricted)."""
     return subsurface(ds.surface, sorted(regions(ds).faces_plus))
@@ -287,7 +293,7 @@ def add_trivial_circle(ds: DividingSet, face_id: int, pos: int = 0) -> tuple[Div
 
     The circle bounds a 2-gon whose sign is opposite to the ambient
     face, so the new piece is always isolated; the result fails
-    ``is_non_isolating`` by construction.
+    ``RegionDecomposition.is_non_isolating`` by construction.
     """
     ref, (a, b), inner = add_detached_circle(ds.surface, face_id, pos)
     s2 = ref.surface
@@ -396,7 +402,8 @@ def chord_to_dividing_set(cd: ChordDiagram) -> DividingSet:
             if va in tails and vb in tails:
                 spot = (fi, tails.index(va), tails.index(vb))
                 break
-        assert spot is not None, f"chord {a}-{b} has no common face"
+        if spot is None:
+            raise InternalConsistencyError(f"chord {a}-{b} has no common face")
         ref, chord, _, _ = split_face(s, *spot)
         s = ref.surface
         chords.append(chord)
@@ -420,7 +427,8 @@ class _Builder:
 
     def halfedge(self, u: int, v: int) -> int:
         hits = [h for h in self.s.twin if self.s.tail(h) == u and self.s.head[h] == v]
-        assert len(hits) == 1, f"halfedge {u}->{v} is not unique"
+        if len(hits) != 1:
+            raise InternalConsistencyError(f"halfedge {u}->{v} is not unique")
         return hits[0]
 
     def subdivide(self, u: int, v: int) -> int:

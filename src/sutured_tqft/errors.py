@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON field check
+that raises them."""
 from __future__ import annotations
 
 __all__ = [
@@ -9,6 +10,7 @@ __all__ = [
     "InvalidChordDiagramError",
     "UnsupportedSurfaceError",
     "InternalConsistencyError",
+    "json_field",
 ]
 
 
@@ -32,9 +34,24 @@ class InvalidChordDiagramError(ValidationError):
     """Matching data is not a noncrossing chord diagram."""
 
 
-class UnsupportedSurfaceError(ValueError):
+class UnsupportedSurfaceError(ValidationError):
     """Input is valid but outside the range this algorithm supports."""
 
 
 class InternalConsistencyError(AssertionError):
     """A theorem-backed internal invariant failed; indicates a bug."""
+
+
+def json_field(data, key: str, kind: type, error: type[ValidationError]):
+    """``data[key]`` from a JSON object, checked to be a ``kind``: list (of
+    integers) or dict.  Raises ``error`` otherwise."""
+    if not isinstance(data, dict):
+        raise error(f"expected a JSON object holding {key!r}")
+    if key not in data:
+        raise error(f"missing key {key!r}")
+    value = data[key]
+    if not isinstance(value, kind) or (
+            kind is list and any(type(x) is not int for x in value)):
+        what = "a list of integers" if kind is list else "a JSON object"
+        raise error(f"{key!r} must be {what}")
+    return value

@@ -181,12 +181,6 @@ class Multivector:
                            {m: c for m, c in self.terms.items() if m.bit_count() == d},
                            self.ring, self.dual)
 
-    def coefficient(self, indices: Iterable[int]) -> int:
-        return self.terms.get(mask_of(indices), 0)
-
-    def support(self) -> list[tuple[int, ...]]:
-        return [indices_of(m) for m in self._sorted_masks()]
-
     def _sorted_masks(self) -> list[int]:
         return sorted(self.terms, key=lambda m: (m.bit_count(), indices_of(m)))
 

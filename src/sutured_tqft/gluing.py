@@ -26,13 +26,13 @@ from .errors import (
     InvalidGluingError,
     UnsupportedSurfaceError,
     ValidationError,
+    json_field,
 )
 from .exterior import Multivector, interior, induced_map, RING_F2, RING_Z
 from .homology import HomologyBasis, RelativeH1, induced_matrix
 from .linalg import f2_left_inverse, invert_unimodular, left_inverse_z
 from .surface import (
     MARK_KEYS,
-    Refinement,
     Surface,
     UnionFind,
     split_face,
@@ -45,7 +45,6 @@ Chain = dict[int, int]
 __all__ = [
     "Gluing",
     "GluedSurfaceData",
-    "GluingOrientationEta",
     "DecompositionResult",
     "gluing_violations",
     "glue",
@@ -151,14 +150,13 @@ class Gluing:
     tail of each with the head of the other.
     """
 
-    def __init__(self, host: Surface, gamma, gamma_prime, check: bool = True):
+    def __init__(self, host: Surface, gamma, gamma_prime):
         self.host = host
         self.gamma = tuple(gamma)
         self.gamma_prime = tuple(gamma_prime)
-        if check:
-            problems = gluing_violations(host, self.gamma, self.gamma_prime)
-            if problems:
-                raise InvalidGluingError("; ".join(problems))
+        problems = gluing_violations(host, self.gamma, self.gamma_prime)
+        if problems:
+            raise InvalidGluingError("; ".join(problems))
 
     def vertex_map(self) -> dict[int, int]:
         """Single-step identification of boundary vertices (both directions)."""
@@ -177,8 +175,12 @@ class Gluing:
 
     @classmethod
     def from_json_dict(cls, host: Surface, data: dict) -> "Gluing":
-        g = cls(host, tuple(data["gamma"]), tuple(data["gamma_prime"]))
-        stated = {int(a): int(b) for a, b in data.get("vertex_map", {}).items()}
+        g = cls(host, json_field(data, "gamma", list, InvalidGluingError),
+                json_field(data, "gamma_prime", list, InvalidGluingError))
+        try:
+            stated = {int(a): int(b) for a, b in data.get("vertex_map", {}).items()}
+        except (AttributeError, TypeError, ValueError):
+            raise InvalidGluingError("vertex_map must send vertex ids to vertex ids") from None
         if stated and stated != g.vertex_map():
             raise InvalidGluingError("stated vertex_map disagrees with halfedge data")
         return g
@@ -298,31 +300,16 @@ def glued_relative_basis(g: GluedSurfaceData, ring: str) -> HomologyBasis:
     return HomologyBasis(RelativeH1(g.result, rel), ring)
 
 
-@dataclass(frozen=True)
-class GluingOrientationEta:
-    """Ordered swallowed vertices plus a sign, orienting a gluing.
-
-    Each vertex contributes the functional "coefficient of v in the
-    boundary of a relative cycle"; eta is `sign` times the wedge of these
-    functionals in the listed order.
-    """
-
-    vertices: tuple[int, ...]
-    sign: int = 1
-
-    @classmethod
-    def default(cls, g: GluedSurfaceData) -> "GluingOrientationEta":
-        return cls(tuple(sorted(g.swallowed)), 1)
-
-    def functional(self, basis: HomologyBasis) -> Multivector:
-        """eta as a dual multivector over the given basis of the quotient."""
-        acc = Multivector.unit(basis.rank, basis.ring, dual=True)
-        for v in self.vertices:
-            row = basis.vertex_functional(v)
-            acc = acc.wedge(Multivector.vector(basis.rank, row, basis.ring, dual=True))
-        if self.sign == -1:
-            acc = acc.scale(-1)
-        return acc
+def _eta(g: GluedSurfaceData, basis: HomologyBasis) -> Multivector:
+    """The orientation of a gluing as a dual multivector over a basis of
+    the quotient: the wedge, by increasing id, of the functionals
+    "coefficient of v in the boundary of a relative cycle" of the
+    swallowed vertices v."""
+    acc = Multivector.unit(basis.rank, basis.ring, dual=True)
+    for v in g.swallowed:
+        row = basis.vertex_functional(v)
+        acc = acc.wedge(Multivector.vector(basis.rank, row, basis.ring, dual=True))
+    return acc
 
 
 def _express_in_sub_exterior(j: list[list[int]], y: Multivector,
@@ -349,7 +336,6 @@ def _express_in_sub_exterior(j: list[list[int]], y: Multivector,
 
 
 def gluing_morphism(g: GluedSurfaceData, x: Multivector,
-                    eta: GluingOrientationEta | None = None,
                     host_basis: HomologyBasis | None = None,
                     result_basis: HomologyBasis | None = None) -> Multivector:
     """Push a multivector through a gluing: pushforward, contract with eta,
@@ -363,10 +349,8 @@ def gluing_morphism(g: GluedSurfaceData, x: Multivector,
     mid = glued_relative_basis(g, ring)
     m = induced_matrix(hb, mid, push=lambda c: pushforward_class(g, c))
     phix = induced_map(m, x, target_rank=mid.rank)
-    if eta is None:
-        eta = GluingOrientationEta.default(g)
-    eta_mv = eta.functional(mid)
-    if eta.vertices and eta_mv.is_zero():
+    eta_mv = _eta(g, mid)
+    if g.swallowed and eta_mv.is_zero():
         raise InternalConsistencyError("orientation functionals are dependent")
     y = interior(eta_mv, phix)
     tb = result_basis if result_basis is not None else default_basis(g.result, ring)
@@ -392,9 +376,7 @@ def push_dividing_set(g: GluedSurfaceData, ds: DividingSet) -> DividingSet:
     return DividingSet(g.result, k2, dict(ds.face_signs))
 
 
-def check_respect(g: GluedSurfaceData, ds: DividingSet,
-                  eta: GluingOrientationEta | None = None,
-                  omega=None, ring: str = RING_F2,
+def check_respect(g: GluedSurfaceData, ds: DividingSet, ring: str = RING_F2,
                   host_basis: HomologyBasis | None = None,
                   result_basis: HomologyBasis | None = None) -> bool:
     """Does the gluing morphism send c(K) to c(K_tau)?
@@ -408,9 +390,8 @@ def check_respect(g: GluedSurfaceData, ds: DividingSet,
         host_basis = default_basis(g.gluing.host, ring)
     if result_basis is None:
         result_basis = default_basis(g.result, ring)
-    x = contact_element(ds, omega=omega, ring=ring, basis=host_basis).value
-    lhs = gluing_morphism(g, x, eta=eta, host_basis=host_basis,
-                          result_basis=result_basis)
+    x = contact_element(ds, ring=ring, basis=host_basis).value
+    lhs = gluing_morphism(g, x, host_basis=host_basis, result_basis=result_basis)
     rhs = contact_element(pushed, ring=ring, basis=result_basis).value
     if ring == RING_F2:
         return lhs == rhs
@@ -561,12 +542,13 @@ def _chord_candidates(s: Surface, u: int, w: int) -> list[tuple[int, int, int]]:
 
 
 def _apply_chord(s: Surface, fi: int, i: int, j: int, u: int,
-                 w: int) -> tuple[Refinement, Surface, int]:
+                 w: int) -> tuple[Surface, int]:
     ref, a, _side, _comp = split_face(s, fi, i, j)
     s2 = ref.surface
     h = a if s2.head[a] == w else s2.twin[a]
-    assert s2.tail(h) == u and s2.head[h] == w
-    return ref, s2, h
+    if s2.tail(h) != u or s2.head[h] != w:
+        raise InternalConsistencyError(f"chord {u}->{w} landed elsewhere")
+    return s2, h
 
 
 def _cofacial_neighbors(s: Surface, u: int) -> list[int]:
@@ -603,20 +585,20 @@ def _corridor(s: Surface, va: int, vb: int, avoid) -> list[int] | None:
     return out
 
 
-def _halve_single_edge(ref: Refinement, cur: Surface, hs: list[int],
-                       w: int) -> tuple[Refinement, Surface, list[int]]:
+def _halve_single_edge(cur: Surface, hs: list[int], w: int) -> tuple[Surface, list[int]]:
     """Cut arcs need an interior vertex, so split a one-edge path in two."""
     r2, mid = subdivide_edge(cur, hs[0])
     s3 = r2.surface
     second = [x for x in s3.twin if s3.tail(x) == mid and s3.head[x] == w]
-    assert len(second) == 1
-    return ref.then(r2), s3, [hs[0], second[0]]
+    if len(second) != 1:
+        raise InternalConsistencyError(f"subdivided edge has {len(second)} halves at {w}")
+    return s3, [hs[0], second[0]]
 
 
 def _realize_arc(s: Surface, va: int, vb: int, avoid=frozenset(),
-                 protect=frozenset()) -> tuple[Refinement, Surface, list[int]]:
+                 protect=frozenset()) -> tuple[Surface, list[int]]:
     """Split faces along a co-facial corridor from va to vb and return the
-    resulting interior edge path.
+    refined surface and the resulting interior edge path.
 
     If no corridor exists (too few interior vertices), every unprotected
     interior edge is subdivided once to create waypoints and the search
@@ -624,16 +606,12 @@ def _realize_arc(s: Surface, va: int, vb: int, avoid=frozenset(),
     only, so previously realized paths survive untouched as long as their
     edges are protected.
     """
-    ref = Refinement(s)
     cur = s
     path_vertices = _corridor(cur, va, vb, avoid)
     if path_vertices is None:
-        for e in sorted(cur.edges()):
-            if not cur.is_interior_edge(e) or e in protect:
-                continue
-            r1, _mid = subdivide_edge(ref.surface, e)
-            ref = ref.then(r1)
-        cur = ref.surface
+        for e in sorted(s.edges()):
+            if s.is_interior_edge(e) and e not in protect:
+                cur = subdivide_edge(cur, e)[0].surface
         path_vertices = _corridor(cur, va, vb, avoid)
         if path_vertices is None:
             raise UnsupportedSurfaceError(f"no interior corridor joins {va} to {vb}")
@@ -644,21 +622,20 @@ def _realize_arc(s: Surface, va: int, vb: int, avoid=frozenset(),
         if not cands:
             raise InternalConsistencyError(f"lost co-faciality of {u} and {w}")
         fi, i, j = cands[0]
-        r1, cur, h = _apply_chord(cur, fi, i, j, u, w)
-        ref = ref.then(r1)
+        cur, h = _apply_chord(cur, fi, i, j, u, w)
         hs.append(h)
     if len(hs) == 1:
-        ref, cur, hs = _halve_single_edge(ref, cur, hs, vb)
-    return ref, cur, hs
+        cur, hs = _halve_single_edge(cur, hs, vb)
+    return cur, hs
 
 
 # ---------------------------------------------------------------------------
 # quadrangulation
 
 
-def _find_genus_cut(s: Surface) -> tuple[Refinement, Surface, tuple[int, ...],
-                                         tuple[int, ...]]:
-    """Find an arc whose cut lowers the total genus.
+def _find_genus_cut(s: Surface) -> tuple[Surface, tuple[int, ...], tuple[int, ...]]:
+    """Find an arc whose cut lowers the total genus; returns the cut
+    surface, the arc and the twins the arc had before the cut.
 
     Tries direct chords between opposite suture vertices over every corner
     occurrence, then retries through the midpoint of each interior edge in
@@ -669,9 +646,9 @@ def _find_genus_cut(s: Surface) -> tuple[Refinement, Surface, tuple[int, ...],
     aps = sorted(s.marks["alpha_plus"])
     ams = sorted(s.marks["alpha_minus"])
 
-    def trial(ref: Refinement, cur: Surface, hs: list[int], vb: int):
+    def trial(cur: Surface, hs: list[int], vb: int):
         if len(hs) == 1:
-            ref, cur, hs = _halve_single_edge(ref, cur, hs, vb)
+            cur, hs = _halve_single_edge(cur, hs, vb)
         twins = tuple(cur.twin[h] for h in hs)
         try:
             cut_s, _rev = cut_open(cur, [hs])
@@ -679,13 +656,13 @@ def _find_genus_cut(s: Surface) -> tuple[Refinement, Surface, tuple[int, ...],
             return None
         if cut_s.genus() >= base:
             return None
-        return ref, cut_s, tuple(hs), twins
+        return cut_s, tuple(hs), twins
 
     for va in aps:
         for vb in ams:
             for fi, i, j in _chord_candidates(s, va, vb):
-                r1, s1, h = _apply_chord(s, fi, i, j, va, vb)
-                got = trial(Refinement(s).then(r1), s1, [h], vb)
+                s1, h = _apply_chord(s, fi, i, j, va, vb)
+                got = trial(s1, [h], vb)
                 if got:
                     return got
     for e in sorted(e for e in s.edges() if s.is_interior_edge(e)):
@@ -694,11 +671,10 @@ def _find_genus_cut(s: Surface) -> tuple[Refinement, Surface, tuple[int, ...],
         for va in aps:
             for vb in ams:
                 for c1 in _chord_candidates(s1, va, mid):
-                    r1, s2, h1 = _apply_chord(s1, *c1, va, mid)
+                    s2, h1 = _apply_chord(s1, *c1, va, mid)
                     for c2 in _chord_candidates(s2, mid, vb):
-                        r2, s3, h2 = _apply_chord(s2, *c2, mid, vb)
-                        got = trial(Refinement(s).then(r0).then(r1).then(r2),
-                                    s3, [h1, h2], vb)
+                        s3, h2 = _apply_chord(s2, *c2, mid, vb)
+                        got = trial(s3, [h1, h2], vb)
                         if got:
                             return got
     raise UnsupportedSurfaceError(
@@ -739,7 +715,8 @@ def _fan_target(s: Surface) -> tuple[int, int] | None:
                      if s.mark_of(v) == "alpha_plus")
         va = alphas[start]
         vb = alphas[(start + 3) % len(alphas)]
-        assert s.mark_of(vb) == "alpha_minus"
+        if s.mark_of(vb) != "alpha_minus":
+            raise InternalConsistencyError(f"suture {vb} breaks the marking pattern")
         return va, vb
     return None
 
@@ -748,15 +725,13 @@ def _fan_target(s: Surface) -> tuple[int, int] | None:
 class DecompositionResult:
     """A surface refined and sliced into square pieces.
 
-    refined    -- the input complex with all the extra chords added
-    refinement -- transports chains of the input onto `refined`
-    pieces     -- the disjoint squares, plus any atomic one-suture disks
-    cuts       -- the halfedge path of each cut, as halfedges of `pieces`
-    reverse    -- single gluing on `pieces` whose quotient is `refined`
+    refined -- the input complex with all the extra chords added
+    pieces  -- the disjoint squares, plus any atomic one-suture disks
+    cuts    -- the halfedge path of each cut, as halfedges of `pieces`
+    reverse -- single gluing on `pieces` whose quotient is `refined`
     """
 
     refined: Surface
-    refinement: Refinement
     pieces: Surface
     cuts: tuple[tuple[int, ...], ...]
     reverse: Gluing
@@ -772,41 +747,19 @@ def quadrangulate(s: Surface) -> DecompositionResult:
     invertible change of basis.
     """
     validate_surface(s)
-    ref = Refinement(s)
-    cur = ref.surface
+    cur = s
     cuts: list[tuple[int, ...]] = []
-    gam: list[int] = []
-    gamp: list[int] = []
-
-    def commit(path: tuple[int, ...], twins: tuple[int, ...], cut_s: Surface):
-        nonlocal cur
-        cur = cut_s
-        cuts.append(path)
-        gam.extend(path)
-        gamp.extend(twins)
-
+    twins: list[int] = []
     while cur.genus() > 0:
-        r, cut_s, path, twins = _find_genus_cut(cur)
-        ref = ref.then(r)
-        commit(path, twins, cut_s)
-    while True:
-        target = _circle_merge_target(cur)
-        if target is None:
-            break
-        r, mid_s, hs = _realize_arc(cur, *target)
-        twins = tuple(mid_s.twin[h] for h in hs)
-        cut_s, _rev = cut_open(mid_s, [hs])
-        ref = ref.then(r)
-        commit(tuple(hs), twins, cut_s)
-    while True:
-        target = _fan_target(cur)
-        if target is None:
-            break
-        r, mid_s, hs = _realize_arc(cur, *target)
-        twins = tuple(mid_s.twin[h] for h in hs)
-        cut_s, _rev = cut_open(mid_s, [hs])
-        ref = ref.then(r)
-        commit(tuple(hs), twins, cut_s)
+        cur, path, path_twins = _find_genus_cut(cur)
+        cuts.append(path)
+        twins.extend(path_twins)
+    for find_target in (_circle_merge_target, _fan_target):
+        while (target := find_target(cur)) is not None:
+            mid_s, hs = _realize_arc(cur, *target)
+            cuts.append(tuple(hs))
+            twins.extend(mid_s.twin[h] for h in hs)
+            cur, _rev = cut_open(mid_s, [hs])
 
     if cur.genus() != 0:
         raise InternalConsistencyError("pieces have leftover genus")
@@ -819,7 +772,7 @@ def quadrangulate(s: Surface) -> DecompositionResult:
         if npos not in (1, 2):
             raise InternalConsistencyError(f"piece with {npos} positive sutures")
 
-    reverse = Gluing(cur, tuple(gam), tuple(gamp))
+    reverse = Gluing(cur, tuple(h for path in cuts for h in path), tuple(twins))
     glued = glue(reverse)
     if glued.swallowed:
         raise InternalConsistencyError("re-welding swallowed a suture")
@@ -836,7 +789,6 @@ def quadrangulate(s: Surface) -> DecompositionResult:
         raise InternalConsistencyError("re-welding morphism is not invertible") from exc
     return DecompositionResult(
         refined=refined,
-        refinement=Refinement(refined, ref.edge_map, ref.vertex_map),
         pieces=cur,
         cuts=tuple(cuts),
         reverse=reverse,
@@ -862,10 +814,11 @@ def square_chord_family(dec: DecompositionResult):
         fs = [v for v in tails if cur.mark_of(v) in ("F_plus", "F_minus")]
         if len(fs) == 2:
             plans.append([[(fs[0], fs[1])]])
-        else:
-            assert len(fs) == 4
+        elif len(fs) == 4:
             plans.append([[(fs[0], fs[1]), (fs[2], fs[3])],
-                         [(fs[1], fs[2]), (fs[3], fs[0])]])
+                          [(fs[1], fs[2]), (fs[3], fs[0])]])
+        else:
+            raise InternalConsistencyError(f"piece with {len(fs)} sutures")
     protect: set[int] = set()
     options: list[list[tuple[tuple[int, ...], ...]]] = []
     for alts in plans:
@@ -875,7 +828,7 @@ def square_chord_family(dec: DecompositionResult):
             used: set[int] = set()
             for fa, fb in chords:
                 # chord edges are fresh, so earlier paths survive as-is
-                _, cur, hs = _realize_arc(cur, fa, fb, avoid=frozenset(used),
+                cur, hs = _realize_arc(cur, fa, fb, avoid=frozenset(used),
                                           protect=frozenset(protect))
                 protect.update(cur.canonical(h) for h in hs)
                 used.update(cur.head[h] for h in hs[:-1])

@@ -52,7 +52,6 @@ class SurfaceModel:
     beta_minus: tuple[Chain, ...]
     pairing: Matrix
     labels_plus: tuple[str, ...]
-    labels_minus: tuple[str, ...]
 
     def transport(self, ref: Refinement) -> "SurfaceModel":
         """Carry the prescribed bases through a refinement of the surface."""
@@ -111,7 +110,6 @@ def disk_model(n: int) -> SurfaceModel:
         beta_minus=minus,
         pairing=pairing,
         labels_plus=tuple(f"b{i}" for i in range(1, 2 * n - 2, 2)),
-        labels_minus=tuple(f"b{i}" for i in range(2, 2 * n - 1, 2)),
     )
 
 
@@ -160,13 +158,7 @@ def annulus_model() -> SurfaceModel:
         beta_minus=(d1, d2),
         pairing=((0, -1), (1, 0)),
         labels_plus=("b1", "b2"),
-        labels_minus=("d1", "d2"),
     )
-
-
-def annulus_core_chain(s: Surface) -> Chain:
-    """The inner circle traversed counterclockwise; homologous to b2."""
-    return chain_from_path(s, [15, 13, 11, 9])
 
 
 def one_holed_torus() -> Surface:

@@ -298,15 +298,12 @@ class Surface:
         return self
 
     def relabel(self, vmap: dict[int, int] | None = None,
-                hmap: dict[int, int] | None = None,
-                face_order: list[int] | None = None) -> "Surface":
+                hmap: dict[int, int] | None = None) -> "Surface":
         vmap = vmap or {}
         hmap = hmap or {}
         twin = {hmap.get(h, h): hmap.get(t, t) for h, t in self.twin.items()}
         head = {hmap.get(h, h): vmap.get(v, v) for h, v in self.head.items()}
         faces = [[hmap.get(h, h) for h in w] for w in self.faces]
-        if face_order is not None:
-            faces = [faces[i] for i in face_order]
         marks = {k: {vmap.get(v, v) for v in vs} for k, vs in self.marks.items()}
         return Surface(twin, head, faces, marks)
 
@@ -337,7 +334,7 @@ class Surface:
             faces = [[int(h) for h in w] for w in data["faces"]]
             marks = {k: set(int(v) for v in data.get("marks", {}).get(k, []))
                      for k in MARK_KEYS}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidSurfaceError(f"malformed surface JSON: {exc}") from exc
         s = cls(twin, head, faces, marks)
         declared = set(int(v) for v in data.get("vertices", []))
@@ -492,19 +489,15 @@ def face_boundary_chain(s: Surface, fi: int) -> dict[int, int]:
 
 @dataclass
 class Refinement:
-    """A refined surface plus transport data for chains and vertices.
+    """A refined surface plus transport data for chains.
 
     ``edge_map`` sends an old canonical halfedge to the (halfedge, sign)
-    pieces replacing it (identity where absent); ``vertex_map`` is
-    identity except where recorded.  Halfedge ids never get reused for a
-    different edge, so identity defaults compose safely.
+    pieces replacing it (identity where absent).  Halfedge ids never get
+    reused for a different edge, so identity defaults compose safely.
+    Vertex ids survive every refinement.
     """
     surface: Surface
     edge_map: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    vertex_map: dict[int, int] = field(default_factory=dict)
-
-    def map_vertex(self, v: int) -> int:
-        return self.vertex_map.get(v, v)
 
     def then(self, later: "Refinement") -> "Refinement":
         """Composite refinement (self first, then later)."""
@@ -524,11 +517,7 @@ class Refinement:
         for e, sub in later.edge_map.items():
             if e not in edge_map:
                 edge_map[e] = list(sub)
-        vertex_map: dict[int, int] = {}
-        for v in set(self.vertex_map) | set(later.vertex_map):
-            v1 = self.vertex_map.get(v, v)
-            vertex_map[v] = later.vertex_map.get(v1, v1)
-        return Refinement(later.surface, edge_map, vertex_map)
+        return Refinement(later.surface, edge_map)
 
 
 def transport_chain(ref: Refinement, chain: dict[int, int]) -> dict[int, int]:

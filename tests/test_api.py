@@ -1,0 +1,43 @@
+"""The public surface of the package: exported names, no bare asserts, and
+every name the benchmark's tracer wraps."""
+
+import ast
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import sutured_tqft
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE_DIR = Path(sutured_tqft.__path__[0])
+MODULES = sorted(m.name for m in pkgutil.iter_modules([str(PACKAGE_DIR)]))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    mod = importlib.import_module(f"sutured_tqft.{name}")
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert missing == []
+
+
+def test_no_bare_asserts_in_the_package():
+    # invariants raise InternalConsistencyError, which `python -O` keeps
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_every_traced_name_exists():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    t.install()
+    t.uninstall()
+    assert t.missing == []

@@ -2,15 +2,23 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from sutured_tqft.axioms import _suture_corner_sites
 from sutured_tqft.cli import main, run
 from sutured_tqft.dividing import ChordDiagram, chord_to_dividing_set
+from sutured_tqft.errors import UnsupportedSurfaceError
 from sutured_tqft.gluing import Gluing
 from sutured_tqft.surface import Surface, standard_disk
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def capture(argv):
@@ -300,6 +308,93 @@ def test_main_raises_system_exit(monkeypatch, capsys):
         main()
     assert exc.value.code == 0
     assert capsys.readouterr().out == "5\n"
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _replace_signs(d, old, new):
+    return {**d, "signs": {f: new if v == old else v for f, v in d["signs"].items()}}
+
+
+# Each mutation turns valid JSON into one with a missing key, a value of
+# the wrong type, or a sign other than "+" / "-".
+@pytest.mark.parametrize("mutate", [
+    lambda d: _without(d, "signs"),
+    lambda d: _without(d, "K"),
+    lambda d: {**d, "K": 5},
+    lambda d: {**d, "K": [str(h) for h in d["K"]]},
+    lambda d: {**d, "signs": list(d["signs"].values())},
+    lambda d: {**d, "signs": {"f" + f: v for f, v in d["signs"].items()}},
+    lambda d: _replace_signs(d, "-", "x"),
+    lambda d: _replace_signs(d, "-", -1),
+    lambda d: {**d, "marks": []},
+], ids=["no-signs", "no-K", "K-int", "K-strings", "signs-list", "face-ids",
+        "sign-x", "sign-int", "marks-list"])
+def test_contact_input_loader_rejects_bad_json(mutate, tmp_path, capsys):
+    data = chord_to_dividing_set(ChordDiagram.parse("1-4,2-3")).to_json_dict()
+    p = tmp_path / "ds.json"
+    p.write_text(json.dumps(mutate(data)))
+    code, text = capture(["contact", "--input", str(p)])
+    assert (code, text) == (2, "")
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: _without(d, "gamma"),
+    lambda d: {**d, "gamma": 0},
+    lambda d: {**d, "gamma": [float(h) for h in d["gamma"]]},
+    lambda d: {**d, "vertex_map": {"a": 1}},
+    lambda d: {**d, "vertex_map": [1, 2]},
+    lambda d: [d["gamma"], d["gamma_prime"]],
+], ids=["no-gamma", "gamma-int", "gamma-floats", "vertex-map-keys",
+        "vertex-map-list", "not-an-object"])
+def test_glue_loader_rejects_bad_json(mutate, disk3_files, tmp_path, capsys):
+    surface, gluing = disk3_files
+    p = tmp_path / "bad_gluing.json"
+    p.write_text(json.dumps(mutate(json.loads(Path(gluing).read_text()))))
+    code, text = capture(["glue", "--surface", surface, "--gluing", str(p)])
+    assert (code, text) == (2, "")
+    _assert_one_line_error(capsys)
+
+
+def test_unsupported_decompose_exits_two(disk3_files, monkeypatch, capsys):
+    def refuse(s):
+        raise UnsupportedSurfaceError("no genus-reducing cut found")
+
+    monkeypatch.setattr("sutured_tqft.cli.quadrangulate", refuse)
+    surface, _ = disk3_files
+    code, text = capture(["decompose", "--surface", surface])
+    assert (code, text) == (2, "")
+    _assert_one_line_error(capsys)
+
+
+def test_failed_invariant_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr("sutured_tqft.cli.matchable_via_wedge",
+                        lambda a, b, ring: False)
+    code, text = capture(["match", "1-2,3-4", "1-4,2-3"])
+    assert code == 3
+    assert text.splitlines()[1:] == ["oracle true", "wedge false"]
+    err = capsys.readouterr().err
+    assert err == "internal error: oracle and wedge criteria disagree\n"
+
+
+_COUNT_30 = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from sutured_tqft.cli import run
+raise SystemExit(run(["enumerate", "30", "--count-only"]))
+"""
+
+
+def test_enumerate_count_only_builds_no_diagram():
+    # C(60, 30) / 31 diagrams would need far more than 1 GiB of address space
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _COUNT_30], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "3814986502092304\n", "")
 
 
 # -- ring agreement on elements -------------------------------------------

@@ -1,15 +1,12 @@
 """Contact elements: the annulus table, disk examples, and duality."""
 import pytest
 
-from sutured_tqft.contact import (ContactSubset, DualStructure,
-                                  HomologyOrientation, contact_element,
-                                  contact_subset, duality_check,
+from sutured_tqft.contact import (DualStructure, contact_element, duality_check,
                                   negative_contact_element, region_homology,
                                   render_multivector)
 from sutured_tqft.dividing import (ChordDiagram, add_trivial_circle,
                                    annulus_fixture, chord_to_dividing_set,
-                                   enumerate_chord_diagrams, is_non_isolating,
-                                   regions)
+                                   enumerate_chord_diagrams, regions)
 from sutured_tqft.errors import ValidationError
 from sutured_tqft.exterior import RING_F2, RING_Z, Multivector, pair
 from sutured_tqft.models import annulus_model, disk_model
@@ -86,10 +83,9 @@ def test_degree_zero_subset():
     # sequential diagram: L = 0, non-isolating, subset {1, -1}
     cd = ChordDiagram.parse("1-2,3-4")
     ds, model = disk_setup(cd)
-    sub = contact_subset(ds, basis=model.basis_plus(RING_Z))
+    c = contact_element(ds, ring=RING_Z, basis=model.basis_plus(RING_Z)).value
     one = Multivector.unit(model.rank, RING_Z)
-    assert one in sub and one.scale(-1) in sub
-    assert len(sub.members) == 2
+    assert c in (one, one.scale(-1))
 
 
 def test_isolating_gives_zero():
@@ -100,8 +96,6 @@ def test_isolating_gives_zero():
     for ring in (RING_F2, RING_Z):
         c = contact_element(ds2, ring=ring, basis=m2.basis_plus(ring))
         assert c.value.is_zero()
-    sub = contact_subset(ds2, basis=m2.basis_plus(RING_Z))
-    assert len(sub.members) == 1
 
 
 def test_nontrivial_iff_nonisolating_all_disks():
@@ -111,33 +105,8 @@ def test_nontrivial_iff_nonisolating_all_disks():
             ds = chord_to_dividing_set(cd)
             m = base.rebind(ds.surface)
             c = contact_element(ds, ring=RING_F2, basis=m.basis_plus(RING_F2))
-            assert (not c.value.is_zero()) == is_non_isolating(ds)
+            assert (not c.value.is_zero()) == regions(ds).is_non_isolating()
             assert not c.value.is_zero()  # chord diagrams are never isolating
-
-
-def test_orientation_flip_negates():
-    cd = ChordDiagram.parse("1-4,2-3,5-6")
-    ds, model = disk_setup(cd)
-    hr = region_homology(ds, "plus")
-    w = HomologyOrientation.default(hr.rank, RING_Z)
-    cp = contact_element(ds, w, RING_Z, model.basis_plus(RING_Z)).value
-    cm = contact_element(ds, w.reversed(), RING_Z, model.basis_plus(RING_Z)).value
-    assert cm == cp.scale(-1) and not cp.is_zero()
-
-
-def test_orientation_must_be_unimodular():
-    with pytest.raises(ValidationError):
-        HomologyOrientation(Multivector(2, {3: 2}, RING_Z))
-    with pytest.raises(ValidationError):
-        HomologyOrientation(Multivector.vector(2, [1, 0], RING_Z))
-
-
-def test_orientation_rank_mismatch():
-    cd = ChordDiagram.parse("1-2,3-4")
-    ds, model = disk_setup(cd)
-    with pytest.raises(ValidationError):
-        contact_element(ds, HomologyOrientation.default(5, RING_Z), RING_Z,
-                        model.basis_plus(RING_Z))
 
 
 # -- duality --------------------------------------------------------------

@@ -13,10 +13,7 @@ from sutured_tqft.contact import contact_element
 from sutured_tqft.disks import (
     TorusParameters,
     bypass_triple_at,
-    dehn_twist_action,
-    dehn_twist_family,
     disk_contact_element,
-    disk_contact_table,
     matchable,
     matchable_via_wedge,
     matching_curve_count,
@@ -112,11 +109,11 @@ def test_region_rule_failures_are_internal_errors(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_contact_table_is_injective(n):
-    tbl = disk_contact_table(n, RING_F2)
-    assert len(tbl.table) == catalan(n)
-    keys = {frozenset(ce.value.terms.items()) for ce in tbl.table.values()}
+    table = [disk_contact_element(cd, RING_F2) for cd in enumerate_chord_diagrams(n)]
+    assert len(table) == catalan(n)
+    keys = {frozenset(ce.value.terms.items()) for ce in table}
     assert len(keys) == catalan(n)
-    for ce in tbl.table.values():
+    for ce in table:
         assert not ce.value.is_zero()
         assert ce.value.is_homogeneous()
         assert ce.value.degree() == ce.grade
@@ -311,27 +308,26 @@ def test_solid_torus_matches_rounding_oracle():
 
 # -- the annulus twist family ----------------------------------------------
 
-def test_dehn_twist_family_values():
-    assert dehn_twist_family(0).value == Multivector.vector(2, [1, 0], RING_Z)
-    assert dehn_twist_family(1).value == Multivector.vector(2, [1, 1], RING_Z)
-    t_inv = [[1, 0], [-1, 1]]
-    assert dehn_twist_family(-1).value == induced_map(
-        t_inv, Multivector.basis_vector(2, 0, RING_Z))
+def _annulus_element(name):
+    model, ds = annulus_fixture(name)
+    return contact_element(ds, ring=RING_Z, basis=model.basis_plus(RING_Z)).value
 
 
 def test_dehn_twist_family_is_the_orbit_of_the_twist():
-    t = [list(row) for row in dehn_twist_action()]
-    x = Multivector.basis_vector(2, 0, RING_Z)
-    for n in range(1, 5):
-        x = induced_map(t, x)
-        assert x == dehn_twist_family(n).value
+    # a positive twist about the core: b1 -> b1 + b2, b2 -> b2; L1 is L0
+    # with one twist
+    twist = [[1, 0], [1, 1]]
+    got = induced_map(twist, _annulus_element("L0"))
+    want = _annulus_element("L1")
+    assert got == want or got == want.scale(-1)
 
 
 @pytest.mark.parametrize("name,n", [("L0", 0), ("L1", 1)])
 def test_dehn_twist_family_meets_the_pipeline(name, n):
-    model, ds = annulus_fixture(name)
-    got = contact_element(ds, ring=RING_Z, basis=model.basis_plus(RING_Z)).value
-    want = dehn_twist_family(n).value
+    # c(L_n) = b1 + n b2: the boundary-parallel arcs dragged n times
+    # around the core
+    got = _annulus_element(name)
+    want = Multivector.vector(2, [1, n], RING_Z)
     assert got == want or got == want.scale(-1)
 
 

@@ -11,7 +11,7 @@ from sutured_tqft.dividing import (ANNULUS_FIXTURE_NAMES, ChordDiagram,
                                    chord_to_dividing_set,
                                    dividing_set_violations,
                                    enumerate_chord_diagrams, infer_face_signs,
-                                   is_non_isolating, negative_region,
+                                   negative_region,
                                    positive_region, regions)
 from sutured_tqft.errors import (InvalidChordDiagramError,
                                  InvalidDividingSetError)
@@ -160,7 +160,7 @@ def test_trivial_circle_isolates():
     ds2, _ = add_trivial_circle(ds, pf)
     r = regions(ds2)
     assert r.i_minus == 1 and r.i_plus == 0
-    assert not is_non_isolating(ds2)
+    assert not r.is_non_isolating()
     # rank jumps with the isolated component
     sub = negative_region(ds2)
     h1 = RelativeH1(sub, rel=sorted(sub.marks["alpha_minus"]))

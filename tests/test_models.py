@@ -7,10 +7,10 @@ from sutured_tqft.errors import InternalConsistencyError
 from sutured_tqft.exterior import RING_F2, RING_Z
 from sutured_tqft.homology import RelativeH1
 from sutured_tqft.linalg import det_q
-from sutured_tqft.models import (annulus_core_chain, annulus_model,
-                                 check_model, disk_arc_chain, disk_model,
-                                 one_holed_torus)
-from sutured_tqft.surface import chain_boundary, disk_position, validate_surface
+from sutured_tqft.models import (annulus_model, check_model, disk_arc_chain,
+                                 disk_model, one_holed_torus)
+from sutured_tqft.surface import (chain_boundary, chain_from_path, disk_position,
+                                  validate_surface)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -80,7 +80,7 @@ def test_annulus_core_is_outer_circle_class():
     model = annulus_model()
     s = model.surface
     h1 = RelativeH1(s, rel=sorted(s.marks["alpha_plus"]))
-    core = h1.reduce(annulus_core_chain(s), RING_Z)
+    core = h1.reduce(chain_from_path(s, [15, 13, 11, 9]), RING_Z)  # inner circle
     outer = h1.reduce(model.beta_plus[1], RING_Z)
     assert core == outer
 
