@@ -33,9 +33,10 @@ from .disks import disk_contact_element, rotate_diagram
 from .errors import (InternalConsistencyError, InvalidGluingError,
                      ValidationError)
 from .exterior import RING_F2, RING_Z, Multivector, induced_map
-from .gluing import (Gluing, check_respect, glue, glued_relative_basis,
-                     gluing_morphism, gluing_violations, push_dividing_set,
-                     pushforward_class, quadrangulate, square_chord_family)
+from .gluing import (_OPPOSITE_MARK, Gluing, _respect_parts, _respects, glue,
+                     glued_relative_basis, gluing_morphism, gluing_violations,
+                     push_dividing_set, pushforward_class, quadrangulate,
+                     square_chord_family)
 from .homology import HomologyBasis, RelativeH1, induced_matrix
 from .linalg import f2_invert, f2_rank, invert_unimodular
 from .models import annulus_model, disk_model, one_holed_torus
@@ -276,19 +277,24 @@ def check_gluing_axiom(corpus, seed: int | None = None,
                        instance: str | None = None) -> AxiomReport:
     """The gluing morphism sends c(K) to c(K_tau): exactly over F2, up
     to one global sign over Z.  `corpus` is an iterable of
-    (DividingSet, Gluing) pairs on a shared host surface each."""
+    (DividingSet, Gluing) pairs on a shared host surface each.
+
+    The F2 and the Z check of one gluing share everything integral: the
+    H_1 of host and quotient behind both rings' default bases, and from
+    `_respect_parts` the pushed dividing set, the positive-region H_1 and
+    grade of K and of K_tau, and the middle H_1.  Each ring still does its
+    own arithmetic, its left inverse included."""
     count = 0
     ok = True
     witness = None
     for ds, tau in corpus:
         data = glue(tau)
-        # the integral H1 of each side is shared by the F2 and the Z check
         hb = default_basis(tau.host, RING_F2)
         rb = default_basis(data.result, RING_F2)
-        good = (check_respect(data, ds, ring=RING_F2, host_basis=hb, result_basis=rb)
-                and check_respect(data, ds, ring=RING_Z,
-                                  host_basis=HomologyBasis(hb.h1, RING_Z),
-                                  result_basis=HomologyBasis(rb.h1, RING_Z)))
+        parts = _respect_parts(data, ds)
+        good = (_respects(parts, RING_F2, hb, rb)
+                and _respects(parts, RING_Z, HomologyBasis(hb.h1, RING_Z),
+                              HomologyBasis(rb.h1, RING_Z)))
         count += 1
         if not good:
             ok = False
@@ -497,7 +503,16 @@ def _suture_corner_sites(s: Surface, sutures: int = 1):
     """Candidate gluing sites: ordered pairs of disjoint boundary arcs
     running from an alpha vertex to an alpha vertex over `sutures` marked
     points, the second arc listed reversed as the gluing expects.  Only
-    pairs passing the full gluing validation are returned."""
+    pairs passing the full gluing validation are returned.
+
+    Gluing ga = (v_0 .. v_n) to gb = (w_0 .. w_n) reversed identifies
+    v_j with w_(n-j).  Three keys, computed once per arc, prune the pairs
+    before that validation, each a necessary condition for it: gb's mark
+    sequence must be ga's reversed with F+ and F- swapped (alpha marks
+    stay, so lengths agree), the arcs must share no edge, and no v_j may
+    equal w_(n-j).  Candidates are drawn from a bucket per mark sequence,
+    in arc order, so the site list is the one all pairs would give.
+    """
     alpha = s.marks["alpha_plus"] | s.marks["alpha_minus"]
     arcs: list[tuple[int, ...]] = []
     for circle in s.boundary_circles():
@@ -514,12 +529,21 @@ def _suture_corner_sites(s: Surface, sutures: int = 1):
                 run.append(circle[i])
                 i = (i + 1) % m
             arcs.append(tuple(run))
+    verts = [(s.tail(arc[0]), *(s.head[h] for h in arc)) for arc in arcs]
+    edges = [{s.canonical(h) for h in arc} for arc in arcs]
+    marks = [tuple(s.mark_of(v) for v in vs) for vs in verts]
+    by_marks: dict[tuple, list[int]] = {}
+    for ib, key in enumerate(marks):
+        by_marks.setdefault(key, []).append(ib)
     sites = []
-    for ga in arcs:
-        for gb in arcs:
-            if ga is gb:
+    for ia, ga in enumerate(arcs):
+        partner = tuple(_OPPOSITE_MARK[k] for k in reversed(marks[ia]))
+        for ib in by_marks.get(partner, ()):
+            # w_(n-j) is v_j's partner: the reversed vertex list lines them up
+            if (ib == ia or not edges[ia].isdisjoint(edges[ib])
+                    or any(v == w for v, w in zip(verts[ia], reversed(verts[ib])))):
                 continue
-            gp = tuple(reversed(gb))
+            gp = tuple(reversed(arcs[ib]))
             if not gluing_violations(s, ga, gp):
                 sites.append((ga, gp))
     return sites

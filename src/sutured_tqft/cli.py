@@ -144,8 +144,16 @@ def _cmd_axioms(args, out) -> int:
 
 # -- argument plumbing ----------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one `error:` line, like any malformed input;
+    subcommand parsers are made of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="sutured-tqft",
         description="Exact contact elements of sutured surfaces.")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dividing import DividingSet, negative_region, positive_region, regions
+from .dividing import DividingSet, regions
 from .errors import InternalConsistencyError, ValidationError
 from .exterior import (
     RING_F2,
@@ -31,7 +31,7 @@ from .exterior import (
 from .homology import HomologyBasis, RelativeH1
 from .linalg import det_q, transpose
 from .models import SurfaceModel
-from .surface import Surface
+from .surface import Surface, subsurface
 
 
 @dataclass(frozen=True)
@@ -51,21 +51,27 @@ def default_basis(s: Surface, ring: str, side: str = "plus") -> HomologyBasis:
 
 
 def region_homology(ds: DividingSet, side: str = "plus") -> RelativeH1:
+    return _region(ds, side)[0]
+
+
+def _region(ds: DividingSet, side: str) -> tuple[RelativeH1, int]:
+    """H_1(R+, a+) and L(K), or H_1(R-, a-) and L-(K), from one regions() pass.
+
+    Neither depends on the coefficient ring, so a caller checking both
+    rings builds them once."""
+    reg = regions(ds)
     if side == "plus":
-        sub = positive_region(ds)
-        rel = sorted(sub.marks["alpha_plus"])
+        faces, rel, grade = reg.faces_plus, "alpha_plus", reg.l_k
     else:
-        sub = negative_region(ds)
-        rel = sorted(sub.marks["alpha_minus"])
-    return RelativeH1(sub, rel)
+        faces, rel, grade = reg.faces_minus, "alpha_minus", reg.l_minus_k
+    sub = subsurface(ds.surface, sorted(faces))
+    return RelativeH1(sub, sorted(sub.marks[rel])), grade
 
 
-def _element(ds: DividingSet, side: str, ring: str,
-             basis: HomologyBasis | None) -> ContactElement:
-    dual = side == "minus"
-    if basis is None:
-        basis = default_basis(ds.surface, ring, side)
-    hr = region_homology(ds, side)
+def _wedge_region(hr: RelativeH1, grade: int, basis: HomologyBasis, ring: str,
+                  dual: bool = False) -> ContactElement:
+    """The degree-`grade` part of the wedge of the region classes `hr`,
+    each expressed in the ambient `basis`."""
     x = Multivector.unit(basis.rank, ring, dual=dual)
     for i in range(hr.rank):
         # subsurfaces keep halfedge ids, so region cycles are ambient chains
@@ -74,9 +80,14 @@ def _element(ds: DividingSet, side: str, ring: str,
         x = x.wedge(v)
         if x.is_zero():
             break
-    reg = regions(ds)
-    grade = reg.l_k if side == "plus" else reg.l_minus_k
     return ContactElement(x.grade_project(grade), grade, ring)
+
+
+def _element(ds: DividingSet, side: str, ring: str,
+             basis: HomologyBasis | None) -> ContactElement:
+    if basis is None:
+        basis = default_basis(ds.surface, ring, side)
+    return _wedge_region(*_region(ds, side), basis, ring, dual=side == "minus")
 
 
 def contact_element(ds: DividingSet, ring: str = RING_Z,

@@ -279,15 +279,6 @@ def regions(ds: DividingSet) -> RegionDecomposition:
     )
 
 
-def positive_region(ds: DividingSet) -> Surface:
-    """The subsurface R+ spanned by the positive faces (marks restricted)."""
-    return subsurface(ds.surface, sorted(regions(ds).faces_plus))
-
-
-def negative_region(ds: DividingSet) -> Surface:
-    return subsurface(ds.surface, sorted(regions(ds).faces_minus))
-
-
 def add_trivial_circle(ds: DividingSet, face_id: int, pos: int = 0) -> tuple[DividingSet, Refinement]:
     """Insert a contractible K circle inside the given face.
 
@@ -307,6 +298,32 @@ def add_trivial_circle(ds: DividingSet, face_id: int, pos: int = 0) -> tuple[Div
 
 
 # -- chord diagrams on the standard disk ----------------------------------
+
+def _first_crossing(pairs) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The crossing a-b, c-d (a < c < b < d) that comes first in pair
+    order: the least such a, then the least such c.
+
+    Sweeping the sutures, a-b is crossed from inside exactly when some
+    chord opened after it is still open as it closes, that is when it is
+    not the last open start; closed starts leave that stack lazily."""
+    high = dict(pairs)
+    low = {b: a for a, b in pairs}
+    starts: list[int] = []
+    closed: set[int] = set()
+    first = None
+    for p in range(1, 2 * len(pairs) + 1):
+        if p in high:
+            starts.append(p)
+            continue
+        a = low[p]
+        while starts[-1] in closed:
+            starts.pop()
+        if starts[-1] != a and (first is None or a < first):
+            first = a
+        closed.add(a)
+    b = high[first]
+    return (first, b), next((c, d) for c, d in pairs if first < c < b < d)
+
 
 @dataclass(frozen=True)
 class ChordDiagram:
@@ -329,13 +346,16 @@ class ChordDiagram:
         for a, b in self.pairs:
             if (a + b) % 2 == 0:
                 raise InvalidChordDiagramError(f"chord {a}-{b} joins sutures of one region parity")
-        ps = list(self.pairs)
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                a, b = ps[i]
-                c, d = ps[j]
-                if a < c < b < d:
-                    raise InvalidChordDiagramError(f"chords {a}-{b} and {c}-{d} cross")
+        # One stack pass in pair order: the chords left open are nested, so
+        # a chord crosses one of them exactly when it outlives the innermost.
+        ends: list[int] = []
+        for a, b in self.pairs:
+            while ends and ends[-1] < a:
+                ends.pop()
+            if ends and ends[-1] < b:
+                (a, b), (c, d) = _first_crossing(self.pairs)
+                raise InvalidChordDiagramError(f"chords {a}-{b} and {c}-{d} cross")
+            ends.append(b)
 
     @classmethod
     def parse(cls, text: str) -> "ChordDiagram":

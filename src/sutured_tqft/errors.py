@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the JSON field check
-that raises them."""
+"""Exception types shared across the package, and the JSON checks
+that raise them."""
 from __future__ import annotations
 
 __all__ = [
@@ -11,6 +11,7 @@ __all__ = [
     "UnsupportedSurfaceError",
     "InternalConsistencyError",
     "json_field",
+    "json_int",
 ]
 
 
@@ -54,4 +55,13 @@ def json_field(data, key: str, kind: type, error: type[ValidationError]):
             kind is list and any(type(x) is not int for x in value)):
         what = "a list of integers" if kind is list else "a JSON object"
         raise error(f"{key!r} must be {what}")
+    return value
+
+
+def json_int(value) -> int:
+    """An id read from JSON, which must be an integer proper: int() would
+    truncate 0.5 and accept true.  Raises TypeError otherwise, for the
+    loader to report as its own error."""
+    if type(value) is not int:
+        raise TypeError(f"id {value!r} is not an integer")
     return value

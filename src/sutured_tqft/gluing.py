@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .contact import contact_element, default_basis
+from .contact import _region, _wedge_region, default_basis
 from .dividing import DividingSet
 from .errors import (
     InternalConsistencyError,
@@ -27,6 +27,7 @@ from .errors import (
     UnsupportedSurfaceError,
     ValidationError,
     json_field,
+    json_int,
 )
 from .exterior import Multivector, interior, induced_map, RING_F2, RING_Z
 from .homology import HomologyBasis, RelativeH1, induced_matrix
@@ -178,7 +179,7 @@ class Gluing:
         g = cls(host, json_field(data, "gamma", list, InvalidGluingError),
                 json_field(data, "gamma_prime", list, InvalidGluingError))
         try:
-            stated = {int(a): int(b) for a, b in data.get("vertex_map", {}).items()}
+            stated = {int(a): json_int(b) for a, b in data.get("vertex_map", {}).items()}
         except (AttributeError, TypeError, ValueError):
             raise InvalidGluingError("vertex_map must send vertex ids to vertex ids") from None
         if stated and stated != g.vertex_map():
@@ -293,11 +294,17 @@ def pushforward_class(g: GluedSurfaceData, chain: Chain) -> Chain:
 # the induced morphism of contact algebras
 
 
-def glued_relative_basis(g: GluedSurfaceData, ring: str) -> HomologyBasis:
-    """Generic basis of H_1 of the quotient rel the image of every old
-    positive suture, swallowed ones included."""
+def _middle_homology(g: GluedSurfaceData) -> RelativeH1:
+    """H_1 of the quotient rel the image of every old positive suture,
+    swallowed ones included."""
     rel = sorted({g.vertex_map[v] for v in g.gluing.host.marks["alpha_plus"]})
-    return HomologyBasis(RelativeH1(g.result, rel), ring)
+    return RelativeH1(g.result, rel)
+
+
+def glued_relative_basis(g: GluedSurfaceData, ring: str) -> HomologyBasis:
+    """Generic basis of the middle homology, H_1 of the quotient rel the
+    image of every old positive suture, swallowed ones included."""
+    return HomologyBasis(_middle_homology(g), ring)
 
 
 def _eta(g: GluedSurfaceData, basis: HomologyBasis) -> Multivector:
@@ -346,16 +353,21 @@ def gluing_morphism(g: GluedSurfaceData, x: Multivector,
         raise ValidationError(f"input rank {x.rank} != host basis rank {hb.rank}")
     if x.dual:
         raise ValidationError("gluing morphism acts on primal multivectors")
-    mid = glued_relative_basis(g, ring)
+    tb = result_basis if result_basis is not None else default_basis(g.result, ring)
+    return _morphism(g, x, hb, glued_relative_basis(g, ring), tb)
+
+
+def _morphism(g: GluedSurfaceData, x: Multivector, hb: HomologyBasis,
+              mid: HomologyBasis, tb: HomologyBasis) -> Multivector:
+    """The gluing morphism in the given host, middle and result bases."""
     m = induced_matrix(hb, mid, push=lambda c: pushforward_class(g, c))
     phix = induced_map(m, x, target_rank=mid.rank)
     eta_mv = _eta(g, mid)
     if g.swallowed and eta_mv.is_zero():
         raise InternalConsistencyError("orientation functionals are dependent")
     y = interior(eta_mv, phix)
-    tb = result_basis if result_basis is not None else default_basis(g.result, ring)
     j = induced_matrix(tb, mid)
-    return _express_in_sub_exterior(j, y, tb.rank, ring)
+    return _express_in_sub_exterior(j, y, tb.rank, x.ring)
 
 
 def _same_complex(a: Surface, b: Surface) -> bool:
@@ -376,6 +388,27 @@ def push_dividing_set(g: GluedSurfaceData, ds: DividingSet) -> DividingSet:
     return DividingSet(g.result, k2, dict(ds.face_signs))
 
 
+def _respect_parts(g: GluedSurfaceData, ds: DividingSet):
+    """The parts of a respect check that no coefficient ring enters,
+    built once per gluing: H_1(R+, a+) with the grade L(K) of ds and of
+    its image K_tau, and the middle homology of the quotient.  Pushing
+    ds first rejects a dividing set on another surface before any work."""
+    pushed = push_dividing_set(g, ds)
+    return g, _region(ds, "plus"), _region(pushed, "plus"), _middle_homology(g)
+
+
+def _respects(parts, ring: str, host_basis: HomologyBasis,
+              result_basis: HomologyBasis) -> bool:
+    """The respect check over one ring, on parts from `_respect_parts`."""
+    g, source, target, middle = parts
+    x = _wedge_region(*source, host_basis, ring).value
+    lhs = _morphism(g, x, host_basis, HomologyBasis(middle, ring), result_basis)
+    rhs = _wedge_region(*target, result_basis, ring).value
+    if ring == RING_F2:
+        return lhs == rhs
+    return lhs == rhs or lhs == rhs.scale(-1)
+
+
 def check_respect(g: GluedSurfaceData, ds: DividingSet, ring: str = RING_F2,
                   host_basis: HomologyBasis | None = None,
                   result_basis: HomologyBasis | None = None) -> bool:
@@ -385,17 +418,12 @@ def check_respect(g: GluedSurfaceData, ds: DividingSet, ring: str = RING_F2,
     to a global sign.  Missing bases are the default ones, built once and
     shared by both contact elements and the morphism.
     """
-    pushed = push_dividing_set(g, ds)
+    parts = _respect_parts(g, ds)
     if host_basis is None:
         host_basis = default_basis(g.gluing.host, ring)
     if result_basis is None:
         result_basis = default_basis(g.result, ring)
-    x = contact_element(ds, ring=ring, basis=host_basis).value
-    lhs = gluing_morphism(g, x, host_basis=host_basis, result_basis=result_basis)
-    rhs = contact_element(pushed, ring=ring, basis=result_basis).value
-    if ring == RING_F2:
-        return lhs == rhs
-    return lhs == rhs or lhs == rhs.scale(-1)
+    return _respects(parts, ring, host_basis, result_basis)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import InvalidSurfaceError
+from .errors import InvalidSurfaceError, json_int
 
 __all__ = [
     "Surface",
@@ -328,18 +328,20 @@ class Surface:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Surface":
+        """Load and validate a surface; any defect is an InvalidSurfaceError."""
         try:
-            twin = {int(rec["id"]): int(rec["twin"]) for rec in data["halfedges"]}
-            head = {int(rec["id"]): int(rec["head"]) for rec in data["halfedges"]}
-            faces = [[int(h) for h in w] for w in data["faces"]]
-            marks = {k: set(int(v) for v in data.get("marks", {}).get(k, []))
+            twin = {json_int(rec["id"]): json_int(rec["twin"]) for rec in data["halfedges"]}
+            head = {json_int(rec["id"]): json_int(rec["head"]) for rec in data["halfedges"]}
+            faces = [[json_int(h) for h in w] for w in data["faces"]]
+            marks = {k: {json_int(v) for v in data.get("marks", {}).get(k, [])}
                      for k in MARK_KEYS}
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            declared = {json_int(v) for v in data.get("vertices", [])}
+        except (AttributeError, KeyError, TypeError) as exc:
             raise InvalidSurfaceError(f"malformed surface JSON: {exc}") from exc
         s = cls(twin, head, faces, marks)
-        declared = set(int(v) for v in data.get("vertices", []))
         if declared and declared != s.vertices:
             raise InvalidSurfaceError("declared vertex set disagrees with halfedge heads")
+        validate_surface(s)
         return s
 
     def __repr__(self) -> str:

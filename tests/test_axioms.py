@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sutured_tqft.axioms as axioms_module
 from sutured_tqft.axioms import (
+    DEFAULT_SEED,
     AxiomReport,
     check_basis_of_contact_elements,
     check_disjoint_union,
@@ -35,7 +37,7 @@ from sutured_tqft.dividing import (
 )
 from sutured_tqft.errors import ValidationError
 from sutured_tqft.exterior import Multivector, RING_F2, RING_Z
-from sutured_tqft.gluing import Gluing, glue
+from sutured_tqft.gluing import Gluing, glue, gluing_violations
 from sutured_tqft.models import annulus_model, one_holed_torus
 from sutured_tqft.surface import disjoint_union, standard_disk, validate_surface
 
@@ -195,6 +197,76 @@ def test_corner_sites_match_hand_count():
     assert len(_suture_corner_sites(standard_disk(2))) == 0
     assert len(_suture_corner_sites(standard_disk(3))) == 6
     assert len(_suture_corner_sites(annulus_model().surface)) == 4
+
+
+def _all_pairs_corner_sites(s, sutures=1):
+    """Corner sites by full validation of every ordered arc pair: the
+    oracle for the signature-pruned search."""
+    alpha = s.marks["alpha_plus"] | s.marks["alpha_minus"]
+    arcs = []
+    for circle in s.boundary_circles():
+        m = len(circle)
+        alpha_pos = [i for i in range(m) if s.tail(circle[i]) in alpha]
+        k = len(alpha_pos)
+        if sutures >= k:
+            continue
+        for j in range(k):
+            a, b = alpha_pos[j], alpha_pos[(j + sutures) % k]
+            run = []
+            i = a
+            while i != b:
+                run.append(circle[i])
+                i = (i + 1) % m
+            arcs.append(tuple(run))
+    sites = []
+    for ga in arcs:
+        for gb in arcs:
+            if ga is gb:
+                continue
+            gp = tuple(reversed(gb))
+            if not gluing_violations(s, ga, gp):
+                sites.append((ga, gp))
+    return sites
+
+
+def _assert_sites_match_oracle(surfaces):
+    seen = set()
+    found = 0
+    for s in surfaces:
+        key = json.dumps(s.to_json_dict(), sort_keys=True)
+        if key in seen:
+            continue
+        seen.add(key)
+        for sutures in (1, 2):
+            sites = _suture_corner_sites(s, sutures=sutures)
+            assert sites == _all_pairs_corner_sites(s, sutures=sutures)
+            found += len(sites)
+    return len(seen), found
+
+
+@pytest.mark.parametrize("seed", [7, DEFAULT_SEED])
+def test_pruned_corner_sites_match_all_pairs_on_suite_corpora(seed, monkeypatch):
+    # every surface the suite draws sites on, in both arc lengths
+    find = axioms_module._suture_corner_sites
+    hosts = []
+
+    def recording(s, sutures=1):
+        hosts.append(s)
+        return find(s, sutures=sutures)
+
+    monkeypatch.setattr(axioms_module, "_suture_corner_sites", recording)
+    assert all(r.verdict for r in run_axiom_suite(seed=seed))
+    distinct, found = _assert_sites_match_oracle(hosts)
+    assert len(hosts) > 200 and distinct > 40 and found > 1000
+
+
+def test_pruned_corner_sites_match_all_pairs_on_fixed_and_random_surfaces():
+    rng = random.Random(20261018)
+    surfaces = [standard_disk(n) for n in range(1, 7)]
+    surfaces += [annulus_model().surface, one_holed_torus()]
+    surfaces += [random_sutured_surface(rng) for _ in range(40)]
+    distinct, found = _assert_sites_match_oracle(surfaces)
+    assert distinct > 20 and found > 100
 
 
 # -- axiom 5: relabeling --------------------------------------------------

@@ -341,15 +341,55 @@ def test_contact_input_loader_rejects_bad_json(mutate, tmp_path, capsys):
     _assert_one_line_error(capsys)
 
 
+def _set_halfedge(d, key, value):
+    recs = [dict(r) for r in d["halfedges"]]
+    recs[0][key] = value
+    return {**d, "halfedges": recs}
+
+
+# Surface ids must be integers proper: a float, a bool or a string is
+# refused, never truncated, and a malformed "vertices" is a typed error.
+@pytest.mark.parametrize("mutate", [
+    lambda d: _set_halfedge(d, "id", d["halfedges"][0]["id"] + 0.5),
+    lambda d: _set_halfedge(d, "id", float(d["halfedges"][0]["id"])),
+    lambda d: _set_halfedge(d, "twin", str(d["halfedges"][0]["twin"])),
+    lambda d: _set_halfedge(d, "head", True),
+    lambda d: {**d, "faces": [[float(h) for h in w] for w in d["faces"]]},
+    lambda d: {**d, "marks": {**d["marks"], "F_plus": [0.5]}},
+    lambda d: {**d, "vertices": 5},
+    lambda d: {**d, "vertices": ["x"]},
+    lambda d: {**d, "vertices": [v + 0.5 for v in d["vertices"]]},
+], ids=["id-half", "id-float", "twin-string", "head-bool", "face-floats",
+        "mark-float", "vertices-int", "vertices-strings", "vertices-floats"])
+def test_surface_loader_rejects_non_integer_ids(mutate, tmp_path, capsys):
+    data = chord_to_dividing_set(ChordDiagram.parse("1-2,3-6,4-5")).to_json_dict()
+    p = tmp_path / "ds.json"
+    p.write_text(json.dumps(mutate(data)))
+    code, text = capture(["contact", "--input", str(p)])
+    assert (code, text) == (2, "")
+    _assert_one_line_error(capsys)
+
+
+def test_surface_loader_still_reads_integer_ids(tmp_path):
+    data = chord_to_dividing_set(ChordDiagram.parse("1-2,3-6,4-5")).to_json_dict()
+    p = tmp_path / "ds.json"
+    p.write_text(json.dumps(data))
+    assert capture(["contact", "--ring", "f2", "--input", str(p)]) == (0, "e2\n")
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: _without(d, "gamma"),
     lambda d: {**d, "gamma": 0},
     lambda d: {**d, "gamma": [float(h) for h in d["gamma"]]},
     lambda d: {**d, "vertex_map": {"a": 1}},
     lambda d: {**d, "vertex_map": [1, 2]},
+    lambda d: {**d, "vertex_map": {a: b + 0.5 for a, b in d["vertex_map"].items()}},
+    lambda d: {**d, "vertex_map": {a: float(b) for a, b in d["vertex_map"].items()}},
+    lambda d: {**d, "vertex_map": {a: str(b) for a, b in d["vertex_map"].items()}},
     lambda d: [d["gamma"], d["gamma_prime"]],
 ], ids=["no-gamma", "gamma-int", "gamma-floats", "vertex-map-keys",
-        "vertex-map-list", "not-an-object"])
+        "vertex-map-list", "vertex-map-halves", "vertex-map-floats",
+        "vertex-map-strings", "not-an-object"])
 def test_glue_loader_rejects_bad_json(mutate, disk3_files, tmp_path, capsys):
     surface, gluing = disk3_files
     p = tmp_path / "bad_gluing.json"
@@ -395,6 +435,28 @@ def test_enumerate_count_only_builds_no_diagram():
     done = subprocess.run([sys.executable, "-c", _COUNT_30], env=env,
                           capture_output=True, text=True, timeout=10)
     assert (done.returncode, done.stdout, done.stderr) == (0, "3814986502092304\n", "")
+
+
+def test_malformed_inputs_exit_two_under_python_O(tmp_path):
+    # -O strips assert statements, so this holds only if no input check is one
+    surface = standard_disk(3).to_json_dict()
+    surface["faces"][0] = surface["faces"][0][::-1]
+    bad_surface = tmp_path / "surface.json"
+    bad_surface.write_text(json.dumps(surface))
+    data = chord_to_dividing_set(ChordDiagram.parse("1-4,2-3")).to_json_dict()
+    data["marks"] = {k: [] for k in data["marks"]}
+    unmarked = tmp_path / "unmarked.json"
+    unmarked.write_text(json.dumps(data))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    for argv in (["decompose", "--surface", str(bad_surface)],
+                 ["contact", "--input", str(unmarked)],
+                 ["axioms", "--seed", "1", "--max-n", "1"]):
+        done = subprocess.run([sys.executable, "-O", "-m", "sutured_tqft.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, \
+            done.stderr
 
 
 # -- ring agreement on elements -------------------------------------------

@@ -1,5 +1,7 @@
 """Dividing sets: validation, regions, chord diagrams, annulus fixtures."""
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,11 @@ from sutured_tqft.dividing import (ANNULUS_FIXTURE_NAMES, ChordDiagram,
                                    chord_to_dividing_set,
                                    dividing_set_violations,
                                    enumerate_chord_diagrams, infer_face_signs,
-                                   negative_region,
-                                   positive_region, regions)
+                                   regions)
+from sutured_tqft.contact import region_homology
 from sutured_tqft.errors import (InvalidChordDiagramError,
                                  InvalidDividingSetError)
 from sutured_tqft.exterior import RING_F2, RING_Z
-from sutured_tqft.homology import RelativeH1
 from sutured_tqft.models import check_model
 from sutured_tqft.surface import standard_disk, validate_surface
 
@@ -49,6 +50,61 @@ def test_parse_render_roundtrip():
 def test_crossing_rejected():
     with pytest.raises(InvalidChordDiagramError):
         ChordDiagram.parse("1-3,2-4")
+
+
+def _pair_loop_crossing(pairs):
+    """The message of the first crossing in pair order, by checking every
+    pair of chords: the oracle for the stack pass, None if noncrossing."""
+    ps = list(pairs)
+    for i in range(len(ps)):
+        for j in range(i + 1, len(ps)):
+            a, b = ps[i]
+            c, d = ps[j]
+            if a < c < b < d:
+                return f"chords {a}-{b} and {c}-{d} cross"
+    return None
+
+
+def _stack_pass_crossing(n, pairs):
+    try:
+        ChordDiagram(n, pairs)
+    except InvalidChordDiagramError as exc:
+        return str(exc)
+    return None
+
+
+def _parity_matchings(n, odd_to_even):
+    return tuple(sorted(tuple(sorted(p))
+                        for p in zip(range(1, 2 * n + 1, 2), odd_to_even)))
+
+
+def test_crossing_check_matches_pair_loop_on_all_diagrams():
+    for n in range(1, 9):
+        for cd in enumerate_chord_diagrams(n):
+            assert _pair_loop_crossing(cd.pairs) is None
+            assert _stack_pass_crossing(n, cd.pairs) is None
+
+
+def test_crossing_check_matches_pair_loop_on_all_matchings():
+    # every parity-respecting matching up to six chords, crossing or not
+    for n in range(1, 7):
+        for evens in itertools.permutations(range(2, 2 * n + 1, 2)):
+            pairs = _parity_matchings(n, evens)
+            assert _stack_pass_crossing(n, pairs) == _pair_loop_crossing(pairs)
+
+
+def test_crossing_check_matches_pair_loop_on_seeded_crossings():
+    rng = random.Random(20261018)
+    crossing = 0
+    for _ in range(400):
+        n = rng.randint(7, 40)
+        evens = list(range(2, 2 * n + 1, 2))
+        rng.shuffle(evens)
+        pairs = _parity_matchings(n, evens)
+        want = _pair_loop_crossing(pairs)
+        assert _stack_pass_crossing(n, pairs) == want
+        crossing += want is not None
+    assert crossing > 350
 
 
 def test_parity_rejected():
@@ -141,7 +197,7 @@ def test_region_euler_grading():
     ds = chord_to_dividing_set(seq)
     r = regions(ds)
     assert r.l_k == 0 and r.l_minus_k == n - 1
-    assert positive_region(ds).euler_characteristic() == n
+    assert region_homology(ds).surface.euler_characteristic() == n
 
 
 def test_region_rank_matches_grading():
@@ -149,9 +205,7 @@ def test_region_rank_matches_grading():
     for name in ANNULUS_FIXTURE_NAMES:
         _, ds = annulus_fixture(name)
         r = regions(ds)
-        sub = positive_region(ds)
-        h1 = RelativeH1(sub, rel=sorted(sub.marks["alpha_plus"]))
-        assert h1.rank == r.l_k + r.i_plus
+        assert region_homology(ds, "plus").rank == r.l_k + r.i_plus
 
 
 def test_trivial_circle_isolates():
@@ -162,9 +216,7 @@ def test_trivial_circle_isolates():
     assert r.i_minus == 1 and r.i_plus == 0
     assert not r.is_non_isolating()
     # rank jumps with the isolated component
-    sub = negative_region(ds2)
-    h1 = RelativeH1(sub, rel=sorted(sub.marks["alpha_minus"]))
-    assert h1.rank == r.l_minus_k + r.i_minus
+    assert region_homology(ds2, "minus").rank == r.l_minus_k + r.i_minus
 
 
 # -- annulus fixtures -----------------------------------------------------

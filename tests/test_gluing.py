@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import sutured_tqft.axioms as axioms_module
 import sutured_tqft.gluing as gluing_module
 from sutured_tqft.axioms import random_sutured_surface, run_axiom_suite
-from sutured_tqft.contact import contact_element, default_basis
+from sutured_tqft.contact import _wedge_region, contact_element, default_basis
 from sutured_tqft.dividing import (
     ChordDiagram,
     DividingSet,
@@ -42,6 +42,7 @@ from sutured_tqft.gluing import (
     square_chord_family,
     _eta,
     _express_in_sub_exterior,
+    _morphism,
     _realize_arc,
 )
 from sutured_tqft.homology import HomologyBasis, RelativeH1, induced_matrix
@@ -495,28 +496,46 @@ def _unshared_respect_sides(g, ds, ring):
 
 
 def test_shared_bases_match_unshared_on_axiom_corpus(monkeypatch):
-    # every respect check the axiom suite makes over its 200-gluing corpus
-    respect = axioms_module.check_respect
-    rings = []
+    # every respect check the axiom suite makes over its 200-gluing corpus:
+    # one set of ring-free parts per gluing serves the F2 and the Z check
+    build, respects = axioms_module._respect_parts, axioms_module._respects
+    current = {}
+    checks = []
 
-    def checked(g, ds, ring, host_basis, result_basis):
+    def built(g, ds):
+        current.update(parts=build(g, ds), ds=ds, n=current.get("n", -1) + 1)
+        return current["parts"]
+
+    def checked(parts, ring, host_basis, result_basis):
+        assert parts is current["parts"]
+        g, ds = parts[0], current["ds"]
         assert host_basis.cycles == default_basis(g.gluing.host, ring).cycles
         assert result_basis.cycles == default_basis(g.result, ring).cycles
-        verdict = respect(g, ds, ring=ring, host_basis=host_basis,
-                          result_basis=result_basis)
+        verdict = respects(parts, ring, host_basis, result_basis)
         lhs, rhs = _unshared_respect_sides(g, ds, ring)
         x = contact_element(ds, ring=ring, basis=host_basis).value
         assert gluing_morphism(g, x, host_basis=host_basis,
                                result_basis=result_basis) == lhs
         pushed = push_dividing_set(g, ds)
         assert contact_element(pushed, ring=ring, basis=result_basis).value == rhs
+        # the two sides as the shared parts give them
+        _, source, target, middle = parts
+        shared_x = _wedge_region(*source, host_basis, ring).value
+        assert shared_x == x
+        assert _morphism(g, shared_x, host_basis, HomologyBasis(middle, ring),
+                         result_basis) == lhs
+        assert _wedge_region(*target, result_basis, ring).value == rhs
         assert verdict == (lhs == rhs or (ring == RING_Z and lhs == rhs.scale(-1)))
-        rings.append(ring)
+        checks.append((current["n"], ring))
         return verdict
 
-    monkeypatch.setattr(axioms_module, "check_respect", checked)
+    monkeypatch.setattr(axioms_module, "_respect_parts", built)
+    monkeypatch.setattr(axioms_module, "_respects", checked)
     assert all(r.verdict for r in run_axiom_suite())
+    rings = [ring for _, ring in checks]
     assert rings.count(RING_F2) == rings.count(RING_Z) > 200
+    assert checks == [(n, ring) for n in range(len(checks) // 2)
+                      for ring in (RING_F2, RING_Z)]
 
 
 def test_respect_builds_each_default_basis_once(monkeypatch):
@@ -529,17 +548,17 @@ def test_respect_builds_each_default_basis_once(monkeypatch):
         built.append(self)
         new_h1(self, *args, **kwargs)
 
-    def spy(fn, *keys):
-        def wrapper(*args, **kwargs):
-            passed.append([kwargs[k] for k in keys])
-            return fn(*args, **kwargs)
+    def spy(fn, *positions):
+        def wrapper(*args):
+            passed.append([args[i] for i in positions])
+            return fn(*args)
         return wrapper
 
     monkeypatch.setattr(RelativeH1, "__init__", counting_init)
-    monkeypatch.setattr(gluing_module, "contact_element",
-                        spy(contact_element, "basis"))
-    monkeypatch.setattr(gluing_module, "gluing_morphism",
-                        spy(gluing_morphism, "host_basis", "result_basis"))
+    # c(K) and c(K_tau) are wedged in the host and result bases, and the
+    # morphism runs between those same two bases
+    monkeypatch.setattr(gluing_module, "_wedge_region", spy(_wedge_region, 2))
+    monkeypatch.setattr(gluing_module, "_morphism", spy(_morphism, 2, 4))
     for ring in (RING_F2, RING_Z):
         built.clear()
         passed.clear()
@@ -560,7 +579,8 @@ def test_respect_checks_the_dividing_set_surface_first(monkeypatch):
     def too_early(*args, **kwargs):
         raise AssertionError("work done before the surface check")
 
-    for name in ("contact_element", "default_basis", "gluing_morphism"):
+    for name in ("_region", "_middle_homology", "_wedge_region",
+                 "default_basis", "_morphism"):
         monkeypatch.setattr(gluing_module, name, too_early)
     for ring in (RING_Z, RING_F2):
         with pytest.raises(ValidationError, match="different surface"):
