@@ -40,8 +40,8 @@ from .gluing import (_OPPOSITE_MARK, Gluing, _respect_parts, _respects, glue,
 from .homology import HomologyBasis, RelativeH1, induced_matrix
 from .linalg import f2_invert, f2_rank, invert_unimodular
 from .models import annulus_model, disk_model, one_holed_torus
-from .surface import (Surface, chain_from_path, disjoint_union, standard_disk,
-                      validate_surface)
+from .surface import (Surface, UnionFind, chain_from_path, disjoint_union,
+                      standard_disk, validate_surface)
 
 DEFAULT_SEED = 20260823
 
@@ -194,27 +194,14 @@ def check_disjoint_union(s1: Surface, s2: Surface,
 def _k_components(ds: DividingSet) -> list[set[int]]:
     """Edge sets of the connected components of the dividing set."""
     s = ds.surface
-    incident: dict[int, list[int]] = {}
-    for h in ds.k_edges():
-        for v in (s.tail(h), s.head[h]):
-            incident.setdefault(v, []).append(h)
-    comps: list[set[int]] = []
-    seen: set[int] = set()
-    for h0 in ds.k_edges():
-        if h0 in seen:
-            continue
-        comp: set[int] = set()
-        stack = [h0]
-        while stack:
-            h = stack.pop()
-            if h in comp:
-                continue
-            comp.add(h)
-            for v in (s.tail(h), s.head[h]):
-                stack.extend(g for g in incident[v] if g not in comp)
-        seen |= comp
-        comps.append(comp)
-    return comps
+    k_edges = ds.k_edges()
+    curves = UnionFind()
+    for h in k_edges:
+        curves.union(s.tail(h), s.head[h])
+    comps: dict[int, set[int]] = {}
+    for h in k_edges:
+        comps.setdefault(curves.find(s.head[h]), set()).add(h)
+    return list(comps.values())
 
 
 def _closed_loop_chain(ds: DividingSet, comp: set[int]) -> dict[int, int] | None:
@@ -459,14 +446,8 @@ def check_relabel_invariance(s: Surface, relabeling: dict[int, int],
 # -- quadrangulation bases and simple gluings -----------------------------
 
 def _one_suture_disk_components(s: Surface) -> bool:
-    for comp in s.components():
-        faces_here = [i for i, w in enumerate(s.faces)
-                      if s.tail(w[0]) in comp]
-        edges_here = {s.canonical(h) for h in s.twin if s.tail(h) in comp}
-        chi = len(comp) - len(edges_here) + len(faces_here)
-        if chi == 1 and len(comp & s.marks["F_plus"]) == 1:
-            return True
-    return False
+    return any(chi == 1 and len(comp & s.marks["F_plus"]) == 1
+               for comp, _, chi in s.component_topology())
 
 
 def check_basis_of_contact_elements(s: Surface,
@@ -643,11 +624,8 @@ def random_sutured_surface(rng: random.Random, max_total_sutures: int = 8,
             except (InvalidGluingError, InternalConsistencyError):
                 break
         n_f = len(s.marks["F_plus"])
-        circles = len(s.boundary_circles())
-        comps = len(s.components())
-        genus2 = 2 * comps - s.euler_characteristic() - circles
-        if (0 < n_f <= max_total_sutures and genus2 <= 2 * max_genus
-                and circles <= max_circles):
+        if (0 < n_f <= max_total_sutures and s.genus() <= max_genus
+                and len(s.boundary_circles()) <= max_circles):
             validate_surface(s)
             return s
     raise InternalConsistencyError("could not sample a sutured surface")
@@ -732,19 +710,16 @@ def transversal_crossings(s: Surface, k_halfedges, arc_vertices) -> int:
     for h in k_halfedges:
         for g in (h, s.twin[h]):
             k_out.setdefault(s.tail(g), set()).add(g)
-    pair = {}
-    for h in s.twin:
-        pair[(s.tail(h), s.head[h])] = h
     crossings = 0
     for t in range(1, len(arc_vertices) - 1):
         v = arc_vertices[t]
         if v not in k_out:
             continue
-        arc_dirs = {pair[(v, arc_vertices[t - 1])],
-                    pair[(v, arc_vertices[t + 1])]}
+        (back,) = s.halfedges_between(v, arc_vertices[t - 1])
+        (ahead,) = s.halfedges_between(v, arc_vertices[t + 1])
         fan = s.outgoing_fan(v)
         pos = {g: i for i, g in enumerate(fan)}
-        lo, hi = sorted(pos[g] for g in arc_dirs)
+        lo, hi = sorted((pos[back], pos[ahead]))
         between = sum(1 for g in k_out[v] if lo < pos[g] < hi)
         if between == 1:
             crossings += 1
@@ -756,10 +731,10 @@ def _grid_set(s: Surface, paths) -> DividingSet:
         return j * 7 + i
 
     k_edges: set[int] = set()
-    lookup = {(s.tail(h), s.head[h]): h for h in s.twin}
     for path in paths:
         for (a, b) in zip(path, path[1:]):
-            k_edges.add(s.canonical(lookup[(vid(*a), vid(*b))]))
+            (h,) = s.halfedges_between(vid(*a), vid(*b))
+            k_edges.add(s.canonical(h))
     signs = infer_face_signs(s, k_edges)
     kh = orient_by_signs(s, sorted(k_edges), signs)
     return DividingSet(s, kh, signs)

@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+# Bound on |terms of c| x |terms of the next path| before each wedge: the
+# element of a large random disk grows about 6x per 10 chords.
+_TERM_BUDGET = 1 << 20
+
+
 def _region_sectors(cd: ChordDiagram) -> list[list[int]]:
     """Boundary sectors of the cut disk, grouped by region.
 
@@ -76,6 +81,10 @@ def disk_contact_element(cd: ChordDiagram, ring: str = RING_Z) -> ContactElement
             continue
         for u, w in zip(region, region[1:]):
             path = Multivector(rank, {1 << ((j - 1) // 2): 1 for j in range(u, w, 2)}, ring)
+            if len(out.terms) * len(path.terms) > _TERM_BUDGET:
+                raise ValidationError(
+                    f"the contact element of this {cd.n}-chord diagram exceeds "
+                    f"the budget of {_TERM_BUDGET} terms")
             out = out.wedge(path)
             degree += 1
     if out.is_zero() or not out.is_homogeneous():

@@ -15,7 +15,7 @@ rules (checked by :func:`dividing_set_violations`):
     other boundary vertices none.
 
 Closed K components (circles) are allowed.  ``regions`` computes the
-positive/negative subsurfaces R+ / R- and the grading
+face sets of the positive/negative regions R+ / R- and the grading
 
     L(K) = n(F) - euler(R+),
 
@@ -40,7 +40,6 @@ from .surface import (
     split_face,
     standard_disk,
     subdivide_edge,
-    subsurface,
 )
 from .models import SurfaceModel, annulus_model
 
@@ -245,6 +244,15 @@ class RegionDecomposition:
         return self.i_plus == 0 and self.i_minus == 0
 
 
+def _euler_characteristic(s: Surface, faces) -> int:
+    """V - E + F of the subcomplex spanned by the faces: the heads of
+    their walks, the edges of their walks, and the faces themselves."""
+    walks = [s.faces[f] for f in faces]
+    vertices = {s.head[h] for walk in walks for h in walk}
+    edges = {s.canonical(h) for walk in walks for h in walk}
+    return len(vertices) - len(edges) + len(walks)
+
+
 def regions(ds: DividingSet) -> RegionDecomposition:
     s = ds.surface
     kset = ds.k_edges()
@@ -266,16 +274,14 @@ def regions(ds: DividingSet) -> RegionDecomposition:
     fplus = frozenset(f for sign, faces, _ in comps if sign > 0 for f in faces)
     fminus = frozenset(f for sign, faces, _ in comps if sign < 0 for f in faces)
     n = len(s.marks["F_plus"])
-    l_k = n - subsurface(s, sorted(fplus)).euler_characteristic() if fplus else n
-    l_m = n - subsurface(s, sorted(fminus)).euler_characteristic() if fminus else n
     return RegionDecomposition(
         components=tuple(comps),
         faces_plus=fplus,
         faces_minus=fminus,
         i_plus=sum(1 for sign, _, iso in comps if iso and sign > 0),
         i_minus=sum(1 for sign, _, iso in comps if iso and sign < 0),
-        l_k=l_k,
-        l_minus_k=l_m,
+        l_k=n - _euler_characteristic(s, fplus),
+        l_minus_k=n - _euler_characteristic(s, fminus),
     )
 
 
@@ -446,7 +452,7 @@ class _Builder:
         self.s = ref.surface
 
     def halfedge(self, u: int, v: int) -> int:
-        hits = [h for h in self.s.twin if self.s.tail(h) == u and self.s.head[h] == v]
+        hits = self.s.halfedges_between(u, v)
         if len(hits) != 1:
             raise InternalConsistencyError(f"halfedge {u}->{v} is not unique")
         return hits[0]

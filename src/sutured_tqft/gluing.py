@@ -409,21 +409,16 @@ def _respects(parts, ring: str, host_basis: HomologyBasis,
     return lhs == rhs or lhs == rhs.scale(-1)
 
 
-def check_respect(g: GluedSurfaceData, ds: DividingSet, ring: str = RING_F2,
-                  host_basis: HomologyBasis | None = None,
-                  result_basis: HomologyBasis | None = None) -> bool:
+def check_respect(g: GluedSurfaceData, ds: DividingSet, ring: str = RING_F2) -> bool:
     """Does the gluing morphism send c(K) to c(K_tau)?
 
     Exact equality mod 2; over the integers equality is only demanded up
-    to a global sign.  Missing bases are the default ones, built once and
-    shared by both contact elements and the morphism.
+    to a global sign.  The default bases are built once and shared by both
+    contact elements and the morphism.
     """
     parts = _respect_parts(g, ds)
-    if host_basis is None:
-        host_basis = default_basis(g.gluing.host, ring)
-    if result_basis is None:
-        result_basis = default_basis(g.result, ring)
-    return _respects(parts, ring, host_basis, result_basis)
+    return _respects(parts, ring, default_basis(g.gluing.host, ring),
+                     default_basis(g.result, ring))
 
 
 # ---------------------------------------------------------------------------
@@ -555,18 +550,12 @@ def cut_open(s: Surface, arcs) -> tuple[Surface, Gluing]:
 # realizing arcs as edge paths
 
 
-def _corner_positions(s: Surface, fi: int, v: int) -> list[int]:
-    return [p for p, h in enumerate(s.faces[fi]) if s.tail(h) == v]
-
-
 def _chord_candidates(s: Surface, u: int, w: int) -> list[tuple[int, int, int]]:
-    """Every (face, corner, corner) at which a split joins u to w."""
-    out = []
-    for fi in range(len(s.faces)):
-        for i in _corner_positions(s, fi, u):
-            for j in _corner_positions(s, fi, w):
-                out.append((fi, i, j))
-    return out
+    """Every (face, corner, corner) at which a split joins u to w, sorted."""
+    at_w: dict[int, list[int]] = {}
+    for fi, j in s.corners(w):
+        at_w.setdefault(fi, []).append(j)
+    return [(fi, i, j) for fi, i in s.corners(u) for j in at_w.get(fi, ())]
 
 
 def _apply_chord(s: Surface, fi: int, i: int, j: int, u: int,
@@ -580,11 +569,8 @@ def _apply_chord(s: Surface, fi: int, i: int, j: int, u: int,
 
 
 def _cofacial_neighbors(s: Surface, u: int) -> list[int]:
-    nbrs: set[int] = set()
-    for walk in s.faces:
-        tails = {s.tail(h) for h in walk}
-        if u in tails:
-            nbrs |= tails
+    head = s.head
+    nbrs = {head[h] for fi in {fi for fi, _ in s.corners(u)} for h in s.faces[fi]}
     nbrs.discard(u)
     return sorted(nbrs)
 
@@ -617,7 +603,7 @@ def _halve_single_edge(cur: Surface, hs: list[int], w: int) -> tuple[Surface, li
     """Cut arcs need an interior vertex, so split a one-edge path in two."""
     r2, mid = subdivide_edge(cur, hs[0])
     s3 = r2.surface
-    second = [x for x in s3.twin if s3.tail(x) == mid and s3.head[x] == w]
+    second = s3.halfedges_between(mid, w)
     if len(second) != 1:
         raise InternalConsistencyError(f"subdivided edge has {len(second)} halves at {w}")
     return s3, [hs[0], second[0]]
@@ -712,9 +698,7 @@ def _find_genus_cut(s: Surface) -> tuple[Surface, tuple[int, ...], tuple[int, ..
 def _circle_merge_target(s: Surface) -> tuple[int, int] | None:
     """A pair of opposite suture vertices on different boundary circles of
     one component, or None once every component has a single circle."""
-    circles = s.boundary_circles()
-    for comp in s.components():
-        mine = [c for c in circles if s.tail(c[0]) in comp]
+    for comp, mine, _ in s.component_topology():
         if len(mine) < 2:
             continue
         va = min(v for v in s.marks["alpha_plus"] if v in comp)
@@ -791,12 +775,10 @@ def quadrangulate(s: Surface) -> DecompositionResult:
 
     if cur.genus() != 0:
         raise InternalConsistencyError("pieces have leftover genus")
-    circles = cur.boundary_circles()
-    for comp in cur.components():
-        mine = [c for c in circles if cur.tail(c[0]) in comp]
-        if len(mine) != 1:
+    for comp, circles, _ in cur.component_topology():
+        if len(circles) != 1:
             raise InternalConsistencyError("piece with several boundary circles")
-        npos = sum(1 for v in comp if v in cur.marks["F_plus"])
+        npos = len(comp & cur.marks["F_plus"])
         if npos not in (1, 2):
             raise InternalConsistencyError(f"piece with {npos} positive sutures")
 
@@ -836,8 +818,8 @@ def square_chord_family(dec: DecompositionResult):
     """
     cur = dec.pieces
     plans: list[list[list[tuple[int, int]]]] = []
-    for comp in cur.components():
-        circle = next(c for c in cur.boundary_circles() if cur.tail(c[0]) in comp)
+    for _, circles, _ in cur.component_topology():
+        circle = circles[0]
         tails = [cur.tail(h) for h in circle]
         fs = [v for v in tails if cur.mark_of(v) in ("F_plus", "F_minus")]
         if len(fs) == 2:

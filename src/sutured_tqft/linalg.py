@@ -111,18 +111,17 @@ class SmithForm:
     """Decomposition U*A*V = D with U, V unimodular and D diagonal.
 
     ``diag`` holds the nonzero invariant factors d_1 | d_2 | ... ; ``rank`` is
-    their number.  ``u``/``u_inv`` and ``v``/``v_inv`` are the transforms and
-    their inverses, all integral.
+    their number.  ``u``, ``u_inv`` and ``v`` are the three transforms, all
+    integral; ``d`` starts as a copy of A and is reduced in place.
     """
 
-    def __init__(self, nrows: int, ncols: int):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.d = [[0] * ncols for _ in range(nrows)]
-        self.u = identity(nrows)
-        self.u_inv = identity(nrows)
-        self.v = identity(ncols)
-        self.v_inv = identity(ncols)
+    def __init__(self, a: Sequence[Sequence[int]]):
+        self.nrows = len(a)
+        self.ncols = len(a[0]) if self.nrows else 0
+        self.d = [list(row) for row in a]
+        self.u = identity(self.nrows)
+        self.u_inv = identity(self.nrows)
+        self.v = identity(self.ncols)
         self.diag: list[int] = []
 
     @property
@@ -154,7 +153,6 @@ class SmithForm:
             row[i], row[j] = row[j], row[i]
         for row in self.v:
             row[i], row[j] = row[j], row[i]
-        self.v_inv[i], self.v_inv[j] = self.v_inv[j], self.v_inv[i]
 
     def _col_add(self, i: int, j: int, c: int) -> None:
         """col i += c * col j."""
@@ -162,23 +160,12 @@ class SmithForm:
             row[i] += c * row[j]
         for row in self.v:
             row[i] += c * row[j]
-        self.v_inv[j] = [x - c * y for x, y in zip(self.v_inv[j], self.v_inv[i])]
-
-    def _col_neg(self, i: int) -> None:
-        for row in self.d:
-            row[i] = -row[i]
-        for row in self.v:
-            row[i] = -row[i]
-        self.v_inv[i] = [-x for x in self.v_inv[i]]
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
-    """Smith normal form with all four transform matrices."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    sf = SmithForm(nrows, ncols)
-    sf.d = [list(row) for row in a]
-    d = sf.d
+    """Smith normal form with the transforms U, U^-1 and V."""
+    sf = SmithForm(a)
+    nrows, ncols, d = sf.nrows, sf.ncols, sf.d
     t = 0
     while True:
         # deterministic pivot: smallest |value|, lowest (row, col) tiebreak;
@@ -254,19 +241,15 @@ def solve_z(a: Sequence[Sequence[int]], b: Sequence[int]) -> list[int] | None:
 
 
 def invert_unimodular(c: Sequence[Sequence[int]]) -> Matrix:
-    """Inverse of a square integer matrix with determinant ±1.
-
-    One Smith form U*C*V = I gives C^-1 = V*U; a matrix that is not
-    square, or whose invariant factors are not all 1, is not unimodular.
-    """
+    """Inverse of a square integer matrix with determinant ±1: the square
+    case of `left_inverse_z`, whose image is a direct summand exactly when
+    the matrix is unimodular."""
     n = len(c)
     if any(len(row) != n for row in c):
         raise InternalConsistencyError("matrix is not unimodular (not square)")
-    sf = smith_normal_form(c)
-    if sf.rank != n or any(di != 1 for di in sf.diag):
-        raise InternalConsistencyError(
-            f"matrix is not unimodular (invariant factors {sf.diag}, size {n})")
-    inv = mat_mul(sf.v, sf.u)
+    inv = left_inverse_z(c)
+    if inv is None:
+        raise InternalConsistencyError(f"matrix is not unimodular (size {n})")
     if mat_mul(c, inv) != identity(n):
         raise InternalConsistencyError("unimodular inverse failed its check")
     return inv
@@ -277,11 +260,8 @@ def left_inverse_z(j: Sequence[Sequence[int]]) -> Matrix | None:
     sf = smith_normal_form(j)
     if sf.rank != sf.ncols or any(di != 1 for di in sf.diag):
         return None
-    # J = U^-1 D V^-1 and D has unit diagonal, so V D^T U is a left inverse.
-    dt = [[0] * sf.nrows for _ in range(sf.ncols)]
-    for i in range(sf.rank):
-        dt[i][i] = 1
-    return mat_mul(mat_mul(sf.v, dt), sf.u)
+    # U*J*V = [I; 0], so V times the first ncols rows of U is a left inverse.
+    return mat_mul(sf.v, sf.u[:sf.ncols])
 
 
 # -- F2: rows as bitmasks -------------------------------------------------
@@ -344,39 +324,28 @@ def f2_solve(a_rows: Sequence[int], b: Sequence[int], ncols: int) -> list[int] |
 
 def f2_invert(a_rows: Sequence[int], n: int) -> list[int] | None:
     """Inverse of an n x n F2 matrix as row bitmasks, or None if singular."""
-    rows = [(a_rows[i] | (1 << (n + i))) for i in range(n)]
-    used = [False] * n
-    order: list[int] = []
-    for col in range(n):
-        piv = None
-        for r in range(len(rows)):
-            if not used[r] and (rows[r] >> col) & 1:
-                piv = r
-                break
-        if piv is None:
-            return None
-        used[piv] = True
-        order.append(piv)
-        for r in range(len(rows)):
-            if r != piv and (rows[r] >> col) & 1:
-                rows[r] ^= rows[piv]
-    inv = [0] * n
-    for col, piv in enumerate(order):
-        inv[col] = rows[piv] >> n
-    return inv
+    return f2_left_inverse(a_rows[:n], n)
 
 
 def f2_left_inverse(rows: Sequence[int], ncols: int) -> list[int] | None:
     """F2 matrix Q (row bitmasks) with Q*J = I, or None when J is not injective.
 
-    J is given as row bitmasks.  Q inverts the square block of the first
-    ``ncols`` independent rows of J and is zero on the other rows.
+    J is given as row bitmasks.  One Gauss-Jordan pass runs on J beside the
+    identity: the row reduced to the unit vector e_t carries, in its high
+    bits, the combination of J's rows that gives e_t, which is row t of Q.
     """
-    picked: list[int] = []
-    for i, row in enumerate(rows):
-        if len(picked) < ncols and f2_rank([rows[p] for p in picked] + [row]) > len(picked):
-            picked.append(i)
-    inv = f2_invert([rows[i] for i in picked], ncols) if len(picked) == ncols else None
-    if inv is None:
-        return None
-    return [sum(((r >> t) & 1) << picked[t] for t in range(ncols)) for r in inv]
+    aug = [row | (1 << (ncols + i)) for i, row in enumerate(rows)]
+    used = [False] * len(aug)
+    order: list[int] = []
+    for col in range(ncols):
+        piv = next((r for r, row in enumerate(aug)
+                    if not used[r] and (row >> col) & 1), None)
+        if piv is None:
+            return None
+        used[piv] = True
+        order.append(piv)
+        prow = aug[piv]
+        for r, row in enumerate(aug):
+            if r != piv and (row >> col) & 1:
+                aug[r] = row ^ prow
+    return [aug[r] >> ncols for r in order]

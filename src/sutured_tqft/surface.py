@@ -25,7 +25,6 @@ edge (the smaller id of the twin pair) to an integer coefficient.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -250,6 +249,17 @@ class Surface:
             cur = nxt
         return fan
 
+    def corners(self, v: int) -> list[tuple[int, int]]:
+        """Sorted (face, walk position) of every corner at v: the walk
+        halfedges leaving v, read from its fan."""
+        face_of, pos = self._face_of, self._walk_pos
+        return sorted((face_of[h], pos[h]) for h in self.outgoing_fan(v) if h in face_of)
+
+    def halfedges_between(self, u: int, v: int) -> list[int]:
+        """Halfedges running from u to v, in fan order at u."""
+        head = self.head
+        return [h for h in self.outgoing_fan(u) if head[h] == v]
+
     # -- global invariants ------------------------------------------------
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edges()) + len(self.faces)
@@ -271,17 +281,26 @@ class Surface:
         """Number of boundary halfedges on component c."""
         return self._components[1][c]
 
+    def component_topology(self) -> list[tuple[set[int], list[tuple[int, ...]], int]]:
+        """(vertices, boundary circles, Euler characteristic) of each
+        component, in ``components()`` order."""
+        comp_of = self._components[0]
+        head = self.head
+        comps = self.components()
+        circles: list[list[tuple[int, ...]]] = [[] for _ in comps]
+        for circle in self._circles:
+            circles[comp_of[head[circle[0]]]].append(circle)
+        chi = [len(vs) for vs in comps]
+        for e in self._edges:
+            chi[comp_of[head[e]]] -= 1
+        for walk in self.faces:
+            chi[comp_of[head[walk[0]]]] += 1
+        return list(zip(comps, circles, chi))
+
     def genus(self) -> int:
         """Total genus, summed over components."""
-        circles = self.boundary_circles()
-        total = 0
-        for comp in self.components():
-            b = sum(1 for c in circles if self.tail(c[0]) in comp)
-            edge_count = sum(1 for e in self.edges() if self.head[e] in comp)
-            face_count = sum(1 for w in self.faces if self.head[w[0]] in comp)
-            chi = len(comp) - edge_count + face_count
-            total += (2 - chi - b) // 2
-        return total
+        return sum((2 - chi - len(circles)) // 2
+                   for _, circles, chi in self.component_topology())
 
     def n_of_f(self) -> int:
         return len(self.marks["F_plus"])
@@ -322,9 +341,6 @@ class Surface:
             "faces": [list(w) for w in self.faces],
             "marks": {k: sorted(self.marks[k]) for k in MARK_KEYS},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Surface":

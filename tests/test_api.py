@@ -1,10 +1,12 @@
-"""The public surface of the package: exported names, no bare asserts, and
-every name the benchmark's tracer wraps."""
+"""The public surface of the package: exported names, no bare asserts, no
+unreferenced definitions, and every name the benchmark's tracer wraps."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,30 @@ def test_every_traced_name_exists():
     t.install()
     t.uninstall()
     assert t.missing == []
+
+
+def _definitions(module):
+    """Module-level functions and classes, and the methods of those classes."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (n for n in node.body if isinstance(n, ast.FunctionDef))
+
+
+def test_every_definition_is_referenced():
+    # a word-boundary scan: any other mention in src/, tests/ or bench/
+    # counts as a use; dunder methods are called by Python itself
+    words = Counter(word for top in ("src", "tests", "bench")
+                    for path in (ROOT / top).rglob("*.py")
+                    for word in re.findall(r"\w+", path.read_text()))
+    unused = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        lines = path.read_text().splitlines(keepends=True)
+        for node in _definitions(ast.parse("".join(lines))):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            own = re.findall(r"\w+", "".join(lines[node.lineno - 1:node.end_lineno]))
+            if words[node.name] == own.count(node.name):
+                unused.append(f"{path.name}:{node.name}")
+    assert unused == []

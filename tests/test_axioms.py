@@ -25,10 +25,13 @@ from sutured_tqft.axioms import (
     run_axiom_suite,
     tensor_multivector,
     transversal_crossings,
+    _closed_loop_chain,
+    _k_components,
     _suture_corner_sites,
 )
 from sutured_tqft.contact import contact_element
 from sutured_tqft.dividing import (
+    ANNULUS_FIXTURE_NAMES,
     add_trivial_circle,
     annulus_fixture,
     chord_to_dividing_set,
@@ -157,6 +160,50 @@ def test_core_circle_is_not_contractible():
     with pytest.raises(ValidationError):
         check_trivial_closed(k0)
     assert not contact_element(k0, ring=RING_F2).value.is_zero()
+
+
+def _depth_first_k_components(ds):
+    """Edge sets of the K components by depth-first search over shared
+    endpoints: the oracle for the union-find grouping."""
+    s = ds.surface
+    incident = {}
+    for h in ds.k_edges():
+        for v in (s.tail(h), s.head[h]):
+            incident.setdefault(v, []).append(h)
+    comps = []
+    seen = set()
+    for h0 in ds.k_edges():
+        if h0 in seen:
+            continue
+        comp = set()
+        stack = [h0]
+        while stack:
+            h = stack.pop()
+            if h in comp:
+                continue
+            comp.add(h)
+            for v in (s.tail(h), s.head[h]):
+                stack.extend(g for g in incident[v] if g not in comp)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def test_k_components_match_depth_first_search():
+    sets = [chord_to_dividing_set(cd)
+            for n in range(1, 6) for cd in enumerate_chord_diagrams(n)]
+    sets += [annulus_fixture(name)[1] for name in ANNULUS_FIXTURE_NAMES]
+    rng = random.Random(1211)
+    for _ in range(40):
+        ds = rng.choice(sets)
+        sets.append(add_trivial_circle(ds, rng.randrange(len(ds.surface.faces)))[0])
+    sets += excess_intersection_replay()["sets"]
+    closed = 0
+    for ds in sets:
+        got = _k_components(ds)
+        assert sorted(map(sorted, got)) == sorted(map(sorted, _depth_first_k_components(ds)))
+        closed += sum(1 for comp in got if _closed_loop_chain(ds, comp) is not None)
+    assert closed >= 40
 
 
 @settings(max_examples=25, deadline=None)

@@ -437,6 +437,33 @@ def test_enumerate_count_only_builds_no_diagram():
     assert (done.returncode, done.stdout, done.stderr) == (0, "3814986502092304\n", "")
 
 
+_OVER_BUDGET = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from sutured_tqft.cli import run
+# one positive region whose three consecutive-suture paths each pass over
+# 128 betas: 128**3 = 2**21 terms, past the budget of 2**20
+pairs = [(1, 770)]
+for lo in (2, 258, 514):
+    pairs.append((lo, lo + 255))
+    pairs += [(p, p + 1) for p in range(lo + 1, lo + 254, 2)]
+render = ",".join(f"{a}-{b}" for a, b in sorted(pairs))
+raise SystemExit(run(["contact", "--ring", "f2", "--diagram", render]))
+"""
+
+
+def test_contact_over_the_term_budget_exits_two():
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", _OVER_BUDGET], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "budget" in done.stderr
+
+
 def test_malformed_inputs_exit_two_under_python_O(tmp_path):
     # -O strips assert statements, so this holds only if no input check is one
     surface = standard_disk(3).to_json_dict()

@@ -18,8 +18,10 @@ from sutured_tqft.contact import region_homology
 from sutured_tqft.errors import (InvalidChordDiagramError,
                                  InvalidDividingSetError)
 from sutured_tqft.exterior import RING_F2, RING_Z
+from sutured_tqft.axioms import random_glued_dividing_sets
+from sutured_tqft.gluing import glue, push_dividing_set
 from sutured_tqft.models import check_model
-from sutured_tqft.surface import standard_disk, validate_surface
+from sutured_tqft.surface import standard_disk, subsurface, validate_surface
 
 
 def catalan(n):
@@ -198,6 +200,24 @@ def test_region_euler_grading():
     r = regions(ds)
     assert r.l_k == 0 and r.l_minus_k == n - 1
     assert region_homology(ds).surface.euler_characteristic() == n
+
+
+def test_region_grades_match_subsurface_euler_characteristic():
+    sets = [chord_to_dividing_set(cd)
+            for n in range(1, 7) for cd in enumerate_chord_diagrams(n)]
+    sets += [annulus_fixture(name)[1] for name in ANNULUS_FIXTURE_NAMES]
+    rng = random.Random(1210)
+    for _ in range(50):
+        ds = rng.choice(sets)
+        sets.append(add_trivial_circle(ds, rng.randrange(len(ds.surface.faces)))[0])
+    sets += [push_dividing_set(glue(g), ds)
+             for ds, g in random_glued_dividing_sets(rng, 100)]
+    assert len(sets) == 352
+    for ds in sets:
+        s = ds.surface
+        r = regions(ds)
+        for faces, grade in ((r.faces_plus, r.l_k), (r.faces_minus, r.l_minus_k)):
+            assert grade == s.n_of_f() - subsurface(s, sorted(faces)).euler_characteristic()
 
 
 def test_region_rank_matches_grading():

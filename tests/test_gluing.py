@@ -786,3 +786,64 @@ def test_reglued_square_dividing_sets_form_a_contact_basis():
             rows.append(sum((v & 1) << t for t, v in c.terms.items()))
         assert len(rows) == 1 << default_basis(data.result, RING_F2).rank
         assert f2_rank(rows) == len(rows)
+
+
+def _face_scan_queries(s):
+    """Chord candidates of every vertex pair and co-facial neighbours of
+    every vertex, from one scan over every face walk: the oracle for the
+    queries read from the fans."""
+    candidates, neighbors = {}, {}
+    for fi, walk in enumerate(s.faces):
+        tails = [s.tail(h) for h in walk]
+        for i, u in enumerate(tails):
+            neighbors.setdefault(u, set()).update(tails)
+            for j, w in enumerate(tails):
+                if w != u:
+                    candidates.setdefault((u, w), []).append((fi, i, j))
+    return candidates, {u: sorted(vs - {u}) for u, vs in neighbors.items()}
+
+
+def _per_component_genus(s):
+    """Genus recounted component by component: the oracle for `genus()`."""
+    circles = s.boundary_circles()
+    total = 0
+    for comp in s.components():
+        b = sum(1 for c in circles if s.tail(c[0]) in comp)
+        edge_count = sum(1 for e in s.edges() if s.head[e] in comp)
+        face_count = sum(1 for w in s.faces if s.head[w[0]] in comp)
+        total += (2 - (len(comp) - edge_count + face_count) - b) // 2
+    return total
+
+
+def test_fan_queries_match_face_scans_on_quadrangulated_surfaces(monkeypatch):
+    real = {name: getattr(gluing_module, name)
+            for name in ("_chord_candidates", "_cofacial_neighbors")}
+    visited = {}
+
+    def spy(fn):
+        def wrapped(s, *args):
+            visited[id(s)] = s
+            return fn(s, *args)
+        return wrapped
+
+    for name, fn in real.items():
+        monkeypatch.setattr(gluing_module, name, spy(fn))
+    hosts = [standard_disk(n) for n in range(2, 6)]
+    hosts += [annulus_model().surface, one_holed_torus(),
+              disjoint_union(standard_disk(2), standard_disk(3))[0]]
+    rng = random.Random(1209)
+    hosts += [random_sutured_surface(rng) for _ in range(20)]
+    for s in hosts:
+        dec = quadrangulate(s)
+        square_chord_family(dec)
+        visited[id(dec.pieces)] = dec.pieces
+    assert len(visited) > 100
+    for s in visited.values():
+        assert s.genus() == _per_component_genus(s)
+        candidates, neighbors = _face_scan_queries(s)
+        vertices = sorted(s.vertices)
+        for u in vertices:
+            assert real["_cofacial_neighbors"](s, u) == neighbors.get(u, [])
+            for w in vertices:
+                if w != u:
+                    assert real["_chord_candidates"](s, u, w) == candidates.get((u, w), [])

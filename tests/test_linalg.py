@@ -49,7 +49,6 @@ def test_smith_transforms_and_oracle():
             uav = mat_mul(mat_mul(sf.u, a), sf.v)
             assert uav == sf.d
         assert mat_mul(sf.u, sf.u_inv) == identity(sf.nrows)
-        assert mat_mul(sf.v, sf.v_inv) == identity(sf.ncols)
         for i in range(len(sf.diag) - 1):
             assert sf.diag[i + 1] % sf.diag[i] == 0
         if n and m:
@@ -60,11 +59,8 @@ def test_smith_transforms_and_oracle():
 def reference_smith_normal_form(a):
     """The Smith loop with full pivot and divisibility scans at every step:
     the oracle for the unit-pivot shortcuts of `smith_normal_form`."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    sf = SmithForm(nrows, ncols)
-    sf.d = [list(row) for row in a]
-    d = sf.d
+    sf = SmithForm(a)
+    nrows, ncols, d = sf.nrows, sf.ncols, sf.d
     t = 0
     while True:
         pivot = None
@@ -124,7 +120,7 @@ def reference_smith_normal_form(a):
 
 def assert_same_smith(a):
     got, want = smith_normal_form(a), reference_smith_normal_form(a)
-    for field in ("d", "u", "u_inv", "v", "v_inv", "diag"):
+    for field in ("d", "u", "u_inv", "v", "diag"):
         assert getattr(got, field) == getattr(want, field), field
 
 
@@ -363,3 +359,72 @@ def test_f2_invert():
                 for t in range(n):
                     acc ^= ((rows[i] >> t) & 1) & ((inv[t] >> j) & 1)
                 assert acc == (1 if i == j else 0)
+
+
+def picked_rows_f2_left_inverse(rows, ncols):
+    """The first `ncols` independent rows of J, inverted as a square block
+    and scattered back, zero on the other rows: the oracle for the one-pass
+    Gauss-Jordan left inverse."""
+    picked = []
+    for i, row in enumerate(rows):
+        if len(picked) < ncols and f2_rank([rows[p] for p in picked] + [row]) > len(picked):
+            picked.append(i)
+    inv = f2_invert([rows[i] for i in picked], ncols) if len(picked) == ncols else None
+    if inv is None:
+        return None
+    return [sum(((r >> t) & 1) << picked[t] for t in range(ncols)) for r in inv]
+
+
+def test_f2_left_inverse_matches_picked_rows_oracle():
+    rng = random.Random(1207)
+    injective = 0
+    for trial in range(600):
+        ncols = rng.randint(0, 12)
+        nrows = rng.randint(0, 16)
+        rows = [rng.getrandbits(ncols) for _ in range(nrows)]
+        if trial % 4 == 0 and nrows >= ncols:
+            # an injective J: an invertible block below some random rows
+            block = random_unimodular(rng, ncols)
+            rows = rows[:nrows - ncols] + [
+                sum((x & 1) << c for c, x in enumerate(row)) for row in block]
+            rng.shuffle(rows)
+        got, want = f2_left_inverse(rows, ncols), picked_rows_f2_left_inverse(rows, ncols)
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        injective += 1
+        assert f2_mat_mul(got, rows) == [1 << i for i in range(ncols)]
+        if nrows == ncols:
+            assert got == want
+            assert f2_invert(rows, ncols) == got
+    assert 150 < injective < 600
+
+
+def smith_transpose_left_inverse_z(j):
+    """V * D^T * U from one Smith form: the oracle for V * U[:ncols]."""
+    sf = smith_normal_form(j)
+    if sf.rank != sf.ncols or any(di != 1 for di in sf.diag):
+        return None
+    dt = [[0] * sf.nrows for _ in range(sf.ncols)]
+    for i in range(sf.rank):
+        dt[i][i] = 1
+    return mat_mul(mat_mul(sf.v, dt), sf.u)
+
+
+def test_left_inverse_z_matches_smith_transpose_oracle():
+    rng = random.Random(1208)
+    summands = 0
+    for trial in range(300):
+        n = rng.randint(0, 8)
+        k = rng.randint(0, n)
+        if trial % 3:
+            u = random_unimodular(rng, n)
+            j = [row[:k] for row in u]  # a direct summand
+        else:
+            j = random_matrix(rng, n, k, -2, 2)
+        got = left_inverse_z(j)
+        assert got == smith_transpose_left_inverse_z(j)
+        if got is not None:
+            summands += 1
+            assert mat_mul(got, j) == identity(k)
+    assert 150 < summands < 300

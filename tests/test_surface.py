@@ -433,6 +433,19 @@ def assert_indices_match_naive(s):
         assert all(s.component_of(v) == i for v in comp)
         assert s.boundary_size(i) == sum(
             1 for h in naive_boundary_halfedges(s) if s.head[h] in comp)
+    for v in s.vertices:
+        assert s.corners(v) == [(fi, p) for fi, walk in enumerate(s.faces)
+                                for p, h in enumerate(walk) if s.tail(h) == v]
+        for u in s.vertices:
+            assert sorted(s.halfedges_between(v, u)) == sorted(
+                h for h in s.twin if s.tail(h) == v and s.head[h] == u)
+    circles = naive_boundary_circles(s)
+    assert s.component_topology() == [
+        (comp,
+         [tuple(c) for c in circles if s.tail(c[0]) in comp],
+         len(comp) - sum(1 for e in s.edges() if s.head[e] in comp)
+         + sum(1 for w in s.faces if s.head[w[0]] in comp))
+        for comp in comps]
 
 
 def _index_corpus():
