@@ -470,7 +470,7 @@ def check_basis_of_contact_elements(s: Surface,
         kh = orient_by_signs(pieces, sorted(k_edges), signs)
         ds = DividingSet(pieces, kh, signs)
         pushed = push_dividing_set(data, ds)
-        c = contact_element(pushed, ring=RING_F2).value
+        c = contact_element(pushed, ring=RING_F2, basis=base).value
         rows.append(sum((v & 1) << t for t, v in c.terms.items()))
     ok = (len(rows) == 1 << base.rank and f2_rank(rows) == len(rows))
     witness = None if ok else {

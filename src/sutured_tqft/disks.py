@@ -5,6 +5,11 @@ Everything here works over the beta basis of the standard disk: beta_i is
 the boundary path from suture alpha_i to alpha_{i+2}, the odd-index arcs
 {beta_1, beta_3, ..., beta_{2n-3}} spanning H_1 rel the positive sutures
 and the even-index arcs spanning the negative side.
+
+A disk element c(K) is held as a wedge of pairwise disjoint beta masks
+(``_factor_masks``).  Its expansion has exactly one term per choice of a
+beta from each factor, and the product c(K1) ^ c(K2) and the solid-torus
+pairing are determinants of the factor masks, so neither expands anything.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from dataclasses import dataclass
 from .contact import ContactElement, DualStructure
 from .dividing import ChordDiagram
 from .errors import InternalConsistencyError, InvalidChordDiagramError, ValidationError
-from .exterior import Multivector, RING_F2, RING_Z, induced_map
+from .exterior import Multivector, RING_F2, RING_Z, indices_of
+from .linalg import det_q, f2_rank
 from .models import disk_model
 
 __all__ = [
@@ -32,8 +38,9 @@ __all__ = [
 ]
 
 
-# Bound on |terms of c| x |terms of the next path| before each wedge: the
-# element of a large random disk grows about 6x per 10 chords.
+# Bound on the term count of an expanded disk element, the product of its
+# factor sizes: the element of a large random disk grows about 6x per 10
+# chords.
 _TERM_BUDGET = 1 << 20
 
 
@@ -60,36 +67,63 @@ def _region_sectors(cd: ChordDiagram) -> list[list[int]]:
     return list(groups.values())
 
 
-def disk_contact_element(cd: ChordDiagram, ring: str = RING_Z) -> ContactElement:
-    """c(K) of a chord diagram, read off the positive regions directly.
+def _factor_masks(cd: ChordDiagram) -> list[int]:
+    """c(K) as a wedge of pairwise disjoint beta masks, in wedge order.
 
     Within a disk region any path between sutures alpha_u and alpha_w is,
-    rel the positive sutures, the boundary path u -> w, i.e. the sum of
-    the beta_j it passes over.  The contact element is the wedge of these
+    rel the positive sutures, the boundary path u -> w: the interval of
+    betas beta_u, beta_{u+2}, ..., beta_{w-2}.  c(K) is the wedge of the
     consecutive-suture paths over all positive regions, regions ordered
-    by their smallest suture.  The tests cross-check this against the
-    homology pipeline on the polygonal complex.
+    by their smallest suture.  Chords do not cross, so any two of these
+    intervals are nested or disjoint, and in that order an interval never
+    comes after one it lies inside.  Replacing each interval by itself
+    minus the intervals strictly inside it is a unitriangular change of
+    factors, so the wedge stays the same while the factors become
+    disjoint.  Walking the intervals from last to first, each keeps the
+    betas that no later one has taken; a repeated interval comes out empty.
     """
-    rank = cd.n - 1
-    out = Multivector.unit(rank, ring)
-    degree = 0
+    masks = []
     for region in _region_sectors(cd):
         parity = {s % 2 for s in region}
         if len(parity) != 1:
             raise InternalConsistencyError("region touches boundary arcs of both signs")
-        if parity == {0}:
-            continue
-        for u, w in zip(region, region[1:]):
-            path = Multivector(rank, {1 << ((j - 1) // 2): 1 for j in range(u, w, 2)}, ring)
-            if len(out.terms) * len(path.terms) > _TERM_BUDGET:
-                raise ValidationError(
-                    f"the contact element of this {cd.n}-chord diagram exceeds "
-                    f"the budget of {_TERM_BUDGET} terms")
-            out = out.wedge(path)
-            degree += 1
-    if out.is_zero() or not out.is_homogeneous():
+        if parity == {1}:  # beta_j, j odd, is bit j >> 1
+            masks += [(1 << (w >> 1)) - (1 << (u >> 1)) for u, w in zip(region, region[1:])]
+    taken = 0
+    for i in range(len(masks) - 1, -1, -1):
+        masks[i] &= ~taken
+        taken |= masks[i]
+    if not all(masks):
         raise InternalConsistencyError("contact element is zero or inhomogeneous")
-    return ContactElement(value=out, grade=degree, ring=ring)
+    return masks
+
+
+def disk_contact_element(cd: ChordDiagram, ring: str = RING_Z) -> ContactElement:
+    """c(K) of a chord diagram, expanded from its disjoint factors.
+
+    Disjoint factors cannot cancel: there is one term per choice of a
+    beta from each factor, with coefficient 1 over F2 and, over Z, the
+    sign of sorting the chosen betas, i.e. the parity of the pairs where
+    a later factor's beta lies below an earlier one's.  The tests
+    cross-check this against the homology pipeline on the polygonal
+    complex and against wedging the paths one at a time.
+    """
+    masks = _factor_masks(cd)
+    if math.prod(m.bit_count() for m in masks) > _TERM_BUDGET:
+        raise ValidationError(
+            f"the contact element of this {cd.n}-chord diagram exceeds "
+            f"the budget of {_TERM_BUDGET} terms")
+    terms, signs = [0], [1]
+    for m in masks:
+        bits = [1 << i for i in indices_of(m)]
+        if ring == RING_Z:
+            # -(b << 1) masks the positions above b
+            signs = [-c if (t & -(b << 1)).bit_count() & 1 else c
+                     for b in bits for t, c in zip(terms, signs)]
+        terms = [t | b for b in bits for t in terms]
+    coeffs = dict(zip(terms, signs)) if ring == RING_Z else dict.fromkeys(terms, 1)
+    return ContactElement(value=Multivector(cd.n - 1, coeffs, ring),
+                          grade=len(masks), ring=ring)
 
 
 # -- bypass rotations ------------------------------------------------------
@@ -167,14 +201,20 @@ def matchable(cd1: ChordDiagram, cd2: ChordDiagram) -> bool:
 def matchable_via_wedge(cd1: ChordDiagram, cd2: ChordDiagram,
                         ring: str = RING_Z) -> bool:
     """The product criterion: connected exactly when c(K1) ^ c(K2) is the
-    top generator (up to sign over the integers)."""
+    top generator (up to sign over the integers).
+
+    With k1 + k2 = L factors, c(K1) ^ c(K2) = det[m1 | m2] * top, the
+    columns being the factor masks; other grades never reach the top.
+    """
     if cd1.n != cd2.n:
         raise ValidationError("diagrams must have the same number of chords")
-    w = disk_contact_element(cd1, ring).value.wedge(disk_contact_element(cd2, ring).value)
-    top = Multivector.top(cd1.n - 1, ring)
+    cols = _factor_masks(cd1) + _factor_masks(cd2)
+    rank = cd1.n - 1
+    if len(cols) != rank:
+        return False
     if ring == RING_F2:
-        return w == top
-    return w == top or w == top.scale(-1)
+        return f2_rank(cols) == rank
+    return abs(det_q([[m >> r & 1 for m in cols] for r in range(rank)])) == 1
 
 
 # -- rotation maps and solid tori ------------------------------------------
@@ -224,18 +264,38 @@ class TorusParameters:
         return 2 * self.n * self.p + 1
 
 
+def _image(cols: list[int], mask: int) -> int:
+    """The F2 image of a vector under a matrix given by its column masks."""
+    out = 0
+    for i in indices_of(mask):
+        out ^= cols[i]
+    return out
+
+
 def solid_torus_tight(cd: ChordDiagram, params: TorusParameters) -> bool:
     """Whether the meridian disk's dividing set gives the cut-open torus a
     tight boundary neighborhood: the pairing of the (2np+1)-step rotation
-    of c(K) against c(K) is 1 mod 2."""
+    of c(K) against c(K) is 1 mod 2.
+
+    With c(K) the wedge of the factors v_i, Cauchy-Binet makes that
+    pairing det G mod 2, where G_ij = (P^T R v_i) . v_j for the rotation
+    R and the model pairing P.
+    """
     big = params.n * params.q
     if cd.n != big:
         raise ValidationError(
             f"diagram has {cd.n} chords; parameters demand n*q = {big}")
     if big == 1:
         return True  # rank-0 algebra: <1 | 1> = 1
-    c = disk_contact_element(cd, RING_F2).value
-    mat = rotation_map(big, params.steps)
-    y = induced_map(mat, Multivector(c.rank, dict(c.terms), RING_F2, dual=True))
-    return DualStructure(disk_model(big), RING_F2).pair(y, c) == 1
-
+    masks = _factor_masks(cd)
+    rot = rotation_map(big, params.steps)
+    rot_cols = [sum((row[s] & 1) << r for r, row in enumerate(rot)) for s in range(big - 1)]
+    # DualStructure checks that P pairs the top generators to 1; the
+    # columns of P^T are the rows of P
+    pairing = DualStructure(disk_model(big), RING_F2).model.pairing
+    pt_cols = [sum((x & 1) << i for i, x in enumerate(row)) for row in pairing]
+    gram = []
+    for v in masks:
+        x = _image(pt_cols, _image(rot_cols, v))
+        gram.append(sum(((x & w).bit_count() & 1) << j for j, w in enumerate(masks)))
+    return f2_rank(gram) == len(masks)

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import pytest
 
 from sutured_tqft.axioms import _suture_corner_sites
 from sutured_tqft.cli import main, run
+from sutured_tqft.disks import rotate_diagram
 from sutured_tqft.dividing import ChordDiagram, chord_to_dividing_set
 from sutured_tqft.errors import UnsupportedSurfaceError
 from sutured_tqft.gluing import Gluing
@@ -462,6 +464,44 @@ def test_contact_over_the_term_budget_exits_two():
     assert (done.returncode, done.stdout) == (2, ""), done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
     assert "budget" in done.stderr
+
+
+def _random_pairs(rng, first, n):
+    """A random noncrossing matching of the 2n sutures from `first` on:
+    `first` closes a chord around k others, and the rest follow it."""
+    pairs = []
+    while n:
+        k = rng.randrange(n)
+        pairs.append((first, first + 2 * k + 1))
+        pairs += _random_pairs(rng, first + 1, k)
+        first, n = first + 2 * k + 2, n - k - 1
+    return pairs
+
+
+_RUN_ARGV = "import sys; from sutured_tqft.cli import run; raise SystemExit(run(sys.argv[1:]))"
+
+
+def test_match_and_torus_answer_on_an_80_chord_disk():
+    # expanded, either element passes the 2^20-term budget; the factored
+    # criteria never expand them
+    rng = random.Random(80)
+    a, b = (ChordDiagram(80, tuple(sorted(_random_pairs(rng, 1, 80)))) for _ in range(2))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    cases = [(["match", a.render(), rotate_diagram(a, 1).render()], {0}),
+             (["match", a.render(), b.render()], {1}),
+             (["torus", a.render(), "--n", "20", "--p", "1", "--q", "4"], {0, 1})]
+    for argv, codes in cases:
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", _RUN_ARGV, *argv], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert time.perf_counter() - start < 1, argv[0]
+        assert done.returncode in codes and done.stderr == "", done.stderr
+        verdict = "true" if done.returncode == 0 else "false"
+        want = ([f"oracle {verdict}", f"wedge {verdict}"] if argv[0] == "match"
+                else [f"pairing {int(done.returncode == 0)}", f"tight {verdict}"])
+        assert [line for line in done.stdout.splitlines()
+                if not line.startswith("#")] == want
 
 
 def test_malformed_inputs_exit_two_under_python_O(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sutured_tqft import disks
-from sutured_tqft.contact import contact_element
+from sutured_tqft.contact import DualStructure, contact_element
 from sutured_tqft.disks import (
     TorusParameters,
     bypass_triple_at,
@@ -33,6 +33,7 @@ from sutured_tqft.errors import (
     ValidationError,
 )
 from sutured_tqft.exterior import Multivector, RING_F2, RING_Z, induced_map, pair
+from sutured_tqft.linalg import det_q
 from sutured_tqft.models import disk_arc_chain, disk_model
 
 
@@ -384,3 +385,102 @@ def test_disk_outputs_are_locked():
         record.append((cd.render(), n, p, q, solid_torus_tight(cd, TorusParameters(n, p, q))))
     digest = hashlib.sha256(repr(record).encode()).hexdigest()
     assert digest == "0507a58b09d8fcc44242f840864d0e99a0a09eaf615c507dd853950ab1e71a9d"
+
+
+# -- the factored forms against the expansions they replaced ---------------
+
+def wedged_paths(cd, ring):
+    """c(K) and its grade by wedging the consecutive-suture paths of the
+    positive regions one at a time: the region rule expanded as read."""
+    rank = cd.n - 1
+    out, grade = Multivector.unit(rank, ring), 0
+    for region in disks._region_sectors(cd):
+        if region[0] % 2:
+            for u, w in zip(region, region[1:]):
+                path = Multivector(rank, {1 << ((j - 1) // 2): 1 for j in range(u, w, 2)}, ring)
+                out, grade = out.wedge(path), grade + 1
+    return out, grade
+
+
+def expanded_matchable(c1, c2):
+    """The product criterion on expanded elements: c1 ^ c2 is the top
+    generator, or its negative over Z."""
+    w = c1.wedge(c2)
+    top = Multivector.top(c1.rank, c1.ring)
+    return w == top or (c1.ring == RING_Z and w == top.scale(-1))
+
+
+def expanded_torus_pairing(cd, params, dual):
+    """<R c | c> through the induced map on the expanded F2 element and
+    the model pairing."""
+    c = wedged_paths(cd, RING_F2)[0]
+    y = induced_map(rotation_map(cd.n, params.steps),
+                    Multivector(c.rank, dict(c.terms), RING_F2, dual=True))
+    return dual.pair(y, c)
+
+
+def test_factored_element_matches_wedged_paths():
+    rng = random.Random(1107)
+    diagrams = [cd for n in range(1, 8) for cd in enumerate_chord_diagrams(n)]
+    diagrams += [_random_diagram(rng, rng.randint(8, 24)) for _ in range(100)]
+    for cd in diagrams:
+        masks = disks._factor_masks(cd)
+        union = 0
+        for m in masks:
+            assert m and not m & union  # nonempty and pairwise disjoint
+            union |= m
+        for ring in (RING_Z, RING_F2):
+            got = disk_contact_element(cd, ring)
+            want, grade = wedged_paths(cd, ring)
+            # same terms in the same order, so rendered output is unchanged
+            assert list(got.value.terms.items()) == list(want.terms.items()), cd.render()
+            assert got.grade == grade == len(masks)
+            assert math.prod(m.bit_count() for m in masks) == len(got.value.terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_matchable_matches_expanded_criterion(n):
+    diagrams = enumerate_chord_diagrams(n)
+    masks = {cd: disks._factor_masks(cd) for cd in diagrams}
+    for ring in (RING_Z, RING_F2):
+        element = {cd: wedged_paths(cd, ring)[0] for cd in diagrams}
+        for a in diagrams:
+            for b in diagrams:
+                assert matchable_via_wedge(a, b, ring) == expanded_matchable(element[a], element[b])
+    # disjoint factors make [m1 | m2] a bipartite incidence matrix, which
+    # is totally unimodular
+    for a in diagrams:
+        for b in diagrams:
+            cols = masks[a] + masks[b]
+            if len(cols) == n - 1:
+                assert abs(det_q([[m >> r & 1 for m in cols] for r in range(n - 1)])) <= 1
+
+
+def test_matchable_matches_expanded_criterion_on_larger_disks():
+    rng = random.Random(2211)
+    for i in range(400):
+        n = rng.randint(7, 22)
+        a = _random_diagram(rng, n)
+        b = rotate_diagram(a, rng.randrange(1, 2 * n)) if i % 2 else _random_diagram(rng, n)
+        for ring in (RING_Z, RING_F2):
+            want = expanded_matchable(wedged_paths(a, ring)[0], wedged_paths(b, ring)[0])
+            assert matchable_via_wedge(a, b, ring) == want, (a.render(), b.render(), ring)
+
+
+def test_solid_torus_matches_expanded_pairing():
+    duals = {}
+    checked = 0
+    for q in range(1, 8):
+        for n in range(1, 7 // q + 1):
+            big = n * q
+            if big > 1 and big not in duals:
+                duals[big] = DualStructure(disk_model(big), RING_F2)
+            for p in range(-4, 5):
+                if math.gcd(p, q) != 1:
+                    continue
+                params = TorusParameters(n, p, q)
+                for cd in enumerate_chord_diagrams(big):
+                    want = big == 1 or expanded_torus_pairing(cd, params, duals[big]) == 1
+                    assert solid_torus_tight(cd, params) == want, (cd.render(), n, p, q)
+                    checked += 1
+    assert checked == 11127
