@@ -821,6 +821,10 @@ def run_axiom_suite(seed: int = DEFAULT_SEED, max_n: int = 5,
     list is a pure function of the arguments; the checks themselves are
     independent and run one after another.
     """
+    if max_n < 1:
+        raise ValidationError(f"max_n must be at least 1, got {max_n}")
+    if gluing_samples < 0:
+        raise ValidationError(f"gluing_samples must be nonnegative, got {gluing_samples}")
     rng = random.Random(seed)
 
     named = [(f"disk with {n} sutures", standard_disk(n))

@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .contact import ContactElement, DualStructure
+from .contact import ContactElement
 from .dividing import ChordDiagram
 from .errors import InternalConsistencyError, InvalidChordDiagramError, ValidationError
-from .exterior import Multivector, RING_F2, RING_Z, indices_of
-from .linalg import det_q, f2_rank
-from .models import disk_model
+from .exterior import Multivector, RING_Z, indices_of
+from .linalg import f2_rank
+from .models import disk_pairing
 
 __all__ = [
     "BypassTriple",
@@ -205,16 +205,17 @@ def matchable_via_wedge(cd1: ChordDiagram, cd2: ChordDiagram,
 
     With k1 + k2 = L factors, c(K1) ^ c(K2) = det[m1 | m2] * top, the
     columns being the factor masks; other grades never reach the top.
+    Within one diagram the factor masks are pairwise disjoint, so every
+    row of [m1 | m2] holds at most one 1 from each diagram: it is the
+    incidence matrix of a bipartite graph, hence totally unimodular, and
+    det is 0 or +-1.  So |det| = 1 exactly when det is odd, that is when
+    the masks have full F2 rank, and one F2 rank decides both rings.
     """
     if cd1.n != cd2.n:
         raise ValidationError("diagrams must have the same number of chords")
     cols = _factor_masks(cd1) + _factor_masks(cd2)
     rank = cd1.n - 1
-    if len(cols) != rank:
-        return False
-    if ring == RING_F2:
-        return f2_rank(cols) == rank
-    return abs(det_q([[m >> r & 1 for m in cols] for r in range(rank)])) == 1
+    return len(cols) == rank and f2_rank(cols) == rank
 
 
 # -- rotation maps and solid tori ------------------------------------------
@@ -290,10 +291,12 @@ def solid_torus_tight(cd: ChordDiagram, params: TorusParameters) -> bool:
     masks = _factor_masks(cd)
     rot = rotation_map(big, params.steps)
     rot_cols = [sum((row[s] & 1) << r for r, row in enumerate(rot)) for s in range(big - 1)]
-    # DualStructure checks that P pairs the top generators to 1; the
-    # columns of P^T are the rows of P
-    pairing = DualStructure(disk_model(big), RING_F2).model.pairing
-    pt_cols = [sum((x & 1) << i for i, x in enumerate(row)) for row in pairing]
+    # the columns of P^T are the rows of P; the top generators pair to
+    # det P mod 2, which is 1 exactly when P has full F2 rank
+    pt_cols = [sum((x & 1) << i for i, x in enumerate(row)) for row in disk_pairing(big)]
+    if f2_rank(pt_cols) != big - 1:
+        raise InternalConsistencyError(
+            "top generators pair to 0, expected 1 -- model pairing is off")
     gram = []
     for v in masks:
         x = _image(pt_cols, _image(rot_cols, v))

@@ -3,12 +3,15 @@
 H_1(S, A) for a vertex set A is computed integrally once and reduced
 mod 2 on demand.  A spanning forest of the 1-skeleton -- with all of A
 merged into one root -- yields a fundamental cycle z_e for every cotree
-edge e; these form an integral basis of the lattice of relative
-1-cycles, and the coordinates of any relative cycle in that basis are
-just its restriction to the cotree edges.  Smith normal form of the
-face-boundary matrix in cycle coordinates then presents the quotient:
-a class is reduced by the rows of U past the rank only, and a prescribed
-integral basis is inverted with one more Smith form.
+edge e (e closed up through the lowest common ancestor of its ends);
+these form an integral basis of the lattice of relative 1-cycles, and
+the coordinates of any relative cycle in that basis are just its
+restriction to the cotree edges.  The face boundaries in those
+coordinates are read straight off the face walks as sparse rows, and
+their sparse Smith normal form presents the quotient: a class is
+reduced by the rows of U past the rank only, a representative is read
+off one column of U^-1, and a prescribed integral basis is inverted
+with one more Smith form.
 Surface pairs never produce torsion; we assert that all invariant
 factors are 1, which also makes the mod-2 reduction of the same
 integral basis a basis of the F2 homology.
@@ -21,8 +24,7 @@ from .errors import InternalConsistencyError, ValidationError
 from .exterior import RING_F2, RING_Z
 from .linalg import (Matrix, f2_invert, f2_rank, invert_unimodular, mat_vec,
                      smith_normal_form, transpose)
-from .surface import (Surface, UnionFind, chain_add, chain_boundary,
-                      face_boundary_chain)
+from .surface import Surface, UnionFind, chain_add, chain_boundary
 
 __all__ = ["RelativeH1", "HomologyBasis", "induced_matrix"]
 
@@ -42,72 +44,78 @@ class RelativeH1:
         stray = self.rel - surface.vertices
         if stray:
             raise ValidationError(f"relative vertices {sorted(stray)} not in surface")
+        head, twin = surface.head, surface.twin
 
         # -1 is the merged root for all of A (vertex ids are nonnegative)
-        def mv(v: int) -> int:
-            return -1 if v in self.rel else v
-
-        forest = UnionFind()
-        tree_edges: list[int] = []
+        mv = {v: -1 if v in self.rel else v for v in surface.vertices}
+        # DFS parent pointers in the merged forest; up[v] = (edge, parent,
+        # sign of the edge when traversed from v toward the parent)
+        adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in sorted(set(mv.values()))}
+        union = UnionFind().union
         self.cotree: list[int] = []
         for e in surface.edges():
-            if forest.union(mv(surface.tail(e)), mv(surface.head[e])):
-                tree_edges.append(e)
+            u, v = mv[head[twin[e]]], mv[head[e]]
+            if union(u, v):
+                adj[u].append((e, v, 1))
+                adj[v].append((e, u, -1))
             else:
                 self.cotree.append(e)
-
-        # BFS parent pointers in the merged forest; up[v] = (edge, parent,
-        # sign of the edge when traversed from v toward the parent)
-        adj: dict[int, list[tuple[int, int, int]]] = {}
-        merged_vertices = sorted({mv(v) for v in surface.vertices})
-        for v in merged_vertices:
-            adj[v] = []
-        for e in tree_edges:
-            u, v = mv(surface.tail(e)), mv(surface.head[e])
-            adj[u].append((e, v, 1))
-            adj[v].append((e, u, -1))
-        self._up: dict[int, tuple[int, int, int] | None] = {}
-        for root in merged_vertices:
-            if root in self._up:
+        up: dict[int, tuple[int, int, int]] = {}
+        depth: dict[int, int] = {}
+        for root in adj:
+            if root in depth:
                 continue
-            self._up[root] = None
-            queue = [root]
-            while queue:
-                x = queue.pop()
+            depth[root] = 0
+            stack = [root]
+            while stack:
+                x = stack.pop()
                 for e, y, sgn in adj[x]:
-                    if y not in self._up:
-                        self._up[y] = (e, x, -sgn)
-                        queue.append(y)
+                    if y not in depth:
+                        up[y] = (e, x, -sgn)
+                        depth[y] = depth[x] + 1
+                        stack.append(y)
 
-        self.cycles = [self._fundamental_cycle(e, mv) for e in self.cotree]
+        # z_e = e + path(head -> lca) - path(tail -> lca)
+        self.cycles: list[Chain] = []
+        for e in self.cotree:
+            x, y = mv[head[e]], mv[head[twin[e]]]
+            down_x: list[tuple[int, int]] = []
+            down_y: list[tuple[int, int]] = []
+            while x != y:
+                if depth[x] >= depth[y]:
+                    f, x, sgn = up[x]
+                    down_x.append((f, sgn))
+                else:
+                    f, y, sgn = up[y]
+                    down_y.append((f, -sgn))
+            z = {e: 1}
+            z.update(down_x)
+            z.update(down_y)
+            self.cycles.append(z)
 
-        k = len(self.cotree)
-        nfaces = len(surface.faces)
-        face_chains = [face_boundary_chain(surface, j) for j in range(nfaces)]
-        mat = [[chain.get(e, 0) for chain in face_chains] for e in self.cotree]
-        sf = smith_normal_form(mat)
+        # face boundaries in cycle coordinates: their cotree restrictions
+        index = {e: i for i, e in enumerate(self.cotree)}
+        rows: list[dict[int, int]] = [{} for _ in self.cotree]
+        for j, walk in enumerate(surface.faces):
+            for h in walk:
+                t = twin[h]
+                i = index.get(h if h < t else t)
+                if i is not None:
+                    row = rows[i]
+                    c = row.get(j, 0) + (1 if h < t else -1)
+                    if c:
+                        row[j] = c
+                    else:
+                        del row[j]
+        sf = smith_normal_form(rows)
         if any(d != 1 for d in sf.diag):
             raise InternalConsistencyError(
                 f"torsion in relative H1 (invariant factors {sf.diag})")
-        rows_mask = [sum((mat[i][j] & 1) << j for j in range(nfaces)) for i in range(k)]
-        if f2_rank(rows_mask) != sf.rank:
+        masks = [sum(1 << j for j, c in row.items() if c & 1) for row in rows]
+        if f2_rank(masks) != sf.rank:
             raise InternalConsistencyError("mod-2 rank of boundary map dropped")
         self.snf = sf
-        self.rank = k - sf.rank
-
-    def _path_to_root(self, x: int) -> Chain:
-        chain: Chain = {}
-        while self._up[x] is not None:
-            e, p, sgn = self._up[x]
-            chain[e] = chain.get(e, 0) + sgn
-            x = p
-        return {e: c for e, c in chain.items() if c}
-
-    def _fundamental_cycle(self, e: int, mv: Callable[[int], int]) -> Chain:
-        z = {e: 1}
-        z = chain_add(z, self._path_to_root(mv(self.surface.head[e])))
-        z = chain_add(z, self._path_to_root(mv(self.surface.tail(e))), -1)
-        return z
+        self.rank = len(self.cotree) - sf.rank
 
     def coordinates(self, chain: Chain, ring: str = RING_Z) -> list[int]:
         """Coordinates in the fundamental-cycle basis (= cotree restriction)."""
@@ -123,10 +131,9 @@ class RelativeH1:
         residual = dict(chain)
         for wi, z in zip(w, self.cycles):
             if wi:
-                residual = chain_add(residual, z, -wi)
-        if ring == RING_F2:
-            residual = _mod2(residual)
-        if residual:
+                for e, c in z.items():
+                    residual[e] = residual.get(e, 0) - wi * c
+        if any(c % 2 if ring == RING_F2 else c for c in residual.values()):
             raise InternalConsistencyError("relative cycle escaped the tree-cotree span")
         return w
 
@@ -134,20 +141,16 @@ class RelativeH1:
         """Class of a relative cycle in the generic quotient basis."""
         w = self.coordinates(chain, ring)
         # rows of U past the rank give the class; the rows before it are boundaries
-        nz = [(j, x) for j, x in enumerate(w) if x]
-        out = [sum(row[j] * x for j, x in nz) for row in self.snf.u[self.snf.rank:]]
+        out = [sum(x * w[j] for j, x in row.items()) for row in self.snf.u[self.snf.rank:]]
         if ring == RING_F2:
             out = [x % 2 for x in out]
         return out
 
     def representative(self, i: int) -> Chain:
         """Cycle representing the i-th generic basis class."""
-        col = self.snf.rank + i
         out: Chain = {}
-        for j in range(len(self.cotree)):
-            c = self.snf.u_inv[j][col]
-            if c:
-                out = chain_add(out, self.cycles[j], c)
+        for j, c in sorted(self.snf.u_inv[self.snf.rank + i].items()):
+            out = chain_add(out, self.cycles[j], c)
         return out
 
 

@@ -93,22 +93,27 @@ def disk_arc_chain(s: Surface, n: int, i: int) -> Chain:
     return chain_from_path(s, path)
 
 
+def disk_pairing(n: int) -> Matrix:
+    """The pairing of the disk with 2n sutures: beta_{2a+2} meets beta_{2a+1}
+    at +1 and beta_{2a+3} at -1, so it is upper bidiagonal, 1 on the diagonal."""
+    k = n - 1
+    return tuple(
+        tuple(1 if b == a else (-1 if b == a + 1 else 0) for b in range(k))
+        for a in range(k)
+    )
+
+
 def disk_model(n: int) -> SurfaceModel:
     if n < 2:
         raise ValueError("disk_model needs n >= 2 (no basis classes below that)")
     s = standard_disk(n)
     plus = tuple(disk_arc_chain(s, n, i) for i in range(1, 2 * n - 2, 2))
     minus = tuple(disk_arc_chain(s, n, i) for i in range(2, 2 * n - 1, 2))
-    k = n - 1
-    pairing = tuple(
-        tuple(1 if b == a else (-1 if b == a + 1 else 0) for b in range(k))
-        for a in range(k)
-    )
     return SurfaceModel(
         surface=s,
         beta_plus=plus,
         beta_minus=minus,
-        pairing=pairing,
+        pairing=disk_pairing(n),
         labels_plus=tuple(f"b{i}" for i in range(1, 2 * n - 2, 2)),
     )
 

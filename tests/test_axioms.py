@@ -480,6 +480,14 @@ def test_suite_output_is_locked():
         "037e9383bb3ad8e0fdf279690e3df286ae7ee4f8534aea453bd8461209afc3aa")
 
 
+@pytest.mark.parametrize("kwargs", [{"gluing_samples": -1},
+                                    {"max_n": 0, "gluing_samples": 0},
+                                    {"max_n": -5, "gluing_samples": 0}])
+def test_suite_refuses_out_of_range_sizes(kwargs):
+    with pytest.raises(ValidationError, match="max_n|gluing_samples"):
+        run_axiom_suite(seed=1, **kwargs)
+
+
 def test_suite_is_deterministic():
     a = run_axiom_suite(seed=7, max_n=3, gluing_samples=5)
     b = run_axiom_suite(seed=7, max_n=3, gluing_samples=5)

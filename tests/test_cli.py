@@ -289,6 +289,17 @@ def test_axioms_with_one_suture_disks_only_exits_two(capsys):
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--gluing-samples", "-1"],
+    ["--max-n", "-5", "--gluing-samples", "0"],
+    ["--max-n", "0", "--gluing-samples", "0"],
+])
+def test_axioms_out_of_range_sizes_exit_two(argv, capsys):
+    code, text = capture(["axioms", "--seed", "1", *argv])
+    assert (code, text) == (2, "")
+    _assert_one_line_error(capsys)
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     code, _ = capture(["contact", "--input", str(tmp_path / "absent.json")])
     assert code == 2

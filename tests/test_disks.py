@@ -456,6 +456,34 @@ def test_matchable_matches_expanded_criterion(n):
                 assert abs(det_q([[m >> r & 1 for m in cols] for r in range(n - 1)])) <= 1
 
 
+def integer_determinant_matchable(masks1, masks2, rank):
+    """The product criterion over Z as written: |det[m1 | m2]| = 1, by
+    Bareiss elimination; the oracle for deciding it by F2 rank."""
+    cols = masks1 + masks2
+    if len(cols) != rank:
+        return False
+    return abs(det_q([[m >> r & 1 for m in cols] for r in range(rank)])) == 1
+
+
+def test_matchable_matches_integer_determinant():
+    pairs = [(a, b) for n in range(1, 7)
+             for a in enumerate_chord_diagrams(n) for b in enumerate_chord_diagrams(n)]
+    rng = random.Random(2212)
+    for i in range(400):
+        n = rng.randint(7, 40)
+        a = _random_diagram(rng, n)
+        pairs.append((a, rotate_diagram(a, rng.randrange(1, 2 * n)) if i % 2
+                      else _random_diagram(rng, n)))
+    masks = {cd: disks._factor_masks(cd) for pair in pairs for cd in pair}
+    matched = 0
+    for a, b in pairs:
+        want = integer_determinant_matchable(masks[a], masks[b], a.n - 1)
+        assert matchable_via_wedge(a, b, RING_Z) == want, (a.render(), b.render())
+        assert matchable_via_wedge(a, b, RING_F2) == want, (a.render(), b.render())
+        matched += want
+    assert 0 < matched < len(pairs)
+
+
 def test_matchable_matches_expanded_criterion_on_larger_disks():
     rng = random.Random(2211)
     for i in range(400):

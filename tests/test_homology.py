@@ -1,11 +1,12 @@
 """Relative H_1: tree-cotree computation against a naive rank oracle."""
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sutured_tqft.axioms import random_sutured_surface
+from sutured_tqft.axioms import _grid_disk, random_sutured_surface
 from sutured_tqft.errors import ValidationError
 from sutured_tqft.exterior import RING_F2, RING_Z
 from sutured_tqft.homology import HomologyBasis, RelativeH1, induced_matrix
@@ -190,6 +191,7 @@ def test_reduce_matches_the_full_product_with_u():
     seen_rank = 0
     for s, h in _surfaces_with_relative_sets():
         seen_rank = max(seen_rank, h.rank)
+        u = [[row.get(j, 0) for j in range(len(h.cotree))] for row in h.snf.u]
         for _ in range(4):
             chain = {}
             for z in h.cycles:
@@ -197,8 +199,34 @@ def test_reduce_matches_the_full_product_with_u():
             for f in range(len(s.faces)):
                 chain = chain_add(chain, face_boundary_chain(s, f), rng.randint(-2, 2))
             for ring in (RING_Z, RING_F2):
-                full = mat_vec(h.snf.u, h.coordinates(chain, ring))[h.snf.rank:]
+                full = mat_vec(u, h.coordinates(chain, ring))[h.snf.rank:]
                 if ring == RING_F2:
                     full = [x % 2 for x in full]
                 assert h.reduce(chain, ring) == full
     assert seen_rank >= 4
+
+
+def marked_grid_disk(w):
+    """The w-by-w grid disk with every perimeter vertex marked, in the
+    cycle F+, alpha+, F-, alpha- along the boundary."""
+    kinds = ("F_plus", "alpha_plus", "F_minus", "alpha_minus")
+    perimeter = ([(i, 0) for i in range(w)] + [(w, j) for j in range(w)]
+                 + [(i, w) for i in range(w, 0, -1)] + [(0, j) for j in range(w, 0, -1)])
+    return _grid_disk(w, w, {p: kinds[k % 4] for k, p in enumerate(perimeter)})
+
+
+@pytest.mark.parametrize("w", [2, 3, 5])
+def test_small_grid_disks_match_oracle(w):
+    s = marked_grid_disk(w)
+    for rel in (s.marks["alpha_plus"], s.marks["alpha_minus"]):
+        assert RelativeH1(s, rel).rank == naive_relative_rank(s, rel) == w - 1
+
+
+def test_forty_by_forty_grid_disk_builds_in_time():
+    # 1,600 faces; the boundary matrix in cycle coordinates is 1,639 x 1,600
+    s = marked_grid_disk(40)
+    start = time.perf_counter()
+    h = RelativeH1(s, s.marks["alpha_plus"])
+    assert time.perf_counter() - start < 2.0
+    assert h.rank == 39
+    assert len(h.cotree) == 1639
