@@ -209,7 +209,9 @@ def matchable_via_wedge(cd1: ChordDiagram, cd2: ChordDiagram,
     row of [m1 | m2] holds at most one 1 from each diagram: it is the
     incidence matrix of a bipartite graph, hence totally unimodular, and
     det is 0 or +-1.  So |det| = 1 exactly when det is odd, that is when
-    the masks have full F2 rank, and one F2 rank decides both rings.
+    the masks have full F2 rank, and one F2 rank decides both rings:
+    ``ring`` does not change the answer and is kept for callers that name
+    the ring they ask about.
     """
     if cd1.n != cd2.n:
         raise ValidationError("diagrams must have the same number of chords")

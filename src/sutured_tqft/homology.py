@@ -7,11 +7,10 @@ edge e (e closed up through the lowest common ancestor of its ends);
 these form an integral basis of the lattice of relative 1-cycles, and
 the coordinates of any relative cycle in that basis are just its
 restriction to the cotree edges.  The face boundaries in those
-coordinates are read straight off the face walks as sparse rows, and
-their sparse Smith normal form presents the quotient: a class is
-reduced by the rows of U past the rank only, a representative is read
-off one column of U^-1, and a prescribed integral basis is inverted
-with one more Smith form.
+coordinates are read straight off the face walks, and their Smith
+normal form presents the quotient: a class is reduced by the rows of U
+past the rank only, a representative is read off one column of U^-1,
+and a prescribed integral basis is inverted with one more Smith form.
 Surface pairs never produce torsion; we assert that all invariant
 factors are 1, which also makes the mod-2 reduction of the same
 integral basis a basis of the F2 homology.
@@ -95,23 +94,19 @@ class RelativeH1:
 
         # face boundaries in cycle coordinates: their cotree restrictions
         index = {e: i for i, e in enumerate(self.cotree)}
-        rows: list[dict[int, int]] = [{} for _ in self.cotree]
+        mat = [[0] * len(surface.faces) for _ in self.cotree]
+        masks = [0] * len(self.cotree)  # the same rows mod 2
         for j, walk in enumerate(surface.faces):
             for h in walk:
                 t = twin[h]
                 i = index.get(h if h < t else t)
                 if i is not None:
-                    row = rows[i]
-                    c = row.get(j, 0) + (1 if h < t else -1)
-                    if c:
-                        row[j] = c
-                    else:
-                        del row[j]
-        sf = smith_normal_form(rows)
+                    mat[i][j] += 1 if h < t else -1
+                    masks[i] ^= 1 << j
+        sf = smith_normal_form(mat)
         if any(d != 1 for d in sf.diag):
             raise InternalConsistencyError(
                 f"torsion in relative H1 (invariant factors {sf.diag})")
-        masks = [sum(1 << j for j, c in row.items() if c & 1) for row in rows]
         if f2_rank(masks) != sf.rank:
             raise InternalConsistencyError("mod-2 rank of boundary map dropped")
         self.snf = sf
@@ -141,16 +136,20 @@ class RelativeH1:
         """Class of a relative cycle in the generic quotient basis."""
         w = self.coordinates(chain, ring)
         # rows of U past the rank give the class; the rows before it are boundaries
-        out = [sum(x * w[j] for j, x in row.items()) for row in self.snf.u[self.snf.rank:]]
+        nz = [(j, x) for j, x in enumerate(w) if x]
+        out = [sum(row[j] * x for j, x in nz) for row in self.snf.u[self.snf.rank:]]
         if ring == RING_F2:
             out = [x % 2 for x in out]
         return out
 
     def representative(self, i: int) -> Chain:
         """Cycle representing the i-th generic basis class."""
+        col = self.snf.rank + i
         out: Chain = {}
-        for j, c in sorted(self.snf.u_inv[self.snf.rank + i].items()):
-            out = chain_add(out, self.cycles[j], c)
+        for j in range(len(self.cotree)):
+            c = self.snf.u_inv[j][col]
+            if c:
+                out = chain_add(out, self.cycles[j], c)
         return out
 
 

@@ -1,12 +1,9 @@
 """Exact linear algebra over Z, Q and F2.
 
 Matrices over Z/Q are lists of rows of Python ints (or Fractions); F2
-matrices are lists of row bitmasks.  The Smith normal form also takes
-sparse rows ({column: value} dicts) and works sparse inside: D and U are
-held as one dict per row, U^-1 and V as one dict per column.  Everything
-here is deterministic: pivots are chosen lowest-index-first (breaking
-ties in favour of small absolute value where that speeds up Smith
-reduction).
+matrices are lists of row bitmasks.  Everything here is deterministic:
+pivots are chosen lowest-index-first (breaking ties in favour of small
+absolute value where that speeds up Smith reduction).
 """
 from __future__ import annotations
 
@@ -37,7 +34,10 @@ Matrix = list[list[int]]
 
 
 def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = 1
+    return out
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
@@ -111,186 +111,136 @@ def det_q(a: Sequence[Sequence[int]]) -> int:
 
 
 class SmithForm:
-    """Decomposition U*A*V = D with U, V unimodular and D diagonal, held sparse.
+    """Decomposition U*A*V = D with U, V unimodular and D diagonal.
 
-    ``d`` and ``u`` are one {column: value} dict per row, ``u_inv`` and
-    ``v`` one {row: value} dict per column; absent entries are zero.
-    ``diag`` holds the nonzero invariant factors d_1 | d_2 | ... ; ``rank``
-    is their number.
+    ``diag`` holds the nonzero invariant factors d_1 | d_2 | ... ; ``rank`` is
+    their number.  ``u``, ``u_inv`` and ``v`` are the three transforms, all
+    integral; ``d`` starts as a copy of A and is reduced in place.
     """
 
-    def __init__(self, nrows: int, ncols: int, d: list[dict[int, int]],
-                 u: list[dict[int, int]], u_inv: list[dict[int, int]],
-                 v: list[dict[int, int]]):
-        self.nrows, self.ncols = nrows, ncols
-        self.d, self.u, self.u_inv, self.v = d, u, u_inv, v
-        self.diag = [x for i in range(min(nrows, ncols)) if (x := d[i].get(i))]
+    def __init__(self, a: Sequence[Sequence[int]]):
+        self.nrows = len(a)
+        self.ncols = len(a[0]) if self.nrows else 0
+        self.d = [list(row) for row in a]
+        self.u = identity(self.nrows)
+        self.u_inv = identity(self.nrows)
+        self.v = identity(self.ncols)
+        self.diag: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self.diag)
 
+    # -- elementary operations keeping U*A*V = D in sync ------------------
+    def _row_swap(self, i: int, j: int) -> None:
+        self.d[i], self.d[j] = self.d[j], self.d[i]
+        self.u[i], self.u[j] = self.u[j], self.u[i]
+        for row in self.u_inv:
+            row[i], row[j] = row[j], row[i]
 
-def _axpy(dst: dict[int, int], src: dict[int, int], c: int) -> None:
-    """dst += c * src for sparse vectors, dropping the zeros it makes."""
-    for k, x in src.items():
-        y = dst.get(k, 0) + c * x
-        if y:
-            dst[k] = y
-        else:
-            del dst[k]
-
-
-def smith_normal_form(a: Sequence[Sequence[int]] | Sequence[dict[int, int]]) -> SmithForm:
-    """Smith normal form with the transforms U, U^-1 and V.
-
-    ``a`` is a list of dense rows or of sparse {column: value} rows; a
-    sparse matrix is as wide as its largest column index plus one.  The
-    work runs on sparse rows and columns: a row operation touches the
-    nonzeros of its two rows, a column operation the rows of its two
-    columns (found through a column -> rows index of D).
-    """
-    nrows = len(a)
-    if nrows and not isinstance(a[0], dict):
-        ncols = len(a[0])
-        d = [{j: x for j, x in enumerate(row) if x} for row in a]
-    else:
-        d = [dict(row) for row in a]
-        ncols = 1 + max((max(row, default=-1) for row in d), default=-1)
-    u = [{i: 1} for i in range(nrows)]
-    u_inv = [{i: 1} for i in range(nrows)]
-    v = [{j: 1} for j in range(ncols)]
-    rows_of: list[set[int]] = [set() for _ in range(ncols)]
-    for i, row in enumerate(d):
-        for j in row:
-            rows_of[j].add(i)
-
-    # elementary operations, each keeping U*A*V = D and the column index
-    def row_swap(i: int, j: int) -> None:
-        # a column that meets exactly one of the two rows trades it for the other
-        for k in d[i].keys() ^ d[j].keys():
-            rows_of[k] ^= {i, j}
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
-
-    def row_add(i: int, j: int, c: int) -> None:
+    def _row_add(self, i: int, j: int, c: int) -> None:
         """row i += c * row j."""
-        if not c:
-            return
-        di = d[i]
-        for k, x in d[j].items():
-            y = di.get(k, 0) + c * x
-            if y:
-                if k not in di:
-                    rows_of[k].add(i)
-                di[k] = y
-            else:
-                del di[k]
-                rows_of[k].discard(i)
-        _axpy(u[i], u[j], c)
-        _axpy(u_inv[j], u_inv[i], -c)
+        self.d[i] = [x + c * y for x, y in zip(self.d[i], self.d[j])]
+        self.u[i] = [x + c * y for x, y in zip(self.u[i], self.u[j])]
+        for row in self.u_inv:
+            row[j] -= c * row[i]
 
-    def row_neg(i: int) -> None:
-        for m in (d[i], u[i], u_inv[i]):
-            for k in m:
-                m[k] = -m[k]
+    def _row_neg(self, i: int) -> None:
+        self.d[i] = [-x for x in self.d[i]]
+        self.u[i] = [-x for x in self.u[i]]
+        for row in self.u_inv:
+            row[i] = -row[i]
 
-    def col_swap(i: int, j: int) -> None:
-        for r in rows_of[i] | rows_of[j]:
-            row = d[r]
-            x, y = row.pop(i, 0), row.pop(j, 0)
-            if x:
-                row[j] = x
-            if y:
-                row[i] = y
-        rows_of[i], rows_of[j] = rows_of[j], rows_of[i]
-        v[i], v[j] = v[j], v[i]
+    def _col_swap(self, i: int, j: int) -> None:
+        for row in self.d:
+            row[i], row[j] = row[j], row[i]
+        for row in self.v:
+            row[i], row[j] = row[j], row[i]
 
-    def col_add(i: int, j: int, c: int) -> None:
+    def _col_add(self, i: int, j: int, c: int) -> None:
         """col i += c * col j."""
-        if not c:
-            return
-        rows_i = rows_of[i]
-        for r in rows_of[j]:
-            row = d[r]
-            y = row.get(i, 0) + c * row[j]
-            if y:
-                row[i] = y
-                rows_i.add(r)
-            else:
-                del row[i]
-                rows_i.discard(r)
-        _axpy(v[i], v[j], c)
+        for row in self.d:
+            row[i] += c * row[j]
+        for row in self.v:
+            row[i] += c * row[j]
 
+
+def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
+    """Smith normal form with the transforms U, U^-1 and V."""
+    sf = SmithForm(a)
+    nrows, ncols, d = sf.nrows, sf.ncols, sf.d
     t = 0
-    while t < min(nrows, ncols):
+    while True:
         # deterministic pivot: smallest |value|, lowest (row, col) tiebreak;
-        # nothing beats a unit, so the scan stops at the first one.  Rows
-        # from t on are zero left of column t.
+        # nothing beats a unit, so the scan stops at the first one
+        pivot = None
         best = None
         for i in range(t, nrows):
-            if d[i]:
-                ax, j = min((abs(x), j) for j, x in d[i].items())
-                if best is None or ax < best[0]:
-                    best = (ax, i, j)
-                    if ax == 1:
+            for j, x in enumerate(d[i][t:], t):
+                if x and (best is None or abs(x) < best):
+                    best, pivot = abs(x), (i, j)
+                    if best == 1:
                         break
-        if best is None:
+            if best == 1:
+                break
+        if pivot is None:
             break
-        _, pi, pj = best
+        pi, pj = pivot
         if pi != t:
-            row_swap(t, pi)
+            sf._row_swap(t, pi)
         if pj != t:
-            col_swap(t, pj)
+            sf._col_swap(t, pj)
         while True:
-            # clear column t; clearing one row changes only that row and
-            # row t, so the rows below it can be read off up front
+            # clear column t
             done = True
-            for i in sorted(r for r in rows_of[t] if r > t):
-                q = d[i][t] // d[t][t]
-                row_add(i, t, -q)
-                if t in d[i]:
-                    row_swap(t, i)
-                    done = False
+            for i in range(t + 1, nrows):
+                if d[i][t]:
+                    q = d[i][t] // d[t][t]
+                    sf._row_add(i, t, -q)
+                    if d[i][t]:
+                        sf._row_swap(t, i)
+                        done = False
             if not done:
                 continue
-            # clear row t, by the same argument on columns
-            for j in sorted(k for k in d[t] if k > t):
-                q = d[t][j] // d[t][t]
-                col_add(j, t, -q)
-                if j in d[t]:
-                    col_swap(t, j)
-                    done = False
+            # clear row t
+            for j in range(t + 1, ncols):
+                if d[t][j]:
+                    q = d[t][j] // d[t][t]
+                    sf._col_add(j, t, -q)
+                    if d[t][j]:
+                        sf._col_swap(t, j)
+                        done = False
             if done:
                 break
         if d[t][t] < 0:
-            row_neg(t)
+            sf._row_neg(t)
         # enforce divisibility d_t | everything below-right; a unit divides all
         p = d[t][t]
         offender = None if p == 1 else next(
             (i for i in range(t + 1, nrows)
-             if any(x % p for x in d[i].values())), None)
+             if any(x % p for x in d[i][t + 1:])), None)
         if offender is not None:
-            row_add(t, offender, 1)
+            sf._row_add(t, offender, 1)
             continue
         t += 1
-    return SmithForm(nrows, ncols, d, u, u_inv, v)
+        if t >= min(nrows, ncols):
+            break
+    sf.diag = [d[i][i] for i in range(min(nrows, ncols)) if d[i][i]]
+    return sf
 
 
 def solve_z(a: Sequence[Sequence[int]], b: Sequence[int]) -> list[int] | None:
     """An integer solution x of a*x = b, or None when none exists."""
     sf = smith_normal_form(a)
-    ub = [sum(x * b[j] for j, x in row.items()) for row in sf.u]
-    if any(ub[sf.rank:]):
-        return None
-    sol = [0] * sf.ncols
+    ub = mat_vec(sf.u, b)
+    y = [0] * sf.ncols
     for i, di in enumerate(sf.diag):
         if ub[i] % di:
             return None
-        for r, x in sf.v[i].items():
-            sol[r] += x * (ub[i] // di)
-    return sol
+        y[i] = ub[i] // di
+    if any(ub[i] for i in range(sf.rank, sf.nrows)):
+        return None
+    return mat_vec(sf.v, y)
 
 
 def invert_unimodular(c: Sequence[Sequence[int]]) -> Matrix:
@@ -314,13 +264,7 @@ def left_inverse_z(j: Sequence[Sequence[int]]) -> Matrix | None:
     if sf.rank != sf.ncols or any(di != 1 for di in sf.diag):
         return None
     # U*J*V = [I; 0], so V times the first ncols rows of U is a left inverse.
-    q = [[0] * sf.nrows for _ in range(sf.ncols)]
-    for t in range(sf.ncols):
-        for r, x in sf.v[t].items():
-            row = q[r]
-            for c, y in sf.u[t].items():
-                row[c] += x * y
-    return q
+    return mat_mul(sf.v, sf.u[:sf.ncols])
 
 
 # -- F2: rows as bitmasks -------------------------------------------------

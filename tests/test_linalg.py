@@ -8,6 +8,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from sutured_tqft.errors import InternalConsistencyError
 from sutured_tqft.linalg import (
+    SmithForm,
     det_q,
     f2_invert,
     f2_left_inverse,
@@ -37,31 +38,17 @@ def test_smith_small_known():
     assert sf.diag == []
 
 
-def dense_smith(sf):
-    """D, U, U^-1 and V of a sparse `SmithForm` as lists of rows."""
-    def by_rows(rows, width):
-        return [[row.get(j, 0) for j in range(width)] for row in rows]
-
-    def by_cols(cols, height):
-        return [[col.get(i, 0) for col in cols] for i in range(height)]
-
-    return {"d": by_rows(sf.d, sf.ncols), "u": by_rows(sf.u, sf.nrows),
-            "u_inv": by_cols(sf.u_inv, sf.nrows), "v": by_cols(sf.v, sf.ncols),
-            "diag": sf.diag}
-
-
 def test_smith_transforms_and_oracle():
     rng = random.Random(7)
     for _ in range(40):
         n, m = rng.randint(0, 5), rng.randint(0, 5)
         a = random_matrix(rng, n, m)
         sf = smith_normal_form(a)
-        got = dense_smith(sf)
         # U*A*V == D
         if n and m:
-            uav = mat_mul(mat_mul(got["u"], a), got["v"])
-            assert uav == got["d"]
-        assert mat_mul(got["u"], got["u_inv"]) == identity(sf.nrows)
+            uav = mat_mul(mat_mul(sf.u, a), sf.v)
+            assert uav == sf.d
+        assert mat_mul(sf.u, sf.u_inv) == identity(sf.nrows)
         for i in range(len(sf.diag) - 1):
             assert sf.diag[i + 1] % sf.diag[i] == 0
         if n and m:
@@ -69,52 +56,10 @@ def test_smith_transforms_and_oracle():
             assert sf.diag == oracle
 
 
-class DenseSmith:
-    """Dense U*A*V = D, with the elementary operations kept in sync."""
-
-    def __init__(self, a):
-        self.nrows = len(a)
-        self.ncols = len(a[0]) if self.nrows else 0
-        self.d = [list(row) for row in a]
-        self.u = identity(self.nrows)
-        self.u_inv = identity(self.nrows)
-        self.v = identity(self.ncols)
-        self.diag = []
-
-    def row_swap(self, i, j):
-        self.d[i], self.d[j] = self.d[j], self.d[i]
-        self.u[i], self.u[j] = self.u[j], self.u[i]
-        for row in self.u_inv:
-            row[i], row[j] = row[j], row[i]
-
-    def row_add(self, i, j, c):
-        """row i += c * row j."""
-        self.d[i] = [x + c * y for x, y in zip(self.d[i], self.d[j])]
-        self.u[i] = [x + c * y for x, y in zip(self.u[i], self.u[j])]
-        for row in self.u_inv:
-            row[j] -= c * row[i]
-
-    def row_neg(self, i):
-        self.d[i] = [-x for x in self.d[i]]
-        self.u[i] = [-x for x in self.u[i]]
-        for row in self.u_inv:
-            row[i] = -row[i]
-
-    def col_swap(self, i, j):
-        for row in self.d + self.v:
-            row[i], row[j] = row[j], row[i]
-
-    def col_add(self, i, j, c):
-        """col i += c * col j."""
-        for row in self.d + self.v:
-            row[i] += c * row[j]
-
-
 def reference_smith_normal_form(a):
-    """The dense Smith loop with full pivot and divisibility scans at every
-    step: the oracle for the sparse `smith_normal_form` and its unit-pivot
-    shortcuts."""
-    sf = DenseSmith(a)
+    """The Smith loop with full pivot and divisibility scans at every step:
+    the oracle for the unit-pivot shortcuts of `smith_normal_form`."""
+    sf = SmithForm(a)
     nrows, ncols, d = sf.nrows, sf.ncols, sf.d
     t = 0
     while True:
@@ -130,31 +75,31 @@ def reference_smith_normal_form(a):
             break
         pi, pj = pivot
         if pi != t:
-            sf.row_swap(t, pi)
+            sf._row_swap(t, pi)
         if pj != t:
-            sf.col_swap(t, pj)
+            sf._col_swap(t, pj)
         while True:
             done = True
             for i in range(t + 1, nrows):
                 if d[i][t]:
                     q = d[i][t] // d[t][t]
-                    sf.row_add(i, t, -q)
+                    sf._row_add(i, t, -q)
                     if d[i][t]:
-                        sf.row_swap(t, i)
+                        sf._row_swap(t, i)
                         done = False
             if not done:
                 continue
             for j in range(t + 1, ncols):
                 if d[t][j]:
                     q = d[t][j] // d[t][t]
-                    sf.col_add(j, t, -q)
+                    sf._col_add(j, t, -q)
                     if d[t][j]:
-                        sf.col_swap(t, j)
+                        sf._col_swap(t, j)
                         done = False
             if done:
                 break
         if d[t][t] < 0:
-            sf.row_neg(t)
+            sf._row_neg(t)
         offender = None
         for i in range(t + 1, nrows):
             for j in range(t + 1, ncols):
@@ -164,7 +109,7 @@ def reference_smith_normal_form(a):
             if offender is not None:
                 break
         if offender is not None:
-            sf.row_add(t, offender, 1)
+            sf._row_add(t, offender, 1)
             continue
         t += 1
         if t >= min(nrows, ncols):
@@ -174,15 +119,9 @@ def reference_smith_normal_form(a):
 
 
 def assert_same_smith(a):
-    """The sparse Smith form of `a` (dense rows, or {column: value} rows as
-    wide as their largest column) equals the dense reference, transforms
-    included."""
-    if a and isinstance(a[0], dict):
-        width = 1 + max((max(row, default=-1) for row in a), default=-1)
-        a = [[row.get(j, 0) for j in range(width)] for row in a]
-    got, want = dense_smith(smith_normal_form(a)), reference_smith_normal_form(a)
+    got, want = smith_normal_form(a), reference_smith_normal_form(a)
     for field in ("d", "u", "u_inv", "v", "diag"):
-        assert got[field] == getattr(want, field), field
+        assert getattr(got, field) == getattr(want, field), field
 
 
 def test_smith_matches_full_scan_reference():
@@ -198,44 +137,6 @@ def test_smith_matches_full_scan_reference():
         assert_same_smith([[2 * x for x in row] for row in a])  # no unit at all
     assert_same_smith([[2, 1], [1, 1]])
     assert_same_smith([[3, 0, -1], [0, 2, 0]])
-
-
-def test_sparse_smith_matches_dense_reference_on_random_matrices():
-    rng = random.Random(1209)
-    non_unit = 0
-    for trial in range(3200):
-        n, m = rng.randint(0, 7), rng.randint(0, 7)
-        lo, hi = ((-1, 1), (-3, 3), (-6, 6), (-2, 2))[trial % 4]
-        a = [[rng.randint(lo, hi) if rng.random() < 0.6 else 0 for _ in range(m)]
-             for _ in range(n)]
-        if trial % 5 == 0:
-            a = [[2 * x for x in row] for row in a]  # all even: no unit pivot
-        assert_same_smith(a)
-        if trial % 3 == 0:
-            # the same matrix as sparse rows
-            assert_same_smith([{j: x for j, x in enumerate(row) if x} for row in a])
-        non_unit += any(d != 1 for d in smith_normal_form(a).diag)
-    assert non_unit > 1000
-
-
-def test_sparse_smith_matches_dense_reference_on_the_axiom_suite(monkeypatch):
-    from sutured_tqft import homology, linalg
-    from sutured_tqft.axioms import run_axiom_suite
-
-    seen = []
-
-    def capturing(a):
-        seen.append([dict(row) if isinstance(row, dict) else list(row) for row in a])
-        return smith_normal_form(a)
-
-    monkeypatch.setattr(linalg, "smith_normal_form", capturing)
-    monkeypatch.setattr(homology, "smith_normal_form", capturing)
-    run_axiom_suite()
-    assert len(seen) > 1000
-    assert any(a and isinstance(a[0], dict) for a in seen)
-    assert any(a and isinstance(a[0], list) for a in seen)
-    for a in seen:
-        assert_same_smith(a)
 
 
 def test_solve_z_roundtrip():
@@ -532,8 +433,7 @@ def smith_transpose_left_inverse_z(j):
     dt = [[0] * sf.nrows for _ in range(sf.ncols)]
     for i in range(sf.rank):
         dt[i][i] = 1
-    dense = dense_smith(sf)
-    return mat_mul(mat_mul(dense["v"], dt), dense["u"])
+    return mat_mul(mat_mul(sf.v, dt), sf.u)
 
 
 def test_left_inverse_z_matches_smith_transpose_oracle():
