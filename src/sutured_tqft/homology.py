@@ -7,10 +7,12 @@ edge e (e closed up through the lowest common ancestor of its ends);
 these form an integral basis of the lattice of relative 1-cycles, and
 the coordinates of any relative cycle in that basis are just its
 restriction to the cotree edges.  The face boundaries in those
-coordinates are read straight off the face walks, and their Smith
-normal form presents the quotient: a class is reduced by the rows of U
-past the rank only, a representative is read off one column of U^-1,
-and a prescribed integral basis is inverted with one more Smith form.
+coordinates are read straight off the face walks as sparse rows, and
+their sparse Smith normal form presents the quotient: a class is reduced
+by the rows of U past the rank only, filed by coordinate so that only
+its nonzero coordinates cost anything, a representative is read off one
+column of U^-1, and a prescribed integral basis is inverted with one
+more Smith form.
 Surface pairs never produce torsion; we assert that all invariant
 factors are 1, which also makes the mod-2 reduction of the same
 integral basis a basis of the F2 homology.
@@ -92,25 +94,36 @@ class RelativeH1:
             z.update(down_y)
             self.cycles.append(z)
 
-        # face boundaries in cycle coordinates: their cotree restrictions
-        index = {e: i for i, e in enumerate(self.cotree)}
-        mat = [[0] * len(surface.faces) for _ in self.cotree]
+        # face boundaries in cycle coordinates, their cotree restrictions,
+        # as one sparse row per cotree edge
+        side: dict[int, tuple[int, int]] = {}  # halfedge -> (row, sign)
+        for i, e in enumerate(self.cotree):
+            side[e], side[twin[e]] = (i, 1), (i, -1)
+        rows: list[Chain] = [{} for _ in self.cotree]
         masks = [0] * len(self.cotree)  # the same rows mod 2
         for j, walk in enumerate(surface.faces):
             for h in walk:
-                t = twin[h]
-                i = index.get(h if h < t else t)
-                if i is not None:
-                    mat[i][j] += 1 if h < t else -1
+                if h in side:
+                    i, sgn = side[h]
+                    row = rows[i]
+                    c = row.pop(j, 0) + sgn
+                    if c:  # both sides of an edge in one walk cancel
+                        row[j] = c
                     masks[i] ^= 1 << j
-        sf = smith_normal_form(mat)
+        sf = smith_normal_form(rows)
         if any(d != 1 for d in sf.diag):
             raise InternalConsistencyError(
                 f"torsion in relative H1 (invariant factors {sf.diag})")
         if f2_rank(masks) != sf.rank:
             raise InternalConsistencyError("mod-2 rank of boundary map dropped")
-        self.snf = sf
         self.rank = len(self.cotree) - sf.rank
+        # the rows of U past the rank, filed by cotree coordinate
+        self._quotient: list[list[tuple[int, int]]] = [[] for _ in self.cotree]
+        for r, row in enumerate(sf.u[sf.rank:]):
+            for j, x in row.items():
+                self._quotient[j].append((r, x))
+        # the columns of U^-1 past the rank: the generic basis classes
+        self._lifts = sf.u_inv[sf.rank:]
 
     def coordinates(self, chain: Chain, ring: str = RING_Z) -> list[int]:
         """Coordinates in the fundamental-cycle basis (= cotree restriction)."""
@@ -119,7 +132,7 @@ class RelativeH1:
         boundary = chain_boundary(self.surface, chain)
         if ring == RING_F2:
             boundary = {v: c % 2 for v, c in boundary.items() if c % 2}
-        bad = [v for v in boundary if v not in self.rel]
+        bad = boundary.keys() - self.rel
         if bad:
             raise ValidationError(f"chain is not a relative cycle (boundary at {sorted(bad)})")
         w = [chain.get(e, 0) for e in self.cotree]
@@ -128,28 +141,28 @@ class RelativeH1:
             if wi:
                 for e, c in z.items():
                     residual[e] = residual.get(e, 0) - wi * c
-        if any(c % 2 if ring == RING_F2 else c for c in residual.values()):
+        if any(c % 2 for c in residual.values()) if ring == RING_F2 else any(residual.values()):
             raise InternalConsistencyError("relative cycle escaped the tree-cotree span")
         return w
 
     def reduce(self, chain: Chain, ring: str = RING_Z) -> list[int]:
         """Class of a relative cycle in the generic quotient basis."""
-        w = self.coordinates(chain, ring)
         # rows of U past the rank give the class; the rows before it are boundaries
-        nz = [(j, x) for j, x in enumerate(w) if x]
-        out = [sum(row[j] * x for j, x in nz) for row in self.snf.u[self.snf.rank:]]
+        out = [0] * self.rank
+        for j, x in enumerate(self.coordinates(chain, ring)):
+            if x:
+                for r, c in self._quotient[j]:
+                    out[r] += c * x
         if ring == RING_F2:
             out = [x % 2 for x in out]
         return out
 
     def representative(self, i: int) -> Chain:
         """Cycle representing the i-th generic basis class."""
-        col = self.snf.rank + i
+        col = self._lifts[i]
         out: Chain = {}
-        for j in range(len(self.cotree)):
-            c = self.snf.u_inv[j][col]
-            if c:
-                out = chain_add(out, self.cycles[j], c)
+        for j in sorted(col):
+            out = chain_add(out, self.cycles[j], col[j])
         return out
 
 

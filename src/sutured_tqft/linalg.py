@@ -1,12 +1,15 @@
 """Exact linear algebra over Z, Q and F2.
 
 Matrices over Z/Q are lists of rows of Python ints (or Fractions); F2
-matrices are lists of row bitmasks.  Everything here is deterministic:
-pivots are chosen lowest-index-first (breaking ties in favour of small
-absolute value where that speeds up Smith reduction).
+matrices are lists of row bitmasks.  The Smith normal form also takes
+sparse {column: value} rows, and works sparse inside whatever it is
+given.  Everything here is deterministic: pivots are chosen
+lowest-index-first, except that the Smith form takes the smallest
+absolute value first (lowest row, then lowest column position, on ties).
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -110,137 +113,168 @@ def det_q(a: Sequence[Sequence[int]]) -> int:
     return sign * prev
 
 
+@dataclass(frozen=True)
 class SmithForm:
-    """Decomposition U*A*V = D with U, V unimodular and D diagonal.
+    """Decomposition U*A*V = D with U, V unimodular and D diagonal, held sparse.
 
-    ``diag`` holds the nonzero invariant factors d_1 | d_2 | ... ; ``rank`` is
-    their number.  ``u``, ``u_inv`` and ``v`` are the three transforms, all
-    integral; ``d`` starts as a copy of A and is reduced in place.
+    ``u`` is one {column: value} dict per row of U; ``u_inv`` and ``v``
+    are one {row: value} dict per column of U^-1 and V; absent entries
+    are zero.  D is zero except for its leading diagonal, ``diag``: the
+    nonzero invariant factors d_1 | d_2 | ... ; ``rank`` is their number.
     """
-
-    def __init__(self, a: Sequence[Sequence[int]]):
-        self.nrows = len(a)
-        self.ncols = len(a[0]) if self.nrows else 0
-        self.d = [list(row) for row in a]
-        self.u = identity(self.nrows)
-        self.u_inv = identity(self.nrows)
-        self.v = identity(self.ncols)
-        self.diag: list[int] = []
+    nrows: int
+    ncols: int
+    diag: list[int]
+    u: list[dict[int, int]]
+    u_inv: list[dict[int, int]]
+    v: list[dict[int, int]]
 
     @property
     def rank(self) -> int:
         return len(self.diag)
 
-    # -- elementary operations keeping U*A*V = D in sync ------------------
-    def _row_swap(self, i: int, j: int) -> None:
-        self.d[i], self.d[j] = self.d[j], self.d[i]
-        self.u[i], self.u[j] = self.u[j], self.u[i]
-        for row in self.u_inv:
-            row[i], row[j] = row[j], row[i]
 
-    def _row_add(self, i: int, j: int, c: int) -> None:
-        """row i += c * row j."""
-        self.d[i] = [x + c * y for x, y in zip(self.d[i], self.d[j])]
-        self.u[i] = [x + c * y for x, y in zip(self.u[i], self.u[j])]
-        for row in self.u_inv:
-            row[j] -= c * row[i]
-
-    def _row_neg(self, i: int) -> None:
-        self.d[i] = [-x for x in self.d[i]]
-        self.u[i] = [-x for x in self.u[i]]
-        for row in self.u_inv:
-            row[i] = -row[i]
-
-    def _col_swap(self, i: int, j: int) -> None:
-        for row in self.d:
-            row[i], row[j] = row[j], row[i]
-        for row in self.v:
-            row[i], row[j] = row[j], row[i]
-
-    def _col_add(self, i: int, j: int, c: int) -> None:
-        """col i += c * col j."""
-        for row in self.d:
-            row[i] += c * row[j]
-        for row in self.v:
-            row[i] += c * row[j]
+def _axpy(dst: dict[int, int], src: dict[int, int], c: int) -> None:
+    """dst += c * src for sparse vectors, dropping the zeros it makes."""
+    for k, x in src.items():
+        y = dst.get(k, 0) + c * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
 
 
-def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
-    """Smith normal form with the transforms U, U^-1 and V."""
-    sf = SmithForm(a)
-    nrows, ncols, d = sf.nrows, sf.ncols, sf.d
+def smith_normal_form(a: Sequence[Sequence[int]] | Sequence[dict[int, int]]) -> SmithForm:
+    """Smith normal form with the transforms U, U^-1 and V.
+
+    ``a`` is a list of dense rows, or of sparse rows ({column: value}
+    dicts holding nonzero values only), in which case it is as wide as its
+    largest column index plus one.  D and U are reduced as sparse rows and
+    U^-1 and V as sparse columns, so an elementary operation costs the
+    nonzeros it touches.  D's columns keep their labels and only their
+    order is permuted, so a column swap is free.  Once column t is
+    cleared, a column operation changes row t of D alone; only a remainder
+    left by a non-unit pivot swaps a full column into place t and makes
+    column operations walk the rows.  Finding the rows to clear in column
+    t costs one membership test per row below t.
+    """
+    nrows = len(a)
+    if nrows and isinstance(a[0], dict):
+        ncols = 1 + max(map(max, filter(None, a)), default=-1)
+        d = [dict(row) for row in a]
+    else:
+        ncols = len(a[0]) if nrows else 0
+        d = [{j: x for j, x in enumerate(row) if x} for row in a]
+    u = [{i: 1} for i in range(nrows)]
+    u_inv = [{i: 1} for i in range(nrows)]
+    v = [{j: 1} for j in range(ncols)]  # by column label, like D's keys
+    lab = list(range(ncols))  # lab[position] = column label
+    pos = list(range(ncols))  # its inverse
+    axpy = _axpy
+    # The elementary operations are written out in place, each keeping
+    # U*A*V = D: a row swap swaps rows of D and U and columns of U^-1;
+    # row i += c * row t adds to row i of D and U and subtracts c times
+    # column i of U^-1 from its column t; a column swap swaps two labels.
+
     t = 0
-    while True:
-        # deterministic pivot: smallest |value|, lowest (row, col) tiebreak;
-        # nothing beats a unit, so the scan stops at the first one
-        pivot = None
-        best = None
+    while t < min(nrows, ncols):
+        # deterministic pivot: smallest |value|, lowest (row, position)
+        # tiebreak; nothing beats a unit, so the scan stops at the first
+        # one.  Rows from t on are zero before position t.
+        best = 0
         for i in range(t, nrows):
-            for j, x in enumerate(d[i][t:], t):
-                if x and (best is None or abs(x) < best):
-                    best, pivot = abs(x), (i, j)
-                    if best == 1:
+            row = d[i]
+            if row:
+                ax = min(map(abs, row.values()))
+                if not best or ax < best:
+                    best, pi = ax, i
+                    if ax == 1:
                         break
-            if best == 1:
-                break
-        if pivot is None:
+        if not best:
             break
-        pi, pj = pivot
         if pi != t:
-            sf._row_swap(t, pi)
+            d[t], d[pi] = d[pi], d[t]
+            u[t], u[pi] = u[pi], u[t]
+            u_inv[t], u_inv[pi] = u_inv[pi], u_inv[t]
+        dt = d[t]
+        pj = pos[next(iter(dt))] if len(dt) == 1 else min(
+            pos[k] for k, x in dt.items() if x == best or x == -best)
         if pj != t:
-            sf._col_swap(t, pj)
+            ct, cj = lab[t], lab[pj]
+            lab[t], lab[pj], pos[cj], pos[ct] = cj, ct, t, pj
         while True:
-            # clear column t
+            # clear column t; clearing one row changes only it and row t,
+            # so the rows below it can be listed up front
             done = True
-            for i in range(t + 1, nrows):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    sf._row_add(i, t, -q)
-                    if d[i][t]:
-                        sf._row_swap(t, i)
-                        done = False
+            ct = lab[t]
+            for i in [r for r in range(t + 1, nrows) if ct in d[r]]:
+                di, dt = d[i], d[t]
+                c = -(di[ct] // dt[ct])
+                if c:
+                    axpy(di, dt, c)
+                    axpy(u[i], u[t], c)
+                    axpy(u_inv[t], u_inv[i], -c)
+                if ct in di:  # a remainder: it becomes the pivot row
+                    d[t], d[i] = di, dt
+                    u[t], u[i] = u[i], u[t]
+                    u_inv[t], u_inv[i] = u_inv[i], u_inv[t]
+                    done = False
             if not done:
                 continue
-            # clear row t
-            for j in range(t + 1, ncols):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    sf._col_add(j, t, -q)
-                    if d[t][j]:
-                        sf._col_swap(t, j)
-                        done = False
+            # clear row t, by the same argument on positions.  Column t is
+            # zero off row t, so a column operation changes row t alone,
+            # until a remainder swaps a full column into place t.
+            clean, dt = True, d[t]
+            for j in sorted(pos[k] for k in dt if k != ct) if len(dt) > 1 else ():
+                ci, ct = lab[j], lab[t]
+                c = -(dt[ci] // dt[ct])
+                if c:
+                    for row in [dt] if clean else d[t:]:
+                        if ct in row:
+                            y = row.get(ci, 0) + c * row[ct]
+                            if y:
+                                row[ci] = y
+                            else:
+                                del row[ci]
+                    axpy(v[ci], v[ct], c)
+                if ci in dt:
+                    lab[t], lab[j], pos[ci], pos[ct] = ci, ct, t, j
+                    clean = done = False
             if done:
                 break
-        if d[t][t] < 0:
-            sf._row_neg(t)
+        p = dt[lab[t]]
+        if p < 0:
+            for m in (dt, u[t], u_inv[t]):
+                for k in m:
+                    m[k] = -m[k]
+            p = -p
         # enforce divisibility d_t | everything below-right; a unit divides all
-        p = d[t][t]
         offender = None if p == 1 else next(
             (i for i in range(t + 1, nrows)
-             if any(x % p for x in d[i][t + 1:])), None)
+             if any(x % p for x in d[i].values())), None)
         if offender is not None:
-            sf._row_add(t, offender, 1)
+            axpy(dt, d[offender], 1)
+            axpy(u[t], u[offender], 1)
+            axpy(u_inv[offender], u_inv[t], -1)
             continue
         t += 1
-        if t >= min(nrows, ncols):
-            break
-    sf.diag = [d[i][i] for i in range(min(nrows, ncols)) if d[i][i]]
-    return sf
+    diag = [d[i][lab[i]] for i in range(t)]
+    return SmithForm(nrows, ncols, diag, u, u_inv, [v[c] for c in lab])
 
 
 def solve_z(a: Sequence[Sequence[int]], b: Sequence[int]) -> list[int] | None:
     """An integer solution x of a*x = b, or None when none exists."""
     sf = smith_normal_form(a)
-    ub = mat_vec(sf.u, b)
-    y = [0] * sf.ncols
-    for i, di in enumerate(sf.diag):
-        if ub[i] % di:
-            return None
-        y[i] = ub[i] // di
-    if any(ub[i] for i in range(sf.rank, sf.nrows)):
+    ub = [sum(x * b[j] for j, x in row.items()) for row in sf.u]
+    if any(ub[sf.rank:]):
         return None
-    return mat_vec(sf.v, y)
+    x = [0] * sf.ncols
+    for t, dt in enumerate(sf.diag):
+        if ub[t] % dt:
+            return None
+        for r, c in sf.v[t].items():
+            x[r] += c * (ub[t] // dt)
+    return x
 
 
 def invert_unimodular(c: Sequence[Sequence[int]]) -> Matrix:
@@ -264,7 +298,13 @@ def left_inverse_z(j: Sequence[Sequence[int]]) -> Matrix | None:
     if sf.rank != sf.ncols or any(di != 1 for di in sf.diag):
         return None
     # U*J*V = [I; 0], so V times the first ncols rows of U is a left inverse.
-    return mat_mul(sf.v, sf.u[:sf.ncols])
+    q = [[0] * sf.nrows for _ in range(sf.ncols)]
+    for t in range(sf.ncols):
+        for r, x in sf.v[t].items():
+            row = q[r]
+            for c, y in sf.u[t].items():
+                row[c] += x * y
+    return q
 
 
 # -- F2: rows as bitmasks -------------------------------------------------

@@ -1,11 +1,13 @@
 """Relative H_1: tree-cotree computation against a naive rank oracle."""
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sutured_tqft.axioms import _grid_disk, random_sutured_surface
+from sutured_tqft import homology
+from sutured_tqft.axioms import _grid_disk, random_sutured_surface, run_axiom_suite
 from sutured_tqft.errors import ValidationError
 from sutured_tqft.exterior import RING_F2, RING_Z
 from sutured_tqft.homology import HomologyBasis, RelativeH1, induced_matrix
@@ -16,7 +18,7 @@ from sutured_tqft.surface import (Surface, chain_add, chain_boundary,
                                   split_face, standard_disk, subdivide_edge,
                                   transport_chain)
 
-from test_linalg import assert_same_smith
+from test_linalg import assert_same_smith, dense_smith_normal_form
 from test_surface import one_vertex_torus
 
 
@@ -190,6 +192,9 @@ def test_reduce_matches_the_full_product_with_u():
     seen_rank = 0
     for s, h in _surfaces_with_relative_sets():
         seen_rank = max(seen_rank, h.rank)
+        chains = [face_boundary_chain(s, j) for j in range(len(s.faces))]
+        oracle = dense_smith_normal_form([[c.get(e, 0) for c in chains] for e in h.cotree])
+        rank = len(oracle.diag)
         for _ in range(4):
             chain = {}
             for z in h.cycles:
@@ -197,11 +202,40 @@ def test_reduce_matches_the_full_product_with_u():
             for f in range(len(s.faces)):
                 chain = chain_add(chain, face_boundary_chain(s, f), rng.randint(-2, 2))
             for ring in (RING_Z, RING_F2):
-                full = mat_vec(h.snf.u, h.coordinates(chain, ring))[h.snf.rank:]
+                full = mat_vec(oracle.u, h.coordinates(chain, ring))[rank:]
                 if ring == RING_F2:
                     full = [x % 2 for x in full]
                 assert h.reduce(chain, ring) == full
+        for i in range(h.rank):
+            want = {}
+            for j in range(len(h.cotree)):
+                if oracle.u_inv[j][rank + i]:
+                    want = chain_add(want, h.cycles[j], oracle.u_inv[j][rank + i])
+            assert list(h.representative(i).items()) == list(want.items())
     assert seen_rank >= 4
+
+
+def boundary_matrices(monkeypatch, build):
+    """The sparse rows every `RelativeH1` build in `build()` hands to the
+    Smith form."""
+    seen = []
+    smith_normal_form = homology.smith_normal_form
+
+    def recording(a):
+        seen.append([dict(row) for row in a])
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(homology, "smith_normal_form", recording)
+    build()
+    monkeypatch.undo()
+    return seen
+
+
+def test_axiom_suite_boundary_matrices_match_dense_loop(monkeypatch):
+    seen = boundary_matrices(monkeypatch, run_axiom_suite)
+    assert len(seen) > 1000
+    for rows in seen:
+        assert_same_smith(rows)
 
 
 def marked_grid_disk(w):
@@ -218,3 +252,25 @@ def test_small_grid_disks_match_oracle(w):
     s = marked_grid_disk(w)
     for rel in (s.marks["alpha_plus"], s.marks["alpha_minus"]):
         assert RelativeH1(s, rel).rank == naive_relative_rank(s, rel) == w - 1
+
+
+def test_grid_disk_boundary_matrices_match_dense_loop(monkeypatch):
+    def build():
+        for w in range(1, 13):
+            s = marked_grid_disk(w)
+            for rel in (s.marks["alpha_plus"], s.marks["alpha_minus"]):
+                RelativeH1(s, rel)
+
+    seen = boundary_matrices(monkeypatch, build)
+    assert len(seen) == 24
+    for rows in seen:
+        assert_same_smith(rows)
+
+
+def test_grid_disk_homology_scales_with_cells():
+    s = marked_grid_disk(40)
+    start = time.perf_counter()
+    h = RelativeH1(s, s.marks["alpha_plus"])
+    elapsed = time.perf_counter() - start
+    assert h.rank == 39
+    assert elapsed < 2.0, f"40x40 grid disk homology took {elapsed:.2f} s"

@@ -8,7 +8,6 @@ from sympy.matrices.normalforms import invariant_factors
 
 from sutured_tqft.errors import InternalConsistencyError
 from sutured_tqft.linalg import (
-    SmithForm,
     det_q,
     f2_invert,
     f2_left_inverse,
@@ -38,90 +37,168 @@ def test_smith_small_known():
     assert sf.diag == []
 
 
+class DenseSmith:
+    """U*A*V = D held as dense lists, with its own elementary operations:
+    the state of the oracle Smith loops below."""
+
+    def __init__(self, a):
+        self.nrows = len(a)
+        self.ncols = len(a[0]) if self.nrows else 0
+        self.d = [list(row) for row in a]
+        self.u = identity(self.nrows)
+        self.u_inv = identity(self.nrows)
+        self.v = identity(self.ncols)
+        self.diag = []
+
+    def row_swap(self, i, j):
+        self.d[i], self.d[j] = self.d[j], self.d[i]
+        self.u[i], self.u[j] = self.u[j], self.u[i]
+        for row in self.u_inv:
+            row[i], row[j] = row[j], row[i]
+
+    def row_add(self, i, j, c):
+        """row i += c * row j."""
+        self.d[i] = [x + c * y for x, y in zip(self.d[i], self.d[j])]
+        self.u[i] = [x + c * y for x, y in zip(self.u[i], self.u[j])]
+        for row in self.u_inv:
+            row[j] -= c * row[i]
+
+    def row_neg(self, i):
+        self.d[i] = [-x for x in self.d[i]]
+        self.u[i] = [-x for x in self.u[i]]
+        for row in self.u_inv:
+            row[i] = -row[i]
+
+    def col_swap(self, i, j):
+        for row in self.d:
+            row[i], row[j] = row[j], row[i]
+        for row in self.v:
+            row[i], row[j] = row[j], row[i]
+
+    def col_add(self, i, j, c):
+        """col i += c * col j."""
+        for row in self.d:
+            row[i] += c * row[j]
+        for row in self.v:
+            row[i] += c * row[j]
+
+
+def dense_smith_normal_form(a):
+    """The dense Smith loop, its pivot scan stopping at the first unit: the
+    oracle that the sparse `smith_normal_form` matches entry by entry."""
+    return _dense_smith_loop(a, full_scan=False)
+
+
+def reference_smith_normal_form(a):
+    """The Smith loop with full pivot and divisibility scans at every step:
+    the oracle for the unit-pivot shortcuts."""
+    return _dense_smith_loop(a, full_scan=True)
+
+
+def _dense_smith_loop(a, full_scan):
+    sf = DenseSmith(a)
+    nrows, ncols, d = sf.nrows, sf.ncols, sf.d
+    t = 0
+    while t < min(nrows, ncols):
+        pivot = None
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if d[i][j] and (best is None or abs(d[i][j]) < best):
+                    best, pivot = abs(d[i][j]), (i, j)
+                    if best == 1 and not full_scan:
+                        break
+            if best == 1 and not full_scan:
+                break
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            sf.row_swap(t, pi)
+        if pj != t:
+            sf.col_swap(t, pj)
+        while True:
+            done = True
+            for i in range(t + 1, nrows):
+                if d[i][t]:
+                    sf.row_add(i, t, -(d[i][t] // d[t][t]))
+                    if d[i][t]:
+                        sf.row_swap(t, i)
+                        done = False
+            if not done:
+                continue
+            for j in range(t + 1, ncols):
+                if d[t][j]:
+                    sf.col_add(j, t, -(d[t][j] // d[t][t]))
+                    if d[t][j]:
+                        sf.col_swap(t, j)
+                        done = False
+            if done:
+                break
+        if d[t][t] < 0:
+            sf.row_neg(t)
+        p = d[t][t]
+        offender = None
+        if full_scan or p != 1:
+            offender = next((i for i in range(t + 1, nrows)
+                             if any(x % p for x in d[i][t + 1:])), None)
+        if offender is not None:
+            sf.row_add(t, offender, 1)
+            continue
+        t += 1
+    sf.diag = [d[i][i] for i in range(min(nrows, ncols)) if d[i][i]]
+    return sf
+
+
+def densify(sf):
+    """D, U, U^-1 and V of a sparse `SmithForm` as dense lists."""
+    n, m, r = sf.nrows, sf.ncols, sf.rank
+    d = [[sf.diag[i] if i == j and i < r else 0 for j in range(m)] for i in range(n)]
+    u = [[row.get(j, 0) for j in range(n)] for row in sf.u]
+    u_inv = [[col.get(i, 0) for col in sf.u_inv] for i in range(n)]
+    v = [[col.get(i, 0) for col in sf.v] for i in range(m)]
+    return {"d": d, "u": u, "u_inv": u_inv, "v": v, "diag": sf.diag}
+
+
+def dense_matrix(rows):
+    """Dense rows of a sparse {column: value} matrix, as wide as its
+    largest column index plus one."""
+    ncols = 1 + max((max(row, default=-1) for row in rows), default=-1)
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def assert_same_smith(a):
+    """The sparse Smith form of `a` (dense rows, or sparse dict rows) equals
+    the dense loop and the full-scan loop entry by entry."""
+    if a and isinstance(a[0], dict):
+        got = [smith_normal_form(a), smith_normal_form(dense_matrix(a))]
+        a = dense_matrix(a)
+    else:
+        got = [smith_normal_form(a)]
+    for oracle in (dense_smith_normal_form(a), reference_smith_normal_form(a)):
+        want = {f: getattr(oracle, f) for f in ("d", "u", "u_inv", "v", "diag")}
+        for sf in got:
+            assert (sf.nrows, sf.ncols) == (oracle.nrows, oracle.ncols)
+            assert densify(sf) == want
+
+
 def test_smith_transforms_and_oracle():
     rng = random.Random(7)
     for _ in range(40):
         n, m = rng.randint(0, 5), rng.randint(0, 5)
         a = random_matrix(rng, n, m)
         sf = smith_normal_form(a)
+        dense = densify(sf)
         # U*A*V == D
         if n and m:
-            uav = mat_mul(mat_mul(sf.u, a), sf.v)
-            assert uav == sf.d
-        assert mat_mul(sf.u, sf.u_inv) == identity(sf.nrows)
+            uav = mat_mul(mat_mul(dense["u"], a), dense["v"])
+            assert uav == dense["d"]
+        assert mat_mul(dense["u"], dense["u_inv"]) == identity(sf.nrows)
         for i in range(len(sf.diag) - 1):
             assert sf.diag[i + 1] % sf.diag[i] == 0
         if n and m:
             oracle = [abs(int(d)) for d in invariant_factors(SymMatrix(a)) if d]
             assert sf.diag == oracle
-
-
-def reference_smith_normal_form(a):
-    """The Smith loop with full pivot and divisibility scans at every step:
-    the oracle for the unit-pivot shortcuts of `smith_normal_form`."""
-    sf = SmithForm(a)
-    nrows, ncols, d = sf.nrows, sf.ncols, sf.d
-    t = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if d[i][j]:
-                    v = abs(d[i][j])
-                    if best is None or v < best:
-                        best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            sf._row_swap(t, pi)
-        if pj != t:
-            sf._col_swap(t, pj)
-        while True:
-            done = True
-            for i in range(t + 1, nrows):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    sf._row_add(i, t, -q)
-                    if d[i][t]:
-                        sf._row_swap(t, i)
-                        done = False
-            if not done:
-                continue
-            for j in range(t + 1, ncols):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    sf._col_add(j, t, -q)
-                    if d[t][j]:
-                        sf._col_swap(t, j)
-                        done = False
-            if done:
-                break
-        if d[t][t] < 0:
-            sf._row_neg(t)
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if d[i][j] % d[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            sf._row_add(t, offender, 1)
-            continue
-        t += 1
-        if t >= min(nrows, ncols):
-            break
-    sf.diag = [d[i][i] for i in range(min(nrows, ncols)) if d[i][i]]
-    return sf
-
-
-def assert_same_smith(a):
-    got, want = smith_normal_form(a), reference_smith_normal_form(a)
-    for field in ("d", "u", "u_inv", "v", "diag"):
-        assert getattr(got, field) == getattr(want, field), field
 
 
 def test_smith_matches_full_scan_reference():
@@ -137,6 +214,35 @@ def test_smith_matches_full_scan_reference():
         assert_same_smith([[2 * x for x in row] for row in a])  # no unit at all
     assert_same_smith([[2, 1], [1, 1]])
     assert_same_smith([[3, 0, -1], [0, 2, 0]])
+
+
+def test_smith_matches_dense_loop_on_random_matrices():
+    rng = random.Random(1301)
+    non_unit = 0
+    for trial in range(3200):
+        n, m = rng.randint(0, 7), rng.randint(0, 7)
+        kind = trial % 4
+        if kind == 0:
+            a = random_matrix(rng, n, m, -6, 6)
+        elif kind == 1:  # all even: the gcd and divisibility paths
+            a = [[2 * x for x in row] for row in random_matrix(rng, n, m, -3, 3)]
+        elif kind == 2:  # sparse units with a zero row and a zero column
+            a = [[rng.choice((-1, 1)) if rng.random() < 0.3 else 0
+                  for _ in range(m)] for _ in range(n)]
+            if n and m:
+                a[rng.randrange(n)] = [0] * m
+                zc = rng.randrange(m)
+                for row in a:
+                    row[zc] = 0
+        else:  # a few large entries among small ones
+            a = [[rng.choice((0, 0, 1, -1, 2, 3, -4, 6, 9, -12))
+                  for _ in range(m)] for _ in range(n)]
+        assert_same_smith(a)
+        if any(row and row[-1] for row in a):
+            # the same matrix as sparse rows, whose width is then exact
+            assert_same_smith([{j: x for j, x in enumerate(row) if x} for row in a])
+        non_unit += any(x != 1 for x in smith_normal_form(a).diag)
+    assert non_unit > 800
 
 
 def test_solve_z_roundtrip():
@@ -426,12 +532,12 @@ def test_f2_left_inverse_matches_picked_rows_oracle():
 
 
 def smith_transpose_left_inverse_z(j):
-    """V * D^T * U from one Smith form: the oracle for V * U[:ncols]."""
-    sf = smith_normal_form(j)
-    if sf.rank != sf.ncols or any(di != 1 for di in sf.diag):
+    """V * D^T * U from the dense Smith loop: the oracle for V * U[:ncols]."""
+    sf = dense_smith_normal_form(j)
+    if len(sf.diag) != sf.ncols or any(di != 1 for di in sf.diag):
         return None
     dt = [[0] * sf.nrows for _ in range(sf.ncols)]
-    for i in range(sf.rank):
+    for i in range(len(sf.diag)):
         dt[i][i] = 1
     return mat_mul(mat_mul(sf.v, dt), sf.u)
 
