@@ -268,9 +268,10 @@ def check_gluing_axiom(corpus, seed: int | None = None,
 
     The F2 and the Z check of one gluing share everything integral: the
     H_1 of host and quotient behind both rings' default bases, and from
-    `_respect_parts` the pushed dividing set, the positive-region H_1 and
-    grade of K and of K_tau, and the middle H_1.  Each ring still does its
-    own arithmetic, its left inverse included."""
+    `_respect_parts` the pushed dividing set and the positive-region H_1
+    and grade of K and of K_tau.  No middle H_1 is built: the morphism
+    reads the swallowed vertices off tree paths of the quotient's H_1.
+    Each ring still does its own arithmetic."""
     count = 0
     ok = True
     witness = None
@@ -378,8 +379,8 @@ def _commutes_with_gluing(s: Surface, hmap: dict[int, int], action,
         a, b = d1.halfedge_map[h], d2.halfedge_map[hmap[h]]
         if sigma.setdefault(a, b) != b:
             return False
-    br1 = glued_relative_basis(d1, ring)
-    br2 = glued_relative_basis(d2, ring)
+    br1 = default_basis(d1.result, ring)
+    br2 = default_basis(d2.result, ring)
     carry = induced_matrix(br1, br2,
                            push=lambda ch: _push_chain(ch, sigma, d2.result))
     pairs = []

@@ -6,9 +6,10 @@ seam move to the interior; positive suture vertices that do so are
 "swallowed", and the wedge of their boundary-evaluation functionals
 orients the gluing.  The induced map on contact algebras is the interior
 product against that wedge composed with the chain-level pushforward,
-re-expressed in a homology basis of the glued surface.  That basis is a
-direct summand of the middle homology, so the rewrite applies Lambda of
-a left inverse and checks that the result maps back onto its input.
+re-expressed in a homology basis of the glued surface.  The middle
+homology is split as that basis plus one tree path per swallowed vertex,
+so the wedge is a block of dual generators and the rewrite is a
+projection: no middle homology is built and nothing is solved.
 
 Cutting along interior arcs is the inverse construction: `cut_open`
 returns the cut surface together with the gluing that undoes it, and
@@ -31,11 +32,13 @@ from .errors import (
 )
 from .exterior import Multivector, interior, induced_map, RING_F2, RING_Z
 from .homology import HomologyBasis, RelativeH1, induced_matrix
-from .linalg import f2_left_inverse, invert_unimodular, left_inverse_z
+from .linalg import invert_unimodular, transpose
 from .surface import (
     MARK_KEYS,
     Surface,
     UnionFind,
+    chain_add,
+    chain_boundary,
     split_face,
     subdivide_edge,
     validate_surface,
@@ -294,52 +297,20 @@ def pushforward_class(g: GluedSurfaceData, chain: Chain) -> Chain:
 # the induced morphism of contact algebras
 
 
-def _middle_homology(g: GluedSurfaceData) -> RelativeH1:
-    """H_1 of the quotient rel the image of every old positive suture,
-    swallowed ones included."""
-    rel = sorted({g.vertex_map[v] for v in g.gluing.host.marks["alpha_plus"]})
-    return RelativeH1(g.result, rel)
-
-
 def glued_relative_basis(g: GluedSurfaceData, ring: str) -> HomologyBasis:
     """Generic basis of the middle homology, H_1 of the quotient rel the
     image of every old positive suture, swallowed ones included."""
-    return HomologyBasis(_middle_homology(g), ring)
+    rel = sorted({g.vertex_map[v] for v in g.gluing.host.marks["alpha_plus"]})
+    return HomologyBasis(RelativeH1(g.result, rel), ring)
 
 
-def _eta(g: GluedSurfaceData, basis: HomologyBasis) -> Multivector:
-    """The orientation of a gluing as a dual multivector over a basis of
-    the quotient: the wedge, by increasing id, of the functionals
-    "coefficient of v in the boundary of a relative cycle" of the
-    swallowed vertices v."""
-    acc = Multivector.unit(basis.rank, basis.ring, dual=True)
-    for v in g.swallowed:
-        row = basis.vertex_functional(v)
-        acc = acc.wedge(Multivector.vector(basis.rank, row, basis.ring, dual=True))
-    return acc
-
-
-def _express_in_sub_exterior(j: list[list[int]], y: Multivector,
-                             src_rank: int, ring: str) -> Multivector:
-    """Solve Lambda(J) x = y where J is the column matrix of a sub-basis.
-
-    J is injective with a free cokernel, so it has a left inverse Q over
-    the ring, and x = Lambda(Q) y whenever y lies in the image of Lambda(J).
-    """
-    if ring == RING_F2:
-        q_rows = f2_left_inverse([sum((v & 1) << c for c, v in enumerate(row)) for row in j],
-                                 src_rank)
-        q = None if q_rows is None else [[(r >> i) & 1 for i in range(y.rank)]
-                                         for r in q_rows]
-    else:
-        q = left_inverse_z(j)
-    if q is None:
-        raise InternalConsistencyError("glued sub-basis is not a direct summand")
-    x = induced_map(q, y, target_rank=src_rank)
-    if induced_map(j, x, target_rank=y.rank) != y:
-        raise InternalConsistencyError(
-            "interior product left the image of the glued sub-basis")
-    return x
+def _check_basis(basis: HomologyBasis, s: Surface, ring: str, role: str) -> None:
+    if not _same_complex(basis.surface, s):
+        raise ValidationError(f"{role} basis lives on a different surface")
+    if basis.h1.rel != frozenset(s.marks["alpha_plus"]):
+        raise ValidationError(f"{role} basis is not relative to the positive sutures")
+    if basis.ring != ring:
+        raise ValidationError(f"{role} basis is over {basis.ring!r}, not {ring!r}")
 
 
 def gluing_morphism(g: GluedSurfaceData, x: Multivector,
@@ -348,26 +319,47 @@ def gluing_morphism(g: GluedSurfaceData, x: Multivector,
     """Push a multivector through a gluing: pushforward, contract with eta,
     then rewrite in a basis of H_1 of the quotient rel its own sutures."""
     ring = x.ring
-    hb = host_basis if host_basis is not None else default_basis(g.gluing.host, ring)
+    host, result = g.gluing.host, g.result
+    hb = host_basis if host_basis is not None else default_basis(host, ring)
+    _check_basis(hb, host, ring, "host")
     if x.rank != hb.rank:
         raise ValidationError(f"input rank {x.rank} != host basis rank {hb.rank}")
     if x.dual:
         raise ValidationError("gluing morphism acts on primal multivectors")
-    tb = result_basis if result_basis is not None else default_basis(g.result, ring)
-    return _morphism(g, x, hb, glued_relative_basis(g, ring), tb)
+    tb = result_basis if result_basis is not None else default_basis(result, ring)
+    _check_basis(tb, result, ring, "result")
+    return _morphism(g, x, hb, tb)
 
 
 def _morphism(g: GluedSurfaceData, x: Multivector, hb: HomologyBasis,
-              mid: HomologyBasis, tb: HomologyBasis) -> Multivector:
-    """The gluing morphism in the given host, middle and result bases."""
-    m = induced_matrix(hb, mid, push=lambda c: pushforward_class(g, c))
-    phix = induced_map(m, x, target_rank=mid.rank)
-    eta_mv = _eta(g, mid)
-    if g.swallowed and eta_mv.is_zero():
-        raise InternalConsistencyError("orientation functionals are dependent")
-    y = interior(eta_mv, phix)
-    j = induced_matrix(tb, mid)
-    return _express_in_sub_exterior(j, y, tb.rank, x.ring)
+              tb: HomologyBasis) -> Multivector:
+    """The gluing morphism in the given host and result bases.
+
+    The middle homology H_1(S', A ∪ B), A the quotient's positive sutures
+    and B the swallowed ones, is written in the split basis: tb's cycles,
+    then one tree path q_b from A to each b.  A class there has coordinate
+    d_b = (coefficient of b in its boundary) on q_b, so eta, the wedge of
+    those functionals, is the top dual wedge of the q_b block, the
+    sub-basis tb is [I; 0], and rewriting in tb is dropping the q_b block.
+    """
+    n, k = tb.rank, len(g.swallowed)
+    paths = [tb.h1.path_from_rel(b) for b in g.swallowed]
+    cols = []
+    for c in hb.cycles:
+        pc = pushforward_class(g, c)
+        bd = chain_boundary(g.result, pc) if k else {}
+        d = [bd.get(b, 0) for b in g.swallowed]
+        for db, q in zip(d, paths):
+            if db:
+                pc = chain_add(pc, q, -db)
+        cols.append(tb.express(pc) + d)  # induced_map reduces d mod 2 over F2
+    y = induced_map(transpose(cols), x, target_rank=n + k)
+    block = ((1 << k) - 1) << n  # 0 without swallowed vertices: eta is 1
+    y = interior(Multivector(n + k, {block: 1}, x.ring, dual=True), y)
+    if any(m >> n for m in y.terms):
+        raise InternalConsistencyError(
+            "interior product left the image of the glued sub-basis")
+    return Multivector(n, y.terms, x.ring)
 
 
 def _same_complex(a: Surface, b: Surface) -> bool:
@@ -391,18 +383,18 @@ def push_dividing_set(g: GluedSurfaceData, ds: DividingSet) -> DividingSet:
 def _respect_parts(g: GluedSurfaceData, ds: DividingSet):
     """The parts of a respect check that no coefficient ring enters,
     built once per gluing: H_1(R+, a+) with the grade L(K) of ds and of
-    its image K_tau, and the middle homology of the quotient.  Pushing
-    ds first rejects a dividing set on another surface before any work."""
+    its image K_tau.  Pushing ds first rejects a dividing set on another
+    surface before any work."""
     pushed = push_dividing_set(g, ds)
-    return g, _region(ds, "plus"), _region(pushed, "plus"), _middle_homology(g)
+    return g, _region(ds, "plus"), _region(pushed, "plus")
 
 
 def _respects(parts, ring: str, host_basis: HomologyBasis,
               result_basis: HomologyBasis) -> bool:
     """The respect check over one ring, on parts from `_respect_parts`."""
-    g, source, target, middle = parts
+    g, source, target = parts
     x = _wedge_region(*source, host_basis, ring).value
-    lhs = _morphism(g, x, host_basis, HomologyBasis(middle, ring), result_basis)
+    lhs = _morphism(g, x, host_basis, result_basis)
     rhs = _wedge_region(*target, result_basis, ring).value
     if ring == RING_F2:
         return lhs == rhs
@@ -414,7 +406,8 @@ def check_respect(g: GluedSurfaceData, ds: DividingSet, ring: str = RING_F2) -> 
 
     Exact equality mod 2; over the integers equality is only demanded up
     to a global sign.  The default bases are built once and shared by both
-    contact elements and the morphism.
+    contact elements and the morphism, which builds no middle H_1 of its
+    own: four H_1 in all, of host, quotient and the two positive regions.
     """
     parts = _respect_parts(g, ds)
     return _respects(parts, ring, default_basis(g.gluing.host, ring),

@@ -12,7 +12,10 @@ their sparse Smith normal form presents the quotient: a class is reduced
 by the rows of U past the rank only, filed by coordinate so that only
 its nonzero coordinates cost anything, a representative is read off one
 column of U^-1, and a prescribed integral basis is inverted with one
-more Smith form.
+more Smith form.  The same forest gives, for any vertex v, the tree path
+from A to v (`path_from_rel`), a chain with boundary v - a for some a in
+A: these split H_1(S, A ∪ B) as H_1(S, A) plus one class per b in B
+when every component of S meets A.
 Surface pairs never produce torsion; we assert that all invariant
 factors are 1, which also makes the mod-2 reduction of the same
 integral basis a basis of the F2 homology.
@@ -62,6 +65,7 @@ class RelativeH1:
             else:
                 self.cotree.append(e)
         up: dict[int, tuple[int, int, int]] = {}
+        self._up = up  # kept for path_from_rel
         depth: dict[int, int] = {}
         for root in adj:
             if root in depth:
@@ -124,6 +128,19 @@ class RelativeH1:
                 self._quotient[j].append((r, x))
         # the columns of U^-1 past the rank: the generic basis classes
         self._lifts = sf.u_inv[sf.rank:]
+
+    def path_from_rel(self, v: int) -> Chain:
+        """Tree path from the relative set to v: a chain with boundary
+        v - a for some a in A, empty when v itself is in A."""
+        x = -1 if v in self.rel else v
+        back: Chain = {}
+        while x in self._up:
+            e, x, sgn = self._up[x]
+            back[e] = -sgn
+        if x != -1:
+            raise InternalConsistencyError(
+                f"vertex {v} is not connected to the relative set")
+        return back
 
     def coordinates(self, chain: Chain, ring: str = RING_Z) -> list[int]:
         """Coordinates in the fundamental-cycle basis (= cotree restriction)."""

@@ -73,10 +73,19 @@ class UnionFind:
 
     def union(self, a, b) -> bool:
         """Merge the sets of a and b; False if they were one set already."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        # both root walks of `find`, written out: this runs once per edge
+        parent = self.parent
+        parent.setdefault(a, a)
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        parent.setdefault(b, b)
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a == b:
             return False
-        self.parent[ra] = rb
+        parent[a] = b
         return True
 
 

@@ -9,7 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import sutured_tqft.axioms as axioms_module
 import sutured_tqft.gluing as gluing_module
-from sutured_tqft.axioms import random_sutured_surface, run_axiom_suite
+from sutured_tqft.axioms import (
+    check_relabel_invariance,
+    random_sutured_surface,
+    run_axiom_suite,
+)
 from sutured_tqft.contact import _wedge_region, contact_element, default_basis
 from sutured_tqft.dividing import (
     ChordDiagram,
@@ -40,16 +44,23 @@ from sutured_tqft.gluing import (
     pushforward_class,
     quadrangulate,
     square_chord_family,
-    _eta,
-    _express_in_sub_exterior,
     _morphism,
     _realize_arc,
 )
 from sutured_tqft.homology import HomologyBasis, RelativeH1, induced_matrix
-from sutured_tqft.linalg import f2_rank, f2_row_space, f2_solve, invert_unimodular, solve_z
+from sutured_tqft.linalg import (
+    f2_left_inverse,
+    f2_rank,
+    f2_row_space,
+    f2_solve,
+    invert_unimodular,
+    left_inverse_z,
+    solve_z,
+)
 from sutured_tqft.models import annulus_model, annulus_surface, disk_model, one_holed_torus
 from sutured_tqft.surface import (
     chain_add,
+    chain_boundary,
     chain_scale,
     disjoint_union,
     standard_disk,
@@ -318,7 +329,7 @@ def test_interior_image_spans_the_sub_algebra():
     _, _, tau = _welding_fixture()
     g = glue(tau)
     mid = glued_relative_basis(g, RING_F2)
-    eta_mv = _eta(g, mid)
+    eta_mv = _oracle_eta(g, mid)
     a_rows = []
     for mask in range(1 << mid.rank):
         y = interior(eta_mv, Multivector(mid.rank, {mask: 1}, RING_F2))
@@ -337,7 +348,43 @@ def test_interior_image_spans_the_sub_algebra():
     assert f2_row_space(a_rows) == f2_row_space(b_rows)
 
 
-# -- the sub-exterior solve against the C(L,k)-sized oracle ---------------
+# -- the split-basis morphism against the middle-homology oracle ----------
+#
+# The morphism as first written: push into a generic basis of the middle
+# homology H_1(S', A ∪ B), contract with the wedge of the swallowed
+# vertices' boundary functionals, and solve Lambda(J) x = y for the result
+# basis J inside it, by a left inverse or by the C(L,k)-sized exterior
+# solve.
+
+def _oracle_eta(g, mid):
+    """The orientation of a gluing over a basis of the middle homology:
+    the wedge, by increasing id, of the functionals "coefficient of v in
+    the boundary of a relative cycle" of the swallowed vertices v."""
+    acc = Multivector.unit(mid.rank, mid.ring, dual=True)
+    for v in g.swallowed:
+        row = mid.vertex_functional(v)
+        acc = acc.wedge(Multivector.vector(mid.rank, row, mid.ring, dual=True))
+    return acc
+
+
+def _express_by_left_inverse(j, y, src_rank, ring):
+    """Solve Lambda(J) x = y as x = Lambda(Q) y for a left inverse Q of the
+    column matrix J of a sub-basis, and check that Lambda(J) x = y."""
+    if ring == RING_F2:
+        q_rows = f2_left_inverse([sum((v & 1) << c for c, v in enumerate(row)) for row in j],
+                                 src_rank)
+        q = None if q_rows is None else [[(r >> i) & 1 for i in range(y.rank)]
+                                         for r in q_rows]
+    else:
+        q = left_inverse_z(j)
+    if q is None:
+        raise InternalConsistencyError("glued sub-basis is not a direct summand")
+    x = induced_map(q, y, target_rank=src_rank)
+    if induced_map(j, x, target_rank=y.rank) != y:
+        raise InternalConsistencyError(
+            "interior product left the image of the glued sub-basis")
+    return x
+
 
 def _express_by_exterior_solve(j, y, src_rank, ring):
     """Solve Lambda(J) x = y where J is the column matrix of a sub-basis."""
@@ -375,6 +422,33 @@ def _express_by_exterior_solve(j, y, src_rank, ring):
     return Multivector(src_rank, out_terms, ring)
 
 
+class _Oracle:
+    """The middle pipeline of one gluing between given host and result
+    bases: the host -> middle matrix, eta, and J, built once."""
+
+    def __init__(self, g, hb, tb):
+        ring = hb.ring
+        mid = glued_relative_basis(g, ring)
+        self.m = induced_matrix(hb, mid, push=lambda c: pushforward_class(g, c))
+        self.eta = _oracle_eta(g, mid)
+        if g.swallowed and self.eta.is_zero():
+            raise InternalConsistencyError("orientation functionals are dependent")
+        self.j = induced_matrix(tb, mid)
+        self.mid_rank, self.tb_rank, self.ring = mid.rank, tb.rank, ring
+
+    def contract(self, x):
+        return interior(self.eta, induced_map(self.m, x, target_rank=self.mid_rank))
+
+    def morphism(self, x, exterior_solve=False):
+        """The morphism by the left inverse; with exterior_solve, also by
+        the exterior solve, which must agree."""
+        y = self.contract(x)
+        out = _express_by_left_inverse(self.j, y, self.tb_rank, self.ring)
+        if exterior_solve:
+            assert _express_by_exterior_solve(self.j, y, self.tb_rank, self.ring) == out
+        return out
+
+
 def _swallowing_site(n, a, b):
     """Four-halfedge arcs of standard_disk(n) that start at the alpha_minus
     vertices 4a+3 and 4b+3; welding them swallows one positive suture
@@ -398,18 +472,13 @@ def _scrambled_basis(rng, basis):
     return HomologyBasis(basis.h1, basis.ring, cycles=cycles)
 
 
-def _solve_data(g, ring, rng=None):
-    """The pieces of gluing_morphism around its final solve: the host ->
-    mid matrix, eta, J, and the mid and result ranks.  With rng, the host
-    and result bases are scrambled."""
+def _bases(g, ring, rng=None):
+    """Default host and result bases; with rng, both scrambled."""
     hb = default_basis(g.gluing.host, ring)
     tb = default_basis(g.result, ring)
     if rng is not None:
         hb, tb = _scrambled_basis(rng, hb), _scrambled_basis(rng, tb)
-    mid = glued_relative_basis(g, ring)
-    m = induced_matrix(hb, mid, push=lambda c: pushforward_class(g, c))
-    eta_mv = _eta(g, mid)
-    return m, eta_mv, induced_matrix(tb, mid), mid.rank, tb.rank
+    return hb, tb
 
 
 def _degree_sets(rank):
@@ -417,41 +486,46 @@ def _degree_sets(rank):
     return [range(rank + 1)] + [[d] for d in range(rank + 1)]
 
 
-def _random_element(rng, rank, ring, degrees):
+def _random_element(rng, rank, ring, degrees, coeffs=(-3, -2, -1, 1, 2, 3)):
     terms = {}
     for d in degrees:
         for _ in range(2):
             mask = sum(1 << i for i in rng.sample(range(rank), d))
-            terms[mask] = rng.choice((-3, -2, -1, 1, 2, 3))
+            terms[mask] = rng.choice(coeffs)
     return Multivector(rank, terms, ring)
 
 
-def _compare_solves(g, ring, xs, rng=None):
-    """Both solves agree on the contracted image of every host element in
-    xs, and both invert Lambda(J) on result-basis elements."""
-    m, eta_mv, j, mid_rank, tb_rank = _solve_data(g, ring, rng)
+def _compare_morphisms(g, ring, xs, rng=None, exterior_solve=True):
+    """The split-basis morphism equals the oracle on every host element in
+    xs; the oracle's two solves agree and invert Lambda(J) on the
+    contracted image."""
+    hb, tb = _bases(g, ring, rng)
+    oracle = _Oracle(g, hb, tb)
     for x in xs:
-        y = interior(eta_mv, induced_map(m, x, target_rank=mid_rank))
-        new = _express_in_sub_exterior(j, y, tb_rank, ring)
-        assert new == _express_by_exterior_solve(j, y, tb_rank, ring)
-        assert induced_map(j, new, target_rank=mid_rank) == y
-    return j, mid_rank, tb_rank
+        want = oracle.morphism(x, exterior_solve)
+        assert induced_map(oracle.j, want, target_rank=oracle.mid_rank) == oracle.contract(x)
+        assert _morphism(g, x, hb, tb) == want
+        assert gluing_morphism(g, x, host_basis=hb, result_basis=tb) == want
+    return oracle
 
 
 @pytest.mark.parametrize("scramble", [False, True])
 @pytest.mark.parametrize("ring", [RING_Z, RING_F2])
 def test_left_inverse_solve_matches_exterior_solve(ring, scramble):
     rng = random.Random(20260823)
-    for n in range(4, 11):  # host rank L = n - 1 = 3..9
+    for n in range(4, 13):  # host rank L = n - 1 = 3..11
         g = glue(Gluing(standard_disk(n), *_swallowing_site(n, 0, n // 2)))
         assert len(g.swallowed) == 1
         L = n - 1
+        # the exterior solve is C(L,k)-sized; beyond L = 9 only the left inverse
+        small = L <= 9
         xs = [_random_element(rng, L, ring, ds) for ds in _degree_sets(L)]
-        j, mid_rank, tb_rank = _compare_solves(g, ring, xs, rng if scramble else None)
-        for ds in _degree_sets(tb_rank):
+        oracle = _compare_morphisms(g, ring, xs, rng if scramble else None, small)
+        j, mid_rank, tb_rank = oracle.j, oracle.mid_rank, oracle.tb_rank
+        for ds in _degree_sets(tb_rank) if small else ():
             x0 = _random_element(rng, tb_rank, ring, ds)
             y0 = induced_map(j, x0, target_rank=mid_rank)
-            assert _express_in_sub_exterior(j, y0, tb_rank, ring) == x0
+            assert _express_by_left_inverse(j, y0, tb_rank, ring) == x0
             assert _express_by_exterior_solve(j, y0, tb_rank, ring) == x0
 
 
@@ -466,24 +540,32 @@ def test_left_inverse_solve_matches_exterior_solve_drawn(data):
                                       st.integers(-3, 3), max_size=8), label="x")
     seed = data.draw(st.integers(0, 2**32 - 1), label="basis seed")
     g = glue(Gluing(standard_disk(n), *_swallowing_site(n, a, b)))
-    _compare_solves(g, ring, [Multivector(n - 1, terms, ring)], random.Random(seed))
+    _compare_morphisms(g, ring, [Multivector(n - 1, terms, ring)], random.Random(seed))
 
 
 def test_left_inverse_solve_matches_exterior_solve_on_axiom_corpus(monkeypatch):
-    # every solve the axiom suite makes over its 200-gluing corpus
-    solve = gluing_module._express_in_sub_exterior
+    # every morphism the axiom suite computes over its 200-gluing corpus,
+    # and per call one more: a random element with coefficients in
+    # {-2, -1, 1, 3} between scrambled bases
+    morphism = gluing_module._morphism
+    rng = random.Random(20261018)
     calls, mismatches = [], []
 
-    def checked(j, y, src_rank, ring):
-        x = solve(j, y, src_rank, ring)
-        calls.append(src_rank)
-        if x != _express_by_exterior_solve(j, y, src_rank, ring):
-            mismatches.append((j, y))
-        return x
+    def checked(g, x, hb, tb):
+        out = morphism(g, x, hb, tb)
+        calls.append((x.rank, len(g.swallowed)))
+        if out != _Oracle(g, hb, tb).morphism(x, exterior_solve=True):
+            mismatches.append((g.gluing, x))
+        shb, stb = _scrambled_basis(rng, hb), _scrambled_basis(rng, tb)
+        x2 = _random_element(rng, x.rank, x.ring, range(x.rank + 1), (-2, -1, 1, 3))
+        if morphism(g, x2, shb, stb) != _Oracle(g, shb, stb).morphism(x2):
+            mismatches.append((g.gluing, x2))
+        return out
 
-    monkeypatch.setattr(gluing_module, "_express_in_sub_exterior", checked)
+    monkeypatch.setattr(gluing_module, "_morphism", checked)
     assert all(r.verdict for r in run_axiom_suite())
-    assert len(calls) > 200 and max(calls) >= 4
+    assert len(calls) > 400 and max(rank for rank, _ in calls) >= 4
+    assert sum(1 for _, k in calls if k) > 80
     assert mismatches == []
 
 
@@ -518,12 +600,12 @@ def test_shared_bases_match_unshared_on_axiom_corpus(monkeypatch):
                                result_basis=result_basis) == lhs
         pushed = push_dividing_set(g, ds)
         assert contact_element(pushed, ring=ring, basis=result_basis).value == rhs
-        # the two sides as the shared parts give them
-        _, source, target, middle = parts
+        # the two sides as the shared parts give them, and the oracle's side
+        _, source, target = parts
         shared_x = _wedge_region(*source, host_basis, ring).value
         assert shared_x == x
-        assert _morphism(g, shared_x, host_basis, HomologyBasis(middle, ring),
-                         result_basis) == lhs
+        assert _morphism(g, shared_x, host_basis, result_basis) == lhs
+        assert _Oracle(g, host_basis, result_basis).morphism(shared_x) == lhs
         assert _wedge_region(*target, result_basis, ring).value == rhs
         assert verdict == (lhs == rhs or (ring == RING_Z and lhs == rhs.scale(-1)))
         checks.append((current["n"], ring))
@@ -558,13 +640,13 @@ def test_respect_builds_each_default_basis_once(monkeypatch):
     # c(K) and c(K_tau) are wedged in the host and result bases, and the
     # morphism runs between those same two bases
     monkeypatch.setattr(gluing_module, "_wedge_region", spy(_wedge_region, 2))
-    monkeypatch.setattr(gluing_module, "_morphism", spy(_morphism, 2, 4))
+    monkeypatch.setattr(gluing_module, "_morphism", spy(_morphism, 2, 3))
     for ring in (RING_F2, RING_Z):
         built.clear()
         passed.clear()
         assert check_respect(g, ds, ring=ring)
-        # host and result bases, the two regions, and the middle homology
-        assert len(built) == 5
+        # host and result bases and the two regions; no middle homology
+        assert len(built) == 4
         [hb], [mhb, mrb], [rb] = passed
         assert hb is mhb and rb is mrb
         assert hb.ring == rb.ring == ring
@@ -579,27 +661,76 @@ def test_respect_checks_the_dividing_set_surface_first(monkeypatch):
     def too_early(*args, **kwargs):
         raise AssertionError("work done before the surface check")
 
-    for name in ("_region", "_middle_homology", "_wedge_region",
-                 "default_basis", "_morphism"):
+    for name in ("_region", "_wedge_region", "default_basis", "_morphism"):
         monkeypatch.setattr(gluing_module, name, too_early)
     for ring in (RING_Z, RING_F2):
         with pytest.raises(ValidationError, match="different surface"):
             check_respect(g, ds, ring=ring)
 
 
-def test_off_image_input_is_an_internal_error():
+def test_off_image_input_is_an_internal_error(monkeypatch):
+    # the projection's check: a contraction that leaves a swallowed
+    # vertex's generator in a term is an internal error, not truncated away
     g = glue(Gluing(standard_disk(4), *_swallowing_site(4, 0, 2)))
-    _, _, j, mid_rank, tb_rank = _solve_data(g, RING_Z)
-    # J has rank tb_rank < mid_rank, so at least mid_rank - tb_rank of the
-    # degree-1 generators of the middle algebra lie outside its image
+    hb, tb = _bases(g, RING_Z)
+    oracle = _Oracle(g, hb, tb)
+    xs = [Multivector.basis_vector(hb.rank, i, RING_Z) for i in range(hb.rank)]
+    for x in xs:
+        assert _morphism(g, x, hb, tb) == oracle.morphism(x)
+    # without the contraction, a host generator whose pushed cycle has
+    # boundary at the swallowed vertex keeps its q_b coordinate
+    monkeypatch.setattr(gluing_module, "interior", lambda eta, y: y)
+    (v,) = g.swallowed
     raised = 0
-    for i in range(mid_rank):
-        try:
-            _express_in_sub_exterior(j, Multivector.basis_vector(mid_rank, i, RING_Z),
-                                     tb_rank, RING_Z)
-        except InternalConsistencyError:
+    for x, c in zip(xs, hb.cycles):
+        if chain_boundary(g.result, pushforward_class(g, c)).get(v, 0):
+            with pytest.raises(InternalConsistencyError, match="left the image"):
+                _morphism(g, x, hb, tb)
             raised += 1
-    assert raised >= mid_rank - tb_rank > 0
+    assert raised > 0
+
+
+def test_gluing_morphism_rejects_bases_of_other_homologies():
+    s = standard_disk(4)
+    one = glue(Gluing(s, (2, 4), (16, 14)))
+    assert not one.swallowed
+    x = Multivector.top(3, RING_Z)
+    # the result's basis has the host's rank, but another surface
+    foreign = default_basis(one.result, RING_Z)
+    assert foreign.rank == 3
+    with pytest.raises(ValidationError, match="host basis lives on a different surface"):
+        gluing_morphism(one, x, host_basis=foreign)
+    with pytest.raises(ValidationError, match="result basis lives on a different surface"):
+        gluing_morphism(one, x, result_basis=default_basis(s, RING_Z))
+    # H_1 of the quotient rel every old positive suture, swallowed ones
+    # included, is not H_1 of the quotient rel its own positive sutures
+    g = glue(Gluing(s, *_swallowing_site(4, 0, 2)))
+    for ring in (RING_Z, RING_F2):
+        with pytest.raises(ValidationError, match="result basis is not relative"):
+            gluing_morphism(g, Multivector.top(3, ring),
+                            result_basis=glued_relative_basis(g, ring))
+        h1 = RelativeH1(s, s.marks["alpha_minus"])
+        with pytest.raises(ValidationError, match="host basis is not relative"):
+            gluing_morphism(g, Multivector.top(h1.rank, ring),
+                            host_basis=HomologyBasis(h1, ring))
+    with pytest.raises(ValidationError, match="host basis is over"):
+        gluing_morphism(g, x, host_basis=default_basis(s, RING_F2))
+    with pytest.raises(ValidationError, match="result basis is over"):
+        gluing_morphism(g, x, result_basis=default_basis(g.result, RING_F2))
+
+
+@pytest.mark.parametrize("ring", [RING_F2, RING_Z])
+def test_disk_rotation_commutes_with_swallowing_gluings(ring):
+    # rotating standard_disk(n) by one suture period carries each site to
+    # another, and the two morphisms agree up to the rotation of the result
+    sites = [(4, 0, 2), (5, 0, 2), (5, 1, 3), (6, 0, 3)]
+    for n, a, b in sites:
+        s = standard_disk(n)
+        tau = Gluing(s, *_swallowing_site(n, a, b))
+        assert glue(tau).swallowed
+        vmap = {v: (v + 4) % (4 * n) for v in s.vertices}
+        r = check_relabel_invariance(s, vmap, gluings=(tau,), ring=ring)
+        assert r.verdict, (n, a, b)
 
 
 def test_respect_at_rank_fourteen():

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from sutured_tqft import homology
 from sutured_tqft.axioms import _grid_disk, random_sutured_surface, run_axiom_suite
-from sutured_tqft.errors import ValidationError
+from sutured_tqft.errors import InternalConsistencyError, ValidationError
 from sutured_tqft.exterior import RING_F2, RING_Z
 from sutured_tqft.homology import HomologyBasis, RelativeH1, induced_matrix
 from sutured_tqft.linalg import mat_vec, rank_q
 from sutured_tqft.models import annulus_surface, one_holed_torus
-from sutured_tqft.surface import (Surface, chain_add, chain_boundary,
+from sutured_tqft.surface import (Surface, chain_add, chain_boundary, disjoint_union,
                                   chain_from_path, face_boundary_chain,
                                   split_face, standard_disk, subdivide_edge,
                                   transport_chain)
@@ -274,3 +274,41 @@ def test_grid_disk_homology_scales_with_cells():
     elapsed = time.perf_counter() - start
     assert h.rank == 39
     assert elapsed < 2.0, f"40x40 grid disk homology took {elapsed:.2f} s"
+
+
+# -- tree paths from the relative set -------------------------------------
+
+def test_path_from_rel_joins_every_quotient_vertex_to_the_sutures(monkeypatch):
+    # every quotient the default axiom suite builds, every vertex of it
+    import sutured_tqft.axioms as axioms_module
+
+    glue, results = axioms_module.glue, []
+
+    def recording(tau):
+        data = glue(tau)
+        results.append(data)
+        return data
+
+    monkeypatch.setattr(axioms_module, "glue", recording)
+    assert all(r.verdict for r in run_axiom_suite())
+    assert len(results) > 200 and sum(1 for d in results if d.swallowed) > 40
+    for data in results:
+        s = data.result
+        h = RelativeH1(s, s.marks["alpha_plus"])
+        for v in sorted(s.vertices):
+            bd = chain_boundary(s, h.path_from_rel(v))
+            if v in h.rel:
+                assert bd == {}
+            else:
+                (a,) = bd.keys() - {v}
+                assert bd == {v: 1, a: -1} and a in h.rel
+
+
+def test_path_from_rel_refuses_a_component_away_from_the_sutures():
+    s, vmap, _ = disjoint_union(standard_disk(2), standard_disk(3))
+    h = RelativeH1(s, [vmap[v] for v in standard_disk(3).marks["alpha_plus"]])
+    assert h.path_from_rel(vmap[0]) != {}
+    with pytest.raises(InternalConsistencyError, match="not connected"):
+        h.path_from_rel(0)
+    with pytest.raises(InternalConsistencyError, match="not connected"):
+        h.path_from_rel(min(standard_disk(2).marks["alpha_plus"]))

@@ -9,11 +9,11 @@ from sutured_tqft.axioms import _suture_corner_sites, random_sutured_surface
 from sutured_tqft.errors import InvalidSurfaceError
 from sutured_tqft.gluing import Gluing, cut_open, glue, quadrangulate
 from sutured_tqft.models import annulus_model, one_holed_torus
-from sutured_tqft.surface import (Refinement, Surface, add_detached_circle,
-                                  chain_add, chain_boundary, chain_from_path,
-                                  disjoint_union, disk_position, split_face,
-                                  standard_disk, subdivide_edge, subsurface,
-                                  transport_chain, validate_complex,
+from sutured_tqft.surface import (Refinement, Surface, UnionFind,
+                                  add_detached_circle, chain_add, chain_boundary,
+                                  chain_from_path, disjoint_union, disk_position,
+                                  split_face, standard_disk, subdivide_edge,
+                                  subsurface, transport_chain, validate_complex,
                                   validate_marking, validate_surface)
 
 
@@ -480,3 +480,29 @@ def test_indices_match_naive_on_drawn_surfaces(seed):
     sites = _suture_corner_sites(s)
     if sites:
         assert_indices_match_naive(glue(Gluing(s, *rng.choice(sites))).result)
+
+
+# -- union-find -----------------------------------------------------------
+
+def test_union_find_matches_set_merging_oracle():
+    rng = random.Random(20261018)
+    for trial in range(200):
+        n = rng.randint(1, 40)
+        items = rng.sample(range(-5, 1000), n)
+        uf, blocks = UnionFind(), {}  # the oracle: item -> its shared set
+        for _ in range(rng.randint(0, 3 * n)):
+            a, b = rng.choice(items), rng.choice(items)
+            sa, sb = blocks.setdefault(a, {a}), blocks.setdefault(b, {b})
+            assert uf.union(a, b) == (sa is not sb)
+            if sa is not sb:
+                sa |= sb
+                for x in sb:
+                    blocks[x] = sa
+        assert set(uf.parent) == set(blocks)
+        groups = {}
+        for x in items:
+            groups.setdefault(uf.find(x), set()).add(x)
+        want = {frozenset(blocks.get(x, {x})) for x in items}
+        assert {frozenset(g) for g in groups.values()} == want
+        # each root is a member of its own class
+        assert all(root in g for root, g in groups.items())
