@@ -37,6 +37,7 @@ from .surface import (
     MARK_KEYS,
     Surface,
     UnionFind,
+    _inherit,
     chain_add,
     chain_boundary,
     split_face,
@@ -270,6 +271,8 @@ def glue(tau: Gluing) -> GluedSurfaceData:
         elif kind == "alpha_plus":
             swallowed.append(root)
     result = Surface(twin, head, host.faces, marks)
+    # only faceless halfedges die, so the face indices carry over
+    _inherit(host, result, keep=("_face_of", "_walk_pos"))
     validate_surface(result)
     return GluedSurfaceData(
         gluing=tau,
@@ -418,9 +421,11 @@ def check_respect(g: GluedSurfaceData, ds: DividingSet, ring: str = RING_F2) -> 
 # cutting
 
 
-def _fan_groups(s: Surface, v: int, cut_edges: set[int]) -> tuple[dict[int, int], int]:
-    """Group the outgoing halfedges at v by the corners left connected once
-    the cut edges are severed; group 0 keeps the old vertex id."""
+def _fan_groups(s: Surface, v: int, cut_edges: set[int],
+               boundary: set[int]) -> tuple[dict[int, int], int]:
+    """Group the outgoing halfedges at v, in fan order, by the corners left
+    connected once the cut edges are severed; group 0 keeps the old vertex
+    id.  ``boundary`` holds the boundary vertices of s."""
     fan = s.outgoing_fan(v)
     n = len(fan)
     corners = UnionFind()
@@ -429,7 +434,7 @@ def _fan_groups(s: Surface, v: int, cut_edges: set[int]) -> tuple[dict[int, int]
     for i in range(1, n):
         if s.canonical(fan[i]) not in cut_edges:
             corners.union(i, i - 1)
-    if v not in s.boundary_vertices() and s.canonical(fan[0]) not in cut_edges:
+    if v not in boundary and s.canonical(fan[0]) not in cut_edges:
         corners.union(0, n - 1)
     ordinal: dict[int, int] = {}
     for i in range(n):
@@ -503,15 +508,18 @@ def cut_open(s: Surface, arcs) -> tuple[Surface, Gluing]:
     fresh_v = s.fresh_vertex()
     head_fix: dict[int, int] = {}
     for v in affected:
-        assign, ngroups = _fan_groups(s, v, cut_edges)
+        assign, ngroups = _fan_groups(s, v, cut_edges, boundary)
         copies[v] = ids = [v, *range(fresh_v, fresh_v + ngroups - 1)]
         fresh_v += ngroups - 1
-        for x, hv in head.items():
-            if hv != v:
-                continue
-            # the face walks are unchanged, so they find the corner of x
-            node = s.walk_next(x) if s.in_face(x) else twin[x]
-            head_fix[x] = ids[assign[node]]
+        # The halfedges into v are the old twins of its fan and the new
+        # twins of its cut halfedges.  The face walks are unchanged, so
+        # they find the corner of an old twin; a new one sits at the
+        # corner of the halfedge it was cut from.
+        for o, group in assign.items():
+            x = s.twin[o]
+            head_fix[x] = ids[assign[s.walk_next(x)]] if s.in_face(x) else ids[group]
+            if s.canonical(o) in cut_edges:
+                head_fix[twin[o]] = ids[group]
     head.update(head_fix)
 
     marks = {k: set(vs) for k, vs in s.marks.items()}
@@ -533,6 +541,7 @@ def cut_open(s: Surface, arcs) -> tuple[Surface, Gluing]:
         marks["F_plus"].add(right)
 
     s2 = Surface(twin, head, s.faces, marks)
+    _inherit(s, s2, keep=("_face_of", "_walk_pos"), _fresh=lambda old: (fresh_v, nxt_h))
     validate_surface(s2)
     gamma = tuple(h for path in arcs for h in path)
     gamma_prime = tuple(s.twin[h] for path in arcs for h in path)
@@ -596,10 +605,11 @@ def _halve_single_edge(cur: Surface, hs: list[int], w: int) -> tuple[Surface, li
     """Cut arcs need an interior vertex, so split a one-edge path in two."""
     r2, mid = subdivide_edge(cur, hs[0])
     s3 = r2.surface
-    second = s3.halfedges_between(mid, w)
-    if len(second) != 1:
-        raise InternalConsistencyError(f"subdivided edge has {len(second)} halves at {w}")
-    return s3, [hs[0], second[0]]
+    # the old twin keeps its id on the head-side piece, whose twin runs on
+    second = s3.twin[cur.twin[hs[0]]]
+    if s3.tail(second) != mid or s3.head[second] != w:
+        raise InternalConsistencyError(f"subdivided edge has no half from {mid} to {w}")
+    return s3, [hs[0], second]
 
 
 def _realize_arc(s: Surface, va: int, vb: int, avoid=frozenset(),

@@ -17,14 +17,19 @@ Surfaces are immutable: the constructor is the only writer, mark sets
 are frozensets and face walks tuples, and every refinement or gluing
 builds a new surface.  So each derived index (face and walk position of
 a halfedge, boundary halfedges, the start of each vertex's fan, edges,
-boundary circles, component ids) is built once, on first use, and never
-invalidated.
+boundary circles, component ids, the next free ids) is never
+invalidated.  A surface builds an index from scratch on first use,
+unless it came from a refinement, cut or gluing whose parent had already
+built it: the child then inherits the parent's index, patched only where
+the step changed it, so a step costs what it changes.
 
 1-chains on the complex are dicts mapping the canonical halfedge of an
 edge (the smaller id of the twin pair) to an integer coefficient.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -93,7 +98,8 @@ class Surface:
     """Immutable halfedge complex with sutured boundary marks.
 
     ``twin`` and ``head`` are plain dicts for lookup speed; treat them as
-    read-only.  Derived indices are built on first use and never change.
+    read-only.  Derived indices never change: each is built on first use
+    or inherited from the surface this one was refined from.
     """
 
     def __init__(self, twin: dict[int, int], head: dict[int, int],
@@ -181,6 +187,11 @@ class Surface:
         for h in self._boundary:
             sizes[comp_of[head[h]]] += 1
         return comp_of, sizes
+
+    @cached_property
+    def _fresh(self) -> tuple[int, int]:
+        """(next vertex id, next halfedge id): one past the largest in use."""
+        return max(self.head.values(), default=-1) + 1, max(self.twin, default=-1) + 1
 
     # -- basic accessors --------------------------------------------------
     @property
@@ -336,10 +347,10 @@ class Surface:
         return Surface(twin, head, faces, marks)
 
     def fresh_vertex(self) -> int:
-        return max(self.vertices, default=-1) + 1
+        return self._fresh[0]
 
     def fresh_halfedge(self) -> int:
-        return max(self.twin, default=-1) + 1
+        return self._fresh[1]
 
     # -- JSON -------------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -378,15 +389,16 @@ class Surface:
 
 def validate_complex(s: Surface, allow_closed: bool = False) -> None:
     """Structural checks: twin involution, face walks, manifold links."""
-    for h, t in s.twin.items():
+    twin, head = s.twin, s.head
+    for h, t in twin.items():
         if t == h:
             raise InvalidSurfaceError(f"halfedge {h} is its own twin")
-        if s.twin.get(t) != h:
+        if twin.get(t) != h:
             raise InvalidSurfaceError(f"twin map not an involution at {h}")
-        if h not in s.head:
+        if h not in head:
             raise InvalidSurfaceError(f"halfedge {h} has no head")
-    for h in s.head:
-        if h not in s.twin:
+    for h in head:
+        if h not in twin:
             raise InvalidSurfaceError(f"halfedge {h} has no twin")
 
     seen: set[int] = set()
@@ -394,49 +406,56 @@ def validate_complex(s: Surface, allow_closed: bool = False) -> None:
         if not walk:
             raise InvalidSurfaceError(f"face {fi} has empty walk")
         for x in walk:
-            if x not in s.twin:
+            if x not in twin:
                 raise InvalidSurfaceError(f"face {fi} references unknown halfedge {x}")
             if x in seen:
                 raise InvalidSurfaceError(f"halfedge {x} appears twice in face walks")
             seen.add(x)
         for a, b in zip(walk, walk[1:] + walk[:1]):
-            if s.head[a] != s.tail(b):
+            if head[a] != head[twin[b]]:
                 raise InvalidSurfaceError(f"face {fi} walk breaks after halfedge {a}")
 
-    for h in s.twin:
-        if h < s.twin[h] and h not in seen and s.twin[h] not in seen:
-            raise InvalidSurfaceError(f"edge {h}/{s.twin[h]} borders no face")
+    for h, t in twin.items():
+        if h < t and h not in seen and t not in seen:
+            raise InvalidSurfaceError(f"edge {h}/{t} borders no face")
 
     # manifold boundary: exactly one boundary halfedge in and out at each
     # boundary vertex
     b_in: dict[int, int] = {}
     b_out: dict[int, int] = {}
-    for h in s.boundary_halfedges():
-        b_in[s.head[h]] = b_in.get(s.head[h], 0) + 1
-        b_out[s.tail(h)] = b_out.get(s.tail(h), 0) + 1
+    for h in s._boundary:
+        b_in[head[h]] = b_in.get(head[h], 0) + 1
+        b_out[head[twin[h]]] = b_out.get(head[twin[h]], 0) + 1
     for v in set(b_in) | set(b_out):
         if b_in.get(v, 0) != 1 or b_out.get(v, 0) != 1:
             raise InvalidSurfaceError(f"boundary is pinched at vertex {v}")
 
     # umbrella condition: the rotational fan at each vertex covers all
-    # outgoing halfedges exactly once, and closes up at interior vertices
-    out_count: dict[int, int] = {}
-    for h in s.twin:
-        out_count[s.tail(h)] = out_count.get(s.tail(h), 0) + 1
-    boundary_verts = s.boundary_vertices()
+    # outgoing halfedges exactly once, and closes up at interior vertices.
+    # twin is a bijection by now, so a vertex has as many outgoing
+    # halfedges as incoming ones.
+    out_count = Counter(head.values())
+    boundary_verts = set(b_in)  # = set(b_out) after the pinch check
+    face_of, pos, faces, fan_start = s._face_of, s._walk_pos, s.faces, s._fan_start
     for v in s.vertices:
-        fan = s.outgoing_fan(v)
-        if len(fan) != out_count.get(v, 0) or len(set(fan)) != len(fan):
+        # the fan walk of Surface.outgoing_fan, written out: this runs once
+        # per halfedge of every surface built
+        start = cur = fan_start[v]
+        fan = [start]
+        while cur in face_of:
+            cur = twin[faces[face_of[cur]][pos[cur] - 1]]
+            if cur == start:
+                break
+            fan.append(cur)
+        if len(fan) != out_count[v] or len(set(fan)) != len(fan):
             raise InvalidSurfaceError(f"vertex {v} is not locally a disk or half-disk")
         if v not in boundary_verts:
             last = fan[-1]
-            if not s.in_face(last) or s.twin[s.walk_prev(last)] != fan[0]:
+            if last not in face_of or twin[faces[face_of[last]][pos[last] - 1]] != start:
                 raise InvalidSurfaceError(f"interior vertex {v} has a broken fan")
 
-    if not allow_closed:
-        for comp in s.components():
-            if not comp & boundary_verts:
-                raise InvalidSurfaceError("closed component (no boundary) present")
+    if not allow_closed and 0 in s._components[1]:
+        raise InvalidSurfaceError("closed component (no boundary) present")
 
 
 def validate_marking(s: Surface) -> None:
@@ -559,6 +578,36 @@ def transport_chain(ref: Refinement, chain: dict[int, int]) -> dict[int, int]:
     return {e: v for e, v in out.items() if v}
 
 
+def _inherit(parent: Surface, child: Surface, keep: Sequence[str] = (),
+             faces: Sequence[int] = (), **patch) -> None:
+    """Hand the child each index the parent has already built.
+
+    Indices named in ``keep`` are shared unchanged.  ``_face_of`` and
+    ``_walk_pos`` are copied and rewritten on the child's ``faces``.  Every
+    other index named in ``patch`` maps the parent's value to the child's.
+    An index the parent never built is left to the child's own
+    ``cached_property``, which stays the only from-scratch definition.
+    """
+    built, mine = parent.__dict__, child.__dict__
+    for name in keep:
+        if name in built:
+            mine[name] = built[name]
+    for name, step in patch.items():
+        if name in built:
+            mine[name] = step(built[name])
+    if faces and "_face_of" in built:
+        face_of = built["_face_of"].copy()
+        for fi in faces:
+            face_of.update(dict.fromkeys(child.faces[fi], fi))
+        mine["_face_of"] = face_of
+    if faces and "_walk_pos" in built:
+        pos = built["_walk_pos"].copy()
+        for fi in faces:
+            walk = child.faces[fi]
+            pos.update(zip(walk, range(len(walk))))
+        mine["_walk_pos"] = pos
+
+
 def subdivide_edge(s: Surface, h: int) -> tuple[Refinement, int]:
     """Split the edge of h at a fresh midpoint; returns (refinement, midpoint).
 
@@ -573,16 +622,48 @@ def subdivide_edge(s: Surface, h: int) -> tuple[Refinement, int]:
     # after: h: u->m twin t2: m->u;  h2: m->v twin t: v->m
     head = {**s.head, h: m, h2: v, t: m, t2: u}
     twin = {**s.twin, h: t2, t2: h, h2: t, t: h2}
-    faces = [list(w) for w in s.faces]
-    for walk in faces:
-        if h in walk:
-            idx = walk.index(h)
-            walk[idx:idx + 1] = [h, h2]
-        if t in walk:
-            idx = walk.index(t)
-            walk[idx:idx + 1] = [t, t2]
+    faces = list(s.faces)
+    touched = []
+    new_boundary, old_half = (), None
+    for x, x2 in ((h, h2), (t, t2)):
+        fi = s.face_of(x)
+        if fi is not None:
+            walk = faces[fi]
+            idx = walk.index(x) + 1
+            faces[fi] = walk[:idx] + (x2,) + walk[idx:]
+            touched.append(fi)
+            if s.is_boundary_halfedge(x):
+                new_boundary, old_half = (x2,), x
     s2 = Surface(twin, head, faces, s.marks)
     c = min(h, t)
+    # Both pieces keep an old id as their canonical halfedge, so the edge
+    # list gains max(h, t).  The fresh ids are the largest yet: a boundary
+    # piece goes last in the boundary list and right after its old half on
+    # that half's circle, and m's fan starts at it, or else at h2, the
+    # smaller of m's two outgoing ids.  m joins the component of u.
+    kept = max(h, t)
+
+    def edges(old):
+        i = bisect_left(old, kept)
+        return old[:i] + (kept,) + old[i:]
+
+    def circles(old):
+        if not new_boundary:
+            return old
+        return tuple(c[:c.index(old_half) + 1] + new_boundary + c[c.index(old_half) + 1:]
+                     if old_half in c else c for c in old)
+
+    def components(old):
+        comp_of, sizes = old
+        sizes = list(sizes)
+        sizes[comp_of[u]] += len(new_boundary)
+        return {**comp_of, m: comp_of[u]}, sizes
+
+    _inherit(s, s2, faces=touched, _edges=edges, _circles=circles,
+             _components=components,
+             _boundary=lambda old: old + new_boundary,
+             _fan_start=lambda old: {**old, m: new_boundary[0] if new_boundary else h2},
+             _fresh=lambda old: (m + 1, t2 + 1))
     edge_map = {c: [(h, 1), (h2, 1)] if c == h else [(t, 1), (t2, 1)]}
     return Refinement(s2, edge_map), m
 
@@ -610,6 +691,11 @@ def split_face(s: Surface, face_id: int, i: int, j: int) -> tuple[Refinement, in
     faces[face_id] = walk[j:] + walk[:i] + (a,)
     faces.append(walk[i:j] + (b,))
     s2 = Surface({**s.twin, a: b, b: a}, {**s.head, a: vj, b: vi}, faces, s.marks)
+    # an interior edge between two old vertices with the largest ids yet:
+    # boundary, fans, circles and components stay as they are
+    _inherit(s, s2, keep=("_boundary", "_fan_start", "_circles", "_components"),
+             faces=(face_id, len(faces) - 1), _edges=lambda old: old + (a,),
+             _fresh=lambda old: (old[0], b + 1))
     return Refinement(s2), a, len(faces) - 1, face_id
 
 

@@ -1,8 +1,11 @@
 """Welding boundary collections, cutting along arcs, and the induced maps."""
 
+import hashlib
 import itertools
 import json
 import random
+from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,12 +62,16 @@ from sutured_tqft.linalg import (
 )
 from sutured_tqft.models import annulus_model, annulus_surface, disk_model, one_holed_torus
 from sutured_tqft.surface import (
+    MARK_KEYS,
+    Surface,
+    add_detached_circle,
     chain_add,
     chain_boundary,
     chain_scale,
     disjoint_union,
     standard_disk,
     subdivide_edge,
+    validate_surface,
 )
 
 
@@ -946,6 +953,15 @@ def _per_component_genus(s):
     return total
 
 
+def _quadrangulation_hosts():
+    hosts = [standard_disk(n) for n in range(2, 6)]
+    hosts += [annulus_model().surface, one_holed_torus(),
+              disjoint_union(standard_disk(2), standard_disk(3))[0]]
+    rng = random.Random(1209)
+    hosts += [random_sutured_surface(rng) for _ in range(20)]
+    return hosts
+
+
 def test_fan_queries_match_face_scans_on_quadrangulated_surfaces(monkeypatch):
     real = {name: getattr(gluing_module, name)
             for name in ("_chord_candidates", "_cofacial_neighbors")}
@@ -959,12 +975,7 @@ def test_fan_queries_match_face_scans_on_quadrangulated_surfaces(monkeypatch):
 
     for name, fn in real.items():
         monkeypatch.setattr(gluing_module, name, spy(fn))
-    hosts = [standard_disk(n) for n in range(2, 6)]
-    hosts += [annulus_model().surface, one_holed_torus(),
-              disjoint_union(standard_disk(2), standard_disk(3))[0]]
-    rng = random.Random(1209)
-    hosts += [random_sutured_surface(rng) for _ in range(20)]
-    for s in hosts:
+    for s in _quadrangulation_hosts():
         dec = quadrangulate(s)
         square_chord_family(dec)
         visited[id(dec.pieces)] = dec.pieces
@@ -978,3 +989,111 @@ def test_fan_queries_match_face_scans_on_quadrangulated_surfaces(monkeypatch):
             for w in vertices:
                 if w != u:
                     assert real["_chord_candidates"](s, u, w) == candidates.get((u, w), [])
+
+
+def _surface_record(s):
+    return [sorted(s.twin.items()), sorted(s.head.items()), s.faces,
+            [sorted(s.marks[k]) for k in MARK_KEYS]]
+
+
+def test_quadrangulation_outputs_are_locked():
+    # Every id the decomposition hands out: the cut paths, the reverse
+    # gluing, the chord options and the three surfaces it builds.  The
+    # digest was recorded before refinements inherited their indices.
+    digest = hashlib.sha256()
+    for s in _quadrangulation_hosts():
+        dec = quadrangulate(s)
+        pieces, reverse, options = square_chord_family(dec)
+        assert reverse.gamma == dec.reverse.gamma
+        digest.update(json.dumps([dec.cuts, dec.reverse.gamma_prime, options,
+                                  _surface_record(dec.refined),
+                                  _surface_record(dec.pieces),
+                                  _surface_record(pieces)]).encode())
+    assert digest.hexdigest() == (
+        "e3235b1131d9b2f9c208df549071a95322497254184eb5cf728dd384ef664538")
+
+
+_INDICES = ("_face_of", "_walk_pos", "_boundary", "_fan_start", "_edges",
+            "_circles", "_components", "_fresh")
+
+
+def _assert_indices_match_rebuilt(s):
+    """Every index s holds, inherited or not, equals a from-scratch build."""
+    rebuilt = Surface(s.twin, s.head, s.faces, s.marks)
+    for name in _INDICES:
+        if name in s.__dict__:
+            assert s.__dict__[name] == getattr(rebuilt, name), name
+
+
+def test_inherited_indices_match_a_rebuild(monkeypatch):
+    made, inherited = [], Counter()
+
+    def spy(fn, pick):
+        def wrapped(*args):
+            out = fn(*args)
+            s = pick(out)
+            made.append(s)
+            inherited.update(n for n in _INDICES if n in s.__dict__)
+            return out
+        return wrapped
+
+    for name, pick in (("split_face", lambda out: out[0].surface),
+                       ("subdivide_edge", lambda out: out[0].surface),
+                       ("cut_open", lambda out: out[0]),
+                       ("glue", lambda out: out.result)):
+        monkeypatch.setattr(gluing_module, name, spy(getattr(gluing_module, name), pick))
+    for s in _quadrangulation_hosts():
+        square_chord_family(quadrangulate(s))
+    # each index was handed on at least once, so the comparison bites
+    assert set(inherited) == set(_INDICES)
+    assert len(made) > 500
+    monkeypatch.undo()
+
+    # subdivisions the decomposition never makes: a boundary halfedge, its
+    # faceless twin, and a keyhole edge with both sides in one face
+    pieces = quadrangulate(one_holed_torus()).pieces
+    keyhole = add_detached_circle(pieces, 0, 1)[0].surface
+    k = keyhole.faces[0][1]
+    assert keyhole.face_of(k) == keyhole.face_of(keyhole.twin[k])
+    h = pieces.boundary_halfedges()[0]
+    for parent, e in ((pieces, h), (pieces, pieces.twin[h]), (keyhole, k)):
+        for name in _INDICES:
+            getattr(parent, name)
+        child = subdivide_edge(parent, e)[0].surface
+        assert set(child.__dict__) >= set(_INDICES)
+        made.append(child)
+        validate_surface(child)
+    for s in made:
+        _assert_indices_match_rebuilt(s)
+
+
+def test_refinements_build_no_fan_index_of_their_own(monkeypatch):
+    built = []
+    rebuild = Surface._fan_start.func
+
+    def counting(self):
+        built.append(self)
+        return rebuild(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(Surface, "_fan_start")
+    monkeypatch.setattr(Surface, "_fan_start", prop)
+    results = []
+
+    def spy(fn):
+        def wrapped(*args):
+            out = fn(*args)
+            results.append(out)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(gluing_module, "cut_open", spy(cut_open))
+    monkeypatch.setattr(gluing_module, "glue", spy(glue))
+    for host in (standard_disk(5), one_holed_torus()):
+        built.clear()
+        results.clear()
+        square_chord_family(quadrangulate(host))
+        # the host's own fans, then one build per cut or glued surface;
+        # every split and subdivision inherits its parent's
+        assert results
+        assert len(built) <= len(results) + 1

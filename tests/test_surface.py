@@ -109,6 +109,56 @@ def test_validate_closed_component():
     assert t.genus() == 1
 
 
+def _two_tori_at_one_vertex():
+    return Surface({0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6},
+                   dict.fromkeys(range(8), 0), [[0, 2, 1, 3], [4, 6, 5, 7]])
+
+
+def _pinched_squares():
+    u, vmap, _ = disjoint_union(standard_disk(1), standard_disk(1))
+    return u.relabel(vmap={vmap[0]: 0})
+
+
+_D1, _D2 = standard_disk(1), standard_disk(2)
+
+# One malformed complex per raise site of validate_complex, with the message
+# it gave before the checks read the indices directly.  The "interior vertex
+# has a broken fan" site is missing: once the walks are connected, a fan
+# that stays in faces returns to its start, and one that leaves them ends
+# at a boundary vertex, so no complex reaches it.
+_MALFORMED = [
+    (lambda: Surface({**_D1.twin, 0: 0}, _D1.head, _D1.faces),
+     "halfedge 0 is its own twin"),
+    (lambda: Surface({**_D1.twin, 1: 3}, _D1.head, _D1.faces),
+     "twin map not an involution at 0"),
+    (lambda: Surface(_D1.twin, {h: v for h, v in _D1.head.items() if h != 7}, _D1.faces),
+     "halfedge 7 has no head"),
+    (lambda: Surface(_D1.twin, {**_D1.head, 99: 0}, _D1.faces),
+     "halfedge 99 has no twin"),
+    (lambda: Surface(_D1.twin, _D1.head, [*_D1.faces, []]),
+     "face 1 has empty walk"),
+    (lambda: Surface(_D1.twin, _D1.head, [_D1.faces[0] + (99,)]),
+     "face 0 references unknown halfedge 99"),
+    (lambda: Surface(_D1.twin, _D1.head, [*_D1.faces, [_D1.faces[0][0]]]),
+     "halfedge 0 appears twice in face walks"),
+    # breaks after 4, 10, 8 and 6: the first one is reported
+    (lambda: Surface(_D2.twin, _D2.head, [[0, 2, 4, 10, 8, 6, 12, 14]]),
+     "face 0 walk breaks after halfedge 4"),
+    (lambda: Surface({**_D1.twin, 98: 99, 99: 98}, {**_D1.head, 98: 1, 99: 0}, _D1.faces),
+     "edge 98/99 borders no face"),
+    (_pinched_squares, "boundary is pinched at vertex 0"),
+    (_two_tori_at_one_vertex, "vertex 0 is not locally a disk or half-disk"),
+    (one_vertex_torus, "closed component (no boundary) present"),
+]
+
+
+@pytest.mark.parametrize("build, message", _MALFORMED)
+def test_validate_complex_messages(build, message):
+    with pytest.raises(InvalidSurfaceError) as err:
+        validate_complex(build())
+    assert str(err.value) == message
+
+
 def test_validate_marking_pattern():
     s = standard_disk(1)
     validate_marking(s)
