@@ -271,18 +271,22 @@ def check_gluing_axiom(corpus, seed: int | None = None,
     `_respect_parts` the pushed dividing set and the positive-region H_1
     and grade of K and of K_tau.  No middle H_1 is built: the morphism
     reads the swallowed vertices off tree paths of the quotient's H_1.
-    Each ring still does its own arithmetic."""
+    Pairs on one host share its bases.  Each ring still does its own
+    arithmetic."""
     count = 0
     ok = True
     witness = None
+    host_bases: dict[Surface, tuple[HomologyBasis, HomologyBasis]] = {}
     for ds, tau in corpus:
         data = glue(tau)
-        hb = default_basis(tau.host, RING_F2)
+        if tau.host not in host_bases:
+            hb = default_basis(tau.host, RING_F2)
+            host_bases[tau.host] = hb, HomologyBasis(hb.h1, RING_Z)
+        hb, hz = host_bases[tau.host]
         rb = default_basis(data.result, RING_F2)
         parts = _respect_parts(data, ds)
         good = (_respects(parts, RING_F2, hb, rb)
-                and _respects(parts, RING_Z, HomologyBasis(hb.h1, RING_Z),
-                              HomologyBasis(rb.h1, RING_Z)))
+                and _respects(parts, RING_Z, hz, HomologyBasis(rb.h1, RING_Z)))
         count += 1
         if not good:
             ok = False
@@ -635,11 +639,16 @@ def random_sutured_surface(rng: random.Random, max_total_sutures: int = 8,
 def random_glued_dividing_sets(rng: random.Random, count: int,
                                max_n: int = 5):
     """(DividingSet, Gluing) pairs: a random chord diagram on a disk and
-    a random self-gluing site covering one or two sutures."""
+    a random self-gluing site covering one or two sutures.
+
+    Repeated draws share their work: pairs drawn from the same diagram
+    share one DividingSet, and pairs drawn at the same site one Gluing."""
     if count > 0 and max_n < 3:
         # disks with at most two chords have no one- or two-suture site
         raise ValidationError(f"glued dividing sets need max_n >= 3, got {max_n}")
     diagrams = {n: enumerate_chord_diagrams(n) for n in range(2, max_n + 1)}
+    # (n, index) -> DividingSet; + (sutures,) -> sites; + (site,) -> Gluing
+    sets, site_lists, gluings = {}, {}, {}
     out = []
     attempts = 0
     while len(out) < count:
@@ -649,14 +658,20 @@ def random_glued_dividing_sets(rng: random.Random, count: int,
                 f"drew only {len(out)} of {count} glueable dividing sets "
                 f"with at most {max_n} chords")
         n = rng.randint(2, max_n)
-        cd = diagrams[n][rng.randrange(len(diagrams[n]))]
-        ds = chord_to_dividing_set(cd)
-        sites = _suture_corner_sites(ds.surface,
-                                     sutures=rng.choice((1, 2)))
+        key = (n, rng.randrange(len(diagrams[n])))
+        if key not in sets:
+            sets[key] = chord_to_dividing_set(diagrams[n][key[1]])
+        ds = sets[key]
+        key += (rng.choice((1, 2)),)
+        if key not in site_lists:
+            site_lists[key] = _suture_corner_sites(ds.surface, sutures=key[2])
+        sites = site_lists[key]
         if not sites:
             continue
-        gamma, gamma_prime = sites[rng.randrange(len(sites))]
-        out.append((ds, Gluing(ds.surface, gamma, gamma_prime)))
+        key += (rng.randrange(len(sites)),)
+        if key not in gluings:
+            gluings[key] = Gluing(ds.surface, *sites[key[3]])
+        out.append((ds, gluings[key]))
     return out
 
 

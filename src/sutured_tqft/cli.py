@@ -100,11 +100,13 @@ def _cmd_bypass(args, out) -> int:
     a = args.site
     site = (a, a % n2 + 1, (a % n2 + 1) % n2 + 1)
     triple = bypass_triple_at(cd, site)
-    for d in triple.diagrams:
-        print(d.render(), file=out)
+    # every element is computed before anything prints, so a term-budget
+    # refusal leaves stdout empty
     total = sum((disk_contact_element(d, RING_F2).value
                  for d in triple.diagrams),
                 start=disk_contact_element(cd, RING_F2).value.scale(0))
+    for d in triple.diagrams:
+        print(d.render(), file=out)
     print(f"# f2 sum zero: {_bool_word(total.is_zero())}", file=out)
     return 0
 

@@ -419,18 +419,17 @@ def chord_to_dividing_set(cd: ChordDiagram) -> DividingSet:
     classes need no transport.
     """
     s = standard_disk(cd.n)
+    # a suture meets one chord, so until its chord goes in it has a
+    # single corner: at its outgoing boundary halfedge, whose id stays
+    leaving = {s.tail(h): h for h in s.boundary_halfedges()}
     chords = []
     for a, b in cd.pairs:
-        va, vb = disk_position("F", a), disk_position("F", b)
-        spot = None
-        for fi, walk in enumerate(s.faces):
-            tails = [s.tail(h) for h in walk]
-            if va in tails and vb in tails:
-                spot = (fi, tails.index(va), tails.index(vb))
-                break
-        if spot is None:
+        ha, hb = (leaving[disk_position("F", x)] for x in (a, b))
+        fi = s.face_of(ha)
+        if s.face_of(hb) != fi:
             raise InternalConsistencyError(f"chord {a}-{b} has no common face")
-        ref, chord, _, _ = split_face(s, *spot)
+        walk = s.faces[fi]
+        ref, chord, _, _ = split_face(s, fi, walk.index(ha), walk.index(hb))
         s = ref.surface
         chords.append(chord)
     signs = infer_face_signs(s, chords)

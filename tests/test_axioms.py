@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sutured_tqft.axioms as axioms_module
+import sutured_tqft.gluing as gluing_module
 from sutured_tqft.axioms import (
     DEFAULT_SEED,
     AxiomReport,
@@ -240,6 +241,94 @@ def test_disks_with_two_chords_have_no_gluing_sites():
     assert random_glued_dividing_sets(random.Random(1), 0, max_n=2) == []
 
 
+def reference_random_glued_dividing_sets(rng, count, max_n=5):
+    """The corpus loop before repeated draws shared their work: every
+    draw rebuilds its dividing set, site list and gluing."""
+    diagrams = {n: enumerate_chord_diagrams(n) for n in range(2, max_n + 1)}
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, max_n)
+        cd = diagrams[n][rng.randrange(len(diagrams[n]))]
+        ds = chord_to_dividing_set(cd)
+        sites = _suture_corner_sites(ds.surface, sutures=rng.choice((1, 2)))
+        if not sites:
+            continue
+        gamma, gamma_prime = sites[rng.randrange(len(sites))]
+        out.append((ds, Gluing(ds.surface, gamma, gamma_prime)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 7, DEFAULT_SEED])
+def test_shared_corpus_matches_rebuilding_every_draw(seed):
+    for max_n in (3, 4, 5, 6):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = random_glued_dividing_sets(rng, 200, max_n)
+        want = reference_random_glued_dividing_sets(ref_rng, 200, max_n)
+        assert rng.getstate() == ref_rng.getstate()
+        assert len(got) == len(want) == 200
+        sets, gluings = {}, {}
+        for (ds, tau), (ref_ds, ref_tau) in zip(got, want):
+            assert tau.host is ds.surface
+            assert ds.to_json_dict() == ref_ds.to_json_dict()
+            assert tau.to_json_dict() == ref_tau.to_json_dict()
+            # an equal draw hands back the very same objects
+            key = json.dumps(ds.to_json_dict(), sort_keys=True)
+            assert sets.setdefault(key, ds) is ds
+            key += json.dumps(tau.to_json_dict(), sort_keys=True)
+            assert gluings.setdefault(key, tau) is tau
+        assert len(sets) < len(gluings) < 200
+
+
+def test_suite_builds_each_drawn_input_once(monkeypatch):
+    inside = set()
+    diagrams, site_keys, host_bases, morphisms = [], [], [], []
+
+    def within(name, fn):
+        def wrapped(*args, **kwargs):
+            inside.add(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.discard(name)
+        return wrapped
+
+    def recorder(fn, log, scope, key):
+        def wrapped(*args, **kwargs):
+            if scope is None or scope in inside:
+                log.append(key(*args, **kwargs))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    realize, find, basis = (axioms_module.chord_to_dividing_set,
+                            axioms_module._suture_corner_sites,
+                            axioms_module.default_basis)
+    hosts = {}
+
+    def realized(cd):
+        ds = realize(cd)
+        hosts[ds.surface] = cd
+        return ds
+
+    monkeypatch.setattr(axioms_module, "random_glued_dividing_sets",
+                        within("draw", axioms_module.random_glued_dividing_sets))
+    monkeypatch.setattr(axioms_module, "check_gluing_axiom",
+                        within("check", axioms_module.check_gluing_axiom))
+    monkeypatch.setattr(axioms_module, "chord_to_dividing_set", recorder(
+        realized, diagrams, "draw", lambda cd: cd.pairs))
+    monkeypatch.setattr(axioms_module, "_suture_corner_sites", recorder(
+        find, site_keys, "draw", lambda s, sutures=1: (hosts[s].pairs, sutures)))
+    monkeypatch.setattr(axioms_module, "default_basis", recorder(
+        basis, host_bases, "check", lambda s, ring: s if s in hosts else None))
+    monkeypatch.setattr(gluing_module, "_morphism", recorder(
+        gluing_module._morphism, morphisms, None, lambda *args: None))
+    assert all(r.verdict for r in run_axiom_suite())
+    host_bases = [s for s in host_bases if s is not None]
+    assert len(diagrams) == len(set(diagrams)) <= 110
+    assert len(site_keys) == len(set(site_keys)) <= 110
+    assert len(host_bases) == len(set(host_bases)) > 50
+    assert len(morphisms) == 418
+
+
 def test_corner_sites_match_hand_count():
     assert len(_suture_corner_sites(standard_disk(2))) == 0
     assert len(_suture_corner_sites(standard_disk(3))) == 6
@@ -296,15 +385,18 @@ def test_pruned_corner_sites_match_all_pairs_on_suite_corpora(seed, monkeypatch)
     # every surface the suite draws sites on, in both arc lengths
     find = axioms_module._suture_corner_sites
     hosts = []
+    keys = set()
 
     def recording(s, sutures=1):
         hosts.append(s)
+        keys.add((json.dumps(s.to_json_dict(), sort_keys=True), sutures))
         return find(s, sutures=sutures)
 
     monkeypatch.setattr(axioms_module, "_suture_corner_sites", recording)
     assert all(r.verdict for r in run_axiom_suite(seed=seed))
     distinct, found = _assert_sites_match_oracle(hosts)
-    assert len(hosts) > 200 and distinct > 40 and found > 1000
+    # repeated draws share their site list, so count distinct inputs
+    assert len(keys) > 80 and distinct > 40 and found > 1000
 
 
 def test_pruned_corner_sites_match_all_pairs_on_fixed_and_random_surfaces():

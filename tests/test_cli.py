@@ -477,6 +477,36 @@ def test_contact_over_the_term_budget_exits_two():
     assert "budget" in done.stderr
 
 
+# a random 60-chord diagram: its F2 contact element exceeds the term budget
+_BYPASS_60 = (
+    "1-2,3-108,4-5,6-105,7-104,8-13,9-12,10-11,14-95,15-16,17-94,"
+    "18-93,19-82,20-81,21-24,22-23,25-30,26-29,27-28,31-80,32-79,"
+    "33-34,35-74,36-37,38-41,39-40,42-49,43-44,45-46,47-48,50-73,"
+    "51-60,52-59,53-56,54-55,57-58,61-72,62-69,63-68,64-65,66-67,"
+    "70-71,75-76,77-78,83-88,84-85,86-87,89-90,91-92,96-99,97-98,"
+    "100-103,101-102,106-107,109-120,110-111,112-113,114-119,115-116,"
+    "117-118")
+
+_LIMITED_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from sutured_tqft.cli import run
+raise SystemExit(run(sys.argv[1:]))
+"""
+
+
+def test_bypass_over_the_term_budget_prints_nothing():
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", _LIMITED_RUN, "bypass", "--site", "2",
+                           _BYPASS_60], env=env, capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "budget" in done.stderr and "Traceback" not in done.stderr
+
+
 def _random_pairs(rng, first, n):
     """A random noncrossing matching of the 2n sutures from `first` on:
     `first` closes a chord around k others, and the rest follow it."""

@@ -13,7 +13,7 @@ from sutured_tqft.dividing import (ANNULUS_FIXTURE_NAMES, ChordDiagram,
                                    chord_to_dividing_set,
                                    dividing_set_violations,
                                    enumerate_chord_diagrams, infer_face_signs,
-                                   regions)
+                                   orient_by_signs, regions)
 from sutured_tqft.contact import region_homology
 from sutured_tqft.errors import (InvalidChordDiagramError,
                                  InvalidDividingSetError)
@@ -21,7 +21,8 @@ from sutured_tqft.exterior import RING_F2, RING_Z
 from sutured_tqft.axioms import random_glued_dividing_sets
 from sutured_tqft.gluing import glue, push_dividing_set
 from sutured_tqft.models import check_model
-from sutured_tqft.surface import standard_disk, subsurface, validate_surface
+from sutured_tqft.surface import (disk_position, split_face, standard_disk,
+                                  subsurface, validate_surface)
 
 
 def catalan(n):
@@ -129,6 +130,36 @@ def test_any_diagram_realizes(n, data):
     validate_surface(ds.surface)
     assert dividing_set_violations(ds.surface, ds.k_halfedges, ds.face_signs) == []
     assert regions(ds).is_non_isolating()
+
+
+def reference_chord_to_dividing_set(cd):
+    """The face scan `chord_to_dividing_set` replaced: each chord splits
+    the first face whose walk passes both ends, at each end's first
+    corner in that walk."""
+    s = standard_disk(cd.n)
+    chords = []
+    for a, b in cd.pairs:
+        va, vb = disk_position("F", a), disk_position("F", b)
+        for fi, walk in enumerate(s.faces):
+            tails = [s.tail(h) for h in walk]
+            if va in tails and vb in tails:
+                spot = (fi, tails.index(va), tails.index(vb))
+                break
+        ref, chord, _, _ = split_face(s, *spot)
+        s = ref.surface
+        chords.append(chord)
+    signs = infer_face_signs(s, chords)
+    return DividingSet(s, orient_by_signs(s, chords, signs), signs)
+
+
+def test_chord_realization_matches_face_scan():
+    count = 0
+    for n in range(1, 8):
+        for cd in enumerate_chord_diagrams(n):
+            assert (chord_to_dividing_set(cd).to_json_dict()
+                    == reference_chord_to_dividing_set(cd).to_json_dict()), cd.render()
+            count += 1
+    assert count == sum(catalan(n) for n in range(1, 8)) == 625
 
 
 def test_extreme_grades():

@@ -233,7 +233,8 @@ def boundary_matrices(monkeypatch, build):
 
 def test_axiom_suite_boundary_matrices_match_dense_loop(monkeypatch):
     seen = boundary_matrices(monkeypatch, run_axiom_suite)
-    assert len(seen) > 1000
+    # repeated draws share their surfaces, so count distinct matrices
+    assert len({tuple(tuple(sorted(row.items())) for row in rows) for rows in seen}) > 300
     for rows in seen:
         assert_same_smith(rows)
 
