@@ -32,11 +32,10 @@ from .dividing import (DividingSet, add_trivial_circle, annulus_fixture,
 from .disks import disk_contact_element, rotate_diagram
 from .errors import (InternalConsistencyError, InvalidGluingError,
                      ValidationError)
-from .exterior import RING_F2, RING_Z, Multivector, induced_map
+from .exterior import RING_F2, RING_Z, Multivector, equal_up_to_sign, induced_map
 from .gluing import (_OPPOSITE_MARK, Gluing, _respect_parts, _respects, glue,
-                     glued_relative_basis, gluing_morphism, gluing_violations,
-                     push_dividing_set, pushforward_class, quadrangulate,
-                     square_chord_family)
+                     glued_relative_basis, gluing_morphism, push_dividing_set,
+                     pushforward_class, quadrangulate, square_chord_family)
 from .homology import HomologyBasis, RelativeH1, induced_matrix
 from .linalg import f2_invert, f2_rank, invert_unimodular
 from .models import annulus_model, disk_model, one_holed_torus
@@ -98,10 +97,6 @@ def tensor_multivector(x: Multivector, y: Multivector) -> Multivector:
         for m2, c2 in y.terms.items():
             terms[m1 | (m2 << x.rank)] = c1 * c2
     return Multivector(x.rank + y.rank, terms, x.ring)
-
-
-def _up_to_sign(a: Multivector, b: Multivector, ring: str) -> bool:
-    return a == b or (ring == RING_Z and a == b.scale(-1))
 
 
 def _sign_normal(x: Multivector) -> Multivector:
@@ -182,7 +177,7 @@ def check_disjoint_union(s1: Surface, s2: Surface,
                                contact_element(k2, ring=ring, basis=b2).value)
         cu = contact_element(ku, ring=ring, basis=bu).value
         seen[ring] = (t, cu)
-        ok = ok and _up_to_sign(t, cu, ring)
+        ok = ok and equal_up_to_sign(t, cu)
     witness = None if ok else {
         "factor_1": k1.to_json_dict(), "factor_2": k2.to_json_dict(),
         "tensor": seen[RING_Z][0].text(), "union": seen[RING_Z][1].text()}
@@ -191,41 +186,21 @@ def check_disjoint_union(s1: Surface, s2: Surface,
 
 # -- axiom 3: contractible closed curves ----------------------------------
 
-def _k_components(ds: DividingSet) -> list[set[int]]:
-    """Edge sets of the connected components of the dividing set."""
+def _closed_k_loops(ds: DividingSet) -> list[dict[int, int]]:
+    """1-chains of the closed components of K, oriented as K is.
+
+    A component that meets no suture is closed, and since the boundary
+    of K is F+ - F-, its chain is a cycle."""
     s = ds.surface
-    k_edges = ds.k_edges()
     curves = UnionFind()
-    for h in k_edges:
+    for h in ds.k_halfedges:
         curves.union(s.tail(h), s.head[h])
-    comps: dict[int, set[int]] = {}
-    for h in k_edges:
-        comps.setdefault(curves.find(s.head[h]), set()).add(h)
-    return list(comps.values())
-
-
-def _closed_loop_chain(ds: DividingSet, comp: set[int]) -> dict[int, int] | None:
-    """Oriented 1-chain of a closed component, or None if it has ends."""
-    s = ds.surface
-    incident: dict[int, list[int]] = {}
-    for h in comp:
-        for v in (s.tail(h), s.head[h]):
-            incident.setdefault(v, []).append(h)
-    if any(len(hs) != 2 for hs in incident.values()):
-        return None
-    start = min(comp)
-    path: list[int] = []
-    cur = start
-    while True:
-        path.append(cur)
-        v = s.head[cur]
-        a, b = incident[v]
-        base = cur if cur in comp else s.twin[cur]
-        nxt = b if a == base else a
-        cur = nxt if s.tail(nxt) == v else s.twin[nxt]
-        if cur == start:
-            break
-    return chain_from_path(s, path)
+    comps: dict[int, list[int]] = {}
+    for h in ds.k_halfedges:
+        comps.setdefault(curves.find(s.head[h]), []).append(h)
+    ends = {curves.find(v) for v in s.marks["F_plus"] | s.marks["F_minus"]}
+    return [chain_from_path(s, hs) for root, hs in comps.items()
+            if root not in ends]
 
 
 def check_trivial_closed(ds: DividingSet,
@@ -238,15 +213,8 @@ def check_trivial_closed(ds: DividingSet,
     exists: the axiom is silent then.
     """
     h_abs = RelativeH1(ds.surface)
-    found = False
-    for comp in _k_components(ds):
-        chain = _closed_loop_chain(ds, comp)
-        if chain is None:
-            continue
-        if all(c == 0 for c in h_abs.reduce(chain, RING_Z)):
-            found = True
-            break
-    if not found:
+    if not any(all(c == 0 for c in h_abs.reduce(chain, RING_Z))
+               for chain in _closed_k_loops(ds)):
         raise ValidationError(
             "dividing set has no contractible closed component")
     values = {ring: contact_element(ds, ring=ring).value
@@ -428,10 +396,10 @@ def check_relabel_invariance(s: Surface, relabeling: dict[int, int],
         lhs = induced_map(action,
                           contact_element(ds, ring=ring, basis=basis).value)
         rhs = contact_element(pushed, ring=ring, basis=basis).value
-        checks.append(("dividing set", _up_to_sign(lhs, rhs, ring)))
+        checks.append(("dividing set", equal_up_to_sign(lhs, rhs)))
     for x, y in paired_elements:
-        checks.append(("element pair", _up_to_sign(induced_map(action, x),
-                                                   y, ring)))
+        checks.append(("element pair",
+                       equal_up_to_sign(induced_map(action, x), y)))
     for elems in permuted_sets:
         mapped = [induced_map(action, x) for x in elems]
         checks.append(("element set", _same_up_to_signs(mapped, list(elems))))
@@ -486,10 +454,11 @@ def check_basis_of_contact_elements(s: Surface,
 
 
 def _suture_corner_sites(s: Surface, sutures: int = 1):
-    """Candidate gluing sites: ordered pairs of disjoint boundary arcs
-    running from an alpha vertex to an alpha vertex over `sutures` marked
-    points, the second arc listed reversed as the gluing expects.  Only
-    pairs passing the full gluing validation are returned.
+    """Gluing sites: ordered pairs of disjoint boundary arcs running
+    from an alpha vertex to an alpha vertex over `sutures` marked points,
+    the second arc listed reversed as the gluing expects.  Each site is
+    returned as a validated `Gluing` on s; a pair that fails the full
+    gluing validation is dropped.
 
     Gluing ga = (v_0 .. v_n) to gb = (w_0 .. w_n) reversed identifies
     v_j with w_(n-j).  Three keys, computed once per arc, prune the pairs
@@ -529,9 +498,10 @@ def _suture_corner_sites(s: Surface, sutures: int = 1):
             if (ib == ia or not edges[ia].isdisjoint(edges[ib])
                     or any(v == w for v, w in zip(verts[ia], reversed(verts[ib])))):
                 continue
-            gp = tuple(reversed(arcs[ib]))
-            if not gluing_violations(s, ga, gp):
-                sites.append((ga, gp))
+            try:
+                sites.append(Gluing(s, ga, tuple(reversed(arcs[ib]))))
+            except InvalidGluingError:
+                pass
     return sites
 
 
@@ -548,21 +518,18 @@ def check_uniqueness_hypotheses(seed: int = DEFAULT_SEED, samples: int = 12,
     rng = random.Random(seed)
     pool = []
     for host in [standard_disk(n) for n in (3, 4, 5)] + [annulus_model().surface]:
-        pool.extend((host, g, gp) for g, gp in _suture_corner_sites(host))
+        pool.extend(_suture_corner_sites(host))
     rng.shuffle(pool)
     ok = True
     witness = None
     tested = 0
-    for host, gamma, gamma_prime in pool:
+    for tau in pool:
         if tested >= samples:
             break
-        try:
-            data = glue(Gluing(host, gamma, gamma_prime))
-        except InvalidGluingError:
-            continue
+        data = glue(tau)
         if data.swallowed:
             raise InternalConsistencyError("one-suture site swallowed a vertex")
-        hb = default_basis(host, RING_Z)
+        hb = default_basis(tau.host, RING_Z)
         rb = glued_relative_basis(data, RING_Z)
         mat = induced_matrix(hb, rb,
                              push=lambda ch: pushforward_class(data, ch))
@@ -578,8 +545,7 @@ def check_uniqueness_hypotheses(seed: int = DEFAULT_SEED, samples: int = 12,
             good = f2_invert(bits, hb.rank) is not None
         if not good:
             ok = False
-            witness = {"gluing": Gluing(host, gamma, gamma_prime).to_json_dict(),
-                       "matrix": mat}
+            witness = {"gluing": tau.to_json_dict(), "matrix": mat}
             break
         tested += 1
     if ok and tested < min(samples, 4):
@@ -623,11 +589,7 @@ def random_sutured_surface(rng: random.Random, max_total_sutures: int = 8,
             sites = _suture_corner_sites(s, sutures=rng.choice((1, 2)))
             if not sites:
                 break
-            gamma, gamma_prime = sites[rng.randrange(len(sites))]
-            try:
-                s = glue(Gluing(s, gamma, gamma_prime)).result
-            except (InvalidGluingError, InternalConsistencyError):
-                break
+            s = glue(sites[rng.randrange(len(sites))]).result
         n_f = len(s.marks["F_plus"])
         if (0 < n_f <= max_total_sutures and s.genus() <= max_genus
                 and len(s.boundary_circles()) <= max_circles):
@@ -647,8 +609,8 @@ def random_glued_dividing_sets(rng: random.Random, count: int,
         # disks with at most two chords have no one- or two-suture site
         raise ValidationError(f"glued dividing sets need max_n >= 3, got {max_n}")
     diagrams = {n: enumerate_chord_diagrams(n) for n in range(2, max_n + 1)}
-    # (n, index) -> DividingSet; + (sutures,) -> sites; + (site,) -> Gluing
-    sets, site_lists, gluings = {}, {}, {}
+    # (n, index) -> DividingSet; + (sutures,) -> sites
+    sets, site_lists = {}, {}
     out = []
     attempts = 0
     while len(out) < count:
@@ -668,10 +630,7 @@ def random_glued_dividing_sets(rng: random.Random, count: int,
         sites = site_lists[key]
         if not sites:
             continue
-        key += (rng.randrange(len(sites)),)
-        if key not in gluings:
-            gluings[key] = Gluing(ds.surface, *sites[key[3]])
-        out.append((ds, gluings[key]))
+        out.append((ds, sites[rng.randrange(len(sites))]))
     return out
 
 
@@ -807,7 +766,7 @@ def excess_intersection_replay() -> dict:
     f0, f1, f2_ = elements[RING_F2]
     verdict = (crossings == (3, 1, 1)
                and excess[0] == 2 and excess[1] == 0 and excess[2] == 0
-               and _up_to_sign(e0, e1, RING_Z)
+               and equal_up_to_sign(e0, e1)
                and e2.is_zero() and f2_.is_zero()
                and (f0 + f1 + f2_).is_zero()
                and not f0.is_zero())

@@ -23,6 +23,7 @@ from .exterior import (
     RING_F2,
     RING_Z,
     Multivector,
+    equal_up_to_sign,
     indices_of,
     induced_map,
     interior,
@@ -156,9 +157,7 @@ def duality_check(ds: DividingSet, model: SurfaceModel, ring: str = RING_F2) -> 
     cmd = dual.as_dual(cm)
     got_p = interior(cmd, dual.omega_plus())
     got_m = interior(cp, dual.omega_minus())
-    if ring == RING_F2:
-        return got_p == cp and got_m == cmd
-    return (got_p in (cp, cp.scale(-1))) and (got_m in (cmd, cmd.scale(-1)))
+    return equal_up_to_sign(got_p, cp) and equal_up_to_sign(got_m, cmd)
 
 
 def render_multivector(x: Multivector, labels=None) -> str:

@@ -23,6 +23,7 @@ from .errors import InternalConsistencyError, InvalidChordDiagramError, Validati
 from .exterior import Multivector, RING_Z, indices_of
 from .linalg import f2_rank
 from .models import disk_pairing
+from .surface import UnionFind
 
 __all__ = [
     "BypassTriple",
@@ -133,9 +134,6 @@ def disk_contact_element(cd: ChordDiagram, ring: str = RING_Z) -> ContactElement
 class BypassTriple:
     diagrams: tuple[ChordDiagram, ChordDiagram, ChordDiagram]
 
-    def as_set(self) -> frozenset[ChordDiagram]:
-        return frozenset(self.diagrams)
-
 
 def _remade(n: int, pairs) -> ChordDiagram:
     fixed = tuple(sorted(tuple(sorted(p)) for p in pairs))
@@ -179,19 +177,10 @@ def matching_curve_count(cd1: ChordDiagram, cd2: ChordDiagram) -> int:
     components of the union of the two matchings."""
     if cd1.n != cd2.n:
         raise ValidationError("diagrams must have the same number of chords")
-    m1, m2 = cd1.involution(), cd2.involution()
-    left = set(m1)
-    count = 0
-    while left:
-        count += 1
-        stack = [min(left)]
-        while stack:
-            x = stack.pop()
-            if x not in left:
-                continue
-            left.discard(x)
-            stack.extend((m1[x], m2[x]))
-    return count
+    curves = UnionFind()
+    for a, b in (*cd1.pairs, *cd2.pairs):
+        curves.union(a, b)
+    return len({curves.find(x) for x in curves.parent})
 
 
 def matchable(cd1: ChordDiagram, cd2: ChordDiagram) -> bool:

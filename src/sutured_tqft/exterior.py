@@ -25,16 +25,16 @@ in-range masks, F2 toggles stay in {0, 1} and Z needs no reduction.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "RING_Z",
     "RING_F2",
     "Multivector",
+    "equal_up_to_sign",
     "pair",
     "interior",
     "induced_map",
-    "merge_sign",
 ]
 
 RING_Z = "z"
@@ -64,21 +64,6 @@ def _odd_below(b: int) -> int:
         p ^= -(low << 1)
         b ^= low
     return p
-
-
-def merge_sign(a: int, b: int) -> int:
-    """Sign (+1/-1) of merging index sets a before b: parity of crossing pairs."""
-    return -1 if (a & _odd_below(b)).bit_count() & 1 else 1
-
-
-def mask_of(indices: Iterable[int]) -> int:
-    mask = 0
-    for i in indices:
-        bit = 1 << i
-        if mask & bit:
-            raise ValueError(f"repeated index {i}")
-        mask |= bit
-    return mask
 
 
 def indices_of(mask: int) -> tuple[int, ...]:
@@ -150,15 +135,6 @@ class Multivector:
         return cls(rank, {1 << i: c for i, c in enumerate(coeffs) if c}, ring, dual)
 
     @classmethod
-    def from_indices(cls, rank: int, entries: Iterable[tuple[Iterable[int], int]],
-                     ring: str = RING_Z, dual: bool = False) -> "Multivector":
-        terms: dict[int, int] = {}
-        for indices, c in entries:
-            mask = mask_of(indices)
-            terms[mask] = terms.get(mask, 0) + c
-        return cls(rank, terms, ring, dual)
-
-    @classmethod
     def top(cls, rank: int, ring: str = RING_Z, dual: bool = False) -> "Multivector":
         """The full wedge of all generators in ascending order."""
         return cls(rank, {(1 << rank) - 1: 1}, ring, dual)
@@ -166,10 +142,6 @@ class Multivector:
     # -- basic structure --------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_homogeneous(self) -> bool:
-        degs = {m.bit_count() for m in self.terms}
-        return len(degs) <= 1
 
     def degree(self) -> int | None:
         """Common degree of all terms; None for 0 or mixed elements."""
@@ -260,6 +232,11 @@ class Multivector:
     def __repr__(self) -> str:
         tag = "*" if self.dual else ""
         return f"<Multivector{tag} rank={self.rank} ring={self.ring} {self.text()}>"
+
+
+def equal_up_to_sign(a: Multivector, b: Multivector) -> bool:
+    """a == b, or a == -b over Z; elements of different algebras differ."""
+    return a == b or (a.ring == RING_Z and a == -b)
 
 
 def pair(f: Multivector, e: Multivector) -> int:

@@ -30,7 +30,7 @@ from .errors import (
     json_field,
     json_int,
 )
-from .exterior import Multivector, interior, induced_map, RING_F2, RING_Z
+from .exterior import Multivector, interior, induced_map, equal_up_to_sign, RING_F2, RING_Z
 from .homology import HomologyBasis, RelativeH1, induced_matrix
 from .linalg import invert_unimodular, transpose
 from .surface import (
@@ -398,10 +398,7 @@ def _respects(parts, ring: str, host_basis: HomologyBasis,
     g, source, target = parts
     x = _wedge_region(*source, host_basis, ring).value
     lhs = _morphism(g, x, host_basis, result_basis)
-    rhs = _wedge_region(*target, result_basis, ring).value
-    if ring == RING_F2:
-        return lhs == rhs
-    return lhs == rhs or lhs == rhs.scale(-1)
+    return equal_up_to_sign(lhs, _wedge_region(*target, result_basis, ring).value)
 
 
 def check_respect(g: GluedSurfaceData, ds: DividingSet, ring: str = RING_F2) -> bool:

@@ -29,10 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import InternalConsistencyError
-from .exterior import RING_F2, RING_Z
+from .exterior import RING_Z
 from .homology import HomologyBasis, RelativeH1
-from .linalg import det_q, f2_invert
 from .surface import (
     Refinement,
     Surface,
@@ -181,20 +179,3 @@ def one_holed_torus() -> Surface:
     marks = {"F_plus": (0,), "alpha_plus": (1,),
              "F_minus": (2,), "alpha_minus": (3,)}
     return Surface(twin, head, faces, marks)
-
-
-def check_model(model: SurfaceModel, ring: str = RING_Z) -> None:
-    """Internal consistency: bases are bases and the pairing is unimodular."""
-    model.basis_plus(ring)
-    model.basis_minus(ring)
-    n = len(model.pairing)
-    if n != len(model.beta_minus) or any(len(r) != len(model.beta_plus)
-                                         for r in model.pairing):
-        raise InternalConsistencyError("model pairing does not match the bases")
-    if ring == RING_F2:
-        rows = [sum((abs(v) % 2) << j for j, v in enumerate(r)) for r in model.pairing]
-        invertible = f2_invert(rows, n) is not None
-    else:
-        invertible = abs(det_q([list(r) for r in model.pairing])) == 1
-    if not invertible:
-        raise InternalConsistencyError(f"model pairing is not invertible over {ring}")

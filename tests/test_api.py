@@ -70,3 +70,10 @@ def test_every_definition_is_referenced():
             if words[node.name] == own.count(node.name):
                 unused.append(f"{path.name}:{node.name}")
     assert unused == []
+
+
+def test_gluing_sites_are_validated_only_by_gluing():
+    # Gluing.__init__ is the one entry point to site validation
+    naming = sorted(path.name for path in PACKAGE_DIR.glob("*.py")
+                    if re.search(r"\bgluing_violations\b", path.read_text()))
+    assert naming == ["gluing.py"]

@@ -26,8 +26,7 @@ from sutured_tqft.axioms import (
     run_axiom_suite,
     tensor_multivector,
     transversal_crossings,
-    _closed_loop_chain,
-    _k_components,
+    _closed_k_loops,
     _suture_corner_sites,
 )
 from sutured_tqft.contact import contact_element
@@ -39,11 +38,12 @@ from sutured_tqft.dividing import (
     enumerate_chord_diagrams,
     regions,
 )
-from sutured_tqft.errors import ValidationError
+from sutured_tqft.errors import InternalConsistencyError, ValidationError
 from sutured_tqft.exterior import Multivector, RING_F2, RING_Z
 from sutured_tqft.gluing import Gluing, glue, gluing_violations
 from sutured_tqft.models import annulus_model, one_holed_torus
-from sutured_tqft.surface import disjoint_union, standard_disk, validate_surface
+from sutured_tqft.surface import (chain_boundary, disjoint_union, standard_disk,
+                                  validate_surface)
 
 
 # -- reports --------------------------------------------------------------
@@ -190,7 +190,17 @@ def _depth_first_k_components(ds):
     return comps
 
 
-def test_k_components_match_depth_first_search():
+def _is_loop(ds, comp):
+    """Every vertex of the component meets exactly two of its edges."""
+    s = ds.surface
+    degree = {}
+    for h in comp:
+        for v in (s.tail(h), s.head[h]):
+            degree[v] = degree.get(v, 0) + 1
+    return set(degree.values()) == {2}
+
+
+def test_closed_k_loops_match_depth_first_search():
     sets = [chord_to_dividing_set(cd)
             for n in range(1, 6) for cd in enumerate_chord_diagrams(n)]
     sets += [annulus_fixture(name)[1] for name in ANNULUS_FIXTURE_NAMES]
@@ -199,12 +209,16 @@ def test_k_components_match_depth_first_search():
         ds = rng.choice(sets)
         sets.append(add_trivial_circle(ds, rng.randrange(len(ds.surface.faces)))[0])
     sets += excess_intersection_replay()["sets"]
-    closed = 0
+    loops = 0
     for ds in sets:
-        got = _k_components(ds)
-        assert sorted(map(sorted, got)) == sorted(map(sorted, _depth_first_k_components(ds)))
-        closed += sum(1 for comp in got if _closed_loop_chain(ds, comp) is not None)
-    assert closed >= 40
+        got = _closed_k_loops(ds)
+        want = [comp for comp in _depth_first_k_components(ds) if _is_loop(ds, comp)]
+        assert sorted(sorted(chain) for chain in got) == sorted(map(sorted, want))
+        for chain in got:
+            assert set(chain.values()) <= {1, -1}
+            assert chain_boundary(ds.surface, chain) == {}
+        loops += len(got)
+    assert loops >= 40
 
 
 @settings(max_examples=25, deadline=None)
@@ -253,8 +267,8 @@ def reference_random_glued_dividing_sets(rng, count, max_n=5):
         sites = _suture_corner_sites(ds.surface, sutures=rng.choice((1, 2)))
         if not sites:
             continue
-        gamma, gamma_prime = sites[rng.randrange(len(sites))]
-        out.append((ds, Gluing(ds.surface, gamma, gamma_prime)))
+        tau = sites[rng.randrange(len(sites))]
+        out.append((ds, Gluing(ds.surface, tau.gamma, tau.gamma_prime)))
     return out
 
 
@@ -329,6 +343,22 @@ def test_suite_builds_each_drawn_input_once(monkeypatch):
     assert len(morphisms) == 418
 
 
+def test_suite_validates_each_drawn_site_once(monkeypatch):
+    calls = []
+    check = gluing_module.gluing_violations
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(gluing_module, "gluing_violations", counted)
+    if hasattr(axioms_module, "gluing_violations"):
+        monkeypatch.setattr(axioms_module, "gluing_violations", counted)
+    assert all(r.verdict for r in run_axiom_suite())
+    # 1,917 when each site was validated as a pair and again as a Gluing
+    assert len(calls) <= 1750
+
+
 def test_corner_sites_match_hand_count():
     assert len(_suture_corner_sites(standard_disk(2))) == 0
     assert len(_suture_corner_sites(standard_disk(3))) == 6
@@ -375,7 +405,9 @@ def _assert_sites_match_oracle(surfaces):
         seen.add(key)
         for sutures in (1, 2):
             sites = _suture_corner_sites(s, sutures=sutures)
-            assert sites == _all_pairs_corner_sites(s, sutures=sutures)
+            assert all(tau.host is s for tau in sites)
+            assert ([(tau.gamma, tau.gamma_prime) for tau in sites]
+                    == _all_pairs_corner_sites(s, sutures=sutures))
             found += len(sites)
     return len(seen), found
 
@@ -501,8 +533,8 @@ def test_uniqueness_hypotheses():
 
 def test_one_suture_gluings_swallow_nothing():
     s = standard_disk(4)
-    for gamma, gamma_prime in _suture_corner_sites(s)[:6]:
-        assert glue(Gluing(s, gamma, gamma_prime)).swallowed == ()
+    for tau in _suture_corner_sites(s)[:6]:
+        assert glue(tau).swallowed == ()
 
 
 # -- randomized corpus ----------------------------------------------------
@@ -518,6 +550,17 @@ def test_random_surfaces_respect_caps():
         comps = len(s.components())
         genus2 = 2 * comps - s.euler_characteristic() - len(s.boundary_circles())
         assert 0 <= genus2 <= 2
+
+
+def test_random_surface_lets_a_gluing_bug_through(monkeypatch):
+    # a failed invariant in glue is a bug, not a reason to draw again
+    def broken(tau):
+        raise InternalConsistencyError("glue is broken")
+
+    monkeypatch.setattr(axioms_module, "glue", broken)
+    with pytest.raises(InternalConsistencyError, match="glue is broken"):
+        # this seed's first sample glues at once
+        random_sutured_surface(random.Random(0))
 
 
 # -- excess-intersection induction ----------------------------------------

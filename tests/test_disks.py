@@ -116,7 +116,7 @@ def test_contact_table_is_injective(n):
     assert len(keys) == catalan(n)
     for ce in table:
         assert not ce.value.is_zero()
-        assert ce.value.is_homogeneous()
+        assert len({m.bit_count() for m in ce.value.terms}) <= 1
         assert ce.value.degree() == ce.grade
 
 
@@ -125,7 +125,7 @@ def test_contact_table_is_injective(n):
 def test_bypass_triple_of_the_three_suture_disk():
     cd = ChordDiagram.parse("1-2,3-6,4-5")
     triple = bypass_triple_at(cd, (2, 3, 4))
-    assert triple.as_set() == {
+    assert frozenset(triple.diagrams) == {
         ChordDiagram.parse("1-2,3-6,4-5"),
         ChordDiagram.parse("1-6,2-5,3-4"),
         ChordDiagram.parse("1-4,2-3,5-6"),
@@ -173,7 +173,7 @@ def test_bypass_relation_everywhere(n):
                 triple = bypass_triple_at(cd, site)
             except InvalidChordDiagramError:
                 continue
-            assert len(triple.as_set()) == 3 and cd in triple.as_set()
+            assert len(set(triple.diagrams)) == 3 and cd in triple.diagrams
             f2 = [disk_contact_element(d, RING_F2).value for d in triple.diagrams]
             assert _zero_f2(f2)
             zs = [disk_contact_element(d, RING_Z).value for d in triple.diagrams]
@@ -197,6 +197,35 @@ def test_matchable_examples():
     assert matchable(ChordDiagram.parse("1-2,3-4"), nested)
     with pytest.raises(ValidationError):
         matchable(one, nested)
+
+
+def stack_walk_curve_count(cd1, cd2):
+    """Curves of two matchings by a stack walk over the sutures: the
+    oracle for the union-find count."""
+    m1, m2 = cd1.involution(), cd2.involution()
+    left = set(m1)
+    count = 0
+    while left:
+        count += 1
+        stack = [min(left)]
+        while stack:
+            x = stack.pop()
+            if x not in left:
+                continue
+            left.discard(x)
+            stack.extend((m1[x], m2[x]))
+    return count
+
+
+def test_curve_count_matches_stack_walk():
+    pairs = 0
+    for n in range(1, 7):
+        table = enumerate_chord_diagrams(n)
+        for a in table:
+            for b in table:
+                assert matching_curve_count(a, b) == stack_walk_curve_count(a, b)
+                pairs += 1
+    assert pairs == 19414
 
 
 def test_matchable_wedge_degenerate():

@@ -20,9 +20,9 @@ from sutured_tqft.errors import (InvalidChordDiagramError,
 from sutured_tqft.exterior import RING_F2, RING_Z
 from sutured_tqft.axioms import random_glued_dividing_sets
 from sutured_tqft.gluing import glue, push_dividing_set
-from sutured_tqft.models import check_model
 from sutured_tqft.surface import (disk_position, split_face, standard_disk,
                                   subsurface, validate_surface)
+from test_models import check_model
 
 
 def catalan(n):

@@ -9,17 +9,39 @@ from sutured_tqft.exterior import (
     RING_F2,
     RING_Z,
     Multivector,
+    equal_up_to_sign,
     indices_of,
     induced_map,
     interior,
-    merge_sign,
     pair,
+    _odd_below,
 )
 from sutured_tqft.linalg import f2_rank, mat_mul
 
 
+def mask_of(indices):
+    mask = 0
+    for i in indices:
+        bit = 1 << i
+        if mask & bit:
+            raise ValueError(f"repeated index {i}")
+        mask |= bit
+    return mask
+
+
 def mv(rank, entries, ring=RING_Z, dual=False):
-    return Multivector.from_indices(rank, entries, ring, dual)
+    """A multivector from (index list, coefficient) entries."""
+    terms = {}
+    for indices, c in entries:
+        mask = mask_of(indices)
+        terms[mask] = terms.get(mask, 0) + c
+    return Multivector(rank, terms, ring, dual)
+
+
+def merge_sign(a, b):
+    """Sign of merging index sets a before b by the kernel's rule: the
+    parity of a & P(b)."""
+    return -1 if (a & _odd_below(b)).bit_count() & 1 else 1
 
 
 rings = st.sampled_from([RING_Z, RING_F2])
@@ -237,6 +259,23 @@ def test_grade_project():
     assert x.grade_project(3).is_zero()
     assert x.degree() is None
     assert x.grade_project(0).degree() == 0
+
+
+def test_equal_up_to_sign():
+    x = mv(3, [((0, 1), 1), ((2,), -3)])
+    y = mv(3, [((0, 2), 1)])
+    assert equal_up_to_sign(x, x) and equal_up_to_sign(x, -x)
+    assert not equal_up_to_sign(x, x.scale(2)) and not equal_up_to_sign(x, y)
+    # over F2 -xf is xf itself, so only equality can match
+    xf = mv(3, [((0, 1), 1), ((2,), 1)], RING_F2)
+    yf = mv(3, [((0, 2), 1)], RING_F2)
+    assert equal_up_to_sign(xf, xf) and equal_up_to_sign(xf, -xf)
+    assert not equal_up_to_sign(xf, yf) and not equal_up_to_sign(xf, xf + yf)
+    # another rank, ring or variance is another algebra
+    for other in (mv(4, [((0, 1), 1), ((2,), -3)]), xf,
+                  mv(3, [((0, 1), 1), ((2,), -3)], dual=True)):
+        assert not equal_up_to_sign(x, other) and not equal_up_to_sign(other, x)
+        assert not equal_up_to_sign(x, -other)
 
 
 def test_f2_normalization():

@@ -6,11 +6,28 @@ import pytest
 from sutured_tqft.errors import InternalConsistencyError
 from sutured_tqft.exterior import RING_F2, RING_Z
 from sutured_tqft.homology import RelativeH1
-from sutured_tqft.linalg import det_q
-from sutured_tqft.models import (annulus_model, check_model, disk_arc_chain,
+from sutured_tqft.linalg import det_q, f2_invert
+from sutured_tqft.models import (SurfaceModel, annulus_model, disk_arc_chain,
                                  disk_model, one_holed_torus)
 from sutured_tqft.surface import (chain_boundary, chain_from_path, disk_position,
                                   validate_surface)
+
+
+def check_model(model: SurfaceModel, ring: str = RING_Z) -> None:
+    """Internal consistency: bases are bases and the pairing is unimodular."""
+    model.basis_plus(ring)
+    model.basis_minus(ring)
+    n = len(model.pairing)
+    if n != len(model.beta_minus) or any(len(r) != len(model.beta_plus)
+                                         for r in model.pairing):
+        raise InternalConsistencyError("model pairing does not match the bases")
+    if ring == RING_F2:
+        rows = [sum((abs(v) % 2) << j for j, v in enumerate(r)) for r in model.pairing]
+        invertible = f2_invert(rows, n) is not None
+    else:
+        invertible = abs(det_q([list(r) for r in model.pairing])) == 1
+    if not invertible:
+        raise InternalConsistencyError(f"model pairing is not invertible over {ring}")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
