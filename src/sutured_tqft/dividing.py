@@ -285,14 +285,14 @@ def regions(ds: DividingSet) -> RegionDecomposition:
     )
 
 
-def add_trivial_circle(ds: DividingSet, face_id: int, pos: int = 0) -> tuple[DividingSet, Refinement]:
-    """Insert a contractible K circle inside the given face.
+def add_trivial_circle(ds: DividingSet, face_id: int) -> tuple[DividingSet, Refinement]:
+    """Insert a contractible K circle inside the given face at its first corner.
 
     The circle bounds a 2-gon whose sign is opposite to the ambient
     face, so the new piece is always isolated; the result fails
     ``RegionDecomposition.is_non_isolating`` by construction.
     """
-    ref, (a, b), inner = add_detached_circle(ds.surface, face_id, pos)
+    ref, (a, b), inner = add_detached_circle(ds.surface, face_id, 0)
     s2 = ref.surface
     signs = dict(ds.face_signs)
     signs[inner] = -signs[face_id]

@@ -11,9 +11,10 @@ homology is split as that basis plus one tree path per swallowed vertex,
 so the wedge is a block of dual generators and the rewrite is a
 projection: no middle homology is built and nothing is solved.
 
-Cutting along interior arcs is the inverse construction: `cut_open`
-returns the cut surface together with the gluing that undoes it, and
-`quadrangulate` iterates cuts until only square pieces remain.
+Cutting along an interior arc is the inverse construction: `cut_open`
+slices one arc and returns the cut surface, on which gluing each arc
+halfedge to its old twin gives back the surface, and `quadrangulate`
+iterates cuts until only square pieces remain.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .errors import (
     json_int,
 )
 from .exterior import Multivector, interior, induced_map, equal_up_to_sign, RING_F2, RING_Z
-from .homology import HomologyBasis, RelativeH1, induced_matrix
-from .linalg import invert_unimodular, transpose
+from .homology import HomologyBasis, RelativeH1
+from .linalg import transpose
 from .surface import (
     MARK_KEYS,
     Surface,
@@ -40,6 +41,7 @@ from .surface import (
     _inherit,
     chain_add,
     chain_boundary,
+    push_chain,
     split_face,
     subdivide_edge,
     validate_surface,
@@ -285,15 +287,7 @@ def glue(tau: Gluing) -> GluedSurfaceData:
 
 def pushforward_class(g: GluedSurfaceData, chain: Chain) -> Chain:
     """Image of a 1-chain on the host under the quotient map."""
-    host, result = g.gluing.host, g.result
-    out: Chain = {}
-    for e, c in chain.items():
-        ce = host.canonical(e)
-        coeff = c if e == ce else -c
-        h = g.halfedge_map[ce]
-        ch = result.canonical(h)
-        out[ch] = out.get(ch, 0) + (coeff if h == ch else -coeff)
-    return {e: c for e, c in out.items() if c}
+    return push_chain(chain, g.halfedge_map, g.result)
 
 
 # ---------------------------------------------------------------------------
@@ -439,56 +433,38 @@ def _fan_groups(s: Surface, v: int, cut_edges: set[int],
     return {fan[i]: ordinal[corners.find(i)] for i in range(n)}, len(ordinal)
 
 
-def cut_open(s: Surface, arcs) -> tuple[Surface, Gluing]:
-    """Slice the surface along interior halfedge paths.
+def cut_open(s: Surface, path) -> Surface:
+    """Slice the surface along one interior halfedge path.
 
-    Each arc runs from a positive to a negative suture vertex through
+    The arc runs from a positive to a negative suture vertex through
     interior vertices and needs at least two edges (subdivide first if
-    necessary); arcs share no edges and meet only at endpoints.  Returns
-    the cut surface and the gluing that re-welds it; `glue` of that
-    gluing reproduces `s` exactly.
+    necessary).  Its halfedges keep their ids on the cut surface, and
+    gluing each of them to its old twin there reproduces `s` exactly.
     """
-    arcs = [tuple(a) for a in arcs]
-    if not arcs:
-        return s, Gluing(s, (), ())
-
+    path = tuple(path)
+    if len(path) < 2:
+        raise InvalidGluingError(
+            "cut arc needs an interior vertex; subdivide its edge first")
+    for h in path:
+        if h not in s.twin:
+            raise InvalidGluingError(f"unknown halfedge {h}")
+        if not s.is_interior_edge(h):
+            raise InvalidGluingError(f"cut halfedge {h} is not interior")
+    for a, b in zip(path, path[1:]):
+        if s.head[a] != s.tail(b):
+            raise InvalidGluingError("cut arc is not a connected path")
+    # a connected path that reuses an edge revisits a vertex
+    verts = [s.tail(path[0])] + [s.head[h] for h in path]
+    if len(set(verts)) != len(verts):
+        raise InvalidGluingError("cut arc revisits a vertex")
+    if {s.mark_of(verts[0]), s.mark_of(verts[-1])} != {"alpha_plus", "alpha_minus"}:
+        raise InvalidGluingError(
+            "cut arc must join a positive and a negative suture vertex")
     boundary = s.boundary_vertices()
-    cut_edges: set[int] = set()
-    arc_vertices: list[list[int]] = []
-    for path in arcs:
-        if len(path) < 2:
-            raise InvalidGluingError(
-                "cut arc needs an interior vertex; subdivide its edge first")
-        for h in path:
-            if h not in s.twin:
-                raise InvalidGluingError(f"unknown halfedge {h}")
-            if not s.is_interior_edge(h):
-                raise InvalidGluingError(f"cut halfedge {h} is not interior")
-            c = s.canonical(h)
-            if c in cut_edges:
-                raise InvalidGluingError(f"cut arcs reuse edge {c}")
-            cut_edges.add(c)
-        verts = [s.tail(path[0])] + [s.head[h] for h in path]
-        for a, b in zip(path, path[1:]):
-            if s.head[a] != s.tail(b):
-                raise InvalidGluingError("cut arc is not a connected path")
-        if len(set(verts)) != len(verts):
-            raise InvalidGluingError("cut arc revisits a vertex")
-        marks = {s.mark_of(verts[0]), s.mark_of(verts[-1])}
-        if marks != {"alpha_plus", "alpha_minus"}:
-            raise InvalidGluingError(
-                "cut arc must join a positive and a negative suture vertex")
-        for v in verts[1:-1]:
-            if v in boundary:
-                raise InvalidGluingError(f"cut arc crosses boundary vertex {v}")
-        arc_vertices.append(verts)
-    for i, va in enumerate(arc_vertices):
-        for vb in arc_vertices[i + 1:]:
-            shared = set(va) & set(vb)
-            ends = {va[0], va[-1], vb[0], vb[-1]}
-            if shared - ends:
-                raise InvalidGluingError(
-                    f"cut arcs cross at interior vertices {sorted(shared - ends)}")
+    for v in verts[1:-1]:
+        if v in boundary:
+            raise InvalidGluingError(f"cut arc crosses boundary vertex {v}")
+    cut_edges = {s.canonical(h) for h in path}
 
     twin = dict(s.twin)
     head = dict(s.head)
@@ -500,11 +476,10 @@ def cut_open(s: Surface, arcs) -> tuple[Surface, Gluing]:
             head[p] = s.tail(h)
         nxt_h += 2
 
-    affected = sorted({v for verts in arc_vertices for v in verts})
     copies: dict[int, list[int]] = {}
     fresh_v = s.fresh_vertex()
     head_fix: dict[int, int] = {}
-    for v in affected:
+    for v in sorted(verts):
         assign, ngroups = _fan_groups(s, v, cut_edges, boundary)
         copies[v] = ids = [v, *range(fresh_v, fresh_v + ngroups - 1)]
         fresh_v += ngroups - 1
@@ -520,29 +495,26 @@ def cut_open(s: Surface, arcs) -> tuple[Surface, Gluing]:
     head.update(head_fix)
 
     marks = {k: set(vs) for k, vs in s.marks.items()}
-    for path, verts in zip(arcs, arc_vertices):
-        for v in (verts[0], verts[-1]):
-            marks[s.mark_of(v)].update(copies[v])
-        sides = copies[verts[1]]
-        if len(sides) != 2:
-            raise InternalConsistencyError(
-                f"cut vertex {verts[1]} split into {len(sides)} copies")
-        # The seam copy left of the arc lies on a boundary stretch running
-        # from the first arc end to the last, the other copy on one running
-        # back; a stretch from a negative to a positive suture is positive.
-        left = head[path[0]]
-        right, = set(sides) - {left}
-        if s.mark_of(verts[0]) == "alpha_minus":
-            left, right = right, left
-        marks["F_minus"].add(left)
-        marks["F_plus"].add(right)
+    for v in (verts[0], verts[-1]):
+        marks[s.mark_of(v)].update(copies[v])
+    sides = copies[verts[1]]
+    if len(sides) != 2:
+        raise InternalConsistencyError(
+            f"cut vertex {verts[1]} split into {len(sides)} copies")
+    # The seam copy left of the arc lies on a boundary stretch running
+    # from the first arc end to the last, the other copy on one running
+    # back; a stretch from a negative to a positive suture is positive.
+    left = head[path[0]]
+    right, = set(sides) - {left}
+    if s.mark_of(verts[0]) == "alpha_minus":
+        left, right = right, left
+    marks["F_minus"].add(left)
+    marks["F_plus"].add(right)
 
     s2 = Surface(twin, head, s.faces, marks)
     _inherit(s, s2, keep=("_face_of", "_walk_pos"), _fresh=lambda old: (fresh_v, nxt_h))
     validate_surface(s2)
-    gamma = tuple(h for path in arcs for h in path)
-    gamma_prime = tuple(s.twin[h] for path in arcs for h in path)
-    return s2, Gluing(s2, gamma, gamma_prime)
+    return s2
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +637,7 @@ def _find_genus_cut(s: Surface) -> tuple[Surface, tuple[int, ...], tuple[int, ..
             cur, hs = _halve_single_edge(cur, hs, vb)
         twins = tuple(cur.twin[h] for h in hs)
         try:
-            cut_s, _rev = cut_open(cur, [hs])
+            cut_s = cut_open(cur, hs)
         except InvalidGluingError:
             return None
         if cut_s.genus() >= base:
@@ -771,7 +743,7 @@ def quadrangulate(s: Surface) -> DecompositionResult:
             mid_s, hs = _realize_arc(cur, *target)
             cuts.append(tuple(hs))
             twins.extend(mid_s.twin[h] for h in hs)
-            cur, _rev = cut_open(mid_s, [hs])
+            cur = cut_open(mid_s, hs)
 
     if cur.genus() != 0:
         raise InternalConsistencyError("pieces have leftover genus")
@@ -787,15 +759,11 @@ def quadrangulate(s: Surface) -> DecompositionResult:
     if glued.swallowed:
         raise InternalConsistencyError("re-welding swallowed a suture")
     refined = glued.result
-    zb_pieces = default_basis(cur, RING_Z)
-    zb_whole = default_basis(refined, RING_Z)
-    mat = induced_matrix(zb_pieces, zb_whole,
-                         push=lambda c: pushforward_class(glued, c))
-    if zb_pieces.rank != zb_whole.rank:
-        raise InternalConsistencyError("re-welding morphism is not invertible")
     try:
-        invert_unimodular(mat)
-    except InternalConsistencyError as exc:
+        HomologyBasis(RelativeH1(refined, refined.marks["alpha_plus"]), RING_Z,
+                      cycles=[pushforward_class(glued, c)
+                              for c in default_basis(cur, RING_Z).cycles])
+    except ValidationError as exc:
         raise InternalConsistencyError("re-welding morphism is not invertible") from exc
     return DecompositionResult(
         refined=refined,

@@ -51,6 +51,7 @@ __all__ = [
     "chain_boundary",
     "chain_add",
     "chain_scale",
+    "push_chain",
     "face_boundary_chain",
     "transport_chain",
     "Refinement",
@@ -387,7 +388,7 @@ class Surface:
 
 # -- validation -----------------------------------------------------------
 
-def validate_complex(s: Surface, allow_closed: bool = False) -> None:
+def validate_complex(s: Surface) -> None:
     """Structural checks: twin involution, face walks, manifold links."""
     twin, head = s.twin, s.head
     for h, t in twin.items():
@@ -454,9 +455,6 @@ def validate_complex(s: Surface, allow_closed: bool = False) -> None:
             if last not in face_of or twin[faces[face_of[last]][pos[last] - 1]] != start:
                 raise InvalidSurfaceError(f"interior vertex {v} has a broken fan")
 
-    if not allow_closed and 0 in s._components[1]:
-        raise InvalidSurfaceError("closed component (no boundary) present")
-
 
 def validate_marking(s: Surface) -> None:
     """Sutured-marking checks: disjointness, location, cyclic pattern."""
@@ -493,7 +491,9 @@ def validate_marking(s: Surface) -> None:
 
 def validate_surface(s: Surface) -> None:
     """Full check: valid complex, no closed components, valid marking."""
-    validate_complex(s, allow_closed=False)
+    validate_complex(s)
+    if 0 in s._components[1]:
+        raise InvalidSurfaceError("closed component (no boundary) present")
     validate_marking(s)
 
 
@@ -517,6 +517,18 @@ def chain_add(a: dict[int, int], b: dict[int, int], bscale: int = 1) -> dict[int
 
 def chain_scale(a: dict[int, int], c: int) -> dict[int, int]:
     return {e: c * v for e, v in a.items() if c * v}
+
+
+def push_chain(chain: dict[int, int], hmap: dict[int, int],
+               target: Surface) -> dict[int, int]:
+    """Image of a 1-chain under a halfedge map into ``target``, read in
+    the canonical halfedges of ``target``."""
+    out: dict[int, int] = {}
+    for h, c in chain.items():
+        g = hmap[h]
+        gc = target.canonical(g)
+        out[gc] = out.get(gc, 0) + (c if g == gc else -c)
+    return {e: c for e, c in out.items() if c}
 
 
 def chain_boundary(s: Surface, chain: dict[int, int]) -> dict[int, int]:
@@ -767,7 +779,7 @@ def subsurface(s: Surface, face_ids: Sequence[int]) -> Surface:
     Keeps every halfedge of a selected face together with its twin, so
     edges interior to the selection stay interior and selection-boundary
     edges become boundary edges.  Marks restrict to surviving vertices.
-    The result may have closed components; validate accordingly.
+    The result may have closed components, which only `validate_surface` refuses.
     """
     chosen = sorted(set(face_ids))
     halfedges: set[int] = set()

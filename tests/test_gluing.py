@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 import sutured_tqft.axioms as axioms_module
 import sutured_tqft.gluing as gluing_module
+import sutured_tqft.homology as homology_module
 from sutured_tqft.axioms import (
     check_relabel_invariance,
+    random_glued_dividing_sets,
     random_sutured_surface,
     run_axiom_suite,
 )
@@ -69,6 +71,7 @@ from sutured_tqft.surface import (
     chain_boundary,
     chain_scale,
     disjoint_union,
+    push_chain,
     standard_disk,
     subdivide_edge,
     validate_surface,
@@ -272,10 +275,7 @@ def test_welding_quotient_structure():
 
 def test_empty_gluing_is_identity():
     s = annulus_surface()
-    cut_s, rev = cut_open(s, [])
-    assert rev.gamma == ()
-    assert _same_surface(cut_s, s)
-    g = glue(rev)
+    g = glue(Gluing(s, (), ()))
     assert _same_surface(g.result, s)
     assert g.swallowed == ()
     x = Multivector(2, {0b01: 1, 0b11: -2}, RING_Z)
@@ -287,6 +287,37 @@ def test_pushforward_fixes_chains_away_from_the_seam():
     g = glue(tau)
     chord = {host.canonical(ds.k_halfedges[0]): 1}
     assert pushforward_class(g, chord) == chord
+
+
+def _pushforward_by_canonical_edges(g, chain):
+    """The quotient pushforward as written before `push_chain`, which
+    canonicalized each key on the host first: the oracle for it."""
+    host, result = g.gluing.host, g.result
+    out = {}
+    for e, c in chain.items():
+        ce = host.canonical(e)
+        coeff = c if e == ce else -c
+        h = g.halfedge_map[ce]
+        ch = result.canonical(h)
+        out[ch] = out.get(ch, 0) + (coeff if h == ch else -coeff)
+    return {e: c for e, c in out.items() if c}
+
+
+def test_push_chain_matches_the_pushforward_loop():
+    # each host cycle both as stored and keyed by the reversed halfedges,
+    # so the host-side canonicalization of the old loop is exercised too
+    pushed = 0
+    for seed in (1, 7):
+        for _, tau in random_glued_dividing_sets(random.Random(seed), 200):
+            g = glue(tau)
+            host = tau.host
+            for c in default_basis(host, RING_Z).cycles:
+                expect = _pushforward_by_canonical_edges(g, c)
+                assert push_chain(c, g.halfedge_map, g.result) == expect
+                flipped = {host.twin[e]: -x for e, x in c.items()}
+                assert push_chain(flipped, g.halfedge_map, g.result) == expect
+                pushed += 1
+    assert pushed > 1000
 
 
 # -- the swallowing morphism ----------------------------------------------
@@ -824,13 +855,13 @@ def test_respect_on_randomized_disk_self_gluings():
 def test_cut_open_round_trips_the_annulus():
     s = annulus_surface()
     mid_s, hs = _realize_arc(s, 1, 5)
-    cut_s, rev = cut_open(mid_s, [hs])
+    cut_s = cut_open(mid_s, hs)
     # a disk with one extra suture pair on the new seam
     assert cut_s.euler_characteristic() == 1
     assert len(cut_s.boundary_circles()) == 1
     assert cut_s.n_of_f() == 3
     assert cut_s.genus() == 0
-    back = glue(rev)
+    back = glue(Gluing(cut_s, hs, [mid_s.twin[h] for h in hs]))
     assert _same_surface(back.result, mid_s)
     assert back.swallowed == ()
 
@@ -838,14 +869,14 @@ def test_cut_open_round_trips_the_annulus():
 def test_cut_open_rejects_bad_arcs():
     s = annulus_surface()
     with pytest.raises(InvalidGluingError, match="subdivide"):
-        cut_open(s, [(16,)])
+        cut_open(s, (16,))
     with pytest.raises(InvalidGluingError, match="not interior"):
-        cut_open(s, [(0, 2)])
+        cut_open(s, (0, 2))
     ref, q = subdivide_edge(s, 16)
     s3 = ref.surface
     second = [x for x in s3.twin if s3.tail(x) == q and s3.head[x] == 0]
     with pytest.raises(InvalidGluingError, match="suture vertex"):
-        cut_open(s3, [(16, second[0])])
+        cut_open(s3, (16, second[0]))
 
 
 # -- quadrangulation ------------------------------------------------------
@@ -870,7 +901,7 @@ def test_quadrangulate_reports_a_singular_reweld(monkeypatch):
     def singular(c):
         raise InternalConsistencyError("matrix is not unimodular")
 
-    monkeypatch.setattr(gluing_module, "invert_unimodular", singular)
+    monkeypatch.setattr(homology_module, "invert_unimodular", singular)
     with pytest.raises(InternalConsistencyError,
                        match="re-welding morphism is not invertible"):
         quadrangulate(standard_disk(3))
@@ -1013,6 +1044,43 @@ def test_quadrangulation_outputs_are_locked():
         "e3235b1131d9b2f9c208df549071a95322497254184eb5cf728dd384ef664538")
 
 
+def test_every_quadrangulation_cut_reglues_to_its_surface(monkeypatch):
+    # gluing each cut halfedge to its old twin undoes the cut exactly
+    cuts = []
+
+    def spy(s, path):
+        out = cut_open(s, path)
+        cuts.append((s, tuple(path), out))
+        return out
+
+    monkeypatch.setattr(gluing_module, "cut_open", spy)
+    for s in _quadrangulation_hosts():
+        quadrangulate(s)
+    assert len(cuts) > 30
+    for s, path, cut in cuts:
+        back = glue(Gluing(cut, path, [s.twin[h] for h in path]))
+        assert _same_surface(back.result, s)
+        assert back.swallowed == ()
+
+
+def test_quadrangulation_validates_two_gluings_per_host(monkeypatch):
+    # the reverse gluing of quadrangulate and its re-anchoring on the
+    # chord refinement; a cut validates no gluing of its own
+    hosts = _quadrangulation_hosts()
+    calls = []
+    check = gluing_module.gluing_violations
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(gluing_module, "gluing_violations", counted)
+    for s in hosts:
+        square_chord_family(quadrangulate(s))
+    assert len(hosts) == 27
+    assert len(calls) == 2 * len(hosts)
+
+
 _INDICES = ("_face_of", "_walk_pos", "_boundary", "_fan_start", "_edges",
             "_circles", "_components", "_fresh")
 
@@ -1039,7 +1107,7 @@ def test_inherited_indices_match_a_rebuild(monkeypatch):
 
     for name, pick in (("split_face", lambda out: out[0].surface),
                        ("subdivide_edge", lambda out: out[0].surface),
-                       ("cut_open", lambda out: out[0]),
+                       ("cut_open", lambda out: out),
                        ("glue", lambda out: out.result)):
         monkeypatch.setattr(gluing_module, name, spy(getattr(gluing_module, name), pick))
     for s in _quadrangulation_hosts():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sutured_tqft.axioms import _suture_corner_sites, random_sutured_surface
 from sutured_tqft.errors import InvalidSurfaceError
-from sutured_tqft.gluing import cut_open, glue, quadrangulate
+from sutured_tqft.gluing import glue, quadrangulate
 from sutured_tqft.models import annulus_model, one_holed_torus
 from sutured_tqft.surface import (Refinement, Surface, UnionFind,
                                   add_detached_circle, chain_add, chain_boundary,
@@ -101,10 +101,12 @@ def test_validate_rejects_pinched_boundary():
 
 
 def test_validate_closed_component():
+    # a closed component is a valid complex but no sutured surface
     t = one_vertex_torus()
-    validate_complex(t, allow_closed=True)
-    with pytest.raises(InvalidSurfaceError):
-        validate_complex(t, allow_closed=False)
+    validate_complex(t)
+    with pytest.raises(InvalidSurfaceError) as err:
+        validate_surface(t)
+    assert str(err.value) == "closed component (no boundary) present"
     assert t.euler_characteristic() == 0
     assert t.genus() == 1
 
@@ -122,7 +124,8 @@ def _pinched_squares():
 _D1, _D2 = standard_disk(1), standard_disk(2)
 
 # One malformed complex per raise site of validate_complex, with the message
-# it gave before the checks read the indices directly.  The "interior vertex
+# it gave before the checks read the indices directly, and the closed
+# component that validate_surface refuses right after those checks.  The "interior vertex
 # has a broken fan" site is missing: once the walks are connected, a fan
 # that stays in faces returns to its start, and one that leaves them ends
 # at a boundary vertex, so no complex reaches it.
@@ -155,7 +158,7 @@ _MALFORMED = [
 @pytest.mark.parametrize("build, message", _MALFORMED)
 def test_validate_complex_messages(build, message):
     with pytest.raises(InvalidSurfaceError) as err:
-        validate_complex(build())
+        validate_surface(build())
     assert str(err.value) == message
 
 
@@ -192,9 +195,8 @@ def test_surfaces_are_immutable():
     subdivide_edge(s, 0)
     add_detached_circle(s, 0, 2)
     glue(_suture_corner_sites(s)[0])
-    dec = quadrangulate(s)  # cuts open refinements of s and glues them back
+    quadrangulate(s)  # cuts open refinements of s and glues them back
     assert s.to_json_dict() == before
-    assert cut_open(dec.pieces, [])[0] is dec.pieces
 
 
 def test_walk_steps_reject_faceless_halfedges():
