@@ -325,12 +325,12 @@ def gluing_morphism(g: GluedSurfaceData, x: Multivector,
         raise ValidationError("gluing morphism acts on primal multivectors")
     tb = result_basis if result_basis is not None else default_basis(result, ring)
     _check_basis(tb, result, ring, "result")
-    return _morphism(g, x, hb, tb)
+    return _morphism(g, x, hb.cycles, tb)
 
 
-def _morphism(g: GluedSurfaceData, x: Multivector, hb: HomologyBasis,
+def _morphism(g: GluedSurfaceData, x: Multivector, chains,
               tb: HomologyBasis) -> Multivector:
-    """The gluing morphism in the given host and result bases.
+    """The gluing morphism on x, over the classes of host `chains`, in tb.
 
     The middle homology H_1(S', A ∪ B), A the quotient's positive sutures
     and B the swallowed ones, is written in the split basis: tb's cycles,
@@ -342,7 +342,7 @@ def _morphism(g: GluedSurfaceData, x: Multivector, hb: HomologyBasis,
     n, k = tb.rank, len(g.swallowed)
     paths = [tb.h1.path_from_rel(b) for b in g.swallowed]
     cols = []
-    for c in hb.cycles:
+    for c in chains:
         pc = pushforward_class(g, c)
         bd = chain_boundary(g.result, pc) if k else {}
         d = [bd.get(b, 0) for b in g.swallowed]
@@ -386,12 +386,14 @@ def _respect_parts(g: GluedSurfaceData, ds: DividingSet):
     return g, _region(ds, "plus"), _region(pushed, "plus")
 
 
-def _respects(parts, ring: str, host_basis: HomologyBasis,
-              result_basis: HomologyBasis) -> bool:
-    """The respect check over one ring, on parts from `_respect_parts`."""
-    g, source, target = parts
-    x = _wedge_region(*source, host_basis, ring).value
-    lhs = _morphism(g, x, host_basis, result_basis)
+def _respects(parts, ring: str, result_basis: HomologyBasis) -> bool:
+    """The respect check over one ring, on parts from `_respect_parts`:
+    c(K) is the wedge of the region classes v_i (or 0 off grade), which
+    the morphism sends to the wedge of the pushed m.v_i."""
+    g, (hr, grade), target = parts
+    reps = [hr.representative(i) for i in range(hr.rank)]
+    x = (Multivector.top if grade == hr.rank else Multivector.zero)(hr.rank, ring)
+    lhs = _morphism(g, x, reps, result_basis)
     return equal_up_to_sign(lhs, _wedge_region(*target, result_basis, ring).value)
 
 
@@ -399,13 +401,11 @@ def check_respect(g: GluedSurfaceData, ds: DividingSet, ring: str = RING_F2) -> 
     """Does the gluing morphism send c(K) to c(K_tau)?
 
     Exact equality mod 2; over the integers equality is only demanded up
-    to a global sign.  The default bases are built once and shared by both
-    contact elements and the morphism, which builds no middle H_1 of its
-    own: four H_1 in all, of host, quotient and the two positive regions.
+    to a global sign.  The region classes of K are pushed straight into
+    the quotient's basis: three H_1 in all, of the quotient and the two
+    positive regions, and none of the host.
     """
-    parts = _respect_parts(g, ds)
-    return _respects(parts, ring, default_basis(g.gluing.host, ring),
-                     default_basis(g.result, ring))
+    return _respects(_respect_parts(g, ds), ring, default_basis(g.result, ring))
 
 
 # ---------------------------------------------------------------------------

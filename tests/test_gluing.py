@@ -6,6 +6,7 @@ import json
 import random
 from collections import Counter
 from functools import cached_property
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,10 +20,11 @@ from sutured_tqft.axioms import (
     random_sutured_surface,
     run_axiom_suite,
 )
-from sutured_tqft.contact import _wedge_region, contact_element, default_basis
+from sutured_tqft.contact import _region, _wedge_region, contact_element, default_basis
 from sutured_tqft.dividing import (
     ChordDiagram,
     DividingSet,
+    add_trivial_circle,
     chord_to_dividing_set,
     enumerate_chord_diagrams,
     infer_face_signs,
@@ -33,6 +35,7 @@ from sutured_tqft.exterior import (
     Multivector,
     RING_F2,
     RING_Z,
+    equal_up_to_sign,
     indices_of,
     induced_map,
     interior,
@@ -51,6 +54,7 @@ from sutured_tqft.gluing import (
     square_chord_family,
     _morphism,
     _realize_arc,
+    _respect_parts,
 )
 from sutured_tqft.homology import HomologyBasis, RelativeH1, induced_matrix
 from sutured_tqft.linalg import (
@@ -60,6 +64,7 @@ from sutured_tqft.linalg import (
     f2_solve,
     invert_unimodular,
     left_inverse_z,
+    rank_q,
     solve_z,
 )
 from sutured_tqft.models import annulus_model, annulus_surface, disk_model, one_holed_torus
@@ -76,6 +81,8 @@ from sutured_tqft.surface import (
     subdivide_edge,
     validate_surface,
 )
+
+from test_disks import _random_diagram
 
 
 def _same_surface(a, b):
@@ -542,7 +549,7 @@ def _compare_morphisms(g, ring, xs, rng=None, exterior_solve=True):
     for x in xs:
         want = oracle.morphism(x, exterior_solve)
         assert induced_map(oracle.j, want, target_rank=oracle.mid_rank) == oracle.contract(x)
-        assert _morphism(g, x, hb, tb) == want
+        assert _morphism(g, x, hb.cycles, tb) == want
         assert gluing_morphism(g, x, host_basis=hb, result_basis=tb) == want
     return oracle
 
@@ -583,20 +590,23 @@ def test_left_inverse_solve_matches_exterior_solve_drawn(data):
 
 def test_left_inverse_solve_matches_exterior_solve_on_axiom_corpus(monkeypatch):
     # every morphism the axiom suite computes over its 200-gluing corpus,
-    # and per call one more: a random element with coefficients in
-    # {-2, -1, 1, 3} between scrambled bases
+    # on the region classes of K, and per call one more: a random element
+    # with coefficients in {-2, -1, 1, 3} between scrambled host and
+    # result bases
     morphism = gluing_module._morphism
     rng = random.Random(20261018)
     calls, mismatches = [], []
 
-    def checked(g, x, hb, tb):
-        out = morphism(g, x, hb, tb)
+    def checked(g, x, chains, tb):
+        out = morphism(g, x, chains, tb)
         calls.append((x.rank, len(g.swallowed)))
-        if out != _Oracle(g, hb, tb).morphism(x, exterior_solve=True):
+        region = SimpleNamespace(cycles=chains, ring=tb.ring)
+        if out != _Oracle(g, region, tb).morphism(x, exterior_solve=True):
             mismatches.append((g.gluing, x))
-        shb, stb = _scrambled_basis(rng, hb), _scrambled_basis(rng, tb)
-        x2 = _random_element(rng, x.rank, x.ring, range(x.rank + 1), (-2, -1, 1, 3))
-        if morphism(g, x2, shb, stb) != _Oracle(g, shb, stb).morphism(x2):
+        shb = _scrambled_basis(rng, default_basis(g.gluing.host, tb.ring))
+        stb = _scrambled_basis(rng, tb)
+        x2 = _random_element(rng, shb.rank, x.ring, range(shb.rank + 1), (-2, -1, 1, 3))
+        if morphism(g, x2, shb.cycles, stb) != _Oracle(g, shb, stb).morphism(x2):
             mismatches.append((g.gluing, x2))
         return out
 
@@ -626,12 +636,12 @@ def test_shared_bases_match_unshared_on_axiom_corpus(monkeypatch):
         current.update(parts=build(g, ds), ds=ds, n=current.get("n", -1) + 1)
         return current["parts"]
 
-    def checked(parts, ring, host_basis, result_basis):
+    def checked(parts, ring, result_basis):
         assert parts is current["parts"]
         g, ds = parts[0], current["ds"]
-        assert host_basis.cycles == default_basis(g.gluing.host, ring).cycles
+        host_basis = default_basis(g.gluing.host, ring)
         assert result_basis.cycles == default_basis(g.result, ring).cycles
-        verdict = respects(parts, ring, host_basis, result_basis)
+        verdict = respects(parts, ring, result_basis)
         lhs, rhs = _unshared_respect_sides(g, ds, ring)
         x = contact_element(ds, ring=ring, basis=host_basis).value
         assert gluing_morphism(g, x, host_basis=host_basis,
@@ -642,7 +652,7 @@ def test_shared_bases_match_unshared_on_axiom_corpus(monkeypatch):
         _, source, target = parts
         shared_x = _wedge_region(*source, host_basis, ring).value
         assert shared_x == x
-        assert _morphism(g, shared_x, host_basis, result_basis) == lhs
+        assert _morphism(g, shared_x, host_basis.cycles, result_basis) == lhs
         assert _Oracle(g, host_basis, result_basis).morphism(shared_x) == lhs
         assert _wedge_region(*target, result_basis, ring).value == rhs
         assert verdict == (lhs == rhs or (ring == RING_Z and lhs == rhs.scale(-1)))
@@ -656,6 +666,150 @@ def test_shared_bases_match_unshared_on_axiom_corpus(monkeypatch):
     assert rings.count(RING_F2) == rings.count(RING_Z) > 200
     assert checks == [(n, ring) for n in range(len(checks) // 2)
                       for ring in (RING_F2, RING_Z)]
+
+
+# -- the factored lhs: region classes pushed, no host basis ---------------
+#
+# c(K) is the wedge of the region classes v_i of K (or 0 off grade), so the
+# respect check runs the morphism on the top class of the exterior algebra
+# on those classes.  The oracle is the expanded lhs: c(K) in the host's
+# default basis, pushed through the gluing.  The lhs the check computes is
+# read off `_morphism`, so it must match exactly, not only up to sign.
+
+def _region_classes(hr, grade, ring):
+    """The respect check's input: x and the region cycles it lives on."""
+    x = (Multivector.top if grade == hr.rank else Multivector.zero)(hr.rank, ring)
+    return x, [hr.representative(i) for i in range(hr.rank)]
+
+
+def _expanded_respect(g, ds, ring):
+    """(lhs, verdict) of the respect check through the host basis."""
+    lhs, rhs = _unshared_respect_sides(g, ds, ring)
+    return lhs, lhs == rhs or (ring == RING_Z and lhs == rhs.scale(-1))
+
+
+@pytest.fixture
+def pushed_lhs(monkeypatch):
+    """Every output of `_morphism`, in call order."""
+    seen = []
+
+    def recorded(*args):
+        seen.append(_morphism(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(gluing_module, "_morphism", recorded)
+    return seen
+
+
+def _assert_factored_lhs(g, ds, pushed_lhs):
+    """The respect check's lhs equals the expanded one exactly, and the
+    verdicts agree, in both rings; returns the F2 lhs."""
+    for ring in (RING_Z, RING_F2):
+        lhs, verdict = _expanded_respect(g, ds, ring)
+        pushed_lhs.clear()
+        assert check_respect(g, ds, ring=ring) == verdict
+        assert pushed_lhs == [lhs]
+    return lhs
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+def test_factored_lhs_matches_expanded_on_axiom_corpus(monkeypatch, pushed_lhs, seed):
+    build, respects = axioms_module._respect_parts, axioms_module._respects
+    current = {}
+    swallowing = []
+
+    def built(g, ds):
+        current.update(parts=build(g, ds), ds=ds)
+        return current["parts"]
+
+    def checked(parts, ring, result_basis):
+        g = parts[0]
+        lhs, verdict = _expanded_respect(g, current["ds"], ring)
+        pushed_lhs.clear()
+        assert respects(parts, ring, result_basis) == verdict
+        assert pushed_lhs == [lhs]
+        swallowing.append(bool(g.swallowed))
+        return verdict
+
+    monkeypatch.setattr(axioms_module, "_respect_parts", built)
+    monkeypatch.setattr(axioms_module, "_respects", checked)
+    assert all(r.verdict for r in run_axiom_suite(**({} if seed is None else {"seed": seed})))
+    assert len(swallowing) > 400 and sum(swallowing) >= 80
+
+
+def test_factored_lhs_matches_expanded_on_self_glued_disks(pushed_lhs):
+    rng = random.Random(20261019)
+    nonzero = 0
+    for n in range(9, 14):
+        found = 0
+        while found < 2:
+            ds = chord_to_dividing_set(_random_diagram(rng, n))
+            sites = axioms_module._suture_corner_sites(ds.surface, sutures=2)
+            g = glue(rng.choice(sites)) if sites else None
+            if g is None or not g.swallowed:
+                continue
+            nonzero += not _assert_factored_lhs(g, ds, pushed_lhs).is_zero()
+            found += 1
+    assert nonzero >= 5
+
+
+def test_factored_lhs_matches_expanded_off_grade(pushed_lhs):
+    # a trivial circle can isolate a region: then L(K) differs from the
+    # rank of H_1(R+, a+), x is 0 and so is the expanded lhs
+    off_grade = 0
+    for n in (3, 4):
+        for cd in enumerate_chord_diagrams(n)[::3]:
+            base = chord_to_dividing_set(cd)
+            for fid in range(len(base.surface.faces)):
+                ds, _ = add_trivial_circle(base, fid)
+                hr, grade = _region(ds, "plus")
+                if grade == hr.rank:
+                    continue
+                for sutures in (1, 2):
+                    for tau in axioms_module._suture_corner_sites(ds.surface, sutures)[:2]:
+                        assert _assert_factored_lhs(glue(tau), ds, pushed_lhs).is_zero()
+                        off_grade += 1
+    assert off_grade >= 60
+
+
+@pytest.mark.parametrize("ring", [RING_Z, RING_F2])
+def test_factored_lhs_sees_a_mutated_region_class(ring):
+    # adding a host class outside the span of the region classes to one
+    # of them changes the pushed wedge, and the check must then fail; the
+    # first drawn swallowing self-gluing of a 6-chord disk whose regions
+    # span less than the host and whose lhs is nonzero
+    rng = random.Random(6)
+    while True:
+        ds = chord_to_dividing_set(_random_diagram(rng, 6))
+        sites = axioms_module._suture_corner_sites(ds.surface, sutures=2)
+        g = glue(rng.choice(sites)) if sites else None
+        if g is None or not g.swallowed:
+            continue
+        _, (hr, grade), target = _respect_parts(g, ds)
+        tb = default_basis(g.result, ring)
+        x, reps = _region_classes(hr, grade, ring)
+        lhs = _morphism(g, x, reps, tb)
+        hb = default_basis(ds.surface, ring)
+        if hr.rank < hb.rank and not lhs.is_zero():
+            break
+    rhs = _wedge_region(*target, tb, ring).value
+    assert equal_up_to_sign(lhs, rhs)
+    span = [hb.express(r) for r in reps]
+
+    def rank(rows):
+        if ring == RING_F2:
+            return f2_rank([sum((v & 1) << i for i, v in enumerate(row)) for row in rows])
+        return rank_q(rows)
+
+    mutated = 0
+    for c in hb.cycles:
+        if rank(span + [hb.express(c)]) == len(reps):
+            continue
+        bad = _morphism(g, x, [chain_add(reps[0], c)] + reps[1:], tb)
+        if bad != lhs:
+            assert not equal_up_to_sign(bad, rhs)
+            mutated += 1
+    assert mutated > 0
 
 
 def test_respect_builds_each_default_basis_once(monkeypatch):
@@ -675,20 +829,22 @@ def test_respect_builds_each_default_basis_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(RelativeH1, "__init__", counting_init)
-    # c(K) and c(K_tau) are wedged in the host and result bases, and the
-    # morphism runs between those same two bases
+    # the morphism pushes the region classes of K into the result basis,
+    # in which c(K_tau) is wedged; the host gets no basis
+    monkeypatch.setattr(gluing_module, "default_basis", spy(default_basis, 0))
     monkeypatch.setattr(gluing_module, "_wedge_region", spy(_wedge_region, 2))
     monkeypatch.setattr(gluing_module, "_morphism", spy(_morphism, 2, 3))
+    _, reps = _region_classes(*_region(ds, "plus"), RING_Z)
     for ring in (RING_F2, RING_Z):
         built.clear()
         passed.clear()
         assert check_respect(g, ds, ring=ring)
-        # host and result bases and the two regions; no middle homology
-        assert len(built) == 4
-        [hb], [mhb, mrb], [rb] = passed
-        assert hb is mhb and rb is mrb
-        assert hb.ring == rb.ring == ring
-        assert hb.cycles == default_basis(host, ring).cycles
+        # the result basis and the two regions; no host or middle homology
+        assert len(built) == 3
+        assert host not in {h1.surface for h1 in built}
+        [[result], [chains, mrb], [rb]] = passed
+        assert result is g.result and rb is mrb and rb.ring == ring
+        assert chains == reps
         assert rb.cycles == default_basis(g.result, ring).cycles
 
 
@@ -714,7 +870,7 @@ def test_off_image_input_is_an_internal_error(monkeypatch):
     oracle = _Oracle(g, hb, tb)
     xs = [Multivector.basis_vector(hb.rank, i, RING_Z) for i in range(hb.rank)]
     for x in xs:
-        assert _morphism(g, x, hb, tb) == oracle.morphism(x)
+        assert _morphism(g, x, hb.cycles, tb) == oracle.morphism(x)
     # without the contraction, a host generator whose pushed cycle has
     # boundary at the swallowed vertex keeps its q_b coordinate
     monkeypatch.setattr(gluing_module, "interior", lambda eta, y: y)
@@ -723,7 +879,7 @@ def test_off_image_input_is_an_internal_error(monkeypatch):
     for x, c in zip(xs, hb.cycles):
         if chain_boundary(g.result, pushforward_class(g, c)).get(v, 0):
             with pytest.raises(InternalConsistencyError, match="left the image"):
-                _morphism(g, x, hb, tb)
+                _morphism(g, x, hb.cycles, tb)
             raised += 1
     assert raised > 0
 

@@ -13,7 +13,7 @@ from sutured_tqft.exterior import RING_F2, RING_Z
 from sutured_tqft.homology import HomologyBasis, RelativeH1, induced_matrix
 from sutured_tqft.linalg import mat_vec, rank_q
 from sutured_tqft.models import annulus_surface, one_holed_torus
-from sutured_tqft.surface import (Surface, chain_add, chain_boundary, disjoint_union,
+from sutured_tqft.surface import (chain_add, chain_boundary, disjoint_union,
                                   chain_from_path, face_boundary_chain,
                                   split_face, standard_disk, subdivide_edge,
                                   transport_chain)

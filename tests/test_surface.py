@@ -10,7 +10,7 @@ from sutured_tqft.errors import InvalidSurfaceError
 from sutured_tqft.gluing import glue, quadrangulate
 from sutured_tqft.models import annulus_model, one_holed_torus
 from sutured_tqft.surface import (Refinement, Surface, UnionFind,
-                                  add_detached_circle, chain_add, chain_boundary,
+                                  add_detached_circle, chain_boundary,
                                   chain_from_path, disjoint_union, disk_position,
                                   split_face, standard_disk, subdivide_edge,
                                   subsurface, transport_chain, validate_complex,
