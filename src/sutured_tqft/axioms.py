@@ -26,16 +26,16 @@ from dataclasses import dataclass
 from math import comb
 
 from .contact import contact_element, default_basis
-from .dividing import (DividingSet, add_trivial_circle, annulus_fixture,
-                       chord_to_dividing_set, enumerate_chord_diagrams,
+from .dividing import (ChordDiagram, DividingSet, add_trivial_circle,
+                       annulus_fixture, chord_to_dividing_set, enumerate_chord_diagrams,
                        infer_face_signs, orient_by_signs, regions)
 from .disks import disk_contact_element, rotate_diagram
 from .errors import (InternalConsistencyError, InvalidGluingError,
                      ValidationError)
 from .exterior import RING_F2, RING_Z, Multivector, equal_up_to_sign, induced_map
 from .gluing import (_OPPOSITE_MARK, Gluing, _respect_parts, _respects, glue,
-                     glued_relative_basis, gluing_morphism, push_dividing_set,
-                     pushforward_class, quadrangulate, square_chord_family)
+                     glued_relative_basis, gluing_morphism, pushforward_class,
+                     quadrangulate, square_chord_family)
 from .homology import HomologyBasis, RelativeH1, induced_matrix
 from .linalg import f2_rank
 from .models import annulus_model, disk_model, one_holed_torus
@@ -147,13 +147,11 @@ def check_grading(s: Surface, instance: str = "surface") -> AxiomReport:
 
 # -- axiom 2: disjoint unions ---------------------------------------------
 
-def check_disjoint_union(s1: Surface, s2: Surface,
-                         k1: DividingSet, k2: DividingSet,
+def check_disjoint_union(k1: DividingSet, k2: DividingSet,
                          instance: str = "pair") -> AxiomReport:
     """c(K1 u K2) is c(K1) (x) c(K2) under the block identification of
     bases, up to one global sign over Z and exactly over F2."""
-    if k1.surface is not s1 or k2.surface is not s2:
-        raise ValidationError("dividing sets must live on the given factors")
+    s1, s2 = k1.surface, k2.surface
     union, _, hmap = disjoint_union(s1, s2)
     offset = len(s1.faces)
     signs = dict(k1.face_signs)
@@ -407,19 +405,19 @@ def check_basis_of_contact_elements(s: Surface,
         raise ValidationError("one-suture disk components unsupported")
     dec = quadrangulate(s)
     pieces, reverse, options = square_chord_family(dec)
-    data = glue(reverse)
-    base = default_basis(data.result, RING_F2)
+    welded = glue(reverse).result
+    base = default_basis(welded, RING_F2)
     rows = []
     for combo in itertools.product(*[range(len(o)) for o in options]):
+        # the chords are interior edges of the pieces, which the re-weld
+        # keeps with their ids and faces: each member is built in place
         k_edges: set[int] = set()
         for opts, pick in zip(options, combo):
             for path in opts[pick]:
                 k_edges |= {pieces.canonical(h) for h in path}
-        signs = infer_face_signs(pieces, k_edges)
-        kh = orient_by_signs(pieces, sorted(k_edges), signs)
-        ds = DividingSet(pieces, kh, signs)
-        pushed = push_dividing_set(data, ds)
-        c = contact_element(pushed, ring=RING_F2, basis=base).value
+        signs = infer_face_signs(welded, k_edges)
+        ds = DividingSet(welded, orient_by_signs(welded, sorted(k_edges), signs), signs)
+        c = contact_element(ds, ring=RING_F2, basis=base).value
         rows.append(sum((v & 1) << t for t, v in c.terms.items()))
     ok = (len(rows) == 1 << base.rank and f2_rank(rows) == len(rows))
     witness = None if ok else {
@@ -772,14 +770,13 @@ def run_axiom_suite(seed: int = DEFAULT_SEED, max_n: int = 5,
         raise ValidationError(f"gluing_samples must be nonnegative, got {gluing_samples}")
     rng = random.Random(seed)
 
-    named = [(f"disk with {n} sutures", standard_disk(n))
+    disks = [(f"disk with {n} sutures", standard_disk(n))
              for n in range(1, max_n + 1)]
-    named += [("annulus", annulus_model().surface),
-              ("one-holed torus", one_holed_torus()),
-              ("disk pair", disjoint_union(standard_disk(2),
-                                           standard_disk(3))[0])]
-    named += [(f"random surface {i}", random_sutured_surface(rng))
-              for i in range(6)]
+    fixed = [("annulus", annulus_model().surface),
+             ("one-holed torus", one_holed_torus()),
+             ("disk pair", disjoint_union(standard_disk(2), standard_disk(3))[0])]
+    named = disks + fixed + [(f"random surface {i}", random_sutured_surface(rng))
+                             for i in range(6)]
 
     du_pairs = []
     for _ in range(8):
@@ -808,18 +805,13 @@ def run_axiom_suite(seed: int = DEFAULT_SEED, max_n: int = 5,
     respect_corpus.append((
         welding, Gluing(welding.surface, (30, 0, 2, 4), (20, 18, 16, 14))))
 
-    basis_surfaces = [(f"disk with {n} sutures", standard_disk(n))
-                      for n in range(2, max_n + 1)]
-    basis_surfaces += [("annulus", annulus_model().surface),
-                       ("one-holed torus", one_holed_torus()),
-                       ("disk pair", disjoint_union(standard_disk(2),
-                                                    standard_disk(3))[0])]
+    basis_surfaces = disks[1:] + fixed
 
     reports = [
         _merge(1, f"graded ranks on {len(named)} surfaces",
                [check_grading(s, instance=nm) for nm, s in named], seed=seed),
         _merge(2, f"{len(du_pairs)} disjoint unions",
-               [check_disjoint_union(a.surface, b.surface, a, b, instance=f"pair {i}")
+               [check_disjoint_union(a, b, instance=f"pair {i}")
                 for i, (a, b) in enumerate(du_pairs)], seed=seed),
     ]
     closed = [check_trivial_closed(ds, instance=nm) for nm, ds in trivial]
@@ -848,11 +840,7 @@ def run_axiom_suite(seed: int = DEFAULT_SEED, max_n: int = 5,
 
 
 def _welding_diagram():
-    diagrams = enumerate_chord_diagrams(4)
-    for cd in diagrams:
-        if cd.render() == "1-8,2-3,4-5,6-7":
-            return cd
-    raise InternalConsistencyError("missing welding diagram")
+    return ChordDiagram.parse("1-8,2-3,4-5,6-7")
 
 
 def _annulus_circle_site():

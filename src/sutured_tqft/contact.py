@@ -22,6 +22,7 @@ from .errors import InternalConsistencyError, ValidationError
 from .exterior import (
     RING_F2,
     RING_Z,
+    TERM_BUDGET,
     Multivector,
     equal_up_to_sign,
     indices_of,
@@ -72,12 +73,17 @@ def _region(ds: DividingSet, side: str) -> tuple[RelativeH1, int]:
 def _wedge_region(hr: RelativeH1, grade: int, basis: HomologyBasis, ring: str,
                   dual: bool = False) -> ContactElement:
     """The degree-`grade` part of the wedge of the region classes `hr`,
-    each expressed in the ambient `basis`."""
+    each expressed in the ambient `basis`.  A wedge step that would form
+    more than TERM_BUDGET products is refused before it starts."""
     x = Multivector.unit(basis.rank, ring, dual=dual)
     for i in range(hr.rank):
         # subsurfaces keep halfedge ids, so region cycles are ambient chains
         v = Multivector.vector(basis.rank, basis.express(hr.representative(i)),
                                ring, dual=dual)
+        if len(x.terms) * len(v.terms) > TERM_BUDGET:
+            raise ValidationError(
+                f"wedging the region classes would pass the budget of "
+                f"{TERM_BUDGET} terms")
         x = x.wedge(v)
         if x.is_zero():
             break

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .contact import ContactElement
 from .dividing import ChordDiagram
 from .errors import InternalConsistencyError, InvalidChordDiagramError, ValidationError
-from .exterior import Multivector, RING_Z, indices_of
+from .exterior import TERM_BUDGET, Multivector, RING_Z, indices_of
 from .linalg import f2_rank
 from .models import disk_pairing
 from .surface import UnionFind
@@ -37,12 +37,6 @@ __all__ = [
     "rotate_diagram",
     "solid_torus_tight",
 ]
-
-
-# Bound on the term count of an expanded disk element, the product of its
-# factor sizes: the element of a large random disk grows about 6x per 10
-# chords.
-_TERM_BUDGET = 1 << 20
 
 
 def _region_sectors(cd: ChordDiagram) -> list[list[int]]:
@@ -110,10 +104,10 @@ def disk_contact_element(cd: ChordDiagram, ring: str = RING_Z) -> ContactElement
     complex and against wedging the paths one at a time.
     """
     masks = _factor_masks(cd)
-    if math.prod(m.bit_count() for m in masks) > _TERM_BUDGET:
+    if math.prod(m.bit_count() for m in masks) > TERM_BUDGET:
         raise ValidationError(
             f"the contact element of this {cd.n}-chord diagram exceeds "
-            f"the budget of {_TERM_BUDGET} terms")
+            f"the budget of {TERM_BUDGET} terms")
     terms, signs = [0], [1]
     for m in masks:
         bits = [1 << i for i in indices_of(m)]

@@ -14,13 +14,11 @@ rules (checked by :func:`dividing_set_violations`):
   * no vertex meets more than two K edges; sutures meet exactly one and
     other boundary vertices none.
 
-Closed K components (circles) are allowed.  ``regions`` computes the
-face sets of the positive/negative regions R+ / R- and the grading
+Closed K components (circles) are allowed.  ``regions`` reads the face
+sets of the positive/negative regions R+ / R- off the face signs and
+computes the grading
 
-    L(K) = n(F) - euler(R+),
-
-together with the counts of isolated components (components of R+ or R-
-with no boundary arc).
+    L(K) = n(F) - euler(R+).
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from .errors import (InternalConsistencyError, InvalidChordDiagramError,
 from .surface import (
     Refinement,
     Surface,
-    UnionFind,
     add_detached_circle,
     chain_boundary,
     chain_from_path,
@@ -200,9 +197,6 @@ class DividingSet:
         if bad:
             raise InvalidDividingSetError("; ".join(bad))
 
-    def k_edges(self) -> set[int]:
-        return {self.surface.canonical(h) for h in self.k_halfedges}
-
     def to_json_dict(self) -> dict:
         d = self.surface.to_json_dict()
         d["K"] = sorted(self.k_halfedges)
@@ -227,21 +221,11 @@ class DividingSet:
 
 @dataclass(frozen=True)
 class RegionDecomposition:
-    """Connected pieces of the complement of K, with gradings.
-
-    ``components`` lists (sign, faces, isolated) triples; a piece is
-    isolated when none of its faces touches the surface boundary.
-    """
-    components: tuple[tuple[int, frozenset[int], bool], ...]
+    """The faces of R+ and R-, with their gradings L(K) and L-(K)."""
     faces_plus: frozenset[int]
     faces_minus: frozenset[int]
-    i_plus: int
-    i_minus: int
     l_k: int
     l_minus_k: int
-
-    def is_non_isolating(self) -> bool:
-        return self.i_plus == 0 and self.i_minus == 0
 
 
 def _euler_characteristic(s: Surface, faces) -> int:
@@ -254,32 +238,21 @@ def _euler_characteristic(s: Surface, faces) -> int:
 
 
 def regions(ds: DividingSet) -> RegionDecomposition:
+    """R+ is the faces signed +1 and R- the faces signed -1.
+
+    Each piece of the complement of K has one sign: its faces meet across
+    plain interior edges, and `dividing_set_violations` refused any sign
+    change across such an edge when ds was built.  So the union of the
+    positive pieces is exactly the positive faces, with no pass over the
+    pieces themselves.
+    """
     s = ds.surface
-    kset = ds.k_edges()
-    pieces = UnionFind()
-    for e in s.edges():
-        if e not in kset and s.is_interior_edge(e):
-            pieces.union(s.face_of(e), s.face_of(s.twin[e]))
-    groups: dict[int, set[int]] = {}
-    for f in range(len(s.faces)):
-        groups.setdefault(pieces.find(f), set()).add(f)
-    touches = {s.face_of(h) for h in s.boundary_halfedges()}
-    comps = []
-    for faces in groups.values():
-        sign = ds.face_signs[next(iter(faces))]
-        if any(ds.face_signs[f] != sign for f in faces):
-            raise InternalConsistencyError("a region of K mixes face signs")
-        comps.append((sign, frozenset(faces), not (faces & touches)))
-    comps.sort(key=lambda c: min(c[1]))
-    fplus = frozenset(f for sign, faces, _ in comps if sign > 0 for f in faces)
-    fminus = frozenset(f for sign, faces, _ in comps if sign < 0 for f in faces)
+    fplus = frozenset(f for f, sign in ds.face_signs.items() if sign > 0)
+    fminus = frozenset(ds.face_signs) - fplus
     n = len(s.marks["F_plus"])
     return RegionDecomposition(
-        components=tuple(comps),
         faces_plus=fplus,
         faces_minus=fminus,
-        i_plus=sum(1 for sign, _, iso in comps if iso and sign > 0),
-        i_minus=sum(1 for sign, _, iso in comps if iso and sign < 0),
         l_k=n - _euler_characteristic(s, fplus),
         l_minus_k=n - _euler_characteristic(s, fminus),
     )
@@ -289,8 +262,8 @@ def add_trivial_circle(ds: DividingSet, face_id: int) -> tuple[DividingSet, Refi
     """Insert a contractible K circle inside the given face at its first corner.
 
     The circle bounds a 2-gon whose sign is opposite to the ambient
-    face, so the new piece is always isolated; the result fails
-    ``RegionDecomposition.is_non_isolating`` by construction.
+    face, so the new piece is a component of R+ or R- with no boundary
+    arc: the result is isolating by construction.
     """
     ref, (a, b), inner = add_detached_circle(ds.surface, face_id, 0)
     s2 = ref.surface
@@ -389,7 +362,13 @@ class ChordDiagram:
 
 
 def enumerate_chord_diagrams(n: int) -> list[ChordDiagram]:
-    """All noncrossing diagrams on 2n points, lexicographic on pair lists."""
+    """All noncrossing diagrams on 2n points, lexicographic on pair lists.
+
+    The recursion yields that order with no sort.  Each list opens with
+    the chord at the least point, then its inside pairs, then its outside
+    pairs, each part sorted, so the list is sorted.  Lists come ordered by
+    that chord's closing point, then by the inside part, which has one
+    length per chord, then by the outside part: lexicographic order."""
 
     def match(points: tuple[int, ...]) -> list[list[tuple[int, int]]]:
         if not points:
@@ -403,10 +382,7 @@ def enumerate_chord_diagrams(n: int) -> list[ChordDiagram]:
                     out.append([pair] + left + right)
         return out
 
-    diagrams = [ChordDiagram(n, tuple(sorted(ps)))
-                for ps in match(tuple(range(1, 2 * n + 1)))]
-    diagrams.sort(key=lambda cd: cd.pairs)
-    return diagrams
+    return [ChordDiagram(n, tuple(ps)) for ps in match(tuple(range(1, 2 * n + 1)))]
 
 
 def chord_to_dividing_set(cd: ChordDiagram) -> DividingSet:

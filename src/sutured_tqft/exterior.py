@@ -30,6 +30,7 @@ from typing import Sequence
 __all__ = [
     "RING_Z",
     "RING_F2",
+    "TERM_BUDGET",
     "Multivector",
     "equal_up_to_sign",
     "pair",
@@ -40,6 +41,10 @@ __all__ = [
 RING_Z = "z"
 RING_F2 = "f2"
 _RINGS = (RING_Z, RING_F2)
+
+# Bound on the terms an expansion may reach: the element of a large random
+# disk grows about 6x per 10 chords.  Callers check it before they expand.
+TERM_BUDGET = 1 << 20
 
 
 def _check_ring(ring: str) -> str:

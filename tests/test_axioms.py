@@ -105,7 +105,7 @@ def test_disjoint_union_two_small_disks():
     outer, nested = enumerate_chord_diagrams(2)
     k1 = chord_to_dividing_set(outer)
     k2 = chord_to_dividing_set(nested)
-    r = check_disjoint_union(k1.surface, k2.surface, k1, k2)
+    r = check_disjoint_union(k1, k2)
     assert r.verdict and r.witness is None
 
 
@@ -114,7 +114,7 @@ def test_disjoint_union_isolating_factor_gives_zero():
     base = chord_to_dividing_set(enumerate_chord_diagrams(3)[1])
     iso, _ = add_trivial_circle(base, min(regions(base).faces_plus))
     assert contact_element(iso, ring=RING_F2).value.is_zero()
-    r = check_disjoint_union(k1.surface, iso.surface, k1, iso)
+    r = check_disjoint_union(k1, iso)
     assert r.verdict
 
 
@@ -124,14 +124,7 @@ def test_disjoint_union_randomized_pairs():
         cds = [rng.choice(enumerate_chord_diagrams(rng.randint(2, 4)))
                for _ in range(2)]
         k1, k2 = (chord_to_dividing_set(cd) for cd in cds)
-        assert check_disjoint_union(k1.surface, k2.surface, k1, k2).verdict
-
-
-def test_disjoint_union_rejects_foreign_sets():
-    k1 = chord_to_dividing_set(enumerate_chord_diagrams(2)[0])
-    k2 = chord_to_dividing_set(enumerate_chord_diagrams(2)[1])
-    with pytest.raises(ValidationError):
-        check_disjoint_union(k2.surface, k1.surface, k1, k2)
+        assert check_disjoint_union(k1, k2).verdict
 
 
 # -- axiom 3: contractible closed curves ----------------------------------
@@ -169,13 +162,14 @@ def _depth_first_k_components(ds):
     """Edge sets of the K components by depth-first search over shared
     endpoints: the oracle for the union-find grouping."""
     s = ds.surface
+    k_edges = {s.canonical(h) for h in ds.k_halfedges}
     incident = {}
-    for h in ds.k_edges():
+    for h in k_edges:
         for v in (s.tail(h), s.head[h]):
             incident.setdefault(v, []).append(h)
     comps = []
     seen = set()
-    for h0 in ds.k_edges():
+    for h0 in k_edges:
         if h0 in seen:
             continue
         comp = set()

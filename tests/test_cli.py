@@ -507,6 +507,23 @@ def test_bypass_over_the_term_budget_prints_nothing():
     assert "budget" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_contact_input_over_the_term_budget_exits_two(tmp_path):
+    # the dividing set of the 60-chord diagram: wedging its region classes
+    # would pass the term budget, which is checked before each wedge step
+    path = tmp_path / "k60.json"
+    ds = chord_to_dividing_set(ChordDiagram.parse(_BYPASS_60))
+    path.write_text(json.dumps(ds.to_json_dict()))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", _LIMITED_RUN, "contact", "--input",
+                           str(path)], env=env, capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "budget" in done.stderr and "Traceback" not in done.stderr
+
+
 def _random_pairs(rng, first, n):
     """A random noncrossing matching of the 2n sutures from `first` on:
     `first` closes a chord around k others, and the rest follow it."""

@@ -2,6 +2,7 @@
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,8 @@ from sutured_tqft.errors import (InvalidChordDiagramError,
 from sutured_tqft.exterior import RING_F2, RING_Z
 from sutured_tqft.axioms import random_glued_dividing_sets
 from sutured_tqft.gluing import glue, push_dividing_set
-from sutured_tqft.surface import (disk_position, split_face, standard_disk,
-                                  subsurface, validate_surface)
+from sutured_tqft.surface import (UnionFind, disk_position, split_face,
+                                  standard_disk, subsurface, validate_surface)
 from test_models import check_model
 
 
@@ -37,10 +38,12 @@ def test_enumeration_counts():
 
 
 def test_enumeration_is_sorted_and_unique():
-    cds = enumerate_chord_diagrams(4)
-    forms = [cd.pairs for cd in cds]
-    assert forms == sorted(forms)
-    assert len(set(forms)) == len(forms)
+    # every diagram validates as noncrossing, so distinct and Catalan many
+    # means all of them; the order is pair order with no sort applied
+    for n in range(1, 10):
+        forms = [cd.pairs for cd in enumerate_chord_diagrams(n)]
+        assert forms == sorted(forms)
+        assert len(set(forms)) == len(forms) == catalan(n)
 
 
 def test_parse_render_roundtrip():
@@ -129,7 +132,7 @@ def test_any_diagram_realizes(n, data):
     ds = chord_to_dividing_set(cd)
     validate_surface(ds.surface)
     assert dividing_set_violations(ds.surface, ds.k_halfedges, ds.face_signs) == []
-    assert regions(ds).is_non_isolating()
+    assert region_census(ds).is_non_isolating()
 
 
 def reference_chord_to_dividing_set(cd):
@@ -211,7 +214,7 @@ def test_constructor_raises():
 def test_infer_signs_matches_stored():
     for name in ANNULUS_FIXTURE_NAMES:
         _, ds = annulus_fixture(name)
-        assert infer_face_signs(ds.surface, ds.k_edges()) == ds.face_signs
+        assert infer_face_signs(ds.surface, ds.k_halfedges) == ds.face_signs
 
 
 def test_json_roundtrip():
@@ -222,6 +225,51 @@ def test_json_roundtrip():
 
 
 # -- regions --------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RegionCensus:
+    """R+ and R- as unions of the connected pieces of the complement of
+    K, with their grades; I+ and I- count the isolated pieces of R+ and
+    R-, those with no face on the surface boundary."""
+    faces_plus: frozenset
+    faces_minus: frozenset
+    i_plus: int
+    i_minus: int
+    l_k: int
+    l_minus_k: int
+
+    def is_non_isolating(self):
+        return self.i_plus == 0 and self.i_minus == 0
+
+
+def region_census(ds):
+    """The oracle for `regions`: the pieces by union-find over the plain
+    interior edges, R+ and R- as the unions of their pieces, and each
+    grade from the Euler characteristic of the region's subsurface."""
+    s = ds.surface
+    kset = {s.canonical(h) for h in ds.k_halfedges}
+    pieces = UnionFind()
+    for e in s.edges():
+        if e not in kset and s.is_interior_edge(e):
+            pieces.union(s.face_of(e), s.face_of(s.twin[e]))
+    groups = {}
+    for f in range(len(s.faces)):
+        groups.setdefault(pieces.find(f), set()).add(f)
+    touches = {s.face_of(h) for h in s.boundary_halfedges()}
+    comps = []
+    for faces in groups.values():
+        (sign,) = {ds.face_signs[f] for f in faces}  # a piece has one sign
+        comps.append((sign, faces, not faces & touches))
+    fplus = frozenset(f for sign, faces, _ in comps if sign > 0 for f in faces)
+    fminus = frozenset(f for sign, faces, _ in comps if sign < 0 for f in faces)
+    return RegionCensus(
+        faces_plus=fplus,
+        faces_minus=fminus,
+        i_plus=sum(1 for sign, _, iso in comps if iso and sign > 0),
+        i_minus=sum(1 for sign, _, iso in comps if iso and sign < 0),
+        l_k=s.n_of_f() - subsurface(s, sorted(fplus)).euler_characteristic(),
+        l_minus_k=s.n_of_f() - subsurface(s, sorted(fminus)).euler_characteristic())
+
 
 def test_region_euler_grading():
     # R+ of the sequential diagram is n disks hanging off the boundary
@@ -245,17 +293,20 @@ def test_region_grades_match_subsurface_euler_characteristic():
              for ds, g in random_glued_dividing_sets(rng, 100)]
     assert len(sets) == 352
     for ds in sets:
-        s = ds.surface
         r = regions(ds)
-        for faces, grade in ((r.faces_plus, r.l_k), (r.faces_minus, r.l_minus_k)):
-            assert grade == s.n_of_f() - subsurface(s, sorted(faces)).euler_characteristic()
+        c = region_census(ds)
+        assert (r.faces_plus, r.faces_minus, r.l_k, r.l_minus_k) == \
+            (c.faces_plus, c.faces_minus, c.l_k, c.l_minus_k)
+        # rank H1(R+-, a+-) = L+-(K) + I+-(K)
+        assert region_homology(ds, "plus").rank == c.l_k + c.i_plus
+        assert region_homology(ds, "minus").rank == c.l_minus_k + c.i_minus
 
 
 def test_region_rank_matches_grading():
     # rank H1(R+, a+) = L(K) + I+(K) on every fixture
     for name in ANNULUS_FIXTURE_NAMES:
         _, ds = annulus_fixture(name)
-        r = regions(ds)
+        r = region_census(ds)
         assert region_homology(ds, "plus").rank == r.l_k + r.i_plus
 
 
@@ -263,7 +314,7 @@ def test_trivial_circle_isolates():
     _, ds = annulus_fixture("L0")
     pf = min(regions(ds).faces_plus)
     ds2, _ = add_trivial_circle(ds, pf)
-    r = regions(ds2)
+    r = region_census(ds2)
     assert r.i_minus == 1 and r.i_plus == 0
     assert not r.is_non_isolating()
     # rank jumps with the isolated component
@@ -285,7 +336,7 @@ def test_annulus_fixture_valid(name):
     check_model(model, RING_Z)
     check_model(model, RING_F2)
     l_k, l_m = FIXTURE_GRADES[name]
-    r = regions(ds)
+    r = region_census(ds)
     assert (r.l_k, r.l_minus_k) == (l_k, l_m)
     assert r.is_non_isolating()
 

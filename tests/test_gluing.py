@@ -15,6 +15,7 @@ import sutured_tqft.axioms as axioms_module
 import sutured_tqft.gluing as gluing_module
 import sutured_tqft.homology as homology_module
 from sutured_tqft.axioms import (
+    check_basis_of_contact_elements,
     check_relabel_invariance,
     random_glued_dividing_sets,
     random_sutured_surface,
@@ -1092,25 +1093,44 @@ def test_quadrangulate_reglue_is_exact():
         assert dec.refined.marks == s.marks
 
 
+def _pushed_square_family(s):
+    """The square family of s, each member built on the pieces and pushed
+    through the re-weld: the oracle for building members in place."""
+    pieces, reverse, options = square_chord_family(quadrangulate(s))
+    data = glue(reverse)
+    out = []
+    for combo in itertools.product(*[range(len(o)) for o in options]):
+        k_edges = set()
+        for opts, pick in zip(options, combo):
+            for path in opts[pick]:
+                k_edges |= {pieces.canonical(h) for h in path}
+        signs = infer_face_signs(pieces, k_edges)
+        kh = orient_by_signs(pieces, sorted(k_edges), signs)
+        out.append(push_dividing_set(data, DividingSet(pieces, kh, signs)))
+    return out
+
+
 def test_reglued_square_dividing_sets_form_a_contact_basis():
     for build in (annulus_surface, lambda: standard_disk(3)):
-        dec = quadrangulate(build())
-        pieces, reverse, options = square_chord_family(dec)
-        data = glue(reverse)
+        family = _pushed_square_family(build())
         rows = []
-        for combo in itertools.product(*[range(len(o)) for o in options]):
-            k_edges = set()
-            for opts, pick in zip(options, combo):
-                for path in opts[pick]:
-                    k_edges |= {pieces.canonical(h) for h in path}
-            signs = infer_face_signs(pieces, k_edges)
-            kh = orient_by_signs(pieces, sorted(k_edges), signs)
-            ds = DividingSet(pieces, kh, signs)
-            pushed = push_dividing_set(data, ds)
+        for pushed in family:
             c = contact_element(pushed, ring=RING_F2).value
             rows.append(sum((v & 1) << t for t, v in c.terms.items()))
-        assert len(rows) == 1 << default_basis(data.result, RING_F2).rank
+        assert len(rows) == 1 << default_basis(family[0].surface, RING_F2).rank
         assert f2_rank(rows) == len(rows)
+
+
+def _record_dividing_sets(monkeypatch):
+    built = []
+    init = DividingSet.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(DividingSet, "__init__", recorded)
+    return built
 
 
 def _face_scan_queries(s):
@@ -1147,6 +1167,40 @@ def _quadrangulation_hosts():
     rng = random.Random(1209)
     hosts += [random_sutured_surface(rng) for _ in range(20)]
     return hosts
+
+
+def test_square_family_members_equal_their_pushed_sets(monkeypatch):
+    # the basis check builds each member in place on the re-welded
+    # surface; the one-suture gate is lifted so that every host counts
+    built = _record_dividing_sets(monkeypatch)
+    monkeypatch.setattr(axioms_module, "_one_suture_disk_components", lambda s: False)
+    hosts = _quadrangulation_hosts()
+    members = []
+    for s in hosts:
+        check_basis_of_contact_elements(s)
+        members.append(built[:])
+        built.clear()
+    monkeypatch.undo()
+    assert len(hosts) == 27
+    for s, got in zip(hosts, members):
+        want = _pushed_square_family(s)
+        assert len(got) == len(want)
+        for ds, pushed in zip(got, want):
+            assert _same_surface(ds.surface, pushed.surface)
+            assert ds.k_halfedges == pushed.k_halfedges
+            assert ds.face_signs == pushed.face_signs
+
+
+def test_square_family_check_builds_one_dividing_set_per_member(monkeypatch):
+    # 2^L builds per check, where pushing each member doubled them
+    built = _record_dividing_sets(monkeypatch)
+    hosts = [standard_disk(n) for n in range(2, 7)]
+    hosts += [annulus_model().surface, one_holed_torus(),
+              disjoint_union(standard_disk(2), standard_disk(3))[0]]
+    for s in hosts:
+        assert check_basis_of_contact_elements(s).verdict
+        assert len(built) == 1 << default_basis(s, RING_F2).rank
+        built.clear()
 
 
 def test_fan_queries_match_face_scans_on_quadrangulated_surfaces(monkeypatch):
