@@ -27,7 +27,8 @@ from math import comb
 
 from .contact import contact_element, default_basis
 from .dividing import (ChordDiagram, DividingSet, add_trivial_circle,
-                       annulus_fixture, chord_to_dividing_set, enumerate_chord_diagrams,
+                       annulus_fixture, catalan, chord_diagram_at,
+                       chord_to_dividing_set, enumerate_chord_diagrams,
                        infer_face_signs, orient_by_signs, regions)
 from .disks import disk_contact_element, rotate_diagram
 from .errors import (InternalConsistencyError, InvalidGluingError,
@@ -236,16 +237,19 @@ def check_gluing_axiom(corpus, seed: int | None = None,
     The F2 and the Z check of one gluing share everything integral: the
     H_1 of the quotient behind both rings' default bases, and from
     `_respect_parts` the pushed dividing set and the positive-region H_1
-    and grade of K and of K_tau.  The morphism pushes the region classes
-    of K, so no host basis and no middle H_1 is built.  Each ring still
-    does its own arithmetic."""
+    and grade of K and of K_tau.  The pairs drawn from one dividing set
+    object share its positive-region H_1 and grade, built once per
+    distinct set.  The morphism pushes the region classes of K, so no
+    host basis and no middle H_1 is built.  Each ring still does its own
+    arithmetic."""
     count = 0
     ok = True
     witness = None
+    host_regions = {}  # DividingSet -> (H_1(R+, a+), L(K))
     for ds, tau in corpus:
         data = glue(tau)
         rb = default_basis(data.result, RING_F2)
-        parts = _respect_parts(data, ds)
+        parts = _respect_parts(data, ds, host_regions)
         good = (_respects(parts, RING_F2, rb)
                 and _respects(parts, RING_Z, HomologyBasis(rb.h1, RING_Z)))
         count += 1
@@ -431,16 +435,28 @@ def _suture_corner_sites(s: Surface, sutures: int = 1):
     """Gluing sites: ordered pairs of disjoint boundary arcs running
     from an alpha vertex to an alpha vertex over `sutures` marked points,
     the second arc listed reversed as the gluing expects.  Each site is
-    returned as a validated `Gluing` on s; a pair that fails the full
-    gluing validation is dropped.
+    returned as its pair (gamma, gamma_prime) of halfedge tuples, with no
+    validation: `Gluing(s, *site)` validates the one a caller uses.
 
     Gluing ga = (v_0 .. v_n) to gb = (w_0 .. w_n) reversed identifies
-    v_j with w_(n-j).  Three keys, computed once per arc, prune the pairs
-    before that validation, each a necessary condition for it: gb's mark
-    sequence must be ga's reversed with F+ and F- swapped (alpha marks
-    stay, so lengths agree), the arcs must share no edge, and no v_j may
-    equal w_(n-j).  Candidates are drawn from a bucket per mark sequence,
-    in arc order, so the site list is the one all pairs would give.
+    v_j with w_(n-j).  Three keys, computed once per arc, prune the pairs:
+    gb's mark sequence must be ga's reversed with F+ and F- swapped, the
+    arcs must share no edge, and no v_j may equal w_(n-j).  Candidates are
+    drawn from a bucket per mark sequence, in arc order, so the site list
+    is the one all pairs would give.
+
+    On a valid surface the keys imply every rule that `Gluing` checks.
+    Each arc is a proper sub-run of one boundary circle, since
+    `sutures` < k, so its halfedges are boundary halfedges on distinct
+    edges, and the edge key keeps the two arcs apart.  The mark key gives
+    equal lengths and no mark clash.  `validate_surface` refuses a
+    pinched boundary, so an arc passes no vertex twice, and a vertex
+    inside one arc has both its boundary edges on it, out of the other
+    arc's reach: nothing is sent to two vertices, the identification is
+    injective and no vertex ends more than two glued halfedges.  Stretches end at the arc ends,
+    which are alpha vertices, and the third key refuses self-gluing.  No
+    component closes: one arc cannot cover its circle, and two arcs that
+    cover one would glue v_0 to w_n = v_0.
     """
     alpha = s.marks["alpha_plus"] | s.marks["alpha_minus"]
     arcs: list[tuple[int, ...]] = []
@@ -469,14 +485,21 @@ def _suture_corner_sites(s: Surface, sutures: int = 1):
         partner = tuple(_OPPOSITE_MARK[k] for k in reversed(marks[ia]))
         for ib in by_marks.get(partner, ()):
             # w_(n-j) is v_j's partner: the reversed vertex list lines them up
-            if (ib == ia or not edges[ia].isdisjoint(edges[ib])
+            if (not edges[ia].isdisjoint(edges[ib])
                     or any(v == w for v, w in zip(verts[ia], reversed(verts[ib])))):
                 continue
-            try:
-                sites.append(Gluing(s, ga, tuple(reversed(arcs[ib]))))
-            except InvalidGluingError:
-                pass
+            sites.append((ga, tuple(reversed(arcs[ib]))))
     return sites
+
+
+def _gluing_at(s: Surface, site) -> Gluing:
+    """The validated Gluing at a site of `_suture_corner_sites`.  The
+    keys there imply every validation rule, so a refusal is a bug, not
+    malformed input."""
+    try:
+        return Gluing(s, *site)
+    except InvalidGluingError as exc:
+        raise InternalConsistencyError(f"corner site fails validation: {exc}") from exc
 
 
 def check_uniqueness_hypotheses(seed: int = DEFAULT_SEED,
@@ -492,15 +515,16 @@ def check_uniqueness_hypotheses(seed: int = DEFAULT_SEED,
     rng = random.Random(seed)
     pool = []
     for host in [standard_disk(n) for n in (3, 4, 5)] + [annulus_model().surface]:
-        pool.extend(_suture_corner_sites(host))
+        pool.extend((host, site) for site in _suture_corner_sites(host))
     rng.shuffle(pool)
     ok = True
     witness = None
     tested = 0
     host_bases: dict[Surface, HomologyBasis] = {}  # four hosts, many sites
-    for tau in pool:
+    for host, site in pool:
         if tested >= samples:
             break
+        tau = _gluing_at(host, site)
         data = glue(tau)
         if data.swallowed:
             raise InternalConsistencyError("one-suture site swallowed a vertex")
@@ -558,7 +582,7 @@ def random_sutured_surface(rng: random.Random) -> Surface:
             sites = _suture_corner_sites(s, sutures=rng.choice((1, 2)))
             if not sites:
                 break
-            s = glue(sites[rng.randrange(len(sites))]).result
+            s = glue(_gluing_at(s, sites[rng.randrange(len(sites))])).result
         n_f = len(s.marks["F_plus"])
         if 0 < n_f <= 8 and s.genus() <= 2 and len(s.boundary_circles()) <= 3:
             validate_surface(s)
@@ -571,14 +595,16 @@ def random_glued_dividing_sets(rng: random.Random, count: int,
     """(DividingSet, Gluing) pairs: a random chord diagram on a disk and
     a random self-gluing site covering one or two sutures.
 
+    The diagram is drawn by its index in `enumerate_chord_diagrams`
+    order and built by `chord_diagram_at`, so no list is enumerated.
     Repeated draws share their work: pairs drawn from the same diagram
-    share one DividingSet, and pairs drawn at the same site one Gluing."""
+    share one DividingSet, and pairs drawn at the same site one Gluing,
+    the only site of its list that is validated."""
     if count > 0 and max_n < 3:
         # disks with at most two chords have no one- or two-suture site
         raise ValidationError(f"glued dividing sets need max_n >= 3, got {max_n}")
-    diagrams = {n: enumerate_chord_diagrams(n) for n in range(2, max_n + 1)}
-    # (n, index) -> DividingSet; + (sutures,) -> sites
-    sets, site_lists = {}, {}
+    # (n, index) -> DividingSet; + (sutures,) -> sites; + (site,) -> Gluing
+    sets, site_lists, gluings = {}, {}, {}
     out = []
     attempts = 0
     while len(out) < count:
@@ -588,9 +614,9 @@ def random_glued_dividing_sets(rng: random.Random, count: int,
                 f"drew only {len(out)} of {count} glueable dividing sets "
                 f"with at most {max_n} chords")
         n = rng.randint(2, max_n)
-        key = (n, rng.randrange(len(diagrams[n])))
+        key = (n, rng.randrange(catalan(n)))
         if key not in sets:
-            sets[key] = chord_to_dividing_set(diagrams[n][key[1]])
+            sets[key] = chord_to_dividing_set(chord_diagram_at(*key))
         ds = sets[key]
         key += (rng.choice((1, 2)),)
         if key not in site_lists:
@@ -598,7 +624,10 @@ def random_glued_dividing_sets(rng: random.Random, count: int,
         sites = site_lists[key]
         if not sites:
             continue
-        out.append((ds, sites[rng.randrange(len(sites))]))
+        key += (rng.randrange(len(sites)),)
+        if key not in gluings:
+            gluings[key] = _gluing_at(ds.surface, sites[key[3]])
+        out.append((ds, gluings[key]))
     return out
 
 

@@ -24,6 +24,7 @@ computes the grading
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import (InternalConsistencyError, InvalidChordDiagramError,
                      InvalidDividingSetError, json_field)
@@ -383,6 +384,38 @@ def enumerate_chord_diagrams(n: int) -> list[ChordDiagram]:
         return out
 
     return [ChordDiagram(n, tuple(ps)) for ps in match(tuple(range(1, 2 * n + 1)))]
+
+
+def catalan(n: int) -> int:
+    """The number of noncrossing diagrams with n chords."""
+    return comb(2 * n, n) // (n + 1)
+
+
+def chord_diagram_at(n: int, k: int) -> ChordDiagram:
+    """enumerate_chord_diagrams(n)[k], built from Catalan counts alone.
+
+    That list takes the chord at the least point of a run of 2m points
+    in order of its closing point; closing after 2i inside points leaves
+    catalan(i) * catalan(m - 1 - i) diagrams, listed by inside part, then
+    by outside part.  So the block of k picks the chord, and the quotient
+    and remainder of k by the outside count rank the two parts."""
+    cat = [catalan(i) for i in range(n + 1)]
+    if not 0 <= k < cat[n]:
+        raise InvalidChordDiagramError(f"diagram index {k} outside 0..{cat[n] - 1}")
+    pairs = []
+    runs = [(1, n, k)]  # (first point, chords, rank within the run)
+    while runs:
+        lo, m, k = runs.pop()
+        if not m:
+            continue
+        i = 0
+        while k >= cat[i] * cat[m - 1 - i]:
+            k -= cat[i] * cat[m - 1 - i]
+            i += 1
+        pairs.append((lo, lo + 2 * i + 1))
+        inside, outside = divmod(k, cat[m - 1 - i])
+        runs += [(lo + 1, i, inside), (lo + 2 * i + 2, m - 1 - i, outside)]
+    return ChordDiagram(n, tuple(sorted(pairs)))
 
 
 def chord_to_dividing_set(cd: ChordDiagram) -> DividingSet:

@@ -377,13 +377,17 @@ def push_dividing_set(g: GluedSurfaceData, ds: DividingSet) -> DividingSet:
     return DividingSet(g.result, k2, dict(ds.face_signs))
 
 
-def _respect_parts(g: GluedSurfaceData, ds: DividingSet):
+def _respect_parts(g: GluedSurfaceData, ds: DividingSet, host_regions: dict):
     """The parts of a respect check that no coefficient ring enters,
     built once per gluing: H_1(R+, a+) with the grade L(K) of ds and of
-    its image K_tau.  Pushing ds first rejects a dividing set on another
+    its image K_tau.  Those of ds are looked up in, or added to,
+    `host_regions`, keyed by the DividingSet object, so gluings of one
+    set share them.  Pushing ds first rejects a dividing set on another
     surface before any work."""
     pushed = push_dividing_set(g, ds)
-    return g, _region(ds, "plus"), _region(pushed, "plus")
+    if ds not in host_regions:
+        host_regions[ds] = _region(ds, "plus")
+    return g, host_regions[ds], _region(pushed, "plus")
 
 
 def _respects(parts, ring: str, result_basis: HomologyBasis) -> bool:
@@ -405,7 +409,7 @@ def check_respect(g: GluedSurfaceData, ds: DividingSet, ring: str = RING_F2) -> 
     the quotient's basis: three H_1 in all, of the quotient and the two
     positive regions, and none of the host.
     """
-    return _respects(_respect_parts(g, ds), ring, default_basis(g.result, ring))
+    return _respects(_respect_parts(g, ds, {}), ring, default_basis(g.result, ring))
 
 
 # ---------------------------------------------------------------------------

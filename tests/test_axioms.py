@@ -31,6 +31,7 @@ from sutured_tqft.axioms import (
     _closed_k_loops,
     _suture_corner_sites,
 )
+from sutured_tqft.cli import run
 from sutured_tqft.contact import contact_element
 from sutured_tqft.dividing import (
     ANNULUS_FIXTURE_NAMES,
@@ -263,8 +264,7 @@ def reference_random_glued_dividing_sets(rng, count, max_n=5):
         sites = _suture_corner_sites(ds.surface, sutures=rng.choice((1, 2)))
         if not sites:
             continue
-        tau = sites[rng.randrange(len(sites))]
-        out.append((ds, Gluing(ds.surface, tau.gamma, tau.gamma_prime)))
+        out.append((ds, Gluing(ds.surface, *sites[rng.randrange(len(sites))])))
     return out
 
 
@@ -353,8 +353,59 @@ def test_suite_validates_each_drawn_site_once(monkeypatch):
         monkeypatch.setattr(axioms_module, "gluing_violations", counted)
     assert all(r.verdict for r in run_axiom_suite())
     # 1,917 when each site was validated as a pair and again as a Gluing,
-    # 1,739 when every cut also validated the gluing that re-welds it
-    assert len(calls) <= 1725
+    # 1,739 when every cut also validated the gluing that re-welds it, and
+    # 1,725 when every candidate site was validated; now only the gluings
+    # drawn (162 distinct in the corpus, 4 for random surfaces), sampled
+    # (12), cut and re-welded (7 + 7) and fixed (5) are
+    assert len(calls) == 197
+
+
+def test_gluing_axiom_builds_each_host_region_once(monkeypatch):
+    corpora, host_regions = [], []
+    check, region = axioms_module.check_gluing_axiom, gluing_module._region
+
+    def checking(corpus, *args, **kwargs):
+        corpora.append(list(corpus))
+        return check(corpora[-1], *args, **kwargs)
+
+    def built(ds, side):
+        host_regions.append(ds)
+        return region(ds, side)
+
+    monkeypatch.setattr(axioms_module, "check_gluing_axiom", checking)
+    monkeypatch.setattr(gluing_module, "_region", built)
+    assert all(r.verdict for r in run_axiom_suite())
+    [corpus] = corpora
+    hosts = {id(ds) for ds, _ in corpus}
+    on_hosts = [id(ds) for ds in host_regions if id(ds) in hosts]
+    # 201 pairs drawn from 57 dividing sets: one positive region each
+    assert len(corpus) == 201
+    assert len(on_hosts) == len(set(on_hosts)) == len(hosts) == 57
+
+
+@pytest.fixture
+def bad_sites(monkeypatch):
+    """Every corner site becomes an arc glued to itself, which reuses its
+    edges; each list keeps its length, so whichever site is drawn is bad."""
+    find = axioms_module._suture_corner_sites
+    monkeypatch.setattr(axioms_module, "_suture_corner_sites",
+                        lambda s, sutures=1: [(ga, ga) for ga, _ in find(s, sutures)])
+
+
+@pytest.mark.parametrize("caller", [
+    # a third of the surface draws glue nothing: draw until one glues
+    lambda: [random_sutured_surface(random.Random(seed)) for seed in range(20)],
+    lambda: random_glued_dividing_sets(random.Random(1), 5),
+    lambda: check_uniqueness_hypotheses(),
+], ids=["random surface", "gluing corpus", "uniqueness"])
+def test_a_refused_corner_site_is_an_internal_error(bad_sites, caller):
+    with pytest.raises(InternalConsistencyError, match="corner site fails validation"):
+        caller()
+
+
+def test_a_refused_corner_site_exits_three(bad_sites, capsys):
+    assert run(["axioms", "--seed", "1", "--gluing-samples", "5"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: corner site")
 
 
 def test_corner_sites_match_hand_count():
@@ -403,9 +454,7 @@ def _assert_sites_match_oracle(surfaces):
         seen.add(key)
         for sutures in (1, 2):
             sites = _suture_corner_sites(s, sutures=sutures)
-            assert all(tau.host is s for tau in sites)
-            assert ([(tau.gamma, tau.gamma_prime) for tau in sites]
-                    == _all_pairs_corner_sites(s, sutures=sutures))
+            assert sites == _all_pairs_corner_sites(s, sutures=sutures)
             found += len(sites)
     return len(seen), found
 
@@ -427,6 +476,14 @@ def test_pruned_corner_sites_match_all_pairs_on_suite_corpora(seed, monkeypatch)
     distinct, found = _assert_sites_match_oracle(hosts)
     # repeated draws share their site list, so count distinct inputs
     assert len(keys) > 80 and distinct > 40 and found > 1000
+
+
+def test_pruned_corner_sites_match_all_pairs_on_every_small_disk():
+    # every diagram with at most six chords: the keys let through exactly
+    # the pairs that full validation accepts
+    surfaces = [chord_to_dividing_set(cd).surface
+                for n in range(1, 7) for cd in enumerate_chord_diagrams(n)]
+    assert _assert_sites_match_oracle(surfaces) == (196, 13554)
 
 
 def test_pruned_corner_sites_match_all_pairs_on_fixed_and_random_surfaces():
@@ -646,8 +703,8 @@ def test_uniqueness_reports_a_singular_gluing_over_either_ring(monkeypatch, name
 
 def test_one_suture_gluings_swallow_nothing():
     s = standard_disk(4)
-    for tau in _suture_corner_sites(s)[:6]:
-        assert glue(tau).swallowed == ()
+    for site in _suture_corner_sites(s)[:6]:
+        assert glue(Gluing(s, *site)).swallowed == ()
 
 
 # -- randomized corpus ----------------------------------------------------

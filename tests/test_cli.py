@@ -151,7 +151,7 @@ def test_bypass_invalid_site():
 @pytest.fixture()
 def disk3_files(tmp_path):
     s = standard_disk(3)
-    tau = _suture_corner_sites(s, sutures=1)[0]
+    tau = Gluing(s, *_suture_corner_sites(s, sutures=1)[0])
     surface = tmp_path / "surface.json"
     gluing = tmp_path / "gluing.json"
     surface.write_text(json.dumps(s.to_json_dict()))

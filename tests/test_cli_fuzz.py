@@ -18,11 +18,12 @@ from hypothesis import given, settings, strategies as st
 from sutured_tqft.axioms import _suture_corner_sites
 from sutured_tqft.cli import run
 from sutured_tqft.dividing import ChordDiagram, chord_to_dividing_set
+from sutured_tqft.gluing import Gluing
 from sutured_tqft.surface import standard_disk
 
 _DISK = standard_disk(3)
 _SURFACE = _DISK.to_json_dict()
-_GLUING = _suture_corner_sites(_DISK)[0].to_json_dict()
+_GLUING = Gluing(_DISK, *_suture_corner_sites(_DISK)[0]).to_json_dict()
 _DIVIDING_SET = chord_to_dividing_set(ChordDiagram.parse("1-2,3-6,4-5")).to_json_dict()
 
 _LEAVES = st.one_of(

@@ -1,6 +1,5 @@
 """Dividing sets: validation, regions, chord diagrams, annulus fixtures."""
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from sutured_tqft.dividing import (ANNULUS_FIXTURE_NAMES, ChordDiagram,
                                    DividingSet, add_trivial_circle,
                                    annulus_fixture, boundary_arc_signs,
+                                   catalan, chord_diagram_at,
                                    chord_to_dividing_set,
                                    dividing_set_violations,
                                    enumerate_chord_diagrams, infer_face_signs,
@@ -24,10 +24,6 @@ from sutured_tqft.gluing import glue, push_dividing_set
 from sutured_tqft.surface import (UnionFind, disk_position, split_face,
                                   standard_disk, subsurface, validate_surface)
 from test_models import check_model
-
-
-def catalan(n):
-    return math.comb(2 * n, n) // (n + 1)
 
 
 # -- chord diagrams -------------------------------------------------------
@@ -44,6 +40,16 @@ def test_enumeration_is_sorted_and_unique():
         forms = [cd.pairs for cd in enumerate_chord_diagrams(n)]
         assert forms == sorted(forms)
         assert len(set(forms)) == len(forms) == catalan(n)
+
+
+def test_unranking_matches_enumeration():
+    # the k-th diagram of the enumeration, built from Catalan counts alone
+    for n in range(10):
+        diagrams = enumerate_chord_diagrams(n)
+        assert [chord_diagram_at(n, k) for k in range(len(diagrams))] == diagrams
+        for k in (-1, len(diagrams)):
+            with pytest.raises(InvalidChordDiagramError, match="outside"):
+                chord_diagram_at(n, k)
 
 
 def test_parse_render_roundtrip():

@@ -633,8 +633,9 @@ def test_shared_bases_match_unshared_on_axiom_corpus(monkeypatch):
     current = {}
     checks = []
 
-    def built(g, ds):
-        current.update(parts=build(g, ds), ds=ds, n=current.get("n", -1) + 1)
+    def built(g, ds, host_regions):
+        current.update(parts=build(g, ds, host_regions), ds=ds,
+                       n=current.get("n", -1) + 1)
         return current["parts"]
 
     def checked(parts, ring, result_basis):
@@ -719,8 +720,8 @@ def test_factored_lhs_matches_expanded_on_axiom_corpus(monkeypatch, pushed_lhs, 
     current = {}
     swallowing = []
 
-    def built(g, ds):
-        current.update(parts=build(g, ds), ds=ds)
+    def built(g, ds, host_regions):
+        current.update(parts=build(g, ds, host_regions), ds=ds)
         return current["parts"]
 
     def checked(parts, ring, result_basis):
@@ -746,7 +747,7 @@ def test_factored_lhs_matches_expanded_on_self_glued_disks(pushed_lhs):
         while found < 2:
             ds = chord_to_dividing_set(_random_diagram(rng, n))
             sites = axioms_module._suture_corner_sites(ds.surface, sutures=2)
-            g = glue(rng.choice(sites)) if sites else None
+            g = glue(Gluing(ds.surface, *rng.choice(sites))) if sites else None
             if g is None or not g.swallowed:
                 continue
             nonzero += not _assert_factored_lhs(g, ds, pushed_lhs).is_zero()
@@ -767,8 +768,9 @@ def test_factored_lhs_matches_expanded_off_grade(pushed_lhs):
                 if grade == hr.rank:
                     continue
                 for sutures in (1, 2):
-                    for tau in axioms_module._suture_corner_sites(ds.surface, sutures)[:2]:
-                        assert _assert_factored_lhs(glue(tau), ds, pushed_lhs).is_zero()
+                    for site in axioms_module._suture_corner_sites(ds.surface, sutures)[:2]:
+                        g = glue(Gluing(ds.surface, *site))
+                        assert _assert_factored_lhs(g, ds, pushed_lhs).is_zero()
                         off_grade += 1
     assert off_grade >= 60
 
@@ -783,10 +785,10 @@ def test_factored_lhs_sees_a_mutated_region_class(ring):
     while True:
         ds = chord_to_dividing_set(_random_diagram(rng, 6))
         sites = axioms_module._suture_corner_sites(ds.surface, sutures=2)
-        g = glue(rng.choice(sites)) if sites else None
+        g = glue(Gluing(ds.surface, *rng.choice(sites))) if sites else None
         if g is None or not g.swallowed:
             continue
-        _, (hr, grade), target = _respect_parts(g, ds)
+        _, (hr, grade), target = _respect_parts(g, ds, {})
         tb = default_basis(g.result, ring)
         x, reps = _region_classes(hr, grade, ring)
         lhs = _morphism(g, x, reps, tb)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sutured_tqft.axioms import _suture_corner_sites, random_sutured_surface
 from sutured_tqft.errors import InvalidSurfaceError
-from sutured_tqft.gluing import glue, quadrangulate
+from sutured_tqft.gluing import Gluing, glue, quadrangulate
 from sutured_tqft.models import annulus_model, one_holed_torus
 from sutured_tqft.surface import (Refinement, Surface, UnionFind,
                                   add_detached_circle, chain_boundary,
@@ -194,7 +194,7 @@ def test_surfaces_are_immutable():
     split_face(s, 0, 1, 5)
     subdivide_edge(s, 0)
     add_detached_circle(s, 0, 2)
-    glue(_suture_corner_sites(s)[0])
+    glue(Gluing(s, *_suture_corner_sites(s)[0]))
     quadrangulate(s)  # cuts open refinements of s and glues them back
     assert s.to_json_dict() == before
 
@@ -519,8 +519,8 @@ def test_indices_match_naive_on_cut_and_glued_surfaces():
     assert_indices_match_naive(dec.pieces)
     assert_indices_match_naive(dec.refined)
     for host in (standard_disk(4), annulus_model().surface):
-        for tau in _suture_corner_sites(host, sutures=2)[:4]:
-            assert_indices_match_naive(glue(tau).result)
+        for site in _suture_corner_sites(host, sutures=2)[:4]:
+            assert_indices_match_naive(glue(Gluing(host, *site)).result)
 
 
 @settings(max_examples=25, deadline=None)
@@ -531,7 +531,7 @@ def test_indices_match_naive_on_drawn_surfaces(seed):
     assert_indices_match_naive(s)
     sites = _suture_corner_sites(s)
     if sites:
-        assert_indices_match_naive(glue(rng.choice(sites)).result)
+        assert_indices_match_naive(glue(Gluing(s, *rng.choice(sites))).result)
 
 
 # -- union-find -----------------------------------------------------------
