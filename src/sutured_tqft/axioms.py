@@ -44,6 +44,10 @@ from .surface import (Surface, UnionFind, chain_from_path, disjoint_union,
                       push_chain, standard_disk, validate_surface)
 
 DEFAULT_SEED = 20260823
+# Members of the largest square family the suite may check: the disk with
+# max_n sutures has 2^(max_n - 1), and each costs a few milliseconds, so
+# the suite's time doubles with every step of max_n past the budget.
+SQUARE_FAMILY_BUDGET = 2 ** 10
 
 AXIOM_NAMES = {
     1: "graded rank",
@@ -795,6 +799,13 @@ def run_axiom_suite(seed: int = DEFAULT_SEED, max_n: int = 5,
     """
     if max_n < 1:
         raise ValidationError(f"max_n must be at least 1, got {max_n}")
+    # for a power-of-two budget this is 2^(max_n - 1) > SQUARE_FAMILY_BUDGET,
+    # without raising 2 to an unbounded power
+    if max_n > SQUARE_FAMILY_BUDGET.bit_length():
+        raise ValidationError(
+            f"max_n {max_n} needs a square family of 2^{max_n - 1} members, over "
+            f"the budget of {SQUARE_FAMILY_BUDGET} (max_n at most "
+            f"{SQUARE_FAMILY_BUDGET.bit_length()})")
     if gluing_samples < 0:
         raise ValidationError(f"gluing_samples must be nonnegative, got {gluing_samples}")
     rng = random.Random(seed)

@@ -6,19 +6,48 @@ merged into one root -- yields a fundamental cycle z_e for every cotree
 edge e (e closed up through the lowest common ancestor of its ends);
 these form an integral basis of the lattice of relative 1-cycles, and
 the coordinates of any relative cycle in that basis are just its
-restriction to the cotree edges.  The face boundaries in those
-coordinates are read straight off the face walks as sparse rows, and
-their sparse Smith normal form presents the quotient: a class is reduced
-by the rows of U past the rank only, filed by coordinate so that only
-its nonzero coordinates cost anything, a representative is read off one
-column of U^-1, and a prescribed integral basis is inverted with one
-more Smith form.  The same forest gives, for any vertex v, the tree path
-from A to v (`path_from_rel`), a chain with boundary v - a for some a in
-A: these split H_1(S, A ∪ B) as H_1(S, A) plus one class per b in B
-when every component of S meets A.
-Surface pairs never produce torsion; we assert that all invariant
-factors are 1, which also makes the mod-2 reduction of the same
-integral basis a basis of the F2 homology.
+restriction to the cotree edges.  A cycle is built on first use.  The
+same forest gives, for any vertex v, the tree path from A to v
+(`path_from_rel`), a chain with boundary v - a for some a in A: these
+split H_1(S, A ∪ B) as H_1(S, A) plus one class per b in B when every
+component of S meets A.
+
+The quotient by the face boundaries is read off the dual graph, with no
+elimination.  Its nodes are the faces plus one ground node for a missing
+face; cotree edge e_i is a dual edge between the face of e_i and the
+face of its twin.  A second union-find pass over the cotree edges, in order,
+swaps every edge whose two ends it merges into place t and increments t.
+The t swapped edges are a dual forest, the rank of the boundary map is t,
+and the rest, in their final order, are the leftover edges: class i is
+z of the i-th leftover edge, and the class of a relative cycle with
+cotree coordinates w is, in place i, w at the leftover edge plus the
+signed sum of w over the dual forest path between that edge's ends.
+
+That is exactly what the sparse Smith normal form U*A*V = D of the
+boundary rows A (one row per cotree edge, one column per face) gives, as
+its rows of U and columns of U^-1 past the rank:
+
+1. Row i is +1 on the face of e_i and -1 on the face of its twin.  A
+   faceless side adds nothing, and both sides in one face cancel.  So
+   every row is a dual edge with unit entries (its other end is the
+   ground node where a side is missing).
+2. A unit row step keeps that shape: clearing the pivot column from a
+   row replaces that end by the pivot row's other end, which contracts
+   the pivot column into it.  So every pivot is a unit and the remainder
+   and divisibility branches never run; column steps touch only row t of
+   D and V, which are not read here.  Surface pairs thus have no torsion,
+   and the mod-2 reduction of the same integral basis is a basis of the
+   F2 homology; the mod-2 rank of the rows is checked against t.
+3. A row is zero exactly when its ends are merged, and then it stays
+   zero.  The pivot at step t is the first nonzero row at a position
+   >= t, and every row between t and that pivot is zero.  So the pivot
+   sequence is the one-pass swap above.
+4. A column of U^-1 changes only when its row is the pivot; for a row
+   that never pivots it is only swapped.  So the lifts are unit vectors.
+5. Each row of U past the rank has coefficient 1 on its leftover row and
+   support otherwise on pivot rows, and it is in the left kernel of A.
+   Pivot rows are a forest, so that vector is unique: the fundamental
+   dual cycle of the leftover edge.
 """
 from __future__ import annotations
 
@@ -26,17 +55,58 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InternalConsistencyError, ValidationError
 from .exterior import RING_F2, RING_Z
-from .linalg import (Matrix, f2_invert, f2_rank, invert_unimodular, mat_vec,
-                     smith_normal_form, transpose)
-from .surface import Surface, UnionFind, chain_add, chain_boundary
+from .linalg import Matrix, f2_invert, f2_rank, invert_unimodular, mat_vec, transpose
+from .surface import Surface, UnionFind, chain_boundary
 
 __all__ = ["RelativeH1", "HomologyBasis", "induced_matrix"]
 
 Chain = dict[int, int]
+# a forest node: a vertex or face id, -1 for the merged relative set and
+# None for the ground node of the dual graph
+Node = int | None
+# adjacency lists (edge, y, sign), sign * edge running from x to y
+Adjacency = dict[Node, list[tuple[int, Node, int]]]
+# up[x] = (edge, parent, sign): sign * edge runs from x to its parent
+Forest = dict[Node, tuple[int, Node, int]]
 
 
 def _mod2(chain: Chain) -> Chain:
     return {e: 1 for e, c in chain.items() if c % 2}
+
+
+def _rooted_forest(adj: Adjacency) -> tuple[Forest, dict[Node, int]]:
+    """Parent pointers and depths of a depth-first forest over ``adj``,
+    rooted at its keys in order."""
+    up: Forest = {}
+    depth: dict[Node, int] = {}
+    for root in adj:
+        if root in depth:
+            continue
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for e, y, sgn in adj[x]:
+                if y not in depth:
+                    up[y] = (e, x, -sgn)
+                    depth[y] = depth[x] + 1
+                    stack.append(y)
+    return up, depth
+
+
+def _tree_path(up: Forest, depth: dict[Node, int], x: Node, y: Node) -> list[tuple[int, int]]:
+    """The forest path from x to y as (edge, sign) pairs: x's side up to
+    the common ancestor, then y's side, each in walk order."""
+    down_x: list[tuple[int, int]] = []
+    down_y: list[tuple[int, int]] = []
+    while x != y:
+        if depth[x] >= depth[y]:
+            f, x, sgn = up[x]
+            down_x.append((f, sgn))
+        else:
+            f, y, sgn = up[y]
+            down_y.append((f, -sgn))
+    return down_x + down_y
 
 
 class RelativeH1:
@@ -52,9 +122,7 @@ class RelativeH1:
 
         # -1 is the merged root for all of A (vertex ids are nonnegative)
         mv = {v: -1 if v in self.rel else v for v in surface.vertices}
-        # DFS parent pointers in the merged forest; up[v] = (edge, parent,
-        # sign of the edge when traversed from v toward the parent)
-        adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in sorted(set(mv.values()))}
+        adj: Adjacency = {v: [] for v in sorted(set(mv.values()))}
         union = UnionFind().union
         self.cotree: list[int] = []
         for e in surface.edges():
@@ -64,70 +132,49 @@ class RelativeH1:
                 adj[v].append((e, u, -1))
             else:
                 self.cotree.append(e)
-        up: dict[int, tuple[int, int, int]] = {}
-        self._up = up  # kept for path_from_rel
-        depth: dict[int, int] = {}
-        for root in adj:
-            if root in depth:
-                continue
-            depth[root] = 0
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                for e, y, sgn in adj[x]:
-                    if y not in depth:
-                        up[y] = (e, x, -sgn)
-                        depth[y] = depth[x] + 1
-                        stack.append(y)
+        self._up, self._depth = _rooted_forest(adj)
+        self._cycles: dict[int, Chain] = {}
 
-        # z_e = e + path(head -> lca) - path(tail -> lca)
-        self.cycles: list[Chain] = []
-        for e in self.cotree:
-            x, y = mv[head[e]], mv[head[twin[e]]]
-            down_x: list[tuple[int, int]] = []
-            down_y: list[tuple[int, int]] = []
-            while x != y:
-                if depth[x] >= depth[y]:
-                    f, x, sgn = up[x]
-                    down_x.append((f, sgn))
-                else:
-                    f, y, sgn = up[y]
-                    down_y.append((f, -sgn))
-            z = {e: 1}
-            z.update(down_x)
-            z.update(down_y)
-            self.cycles.append(z)
-
-        # face boundaries in cycle coordinates, their cotree restrictions,
-        # as one sparse row per cotree edge
-        side: dict[int, tuple[int, int]] = {}  # halfedge -> (row, sign)
-        for i, e in enumerate(self.cotree):
-            side[e], side[twin[e]] = (i, 1), (i, -1)
-        rows: list[Chain] = [{} for _ in self.cotree]
-        masks = [0] * len(self.cotree)  # the same rows mod 2
-        for j, walk in enumerate(surface.faces):
-            for h in walk:
-                if h in side:
-                    i, sgn = side[h]
-                    row = rows[i]
-                    c = row.pop(j, 0) + sgn
-                    if c:  # both sides of an edge in one walk cancel
-                        row[j] = c
-                    masks[i] ^= 1 << j
-        sf = smith_normal_form(rows)
-        if any(d != 1 for d in sf.diag):
-            raise InternalConsistencyError(
-                f"torsion in relative H1 (invariant factors {sf.diag})")
-        if f2_rank(masks) != sf.rank:
+        # the dual pass: cotree edge i runs from face ends[i][1] to face
+        # ends[i][0], None standing for the ground node
+        face_of = surface.face_of
+        ends = [(face_of(e), face_of(twin[e])) for e in self.cotree]
+        dual: Adjacency = {}
+        union = UnionFind().union
+        order = list(range(len(ends)))
+        t = 0
+        for i, (a, b) in enumerate(ends):
+            if union(a, b):
+                # places t..i-1 hold zero rows, and order[i] == i still
+                order[t], order[i] = i, order[t]
+                t += 1
+                dual.setdefault(b, []).append((i, a, 1))
+                dual.setdefault(a, []).append((i, b, -1))
+        masks = [(0 if a is None else 1 << a) ^ (0 if b is None else 1 << b) for a, b in ends]
+        if f2_rank(masks) != t:
             raise InternalConsistencyError("mod-2 rank of boundary map dropped")
-        self.rank = len(self.cotree) - sf.rank
-        # the rows of U past the rank, filed by cotree coordinate
-        self._quotient: list[list[tuple[int, int]]] = [[] for _ in self.cotree]
-        for r, row in enumerate(sf.u[sf.rank:]):
-            for j, x in row.items():
-                self._quotient[j].append((r, x))
-        # the columns of U^-1 past the rank: the generic basis classes
-        self._lifts = sf.u_inv[sf.rank:]
+        self.rank = len(ends) - t
+        # the functionals of the quotient, filed by cotree coordinate
+        up, depth = _rooted_forest(dual)
+        self._quotient: list[list[tuple[int, int]]] = [[] for _ in ends]
+        self._lifts = order[t:]
+        for r, i in enumerate(self._lifts):
+            self._quotient[i].append((r, 1))
+            for j, sgn in _tree_path(up, depth, *ends[i]):
+                self._quotient[j].append((r, sgn))
+
+    def cycle(self, j: int) -> Chain:
+        """Fundamental cycle of the j-th cotree edge,
+        z_e = e + path(head -> lca) - path(tail -> lca); do not mutate it."""
+        z = self._cycles.get(j)
+        if z is None:
+            e, rel, head = self.cotree[j], self.rel, self.surface.head
+            x, y = head[e], head[self.surface.twin[e]]
+            z = {e: 1}
+            z.update(_tree_path(self._up, self._depth, -1 if x in rel else x,
+                                -1 if y in rel else y))
+            self._cycles[j] = z
+        return z
 
     def path_from_rel(self, v: int) -> Chain:
         """Tree path from the relative set to v: a chain with boundary
@@ -154,9 +201,9 @@ class RelativeH1:
             raise ValidationError(f"chain is not a relative cycle (boundary at {sorted(bad)})")
         w = [chain.get(e, 0) for e in self.cotree]
         residual = dict(chain)
-        for wi, z in zip(w, self.cycles):
+        for j, wi in enumerate(w):
             if wi:
-                for e, c in z.items():
+                for e, c in self.cycle(j).items():
                     residual[e] = residual.get(e, 0) - wi * c
         if any(c % 2 for c in residual.values()) if ring == RING_F2 else any(residual.values()):
             raise InternalConsistencyError("relative cycle escaped the tree-cotree span")
@@ -176,11 +223,7 @@ class RelativeH1:
 
     def representative(self, i: int) -> Chain:
         """Cycle representing the i-th generic basis class."""
-        col = self._lifts[i]
-        out: Chain = {}
-        for j in sorted(col):
-            out = chain_add(out, self.cycles[j], col[j])
-        return out
+        return dict(self.cycle(self._lifts[i]))
 
 
 class HomologyBasis:

@@ -1,9 +1,8 @@
 """Exact linear algebra over Z, Q and F2.
 
 Matrices over Z/Q are lists of rows of Python ints (or Fractions); F2
-matrices are lists of row bitmasks.  The Smith normal form also takes
-sparse {column: value} rows, and works sparse inside whatever it is
-given.  Everything here is deterministic: pivots are chosen
+matrices are lists of row bitmasks.  The Smith normal form works sparse
+inside.  Everything here is deterministic: pivots are chosen
 lowest-index-first, except that the Smith form takes the smallest
 absolute value first (lowest row, then lowest column position, on ties).
 """
@@ -144,27 +143,22 @@ def _axpy(dst: dict[int, int], src: dict[int, int], c: int) -> None:
             del dst[k]
 
 
-def smith_normal_form(a: Sequence[Sequence[int]] | Sequence[dict[int, int]]) -> SmithForm:
-    """Smith normal form with the transforms U, U^-1 and V.
+def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
+    """Smith normal form of the dense rows ``a``, with the transforms U,
+    U^-1 and V.
 
-    ``a`` is a list of dense rows, or of sparse rows ({column: value}
-    dicts holding nonzero values only), in which case it is as wide as its
-    largest column index plus one.  D and U are reduced as sparse rows and
-    U^-1 and V as sparse columns, so an elementary operation costs the
-    nonzeros it touches.  D's columns keep their labels and only their
-    order is permuted, so a column swap is free.  Once column t is
-    cleared, a column operation changes row t of D alone; only a remainder
-    left by a non-unit pivot swaps a full column into place t and makes
-    column operations walk the rows.  Finding the rows to clear in column
-    t costs one membership test per row below t.
+    D and U are reduced as sparse rows and U^-1 and V as sparse columns,
+    so an elementary operation costs the nonzeros it touches.  D's columns
+    keep their labels and only their order is permuted, so a column swap
+    is free.  Once column t is cleared, a column operation changes row t
+    of D alone; only a remainder left by a non-unit pivot swaps a full
+    column into place t and makes column operations walk the rows.
+    Finding the rows to clear in column t costs one membership test per
+    row below t.
     """
     nrows = len(a)
-    if nrows and isinstance(a[0], dict):
-        ncols = 1 + max(map(max, filter(None, a)), default=-1)
-        d = [dict(row) for row in a]
-    else:
-        ncols = len(a[0]) if nrows else 0
-        d = [{j: x for j, x in enumerate(row) if x} for row in a]
+    ncols = len(a[0]) if nrows else 0
+    d = [{j: x for j, x in enumerate(row) if x} for row in a]
     u = [{i: 1} for i in range(nrows)]
     u_inv = [{i: 1} for i in range(nrows)]
     v = [{j: 1} for j in range(ncols)]  # by column label, like D's keys

@@ -786,7 +786,8 @@ def test_suite_output_is_locked():
 
 @pytest.mark.parametrize("kwargs", [{"gluing_samples": -1},
                                     {"max_n": 0, "gluing_samples": 0},
-                                    {"max_n": -5, "gluing_samples": 0}])
+                                    {"max_n": -5, "gluing_samples": 0},
+                                    {"max_n": 12, "gluing_samples": 0}])
 def test_suite_refuses_out_of_range_sizes(kwargs):
     with pytest.raises(ValidationError, match="max_n|gluing_samples"):
         run_axiom_suite(seed=1, **kwargs)

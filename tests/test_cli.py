@@ -507,6 +507,21 @@ def test_bypass_over_the_term_budget_prints_nothing():
     assert "budget" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_axioms_over_the_square_family_budget_exits_two():
+    # max_n 40 would check a square family of 2^39 members; the budget is
+    # checked before any corpus is built
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", _LIMITED_RUN, "axioms", "--seed", "1",
+                           "--max-n", "40"], env=env, capture_output=True, text=True,
+                          timeout=10)
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "budget" in done.stderr and "Traceback" not in done.stderr
+
+
 def test_contact_input_over_the_term_budget_exits_two(tmp_path):
     # the dividing set of the 60-chord diagram: wedging its region classes
     # would pass the term budget, which is checked before each wedge step

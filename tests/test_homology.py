@@ -1,12 +1,14 @@
 """Relative H_1: tree-cotree computation against a naive rank oracle."""
 import random
+import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sutured_tqft import homology
+from sutured_tqft import homology, linalg
 from sutured_tqft.axioms import _grid_disk, random_sutured_surface, run_axiom_suite
 from sutured_tqft.errors import InternalConsistencyError, ValidationError
 from sutured_tqft.exterior import RING_F2, RING_Z
@@ -181,10 +183,45 @@ def _surfaces_with_relative_sets():
             yield s, RelativeH1(s, rel)
 
 
+def face_boundary_rows(h):
+    """The face boundaries of h's surface in its cotree coordinates: one
+    dense row per cotree edge, one column per face."""
+    chains = [face_boundary_chain(h.surface, j) for j in range(len(h.surface.faces))]
+    return [[c.get(e, 0) for c in chains] for e in h.cotree]
+
+
+def assert_matches_dense_smith(h, rng):
+    """Rank, generic representatives and `reduce` of h are those of the
+    dense Smith loop U*A*V = D on its face-boundary rows A: the rank is
+    the cotree size less rank(A), class i is the combination of cycles in
+    column rank + i of U^-1, and a class reduces by the rows of U past
+    rank(A)."""
+    s = h.surface
+    oracle = dense_smith_normal_form(face_boundary_rows(h))
+    rank = len(oracle.diag)
+    assert h.rank == len(h.cotree) - rank
+    for _ in range(4):
+        chain = {}
+        for j in range(len(h.cotree)):
+            chain = chain_add(chain, h.cycle(j), rng.randint(-3, 3))
+        for f in range(len(s.faces)):
+            chain = chain_add(chain, face_boundary_chain(s, f), rng.randint(-2, 2))
+        for ring in (RING_Z, RING_F2):
+            full = mat_vec(oracle.u, h.coordinates(chain, ring))[rank:]
+            if ring == RING_F2:
+                full = [x % 2 for x in full]
+            assert h.reduce(chain, ring) == full
+    for i in range(h.rank):
+        want = {}
+        for j in range(len(h.cotree)):
+            if oracle.u_inv[j][rank + i]:
+                want = chain_add(want, h.cycle(j), oracle.u_inv[j][rank + i])
+        assert list(h.representative(i).items()) == list(want.items())
+
+
 def test_face_boundary_smith_forms_match_full_scan_reference():
     for s, h in _surfaces_with_relative_sets():
-        chains = [face_boundary_chain(s, j) for j in range(len(s.faces))]
-        assert_same_smith([[c.get(e, 0) for c in chains] for e in h.cotree])
+        assert_same_smith(face_boundary_rows(h))
 
 
 def test_reduce_matches_the_full_product_with_u():
@@ -192,51 +229,57 @@ def test_reduce_matches_the_full_product_with_u():
     seen_rank = 0
     for s, h in _surfaces_with_relative_sets():
         seen_rank = max(seen_rank, h.rank)
-        chains = [face_boundary_chain(s, j) for j in range(len(s.faces))]
-        oracle = dense_smith_normal_form([[c.get(e, 0) for c in chains] for e in h.cotree])
-        rank = len(oracle.diag)
-        for _ in range(4):
-            chain = {}
-            for z in h.cycles:
-                chain = chain_add(chain, z, rng.randint(-3, 3))
-            for f in range(len(s.faces)):
-                chain = chain_add(chain, face_boundary_chain(s, f), rng.randint(-2, 2))
-            for ring in (RING_Z, RING_F2):
-                full = mat_vec(oracle.u, h.coordinates(chain, ring))[rank:]
-                if ring == RING_F2:
-                    full = [x % 2 for x in full]
-                assert h.reduce(chain, ring) == full
-        for i in range(h.rank):
-            want = {}
-            for j in range(len(h.cotree)):
-                if oracle.u_inv[j][rank + i]:
-                    want = chain_add(want, h.cycles[j], oracle.u_inv[j][rank + i])
-            assert list(h.representative(i).items()) == list(want.items())
+        assert_matches_dense_smith(h, rng)
     assert seen_rank >= 4
 
 
-def boundary_matrices(monkeypatch, build):
-    """The sparse rows every `RelativeH1` build in `build()` hands to the
-    Smith form."""
-    seen = []
-    smith_normal_form = homology.smith_normal_form
+def recorded_builds(monkeypatch, build):
+    """Every `RelativeH1` built in `build()`."""
+    built = []
+    init = RelativeH1.__init__
 
-    def recording(a):
-        seen.append([dict(row) for row in a])
-        return smith_normal_form(a)
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
 
-    monkeypatch.setattr(homology, "smith_normal_form", recording)
+    monkeypatch.setattr(RelativeH1, "__init__", recording)
     build()
     monkeypatch.undo()
-    return seen
+    return built
+
+
+def assert_distinct_builds_match_dense_loop(builds, rng):
+    """The first build of each distinct face-boundary matrix against the
+    dense Smith loops; returns the number of distinct matrices."""
+    distinct = {}
+    for h in builds:
+        distinct.setdefault(tuple(map(tuple, face_boundary_rows(h))), h)
+    for rows, h in distinct.items():
+        assert_same_smith([list(row) for row in rows])
+        assert_matches_dense_smith(h, rng)
+    return len(distinct)
 
 
 def test_axiom_suite_boundary_matrices_match_dense_loop(monkeypatch):
-    seen = boundary_matrices(monkeypatch, run_axiom_suite)
     # repeated draws share their surfaces, so count distinct matrices
-    assert len({tuple(tuple(sorted(row.items())) for row in rows) for rows in seen}) > 300
-    for rows in seen:
-        assert_same_smith(rows)
+    builds = recorded_builds(monkeypatch, run_axiom_suite)
+    assert assert_distinct_builds_match_dense_loop(builds, random.Random(29)) > 300
+
+
+def test_only_unimodular_inverses_take_a_smith_form(monkeypatch):
+    # homology reads its quotient off the dual graph: in a default suite,
+    # every Smith form is the one inside `left_inverse_z`
+    callers = Counter()
+    smith_normal_form = linalg.smith_normal_form
+
+    def recording(a):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", recording)
+    assert all(r.verdict for r in run_axiom_suite())
+    assert not hasattr(homology, "smith_normal_form")
+    assert set(callers) == {"left_inverse_z"} and callers["left_inverse_z"] > 0
 
 
 def marked_grid_disk(w):
@@ -262,10 +305,9 @@ def test_grid_disk_boundary_matrices_match_dense_loop(monkeypatch):
             for rel in (s.marks["alpha_plus"], s.marks["alpha_minus"]):
                 RelativeH1(s, rel)
 
-    seen = boundary_matrices(monkeypatch, build)
-    assert len(seen) == 24
-    for rows in seen:
-        assert_same_smith(rows)
+    builds = recorded_builds(monkeypatch, build)
+    assert len(builds) == 24
+    assert_distinct_builds_match_dense_loop(builds, random.Random(31))
 
 
 def test_grid_disk_homology_scales_with_cells():
@@ -275,6 +317,16 @@ def test_grid_disk_homology_scales_with_cells():
     elapsed = time.perf_counter() - start
     assert h.rank == 39
     assert elapsed < 2.0, f"40x40 grid disk homology took {elapsed:.2f} s"
+
+
+def test_grid_disk_homology_is_near_linear_in_cells():
+    # 9,216 faces: the build is two union-find passes and two forest walks
+    s = marked_grid_disk(96)
+    start = time.perf_counter()
+    h = RelativeH1(s, s.marks["alpha_plus"])
+    elapsed = time.perf_counter() - start
+    assert h.rank == 95
+    assert elapsed < 1.0, f"96x96 grid disk homology took {elapsed:.2f} s"
 
 
 # -- tree paths from the relative set -------------------------------------
