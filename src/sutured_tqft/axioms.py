@@ -243,16 +243,21 @@ def check_gluing_axiom(corpus, seed: int | None = None,
     `_respect_parts` the pushed dividing set and the positive-region H_1
     and grade of K and of K_tau.  The pairs drawn from one dividing set
     object share its positive-region H_1 and grade, built once per
-    distinct set.  The morphism pushes the region classes of K, so no
+    distinct set; the pairs drawn from one Gluing object share its
+    quotient and that quotient's F2 default basis, built once per
+    distinct gluing.  The morphism pushes the region classes of K, so no
     host basis and no middle H_1 is built.  Each ring still does its own
     arithmetic."""
     count = 0
     ok = True
     witness = None
     host_regions = {}  # DividingSet -> (H_1(R+, a+), L(K))
+    quotients = {}  # Gluing -> (glue(tau), F2 default basis of its quotient)
     for ds, tau in corpus:
-        data = glue(tau)
-        rb = default_basis(data.result, RING_F2)
+        if tau not in quotients:
+            data = glue(tau)
+            quotients[tau] = data, default_basis(data.result, RING_F2)
+        data, rb = quotients[tau]
         parts = _respect_parts(data, ds, host_regions)
         good = (_respects(parts, RING_F2, rb)
                 and _respects(parts, RING_Z, HomologyBasis(rb.h1, RING_Z)))

@@ -23,9 +23,9 @@ z of the i-th leftover edge, and the class of a relative cycle with
 cotree coordinates w is, in place i, w at the leftover edge plus the
 signed sum of w over the dual forest path between that edge's ends.
 
-That is exactly what the sparse Smith normal form U*A*V = D of the
-boundary rows A (one row per cotree edge, one column per face) gives, as
-its rows of U and columns of U^-1 past the rank:
+That is exactly what the Smith normal form U*A*V = D of the boundary
+rows A (one row per cotree edge, one column per face) gives, as its
+rows of U and columns of U^-1 past the rank:
 
 1. Row i is +1 on the face of e_i and -1 on the face of its twin.  A
    faceless side adds nothing, and both sides in one face cancel.  So

@@ -1,10 +1,9 @@
 """Exact linear algebra over Z, Q and F2.
 
 Matrices over Z/Q are lists of rows of Python ints (or Fractions); F2
-matrices are lists of row bitmasks.  The Smith normal form works sparse
-inside.  Everything here is deterministic: pivots are chosen
-lowest-index-first, except that the Smith form takes the smallest
-absolute value first (lowest row, then lowest column position, on ties).
+matrices are lists of row bitmasks.  Everything here is deterministic:
+pivots are chosen lowest-index-first, except that the Smith form takes
+the smallest absolute value first (first in row-major order, on ties).
 """
 from __future__ import annotations
 
@@ -114,161 +113,105 @@ def det_q(a: Sequence[Sequence[int]]) -> int:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """Decomposition U*A*V = D with U, V unimodular and D diagonal, held sparse.
+    """Decomposition U*A*V = D with U, V unimodular and D diagonal.
 
-    ``u`` is one {column: value} dict per row of U; ``u_inv`` and ``v``
-    are one {row: value} dict per column of U^-1 and V; absent entries
-    are zero.  D is zero except for its leading diagonal, ``diag``: the
-    nonzero invariant factors d_1 | d_2 | ... ; ``rank`` is their number.
+    ``u`` holds the rows of U and ``v`` the columns of V.  D is zero
+    except for its leading diagonal, ``diag``: the nonzero invariant
+    factors d_1 | d_2 | ... ; ``rank`` is their number.
     """
     nrows: int
     ncols: int
     diag: list[int]
-    u: list[dict[int, int]]
-    u_inv: list[dict[int, int]]
-    v: list[dict[int, int]]
+    u: Matrix
+    v: Matrix
 
     @property
     def rank(self) -> int:
         return len(self.diag)
 
 
-def _axpy(dst: dict[int, int], src: dict[int, int], c: int) -> None:
-    """dst += c * src for sparse vectors, dropping the zeros it makes."""
-    for k, x in src.items():
-        y = dst.get(k, 0) + c * x
-        if y:
-            dst[k] = y
-        else:
-            del dst[k]
-
-
 def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
-    """Smith normal form of the dense rows ``a``, with the transforms U,
-    U^-1 and V.
+    """Smith normal form of the rows ``a``, with the transforms U and V.
 
-    D and U are reduced as sparse rows and U^-1 and V as sparse columns,
-    so an elementary operation costs the nonzeros it touches.  D's columns
-    keep their labels and only their order is permuted, so a column swap
-    is free.  Once column t is cleared, a column operation changes row t
-    of D alone; only a remainder left by a non-unit pivot swaps a full
-    column into place t and makes column operations walk the rows.
-    Finding the rows to clear in column t costs one membership test per
-    row below t.
+    Each row of ``du`` is a row of D beside the same row of U, so one list
+    operation is a row operation on both; V is held by columns, so a
+    column operation on D is a row operation on ``v``.  Every operation
+    keeps U*A*V = D.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    d = [{j: x for j, x in enumerate(row) if x} for row in a]
-    u = [{i: 1} for i in range(nrows)]
-    u_inv = [{i: 1} for i in range(nrows)]
-    v = [{j: 1} for j in range(ncols)]  # by column label, like D's keys
-    lab = list(range(ncols))  # lab[position] = column label
-    pos = list(range(ncols))  # its inverse
-    axpy = _axpy
-    # The elementary operations are written out in place, each keeping
-    # U*A*V = D: a row swap swaps rows of D and U and columns of U^-1;
-    # row i += c * row t adds to row i of D and U and subtracts c times
-    # column i of U^-1 from its column t; a column swap swaps two labels.
+    du = [list(row) + e for row, e in zip(a, identity(nrows))]
+    v = identity(ncols)
+
+    def col_swap(i: int, j: int) -> None:
+        for row in du:
+            row[i], row[j] = row[j], row[i]
+        v[i], v[j] = v[j], v[i]
 
     t = 0
     while t < min(nrows, ncols):
-        # deterministic pivot: smallest |value|, lowest (row, position)
-        # tiebreak; nothing beats a unit, so the scan stops at the first
-        # one.  Rows from t on are zero before position t.
+        # deterministic pivot: least |entry|, first in row-major order;
+        # nothing beats a unit, so the scan stops at the first one
         best = 0
         for i in range(t, nrows):
-            row = d[i]
-            if row:
-                ax = min(map(abs, row.values()))
-                if not best or ax < best:
-                    best, pi = ax, i
-                    if ax == 1:
+            for j in range(t, ncols):
+                x = abs(du[i][j])
+                if x and (not best or x < best):
+                    best, pi, pj = x, i, j
+                    if x == 1:
                         break
+            if best == 1:
+                break
         if not best:
             break
-        if pi != t:
-            d[t], d[pi] = d[pi], d[t]
-            u[t], u[pi] = u[pi], u[t]
-            u_inv[t], u_inv[pi] = u_inv[pi], u_inv[t]
-        dt = d[t]
-        pj = pos[next(iter(dt))] if len(dt) == 1 else min(
-            pos[k] for k, x in dt.items() if x == best or x == -best)
-        if pj != t:
-            ct, cj = lab[t], lab[pj]
-            lab[t], lab[pj], pos[cj], pos[ct] = cj, ct, t, pj
+        du[t], du[pi] = du[pi], du[t]
+        col_swap(t, pj)
         while True:
-            # clear column t; clearing one row changes only it and row t,
-            # so the rows below it can be listed up front
+            # clear column t, then row t; a remainder becomes the pivot
             done = True
-            ct = lab[t]
-            for i in [r for r in range(t + 1, nrows) if ct in d[r]]:
-                di, dt = d[i], d[t]
-                c = -(di[ct] // dt[ct])
-                if c:
-                    axpy(di, dt, c)
-                    axpy(u[i], u[t], c)
-                    axpy(u_inv[t], u_inv[i], -c)
-                if ct in di:  # a remainder: it becomes the pivot row
-                    d[t], d[i] = di, dt
-                    u[t], u[i] = u[i], u[t]
-                    u_inv[t], u_inv[i] = u_inv[i], u_inv[t]
-                    done = False
+            for i in range(t + 1, nrows):
+                if du[i][t]:
+                    c = -(du[i][t] // du[t][t])
+                    du[i] = [x + c * y for x, y in zip(du[i], du[t])]
+                    if du[i][t]:
+                        du[t], du[i] = du[i], du[t]
+                        done = False
             if not done:
                 continue
-            # clear row t, by the same argument on positions.  Column t is
-            # zero off row t, so a column operation changes row t alone,
-            # until a remainder swaps a full column into place t.
-            clean, dt = True, d[t]
-            for j in sorted(pos[k] for k in dt if k != ct) if len(dt) > 1 else ():
-                ci, ct = lab[j], lab[t]
-                c = -(dt[ci] // dt[ct])
-                if c:
-                    for row in [dt] if clean else d[t:]:
-                        if ct in row:
-                            y = row.get(ci, 0) + c * row[ct]
-                            if y:
-                                row[ci] = y
-                            else:
-                                del row[ci]
-                    axpy(v[ci], v[ct], c)
-                if ci in dt:
-                    lab[t], lab[j], pos[ci], pos[ct] = ci, ct, t, j
-                    clean = done = False
+            for j in range(t + 1, ncols):
+                if du[t][j]:
+                    c = -(du[t][j] // du[t][t])
+                    for row in du:
+                        row[j] += c * row[t]
+                    v[j] = [x + c * y for x, y in zip(v[j], v[t])]
+                    if du[t][j]:
+                        col_swap(t, j)
+                        done = False
             if done:
                 break
-        p = dt[lab[t]]
-        if p < 0:
-            for m in (dt, u[t], u_inv[t]):
-                for k in m:
-                    m[k] = -m[k]
-            p = -p
+        if du[t][t] < 0:
+            du[t] = [-x for x in du[t]]
         # enforce divisibility d_t | everything below-right; a unit divides all
+        p = du[t][t]
         offender = None if p == 1 else next(
-            (i for i in range(t + 1, nrows)
-             if any(x % p for x in d[i].values())), None)
+            (i for i in range(t + 1, nrows) if any(x % p for x in du[i][t + 1:ncols])),
+            None)
         if offender is not None:
-            axpy(dt, d[offender], 1)
-            axpy(u[t], u[offender], 1)
-            axpy(u_inv[offender], u_inv[t], -1)
+            du[t] = [x + y for x, y in zip(du[t], du[offender])]
             continue
         t += 1
-    diag = [d[i][lab[i]] for i in range(t)]
-    return SmithForm(nrows, ncols, diag, u, u_inv, [v[c] for c in lab])
+    return SmithForm(nrows, ncols, [du[i][i] for i in range(t)],
+                     [row[ncols:] for row in du], v)
 
 
 def solve_z(a: Sequence[Sequence[int]], b: Sequence[int]) -> list[int] | None:
     """An integer solution x of a*x = b, or None when none exists."""
     sf = smith_normal_form(a)
-    ub = [sum(x * b[j] for j, x in row.items()) for row in sf.u]
-    if any(ub[sf.rank:]):
+    ub = mat_vec(sf.u, b)
+    if any(ub[sf.rank:]) or any(x % dt for x, dt in zip(ub, sf.diag)):
         return None
-    x = [0] * sf.ncols
-    for t, dt in enumerate(sf.diag):
-        if ub[t] % dt:
-            return None
-        for r, c in sf.v[t].items():
-            x[r] += c * (ub[t] // dt)
-    return x
+    # x = V * D^+ * U * b, and V is held by columns
+    return mat_vec(transpose(sf.v), [x // dt for x, dt in zip(ub, sf.diag)])
 
 
 def invert_unimodular(c: Sequence[Sequence[int]]) -> Matrix:
@@ -292,13 +235,7 @@ def left_inverse_z(j: Sequence[Sequence[int]]) -> Matrix | None:
     if sf.rank != sf.ncols or any(di != 1 for di in sf.diag):
         return None
     # U*J*V = [I; 0], so V times the first ncols rows of U is a left inverse.
-    q = [[0] * sf.nrows for _ in range(sf.ncols)]
-    for t in range(sf.ncols):
-        for r, x in sf.v[t].items():
-            row = q[r]
-            for c, y in sf.u[t].items():
-                row[c] += x * y
-    return q
+    return mat_mul(transpose(sf.v), sf.u[:sf.ncols])
 
 
 # -- F2: rows as bitmasks -------------------------------------------------

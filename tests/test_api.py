@@ -1,5 +1,6 @@
 """The public surface of the package: exported names, no bare asserts, no
-unreferenced definitions, and every name the benchmark's tracer wraps."""
+unreferenced definitions, every name the benchmark's tracer wraps, and
+source that parses as the oldest Python the package supports."""
 
 import ast
 import importlib
@@ -32,6 +33,18 @@ def test_no_bare_asserts_in_the_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10: newer syntax fails here
+    failed = []
+    for top in ("src", "tests", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            try:
+                ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+            except SyntaxError as exc:
+                failed.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert failed == []
 
 
 def test_every_traced_name_exists():

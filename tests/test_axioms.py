@@ -383,6 +383,36 @@ def test_gluing_axiom_builds_each_host_region_once(monkeypatch):
     assert len(on_hosts) == len(set(on_hosts)) == len(hosts) == 57
 
 
+def test_gluing_axiom_glues_each_gluing_once(monkeypatch):
+    corpora, glued, respects = [], [], []
+    check, welded, respect = (axioms_module.check_gluing_axiom,
+                              axioms_module.glue, axioms_module._respects)
+
+    def checking(corpus, *args, **kwargs):
+        corpora.append(list(corpus))
+        return check(corpora[-1], *args, **kwargs)
+
+    def counting_glue(tau):
+        glued.append(tau)
+        return welded(tau)
+
+    def counting_respects(*args):
+        respects.append(args)
+        return respect(*args)
+
+    monkeypatch.setattr(axioms_module, "check_gluing_axiom", checking)
+    assert all(r.verdict for r in run_axiom_suite())
+    [corpus] = corpora
+    monkeypatch.setattr(axioms_module, "glue", counting_glue)
+    monkeypatch.setattr(axioms_module, "_respects", counting_respects)
+    assert check(corpus).verdict
+    # 201 pairs on 163 distinct Gluing objects: one quotient each, and
+    # still both ring checks for every pair
+    distinct = {id(tau) for _, tau in corpus}
+    assert sorted(map(id, glued)) == sorted(distinct) and len(distinct) == 163
+    assert len(respects) == 2 * len(corpus) == 402
+
+
 @pytest.fixture
 def bad_sites(monkeypatch):
     """Every corner site becomes an arc glued to itself, which reuses its
