@@ -245,19 +245,22 @@ def check_gluing_axiom(corpus, seed: int | None = None,
     object share its positive-region H_1 and grade, built once per
     distinct set; the pairs drawn from one Gluing object share its
     quotient and that quotient's F2 default basis, built once per
-    distinct gluing.  The morphism pushes the region classes of K, so no
-    host basis and no middle H_1 is built.  Each ring still does its own
+    distinct gluing, and that quotient is dropped after the gluing's last
+    pair.  The morphism pushes the region classes of K, so no host basis
+    and no middle H_1 is built.  Each ring still does its own
     arithmetic."""
     count = 0
     ok = True
     witness = None
+    corpus = list(corpus)
+    last = {tau: i for i, (_, tau) in enumerate(corpus)}
     host_regions = {}  # DividingSet -> (H_1(R+, a+), L(K))
     quotients = {}  # Gluing -> (glue(tau), F2 default basis of its quotient)
-    for ds, tau in corpus:
+    for i, (ds, tau) in enumerate(corpus):
         if tau not in quotients:
             data = glue(tau)
             quotients[tau] = data, default_basis(data.result, RING_F2)
-        data, rb = quotients[tau]
+        data, rb = quotients[tau] if last[tau] > i else quotients.pop(tau)
         parts = _respect_parts(data, ds, host_regions)
         good = (_respects(parts, RING_F2, rb)
                 and _respects(parts, RING_Z, HomologyBasis(rb.h1, RING_Z)))

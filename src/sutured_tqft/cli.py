@@ -11,14 +11,13 @@ fails (a bug).  Randomized commands take their entropy from a mandatory
 import argparse
 import json
 import sys
-from math import comb
 
 from .axioms import run_axiom_suite
 from .contact import contact_element, default_basis, render_multivector
 from .disks import (TorusParameters, bypass_triple_at, disk_contact_element,
                     matchable, matchable_via_wedge, matching_curve_count,
                     rotate_diagram, solid_torus_tight)
-from .dividing import ChordDiagram, DividingSet, enumerate_chord_diagrams
+from .dividing import ChordDiagram, DividingSet, catalan, enumerate_chord_diagrams
 from .errors import InternalConsistencyError, ValidationError
 from .exterior import RING_F2, RING_Z
 from .gluing import (Gluing, glue, glued_relative_basis, pushforward_class,
@@ -61,7 +60,7 @@ def _cmd_enumerate(args, out) -> int:
     if args.n < 1:
         raise ValidationError(f"need at least one chord, got {args.n}")
     if args.count_only:
-        print(comb(2 * args.n, args.n) // (args.n + 1), file=out)  # Catalan
+        print(catalan(args.n), file=out)
         return 0
     labels = _disk_labels(args.n)
     lines = [f"{cd.render()}\t"

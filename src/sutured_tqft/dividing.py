@@ -14,6 +14,11 @@ rules (checked by :func:`dividing_set_violations`):
   * no vertex meets more than two K edges; sutures meet exactly one and
     other boundary vertices none.
 
+The last two rules are checked vertex by vertex.  The public constructor
+and ``from_json_dict`` check every rule; the image of a dividing set
+under a gluing is checked only at the merged vertices and across the
+welded edges, the rest being carried over (``gluing.push_dividing_set``).
+
 Closed K components (circles) are allowed.  ``regions`` reads the face
 sets of the positive/negative regions R+ / R- off the face signs and
 computes the grading
@@ -32,8 +37,6 @@ from .surface import (
     Refinement,
     Surface,
     add_detached_circle,
-    chain_boundary,
-    chain_from_path,
     disk_position,
     split_face,
     standard_disk,
@@ -124,6 +127,46 @@ def orient_by_signs(s: Surface, k_edges, signs: dict[int, int]) -> tuple[int, ..
     return tuple(out)
 
 
+def _k_ends(s: Surface, k) -> tuple[dict[int, int], dict[int, int]]:
+    """The K halfedges into and out of each vertex."""
+    k_in: dict[int, int] = {}
+    k_out: dict[int, int] = {}
+    for h in k:
+        k_in[s.head[h]] = k_in.get(s.head[h], 0) + 1
+        k_out[s.tail(h)] = k_out.get(s.tail(h), 0) + 1
+    return k_in, k_out
+
+
+_SUTURE_SIGN = {"F_plus": 1, "F_minus": -1}
+
+
+def _vertex_violations(s: Surface, v: int, k_in: dict[int, int],
+                       k_out: dict[int, int], boundary) -> list[str]:
+    """The rules at one vertex: the boundary of K has coefficient +1 at
+    F+, -1 at F- and 0 elsewhere; at most two K edges meet v, exactly one
+    if v is a suture and none if it is another boundary vertex."""
+    out = []
+    kind = s.mark_of(v)
+    got_in, got_out = k_in.get(v, 0), k_out.get(v, 0)
+    if got_in - got_out != _SUTURE_SIGN.get(kind, 0):
+        out.append(f"boundary of K is not sum(F+) - sum(F-) at vertex {v}")
+    d = got_in + got_out
+    if d > 2:
+        out.append(f"vertex {v} meets {d} K edges")
+    if kind in _SUTURE_SIGN and d != 1:
+        out.append(f"suture {v} meets {d} K edges")
+    elif v in boundary and kind not in _SUTURE_SIGN and d != 0:
+        out.append(f"boundary vertex {v} meets K away from the sutures")
+    return out
+
+
+def _sign_change(s: Surface, e: int, face_signs) -> list[str]:
+    """Faces meeting across the plain interior edge e share their sign."""
+    if face_signs[s.face_of(e)] != face_signs[s.face_of(s.twin[e])]:
+        return [f"sign change across the plain edge {e}"]
+    return []
+
+
 def dividing_set_violations(s: Surface, k_halfedges, face_signs) -> list[str]:
     """All rule violations for a would-be dividing set (empty = valid)."""
     out: list[str] = []
@@ -151,34 +194,16 @@ def dividing_set_violations(s: Surface, k_halfedges, face_signs) -> list[str]:
             out.append(f"K halfedge {h} has a non-negative face on its right")
     kset = {s.canonical(h) for h in k}
     for e in s.edges():
-        if e in kset or not s.is_interior_edge(e):
-            continue
-        if face_signs[s.face_of(e)] != face_signs[s.face_of(s.twin[e])]:
-            out.append(f"sign change across the plain edge {e}")
+        if e not in kset and s.is_interior_edge(e):
+            out += _sign_change(s, e, face_signs)
     for h, sign in boundary_arc_signs(s).items():
         if face_signs[s.face_of(h)] != sign:
             out.append(f"face {s.face_of(h)} disagrees with its boundary arc")
-    want = {v: 1 for v in s.marks["F_plus"]}
-    for v in s.marks["F_minus"]:
-        want[v] = want.get(v, 0) - 1
-    got = chain_boundary(s, chain_from_path(s, k)) if k else {}
-    if got != want:
-        out.append("boundary of K is not sum(F+) - sum(F-)")
-    degree: dict[int, int] = {}
-    for h in k:
-        degree[s.tail(h)] = degree.get(s.tail(h), 0) + 1
-        degree[s.head[h]] = degree.get(s.head[h], 0) + 1
-    for v, d in degree.items():
-        if d > 2:
-            out.append(f"vertex {v} meets {d} K edges")
+    k_in, k_out = _k_ends(s, k)
     boundary = s.boundary_vertices()
-    for v in s.vertices:
-        kind = s.mark_of(v)
-        if kind in ("F_plus", "F_minus") and degree.get(v, 0) != 1:
-            out.append(f"suture {v} meets {degree.get(v, 0)} K edges")
-        elif v in boundary and kind not in ("F_plus", "F_minus") \
-                and degree.get(v, 0) != 0:
-            out.append(f"boundary vertex {v} meets K away from the sutures")
+    # a vertex with no K edge and no suture mark keeps every vertex rule
+    for v in sorted(k_in.keys() | k_out.keys() | s.marks["F_plus"] | s.marks["F_minus"]):
+        out += _vertex_violations(s, v, k_in, k_out, boundary)
     return out
 
 
@@ -218,6 +243,28 @@ class DividingSet:
         except ValueError as exc:
             raise InvalidDividingSetError(f"face id in 'signs' is not an integer: {exc}") from None
         return cls(s, k, face_signs)
+
+
+def _welded_dividing_set(s: Surface, k_halfedges, face_signs, vertices,
+                         edges) -> DividingSet:
+    """The image of a valid dividing set under a gluing, checked only
+    where the weld can break a rule: the vertex rules at the merged
+    `vertices` and equal signs across the welded plain `edges`.
+
+    `gluing.push_dividing_set` argues why every other rule carries over.
+    Everywhere else a DividingSet is checked in full by its constructor."""
+    k_in, k_out = _k_ends(s, k_halfedges)
+    boundary = s.boundary_vertices()
+    bad = [m for e in edges for m in _sign_change(s, e, face_signs)]
+    for v in vertices:
+        bad += _vertex_violations(s, v, k_in, k_out, boundary)
+    if bad:
+        raise InvalidDividingSetError("; ".join(bad))
+    ds = object.__new__(DividingSet)
+    ds.surface = s
+    ds.k_halfedges = tuple(k_halfedges)
+    ds.face_signs = dict(face_signs)
+    return ds
 
 
 @dataclass(frozen=True)

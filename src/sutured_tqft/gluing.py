@@ -15,6 +15,14 @@ Cutting along an interior arc is the inverse construction: `cut_open`
 slices one arc and returns the cut surface, on which gluing each arc
 halfedge to its old twin gives back the surface, and `quadrangulate`
 iterates cuts until only square pieces remain.
+
+A gluing or cut of a valid surface changes it only near the weld or the
+arc, so `glue` and `cut_open` re-check their output there alone
+(`surface.validate_near`), and `push_dividing_set` checks the pushed set
+only at the merged vertices and across the welded edges.  Their
+docstrings argue why every other rule carries over; the differential
+tests in ``tests/test_local_checks.py`` run the full checks on every
+output as well.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .contact import _region, _wedge_region, default_basis
-from .dividing import DividingSet
+from .dividing import DividingSet, _welded_dividing_set
 from .errors import (
     InternalConsistencyError,
     InvalidGluingError,
@@ -44,6 +52,7 @@ from .surface import (
     push_chain,
     split_face,
     subdivide_edge,
+    validate_near,
     validate_surface,
 )
 
@@ -218,15 +227,43 @@ class GluedSurfaceData:
 
 
 def glue(tau: Gluing) -> GluedSurfaceData:
-    """Weld each gamma[i] to gamma_prime[i] reversed and remark the quotient."""
+    """Weld each gamma[i] to gamma_prime[i] reversed and remark the quotient.
+
+    The quotient is re-checked only at the merged vertex classes, by
+    `validate_near`.  A valid Gluing on a valid host keeps every other
+    rule of `validate_surface`:
+
+    * twin involution: g and g' become each other's twins, their faceless
+      old twins go with their heads, and no other pair changes;
+    * face walks: they are the host's, and only faceless halfedges die.
+      Where a walk enters g, it continues from head(a) = tail(g) ~
+      head(g'), the head of g's new twin; likewise at g'.  The welded edge
+      lies in two faces, and every other edge keeps its faces;
+    * an unmerged vertex keeps its outgoing halfedges, its fan and its
+      boundary halfedges: a dead halfedge leaves head(g) or head(g'),
+      each merged with a vertex across the weld, and the only halfedges
+      whose twins change are g and g', which leave and enter merged
+      vertices;
+    * no closed component: `gluing_violations` refuses a gluing that
+      would close one;
+    * marks: an unmerged vertex keeps its mark and stays on the boundary,
+      and a merged class carries one kind, kept only while the class is
+      on the boundary, since stretches end at alpha vertices of one kind
+      and F+ is glued to F-.  So each mark sits on one boundary vertex,
+      and a boundary circle that avoids the merged classes is a host
+      circle with its host marks.
+    """
     host = tau.host
+    link = tau.vertex_map()
     seams = UnionFind()
-    for a, b in tau.vertex_map().items():
+    for a, b in link.items():
         seams.union(a, b)
+    # the merged classes: every other vertex is a class of its own
     classes: dict[int, list[int]] = {}
-    for v in host.vertices:
+    for v in seams.parent:
         classes.setdefault(seams.find(v), []).append(v)
-    vmap: dict[int, int] = {}
+    verts = host.vertices
+    vmap = dict(zip(verts, verts))
     for members in classes.values():
         root = min(members)
         for v in members:
@@ -248,16 +285,13 @@ def glue(tau: Gluing) -> GluedSurfaceData:
     glued = {*tau.gamma, *tau.gamma_prime}
     boundary = {vmap[v] for h in host.boundary_halfedges() if h not in glued
                 for v in (host.head[h], host.tail(h))}
-    marks: dict[str, set[int]] = {k: set() for k in MARK_KEYS}
+    # an unmerged vertex keeps its mark; a merged class is remarked whole
+    marks = {k: set(host.marks[k]).difference(seams.parent) for k in MARK_KEYS}
     swallowed = []
     for members in sorted(classes.values(), key=min):
         root = min(members)
         kinds = {k for k in (host.mark_of(v) for v in members) if k is not None}
         if not kinds:
-            continue
-        if len(members) == 1:
-            (kind,) = kinds
-            marks[kind].add(root)
             continue
         if kinds <= {"F_plus", "F_minus"}:
             # A marked point glued to a marked point becomes interior.
@@ -273,9 +307,11 @@ def glue(tau: Gluing) -> GluedSurfaceData:
         elif kind == "alpha_plus":
             swallowed.append(root)
     result = Surface(twin, head, host.faces, marks)
-    # only faceless halfedges die, so the face indices carry over
-    _inherit(host, result, keep=("_face_of", "_walk_pos"))
-    validate_surface(result)
+    # only faceless halfedges die, so the face indices carry over, and the
+    # boundary loses exactly the welded halfedges
+    _inherit(host, result, keep=("_face_of", "_walk_pos"),
+             _boundary=lambda old: tuple(h for h in old if h not in glued))
+    validate_near(result, [min(members) for members in classes.values()])
     return GluedSurfaceData(
         gluing=tau,
         result=result,
@@ -367,14 +403,34 @@ def _same_complex(a: Surface, b: Surface) -> bool:
 def push_dividing_set(g: GluedSurfaceData, ds: DividingSet) -> DividingSet:
     """Image of a dividing set under a gluing.
 
-    The curves must meet the glued stretches only in suture vertices
-    identified by the gluing; their edges are then interior, survive the
-    quotient unchanged, and divide it with the same face signs.
+    The K edges are interior, so they survive the quotient with their
+    ids, twins and faces, and the faces keep their signs.  The pushed set
+    is checked only where the weld can break a rule: equal face signs
+    across each welded edge, and the vertex rules (K degree, sutures,
+    the boundary of K) at the merged vertex classes.  The rest carries
+    over from ds:
+
+    * K edges stay interior and distinct, with their positive faces on
+      the left;
+    * every plain interior edge of the host keeps its two faces;
+    * the quotient boundary is the host boundary minus the welded
+      halfedges, and each remaining halfedge keeps its arc sign: a
+      glued stretch ends at alpha vertices of one kind, and an alpha
+      vertex lies inside an arc of its kind's sign, so the sign before
+      and after it agree on both sides of the weld;
+    * an unmerged vertex keeps its K halfedges, its mark and its place
+      on or off the boundary.
+
+    A welded edge joins the faces of two boundary arcs of one sign, so
+    on a valid Gluing the check refuses nothing; it is kept so that a
+    refusal never goes unseen.
     """
     if not _same_complex(ds.surface, g.gluing.host):
         raise ValidationError("dividing set lives on a different surface")
+    tau = g.gluing
     k2 = tuple(g.halfedge_map[h] for h in ds.k_halfedges)
-    return DividingSet(g.result, k2, dict(ds.face_signs))
+    merged = {g.vertex_map[v] for v in tau.vertex_map()}
+    return _welded_dividing_set(g.result, k2, ds.face_signs, sorted(merged), tau.gamma)
 
 
 def _respect_parts(g: GluedSurfaceData, ds: DividingSet, host_regions: dict):
@@ -444,6 +500,25 @@ def cut_open(s: Surface, path) -> Surface:
     interior vertices and needs at least two edges (subdivide first if
     necessary).  Its halfedges keep their ids on the cut surface, and
     gluing each of them to its old twin there reproduces `s` exactly.
+
+    The cut surface is re-checked only at the copies of the arc's
+    vertices, by `validate_near`.  On a valid `s` the cut keeps every
+    other rule of `validate_surface`:
+
+    * twin involution: each cut edge becomes two edges, the arc halfedge
+      and its old twin each paired with a fresh faceless halfedge;
+    * face walks: they are unchanged.  The head of an old twin at an arc
+      vertex is the copy holding the corner where its walk goes on, and a
+      fresh twin ends at the copy its arc halfedge leaves from, so every
+      walk stays connected; every edge keeps a face;
+    * a vertex off the arc keeps its outgoing halfedges, its fan and its
+      boundary halfedges: the twins that change are those of arc
+      halfedges, and both ends of each lie on the arc;
+    * no closed component: a cut only adds boundary, and a component
+      that holds a copy holds an arc halfedge, now on the boundary;
+    * marks: every copy of an arc end gets the end's alpha mark, the two
+      copies of the first inner vertex, which was interior and unmarked,
+      get F- and F+, and every copy lies on the boundary.
     """
     path = tuple(path)
     if len(path) < 2:
@@ -516,8 +591,12 @@ def cut_open(s: Surface, path) -> Surface:
     marks["F_plus"].add(right)
 
     s2 = Surface(twin, head, s.faces, marks)
-    _inherit(s, s2, keep=("_face_of", "_walk_pos"), _fresh=lambda old: (fresh_v, nxt_h))
-    validate_surface(s2)
+    # both halfedges of a cut edge stay in their faces and now have
+    # faceless twins, so both join the boundary
+    opened = (*cut_edges, *(s.twin[c] for c in cut_edges))
+    _inherit(s, s2, keep=("_face_of", "_walk_pos"), _fresh=lambda old: (fresh_v, nxt_h),
+             _boundary=lambda old: tuple(sorted((*old, *opened))))
+    validate_near(s2, [c for ids in copies.values() for c in ids])
     return s2
 
 

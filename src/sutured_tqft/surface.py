@@ -13,6 +13,15 @@ The sutured structure marks four disjoint sets of boundary vertices
 boundary circle the marked vertices must repeat the cyclic pattern
 F+ a+ F- a- with the same positive multiplicity for all four sets.
 
+`validate_surface` checks every rule everywhere; loaders and
+`gluing.quadrangulate` run it on their input.  The vertex rules (the
+boundary pinch, the fan) and the marking pattern are each written once,
+for one vertex or one boundary circle, so that `validate_near` can run
+them only where a local step changed the complex: `gluing.glue` at the
+merged vertex classes, `gluing.cut_open` at the copies of the arc's
+vertices.  Each step argues in its docstring why the rules it does not
+re-check hold.
+
 Surfaces are immutable: the constructor is the only writer, mark sets
 are frozensets and face walks tuples, and every refinement or gluing
 builds a new surface.  So each derived index (face and walk position of
@@ -43,6 +52,7 @@ __all__ = [
     "validate_complex",
     "validate_marking",
     "validate_surface",
+    "validate_near",
     "standard_disk",
     "disk_position",
     "subsurface",
@@ -60,6 +70,7 @@ __all__ = [
     "add_detached_circle",
 ]
 
+# in the cyclic order of the marking pattern
 MARK_KEYS = ("F_plus", "alpha_plus", "F_minus", "alpha_minus")
 
 
@@ -388,6 +399,65 @@ class Surface:
 
 # -- validation -----------------------------------------------------------
 
+def _boundary_degrees(s: Surface) -> tuple[dict[int, int], dict[int, int]]:
+    """Boundary halfedges into and out of each vertex that has one."""
+    head, twin = s.head, s.twin
+    b_in: dict[int, int] = {}
+    b_out: dict[int, int] = {}
+    for h in s._boundary:
+        b_in[head[h]] = b_in.get(head[h], 0) + 1
+        b_out[head[twin[h]]] = b_out.get(head[twin[h]], 0) + 1
+    return b_in, b_out
+
+
+def _check_pinch(v: int, b_in: dict[int, int], b_out: dict[int, int]) -> None:
+    """Manifold boundary: a boundary vertex has exactly one boundary
+    halfedge in and one out."""
+    if b_in.get(v, 0) != 1 or b_out.get(v, 0) != 1:
+        raise InvalidSurfaceError(f"boundary is pinched at vertex {v}")
+
+
+def _check_fan(s: Surface, v: int, out_count: int, on_boundary: bool) -> None:
+    """Umbrella condition: the rotational fan at v covers its `out_count`
+    outgoing halfedges exactly once, and closes up if v is interior."""
+    twin, face_of, pos, faces = s.twin, s._face_of, s._walk_pos, s.faces
+    # the fan walk of Surface.outgoing_fan, written out: this runs once per
+    # halfedge of every surface fully validated
+    start = cur = s._fan_start[v]
+    fan = [start]
+    while cur in face_of:
+        cur = twin[faces[face_of[cur]][pos[cur] - 1]]
+        if cur == start:
+            break
+        fan.append(cur)
+    if len(fan) != out_count or len(set(fan)) != len(fan):
+        raise InvalidSurfaceError(f"vertex {v} is not locally a disk or half-disk")
+    if not on_boundary:
+        last = fan[-1]
+        if last not in face_of or twin[faces[face_of[last]][pos[last] - 1]] != start:
+            raise InvalidSurfaceError(f"interior vertex {v} has a broken fan")
+
+
+def _check_pattern(s: Surface, circle: Sequence[int]) -> None:
+    """The marked vertices along one boundary circle repeat F+ a+ F- a-."""
+    marked = []
+    for h in circle:
+        m = s.mark_of(s.tail(h))
+        if m:
+            marked.append(m)
+    if not marked or len(marked) % 4:
+        raise InvalidSurfaceError(
+            f"boundary circle carries {len(marked)} marks; need a positive multiple of 4")
+    if "F_plus" not in marked:
+        raise InvalidSurfaceError("boundary circle has no positive suture")
+    start = marked.index("F_plus")
+    rotated = marked[start:] + marked[:start]
+    for i, m in enumerate(rotated):
+        if m != MARK_KEYS[i % 4]:
+            raise InvalidSurfaceError(
+                f"marking pattern broken on a boundary circle: {rotated}")
+
+
 def validate_complex(s: Surface) -> None:
     """Structural checks: twin involution, face walks, manifold links."""
     twin, head = s.twin, s.head
@@ -420,40 +490,15 @@ def validate_complex(s: Surface) -> None:
         if h < t and h not in seen and t not in seen:
             raise InvalidSurfaceError(f"edge {h}/{t} borders no face")
 
-    # manifold boundary: exactly one boundary halfedge in and out at each
-    # boundary vertex
-    b_in: dict[int, int] = {}
-    b_out: dict[int, int] = {}
-    for h in s._boundary:
-        b_in[head[h]] = b_in.get(head[h], 0) + 1
-        b_out[head[twin[h]]] = b_out.get(head[twin[h]], 0) + 1
+    b_in, b_out = _boundary_degrees(s)
     for v in set(b_in) | set(b_out):
-        if b_in.get(v, 0) != 1 or b_out.get(v, 0) != 1:
-            raise InvalidSurfaceError(f"boundary is pinched at vertex {v}")
-
-    # umbrella condition: the rotational fan at each vertex covers all
-    # outgoing halfedges exactly once, and closes up at interior vertices.
+        _check_pinch(v, b_in, b_out)
     # twin is a bijection by now, so a vertex has as many outgoing
-    # halfedges as incoming ones.
+    # halfedges as incoming ones; after the pinch check the boundary
+    # vertices are the keys of b_in
     out_count = Counter(head.values())
-    boundary_verts = set(b_in)  # = set(b_out) after the pinch check
-    face_of, pos, faces, fan_start = s._face_of, s._walk_pos, s.faces, s._fan_start
     for v in s.vertices:
-        # the fan walk of Surface.outgoing_fan, written out: this runs once
-        # per halfedge of every surface built
-        start = cur = fan_start[v]
-        fan = [start]
-        while cur in face_of:
-            cur = twin[faces[face_of[cur]][pos[cur] - 1]]
-            if cur == start:
-                break
-            fan.append(cur)
-        if len(fan) != out_count[v] or len(set(fan)) != len(fan):
-            raise InvalidSurfaceError(f"vertex {v} is not locally a disk or half-disk")
-        if v not in boundary_verts:
-            last = fan[-1]
-            if last not in face_of or twin[faces[face_of[last]][pos[last] - 1]] != start:
-                raise InvalidSurfaceError(f"interior vertex {v} has a broken fan")
+        _check_fan(s, v, out_count[v], v in b_in)
 
 
 def validate_marking(s: Surface) -> None:
@@ -468,25 +513,8 @@ def validate_marking(s: Surface) -> None:
     stray = all_marked - boundary
     if stray:
         raise InvalidSurfaceError(f"marked vertices {sorted(stray)} are not on the boundary")
-
-    pattern = ("F_plus", "alpha_plus", "F_minus", "alpha_minus")
     for circle in s.boundary_circles():
-        marked = []
-        for h in circle:
-            m = s.mark_of(s.tail(h))
-            if m:
-                marked.append(m)
-        if not marked or len(marked) % 4:
-            raise InvalidSurfaceError(
-                f"boundary circle carries {len(marked)} marks; need a positive multiple of 4")
-        if "F_plus" not in marked:
-            raise InvalidSurfaceError("boundary circle has no positive suture")
-        start = marked.index("F_plus")
-        rotated = marked[start:] + marked[:start]
-        for i, m in enumerate(rotated):
-            if m != pattern[i % 4]:
-                raise InvalidSurfaceError(
-                    f"marking pattern broken on a boundary circle: {rotated}")
+        _check_pattern(s, circle)
 
 
 def validate_surface(s: Surface) -> None:
@@ -495,6 +523,31 @@ def validate_surface(s: Surface) -> None:
     if 0 in s._components[1]:
         raise InvalidSurfaceError("closed component (no boundary) present")
     validate_marking(s)
+
+
+def validate_near(s: Surface, vertices: Iterable[int]) -> None:
+    """Re-check `s` where a local step changed it: the boundary pinch and
+    the fan at each of `vertices`, and the marking pattern on every
+    boundary circle through one of them.
+
+    The caller answers for every other rule of `validate_surface`.  That
+    holds for a step that builds `s` from a valid surface, keeps the twin
+    involution and the face walks, leaves each vertex outside `vertices`
+    with the same outgoing halfedges, fan and boundary halfedges, marks
+    only boundary vertices, once each, and closes no component: a circle
+    that avoids `vertices` is then an old circle with its old marks.
+    `glue` and `cut_open` argue this for their steps."""
+    vs = set(vertices)
+    b_in, b_out = _boundary_degrees(s)
+    out_count = Counter(s.head.values())
+    for v in vs:
+        if v in b_in or v in b_out:
+            _check_pinch(v, b_in, b_out)
+        _check_fan(s, v, out_count[v], v in b_in)
+    head, twin = s.head, s.twin
+    for circle in s._circles:
+        if any(head[twin[h]] in vs for h in circle):
+            _check_pattern(s, circle)
 
 
 # -- chains ---------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -411,6 +412,42 @@ def test_gluing_axiom_glues_each_gluing_once(monkeypatch):
     distinct = {id(tau) for _, tau in corpus}
     assert sorted(map(id, glued)) == sorted(distinct) and len(distinct) == 163
     assert len(respects) == 2 * len(corpus) == 402
+
+
+def test_gluing_axiom_frees_each_quotient_after_its_last_pair(monkeypatch):
+    corpora, live, most = [], [], []
+    check, welded, respect = (axioms_module.check_gluing_axiom,
+                              axioms_module.glue, axioms_module._respects)
+
+    def checking(corpus, *args, **kwargs):
+        corpora.append(list(corpus))
+        return check(corpora[-1], *args, **kwargs)
+
+    def tracked_glue(tau):
+        data = welded(tau)
+        live.append(weakref.ref(data))
+        return data
+
+    def counting_respects(*args):
+        most.append(sum(ref() is not None for ref in live))
+        return respect(*args)
+
+    monkeypatch.setattr(axioms_module, "check_gluing_axiom", checking)
+    assert all(r.verdict for r in run_axiom_suite())
+    [corpus] = corpora
+    monkeypatch.setattr(axioms_module, "glue", tracked_glue)
+    monkeypatch.setattr(axioms_module, "_respects", counting_respects)
+    assert check(corpus).verdict
+    # a quotient lives from its gluing's first pair to its last: on the
+    # default corpus no more than 21 such spans overlap, of 163 quotients
+    first, last = {}, {}
+    for i, (_, tau) in enumerate(corpus):
+        first.setdefault(tau, i)
+        last[tau] = i
+    overlap = max(sum(first[t] <= i <= last[t] for t in first)
+                  for i in range(len(corpus)))
+    assert (len(live), overlap, max(most)) == (163, 21, 21)
+    assert all(ref() is None for ref in live)
 
 
 @pytest.fixture

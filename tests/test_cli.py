@@ -14,10 +14,12 @@ import pytest
 from sutured_tqft.axioms import _suture_corner_sites
 from sutured_tqft.cli import main, run
 from sutured_tqft.disks import rotate_diagram
-from sutured_tqft.dividing import ChordDiagram, chord_to_dividing_set
-from sutured_tqft.errors import UnsupportedSurfaceError
+from sutured_tqft.dividing import (ChordDiagram, DividingSet, add_trivial_circle,
+                                   chord_to_dividing_set)
+from sutured_tqft.errors import (InvalidDividingSetError, InvalidSurfaceError,
+                                 UnsupportedSurfaceError)
 from sutured_tqft.gluing import Gluing
-from sutured_tqft.surface import Surface, standard_disk
+from sutured_tqft.surface import Surface, disjoint_union, standard_disk
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -66,10 +68,18 @@ def test_enumerate_lists_sorted_with_elements():
     assert table == {"1-2,3-4": "1", "1-4,2-3": "b1"}
 
 
+def _catalan_by_recurrence(n):
+    c = [1]
+    for m in range(n):
+        c.append(sum(c[i] * c[m - i] for i in range(m + 1)))
+    return c[n]
+
+
 def test_enumerate_catalan_counts():
-    for n, catalan in [(1, 1), (2, 2), (4, 14)]:
+    assert [_catalan_by_recurrence(n) for n in (1, 2, 4)] == [1, 2, 14]
+    for n in range(1, 21):
         code, text = capture(["enumerate", str(n), "--count-only"])
-        assert code == 0 and text == f"{catalan}\n"
+        assert code == 0 and text == f"{_catalan_by_recurrence(n)}\n"
 
 
 # -- match -----------------------------------------------------------------
@@ -409,6 +419,52 @@ def test_glue_loader_rejects_bad_json(mutate, disk3_files, tmp_path, capsys):
     p.write_text(json.dumps(mutate(json.loads(Path(gluing).read_text()))))
     code, text = capture(["glue", "--surface", surface, "--gluing", str(p)])
     assert (code, text) == (2, "")
+    _assert_one_line_error(capsys)
+
+
+def _disk3_beside_a_broken_disk():
+    """The three-suture disk beside a one-suture disk whose F+ and F- are
+    swapped, as JSON: the corner site of `disk3_files` welds only the
+    first disk, so no weld touches the broken circle."""
+    s, vmap, _ = disjoint_union(standard_disk(3), standard_disk(1))
+    data = s.to_json_dict()
+    f_plus, f_minus = vmap[0], vmap[2]
+    data["marks"]["F_plus"] = sorted(set(data["marks"]["F_plus"]) - {f_plus} | {f_minus})
+    data["marks"]["F_minus"] = sorted(set(data["marks"]["F_minus"]) - {f_minus} | {f_plus})
+    return data
+
+
+def test_loaded_surface_is_validated_in_full(disk3_files, tmp_path):
+    _, gluing = disk3_files
+    data = _disk3_beside_a_broken_disk()
+    with pytest.raises(InvalidSurfaceError, match="marking pattern broken"):
+        Surface.from_json_dict(data)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "sutured_tqft.cli", "glue", "--surface",
+                           str(path), "--gluing", gluing], env=env, capture_output=True,
+                          text=True, timeout=10)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "marking pattern broken" in done.stderr
+
+
+def test_loaded_dividing_set_is_validated_in_full(tmp_path, capsys):
+    # a trivial circle whose K edges are dropped from the JSON: its inner
+    # face keeps the opposite sign across what are now plain edges
+    base = chord_to_dividing_set(ChordDiagram.parse("1-2,3-6,4-5"))
+    ds, _ = add_trivial_circle(base, 0)
+    data = ds.to_json_dict()
+    data["K"] = sorted(base.k_halfedges)
+    with pytest.raises(InvalidDividingSetError) as err:
+        DividingSet.from_json_dict(data)
+    assert {m.rpartition(" ")[0] for m in str(err.value).split("; ")} == {
+        "sign change across the plain edge"}
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(data))
+    assert capture(["contact", "--input", str(path)]) == (2, "")
     _assert_one_line_error(capsys)
 
 
