@@ -234,8 +234,12 @@ def run(argv=None, out=None) -> int:
     except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InternalConsistencyError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too big or too deeply nested ({type(exc).__name__})", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a failed invariant or any other bug
+        why = exc if isinstance(exc, InternalConsistencyError) else repr(exc)
+        print(f"internal error: {why}", file=sys.stderr)
         return 3
 
 

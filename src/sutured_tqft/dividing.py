@@ -36,6 +36,7 @@ from .errors import (InternalConsistencyError, InvalidChordDiagramError,
 from .surface import (
     Refinement,
     Surface,
+    _Draft,
     add_detached_circle,
     disk_position,
     split_face,
@@ -472,22 +473,22 @@ def chord_to_dividing_set(cd: ChordDiagram) -> DividingSet:
     inserted in stored order, which always finds the two endpoints on a
     common face because the diagram is noncrossing.  The original
     boundary halfedges keep their ids, so the disk's boundary-path
-    classes need no transport.
+    classes need no transport.  All chords go in on one draft of the disk.
     """
     s = standard_disk(cd.n)
     # a suture meets one chord, so until its chord goes in it has a
     # single corner: at its outgoing boundary halfedge, whose id stays
     leaving = {s.tail(h): h for h in s.boundary_halfedges()}
+    d = _Draft(s)
     chords = []
     for a, b in cd.pairs:
         ha, hb = (leaving[disk_position("F", x)] for x in (a, b))
-        fi = s.face_of(ha)
-        if s.face_of(hb) != fi:
+        fi = d.face_of(ha)
+        if d.face_of(hb) != fi:
             raise InternalConsistencyError(f"chord {a}-{b} has no common face")
-        walk = s.faces[fi]
-        ref, chord, _, _ = split_face(s, fi, walk.index(ha), walk.index(hb))
-        s = ref.surface
-        chords.append(chord)
+        walk = d.faces[fi]
+        chords.append(d.split(fi, walk.index(ha), walk.index(hb)))
+    s = d.freeze()
     signs = infer_face_signs(s, chords)
     return DividingSet(s, orient_by_signs(s, chords, signs), signs)
 

@@ -14,7 +14,8 @@ projection: no middle homology is built and nothing is solved.
 Cutting along an interior arc is the inverse construction: `cut_open`
 slices one arc and returns the cut surface, on which gluing each arc
 halfedge to its old twin gives back the surface, and `quadrangulate`
-iterates cuts until only square pieces remain.
+iterates cuts until only square pieces remain.  Each arc, and all the
+chords of a square family, go in on one edit draft (`surface._Draft`).
 
 A gluing or cut of a valid surface changes it only near the weld or the
 arc, so `glue` and `cut_open` re-check their output there alone
@@ -46,11 +47,11 @@ from .surface import (
     MARK_KEYS,
     Surface,
     UnionFind,
+    _Draft,
     _inherit,
     chain_add,
     chain_boundary,
     push_chain,
-    split_face,
     subdivide_edge,
     validate_near,
     validate_surface,
@@ -612,14 +613,12 @@ def _chord_candidates(s: Surface, u: int, w: int) -> list[tuple[int, int, int]]:
     return [(fi, i, j) for fi, i in s.corners(u) for j in at_w.get(fi, ())]
 
 
-def _apply_chord(s: Surface, fi: int, i: int, j: int, u: int,
-                 w: int) -> tuple[Surface, int]:
-    ref, a, _side, _comp = split_face(s, fi, i, j)
-    s2 = ref.surface
-    h = a if s2.head[a] == w else s2.twin[a]
-    if s2.tail(h) != u or s2.head[h] != w:
+def _apply_chord(d: _Draft, fi: int, i: int, j: int, u: int, w: int) -> int:
+    a = d.split(fi, i, j)
+    h = a if d.head[a] == w else d.twin[a]
+    if d.tail(h) != u or d.head[h] != w:
         raise InternalConsistencyError(f"chord {u}->{w} landed elsewhere")
-    return s2, h
+    return h
 
 
 def _cofacial_neighbors(s: Surface, u: int) -> list[int]:
@@ -653,49 +652,50 @@ def _corridor(s: Surface, va: int, vb: int, avoid) -> list[int] | None:
     return out
 
 
-def _halve_single_edge(cur: Surface, hs: list[int], w: int) -> tuple[Surface, list[int]]:
+def _halve_single_edge(d: _Draft, hs: list[int], w: int) -> list[int]:
     """Cut arcs need an interior vertex, so split a one-edge path in two."""
-    r2, mid = subdivide_edge(cur, hs[0])
-    s3 = r2.surface
+    t = d.twin[hs[0]]
+    mid = d.subdivide(hs[0])
     # the old twin keeps its id on the head-side piece, whose twin runs on
-    second = s3.twin[cur.twin[hs[0]]]
-    if s3.tail(second) != mid or s3.head[second] != w:
+    second = d.twin[t]
+    if d.tail(second) != mid or d.head[second] != w:
         raise InternalConsistencyError(f"subdivided edge has no half from {mid} to {w}")
-    return s3, [hs[0], second]
+    return [hs[0], second]
 
 
-def _realize_arc(s: Surface, va: int, vb: int, avoid=frozenset(),
-                 protect=frozenset()) -> tuple[Surface, list[int]]:
-    """Split faces along a co-facial corridor from va to vb and return the
-    refined surface and the resulting interior edge path.
+def _route_arc(d: _Draft, va: int, vb: int, avoid=frozenset(),
+               protect=frozenset()) -> list[int]:
+    """Split faces of the draft along a co-facial corridor from va to vb
+    and return the resulting interior edge path.
 
     If no corridor exists (too few interior vertices), every unprotected
     interior edge is subdivided once to create waypoints and the search
-    runs again.  The returned path consists of freshly created halfedges
-    only, so previously realized paths survive untouched as long as their
-    edges are protected.
+    runs again.  The path holds fresh halfedges only, so earlier paths
+    survive untouched as long as their edges are protected.
     """
-    cur = s
-    path_vertices = _corridor(cur, va, vb, avoid)
+    path_vertices = _corridor(d, va, vb, avoid)
     if path_vertices is None:
-        for e in sorted(s.edges()):
-            if s.is_interior_edge(e) and e not in protect:
-                cur = subdivide_edge(cur, e)[0].surface
-        path_vertices = _corridor(cur, va, vb, avoid)
+        for e in sorted(e for e, t in d.twin.items() if e < t):
+            if d.is_interior_edge(e) and e not in protect:
+                d.subdivide(e)
+        path_vertices = _corridor(d, va, vb, avoid)
         if path_vertices is None:
             raise UnsupportedSurfaceError(f"no interior corridor joins {va} to {vb}")
 
     hs: list[int] = []
     for u, w in zip(path_vertices, path_vertices[1:]):
-        cands = _chord_candidates(cur, u, w)
+        cands = _chord_candidates(d, u, w)
         if not cands:
             raise InternalConsistencyError(f"lost co-faciality of {u} and {w}")
-        fi, i, j = cands[0]
-        cur, h = _apply_chord(cur, fi, i, j, u, w)
-        hs.append(h)
-    if len(hs) == 1:
-        cur, hs = _halve_single_edge(cur, hs, vb)
-    return cur, hs
+        hs.append(_apply_chord(d, *cands[0], u, w))
+    return _halve_single_edge(d, hs, vb) if len(hs) == 1 else hs
+
+
+def _realize_arc(s: Surface, va: int, vb: int) -> tuple[Surface, list[int]]:
+    """`_route_arc` on a draft of s: the refined surface and the path."""
+    d = _Draft(s)
+    hs = _route_arc(d, va, vb)
+    return d.freeze(), hs
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +715,12 @@ def _find_genus_cut(s: Surface) -> tuple[Surface, tuple[int, ...], tuple[int, ..
     aps = sorted(s.marks["alpha_plus"])
     ams = sorted(s.marks["alpha_minus"])
 
-    def trial(cur: Surface, hs: list[int], vb: int):
+    def trial(start: Surface, chords, vb: int):
+        d = _Draft(start)
+        hs = [_apply_chord(d, *c, u, w) for c, u, w in chords]
         if len(hs) == 1:
-            cur, hs = _halve_single_edge(cur, hs, vb)
+            hs = _halve_single_edge(d, hs, vb)
+        cur = d.freeze()
         twins = tuple(cur.twin[h] for h in hs)
         try:
             cut_s = cut_open(cur, hs)
@@ -729,9 +732,8 @@ def _find_genus_cut(s: Surface) -> tuple[Surface, tuple[int, ...], tuple[int, ..
 
     for va in aps:
         for vb in ams:
-            for fi, i, j in _chord_candidates(s, va, vb):
-                s1, h = _apply_chord(s, fi, i, j, va, vb)
-                got = trial(s1, [h], vb)
+            for c in _chord_candidates(s, va, vb):
+                got = trial(s, [(c, va, vb)], vb)
                 if got:
                     return got
     for e in sorted(e for e in s.edges() if s.is_interior_edge(e)):
@@ -740,10 +742,11 @@ def _find_genus_cut(s: Surface) -> tuple[Surface, tuple[int, ...], tuple[int, ..
         for va in aps:
             for vb in ams:
                 for c1 in _chord_candidates(s1, va, mid):
-                    s2, h1 = _apply_chord(s1, *c1, va, mid)
-                    for c2 in _chord_candidates(s2, mid, vb):
-                        s3, h2 = _apply_chord(s2, *c2, mid, vb)
-                        got = trial(s3, [h1, h2], vb)
+                    # a probe, never frozen: each trial redoes c1 on its own draft
+                    probe = _Draft(s1)
+                    _apply_chord(probe, *c1, va, mid)
+                    for c2 in _chord_candidates(probe, mid, vb):
+                        got = trial(s1, [(c1, va, mid), (c2, mid, vb)], vb)
                         if got:
                             return got
     raise UnsupportedSurfaceError(
@@ -864,8 +867,8 @@ def square_chord_family(dec: DecompositionResult):
     paths) — two ways to join neighbouring sutures on a square, one on a
     one-suture disk.  Choosing an option per piece yields a dividing set
     on `pieces`, and `reverse` re-welds the pieces on the shared
-    refinement.  All paths are realized on one surface so the resulting
-    contact elements are comparable.
+    refinement.  All paths are realized on one draft of the pieces, frozen
+    once, so the resulting contact elements are comparable.
     """
     cur = dec.pieces
     plans: list[list[list[tuple[int, int]]]] = []
@@ -880,6 +883,7 @@ def square_chord_family(dec: DecompositionResult):
                           [(fs[1], fs[2]), (fs[3], fs[0])]])
         else:
             raise InternalConsistencyError(f"piece with {len(fs)} sutures")
+    d = _Draft(cur)
     protect: set[int] = set()
     options: list[list[tuple[tuple[int, ...], ...]]] = []
     for alts in plans:
@@ -889,12 +893,12 @@ def square_chord_family(dec: DecompositionResult):
             used: set[int] = set()
             for fa, fb in chords:
                 # chord edges are fresh, so earlier paths survive as-is
-                cur, hs = _realize_arc(cur, fa, fb, avoid=frozenset(used),
-                                          protect=frozenset(protect))
-                protect.update(cur.canonical(h) for h in hs)
-                used.update(cur.head[h] for h in hs[:-1])
+                hs = _route_arc(d, fa, fb, avoid=used, protect=protect)
+                protect.update(d.canonical(h) for h in hs)
+                used.update(d.head[h] for h in hs[:-1])
                 paths.append(tuple(hs))
             piece_opts.append(tuple(paths))
         options.append(piece_opts)
+    cur = d.freeze()
     reverse = Gluing(cur, dec.reverse.gamma, dec.reverse.gamma_prime)
     return cur, reverse, options

@@ -24,20 +24,19 @@ re-check hold.
 
 Surfaces are immutable: the constructor is the only writer, mark sets
 are frozensets and face walks tuples, and every refinement or gluing
-builds a new surface.  So each derived index (face and walk position of
-a halfedge, boundary halfedges, the start of each vertex's fan, edges,
-boundary circles, component ids, the next free ids) is never
-invalidated.  A surface builds an index from scratch on first use,
-unless it came from a refinement, cut or gluing whose parent had already
-built it: the child then inherits the parent's index, patched only where
-the step changed it, so a step costs what it changes.
+builds a new surface, so no derived index (face and walk position of a
+halfedge, boundary halfedges, fan starts, edges, boundary circles,
+components, the mark of each vertex, next free ids) is invalidated.  An
+index is built on first use, or handed down from a parent that built
+it, patched where a cut or gluing changed it.  Face splits and edge
+subdivisions go in by batches on a private mutable draft (`_Draft`)
+that patches its indices edit by edit and then builds one surface.
 
 1-chains on the complex are dicts mapping the canonical halfedge of an
 edge (the smaller id of the twin pair) to an integer coefficient.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -337,11 +336,12 @@ class Surface:
     def n_of_f(self) -> int:
         return len(self.marks["F_plus"])
 
+    @cached_property
+    def _mark_of(self) -> dict[int, str]:
+        return {v: k for k in reversed(MARK_KEYS) for v in self.marks[k]}
+
     def mark_of(self, v: int) -> str | None:
-        for k in MARK_KEYS:
-            if v in self.marks[k]:
-                return k
-        return None
+        return self._mark_of.get(v)
 
     # -- copying and relabeling -------------------------------------------
     def copy(self) -> "Surface":
@@ -643,15 +643,13 @@ def transport_chain(ref: Refinement, chain: dict[int, int]) -> dict[int, int]:
     return {e: v for e, v in out.items() if v}
 
 
-def _inherit(parent: Surface, child: Surface, keep: Sequence[str] = (),
-             faces: Sequence[int] = (), **patch) -> None:
+def _inherit(parent: Surface, child: Surface, keep: Sequence[str] = (), **patch) -> None:
     """Hand the child each index the parent has already built.
 
-    Indices named in ``keep`` are shared unchanged.  ``_face_of`` and
-    ``_walk_pos`` are copied and rewritten on the child's ``faces``.  Every
-    other index named in ``patch`` maps the parent's value to the child's.
-    An index the parent never built is left to the child's own
-    ``cached_property``, which stays the only from-scratch definition.
+    Indices named in ``keep`` are shared unchanged; every other index
+    named in ``patch`` maps the parent's value to the child's.  An index
+    the parent never built is left to the child's own ``cached_property``,
+    which stays the only from-scratch definition.
     """
     built, mine = parent.__dict__, child.__dict__
     for name in keep:
@@ -660,17 +658,110 @@ def _inherit(parent: Surface, child: Surface, keep: Sequence[str] = (),
     for name, step in patch.items():
         if name in built:
             mine[name] = step(built[name])
-    if faces and "_face_of" in built:
-        face_of = built["_face_of"].copy()
-        for fi in faces:
-            face_of.update(dict.fromkeys(child.faces[fi], fi))
-        mine["_face_of"] = face_of
-    if faces and "_walk_pos" in built:
-        pos = built["_walk_pos"].copy()
-        for fi in faces:
-            walk = child.faces[fi]
-            pos.update(zip(walk, range(len(walk))))
-        mine["_walk_pos"] = pos
+
+
+class _Draft:
+    """A private, mutable copy of a surface for a batch of refinements.
+
+    `split` and `subdivide` edit it in place, at the cost of the face
+    walks they touch, with the ids `split_face` and `subdivide_edge` give.
+    Each index the draft holds stays as a from-scratch build would give
+    it: face and walk position, boundary, fan starts and next free ids,
+    and edges, circles, components and marks if the parent had them.
+    Arc realization queries it with `Surface`'s own code.  `freeze` builds
+    the batch's one `Surface`, hands it the indices and spends the draft.
+    """
+
+    tail, canonical, face_of, is_interior_edge, outgoing_fan, corners, boundary_vertices = (
+        Surface.tail, Surface.canonical, Surface.face_of, Surface.is_interior_edge,
+        Surface.outgoing_fan, Surface.corners, Surface.boundary_vertices)
+
+    def __init__(self, s: Surface):
+        self.twin, self.head, self.faces, self.marks = (
+            dict(s.twin), dict(s.head), list(s.faces), s.marks)
+        self._fresh, self._boundary = s._fresh, s._boundary
+        self._face_of, self._walk_pos, self._fan_start = (
+            s._face_of.copy(), s._walk_pos.copy(), s._fan_start.copy())
+        built = s.__dict__
+        self.__dict__.update((k, built[k]) for k in ("_edges", "_circles", "_mark_of")
+                             if k in built)
+        if "_components" in built:
+            self._components = (built["_components"][0].copy(), list(built["_components"][1]))
+
+    def split(self, fi: int, i: int, j: int) -> int:
+        """`split_face` in place; returns the new halfedge a."""
+        if i > j:
+            i, j = j, i
+        walk = self.faces[fi]
+        if not (0 <= i < j < len(walk)):
+            raise InvalidSurfaceError(
+                f"bad corner positions {i}, {j} for face of size {len(walk)}")
+        vi, vj = self.tail(walk[i]), self.tail(walk[j])
+        if vi == vj:
+            raise InvalidSurfaceError("split_face corners share a vertex (loop edge)")
+        nv, a = self._fresh
+        b = a + 1
+        self._fresh = (nv, b + 1)
+        self.twin.update({a: b, b: a})
+        self.head.update({a: vj, b: vi})
+        self.faces[fi] = keep = walk[j:] + walk[:i] + (a,)
+        self.faces.append(cut := walk[i:j] + (b,))
+        self._face_of[a] = fi
+        self._face_of.update(dict.fromkeys(cut, len(self.faces) - 1))
+        for w in (keep, cut):
+            self._walk_pos.update(zip(w, range(len(w))))
+        # an interior edge between two old vertices with the largest ids
+        # yet: boundary, fans, circles and components stay as they are
+        if "_edges" in self.__dict__:
+            self._edges += (a,)
+        return a
+
+    def subdivide(self, h: int) -> int:
+        """`subdivide_edge` in place; returns the midpoint."""
+        twin, head, face_of, pos = self.twin, self.head, self._face_of, self._walk_pos
+        t = twin[h]
+        u, v = head[t], head[h]
+        m, h2 = self._fresh
+        t2 = h2 + 1
+        self._fresh = (m + 1, t2 + 1)
+        # after: h: u->m twin t2: m->u;  h2: m->v twin t: v->m
+        head.update({h: m, h2: v, t: m, t2: u})
+        twin.update({h: t2, t2: h, h2: t, t: h2})
+        # The fresh ids are the largest yet: a boundary piece goes last in
+        # the boundary and right after its old half on that half's circle,
+        # and m's fan starts at it, or else at h2, the smaller of m's two
+        # outgoing ids.  m joins the component of u.
+        opened: tuple[int, ...] = ()  # the boundary piece, if any
+        for x, x2, old_twin in ((h, h2, t), (t, t2, h)):
+            fi = face_of.get(x)
+            if fi is None:
+                continue
+            walk, p = self.faces[fi], pos[x] + 1
+            walk = self.faces[fi] = walk[:p] + (x2,) + walk[p:]
+            face_of[x2] = fi
+            pos.update(zip(walk[p:], range(p, len(walk))))
+            if old_twin not in face_of:
+                opened = (x2,)
+                self._boundary += opened
+                if "_circles" in self.__dict__:
+                    self._circles = tuple(c[:c.index(x) + 1] + (x2,) + c[c.index(x) + 1:]
+                                          if x in c else c for c in self._circles)
+        self._fan_start[m] = opened[0] if opened else h2
+        if "_edges" in self.__dict__:
+            # both pieces keep an old id as canonical: the edges gain max(h, t)
+            self._edges = tuple(sorted((*self._edges, max(h, t))))
+        if "_components" in self.__dict__:
+            comp_of, sizes = self._components
+            comp_of[m] = comp_of[u]
+            sizes[comp_of[u]] += len(opened)
+        return m
+
+    def freeze(self) -> Surface:
+        """The batch's one surface, holding every index the draft kept."""
+        s = Surface(self.twin, self.head, self.faces, self.marks)
+        s.__dict__.update((k, v) for k, v in self.__dict__.items() if k.startswith("_"))
+        self.__dict__.clear()  # spent: a later edit or query fails
+        return s
 
 
 def subdivide_edge(s: Surface, h: int) -> tuple[Refinement, int]:
@@ -679,58 +770,12 @@ def subdivide_edge(s: Surface, h: int) -> tuple[Refinement, int]:
     Halfedge h keeps its id on the tail-side piece and twin(h) keeps its
     id on the head-side piece, so faceless twins stay faceless.
     """
-    t = s.twin[h]
-    u, v = s.tail(h), s.head[h]
-    m = s.fresh_vertex()
-    h2 = s.fresh_halfedge()
-    t2 = h2 + 1
-    # after: h: u->m twin t2: m->u;  h2: m->v twin t: v->m
-    head = {**s.head, h: m, h2: v, t: m, t2: u}
-    twin = {**s.twin, h: t2, t2: h, h2: t, t: h2}
-    faces = list(s.faces)
-    touched = []
-    new_boundary, old_half = (), None
-    for x, x2 in ((h, h2), (t, t2)):
-        fi = s.face_of(x)
-        if fi is not None:
-            walk = faces[fi]
-            idx = walk.index(x) + 1
-            faces[fi] = walk[:idx] + (x2,) + walk[idx:]
-            touched.append(fi)
-            if s.is_boundary_halfedge(x):
-                new_boundary, old_half = (x2,), x
-    s2 = Surface(twin, head, faces, s.marks)
-    c = min(h, t)
-    # Both pieces keep an old id as their canonical halfedge, so the edge
-    # list gains max(h, t).  The fresh ids are the largest yet: a boundary
-    # piece goes last in the boundary list and right after its old half on
-    # that half's circle, and m's fan starts at it, or else at h2, the
-    # smaller of m's two outgoing ids.  m joins the component of u.
-    kept = max(h, t)
-
-    def edges(old):
-        i = bisect_left(old, kept)
-        return old[:i] + (kept,) + old[i:]
-
-    def circles(old):
-        if not new_boundary:
-            return old
-        return tuple(c[:c.index(old_half) + 1] + new_boundary + c[c.index(old_half) + 1:]
-                     if old_half in c else c for c in old)
-
-    def components(old):
-        comp_of, sizes = old
-        sizes = list(sizes)
-        sizes[comp_of[u]] += len(new_boundary)
-        return {**comp_of, m: comp_of[u]}, sizes
-
-    _inherit(s, s2, faces=touched, _edges=edges, _circles=circles,
-             _components=components,
-             _boundary=lambda old: old + new_boundary,
-             _fan_start=lambda old: {**old, m: new_boundary[0] if new_boundary else h2},
-             _fresh=lambda old: (m + 1, t2 + 1))
-    edge_map = {c: [(h, 1), (h2, 1)] if c == h else [(t, 1), (t2, 1)]}
-    return Refinement(s2, edge_map), m
+    draft = _Draft(s)
+    m = draft.subdivide(h)
+    s2 = draft.freeze()
+    c, other = sorted((h, s.twin[h]))
+    # c keeps its id on one piece; the other piece is the new twin of `other`
+    return Refinement(s2, {c: [(c, 1), (s2.twin[other], 1)]}), m
 
 
 def split_face(s: Surface, face_id: int, i: int, j: int) -> tuple[Refinement, int, int, int]:
@@ -742,26 +787,9 @@ def split_face(s: Surface, face_id: int, i: int, j: int) -> tuple[Refinement, in
     keeps ``face_id``, and a lies in it; the walk[i:j] side gets a fresh
     id and contains twin(a).
     """
-    if i > j:
-        i, j = j, i
-    walk = s.faces[face_id]
-    if not (0 <= i < j < len(walk)):
-        raise InvalidSurfaceError(f"bad corner positions {i}, {j} for face of size {len(walk)}")
-    vi, vj = s.tail(walk[i]), s.tail(walk[j])
-    if vi == vj:
-        raise InvalidSurfaceError("split_face corners share a vertex (loop edge)")
-    a = s.fresh_halfedge()
-    b = a + 1
-    faces = list(s.faces)
-    faces[face_id] = walk[j:] + walk[:i] + (a,)
-    faces.append(walk[i:j] + (b,))
-    s2 = Surface({**s.twin, a: b, b: a}, {**s.head, a: vj, b: vi}, faces, s.marks)
-    # an interior edge between two old vertices with the largest ids yet:
-    # boundary, fans, circles and components stay as they are
-    _inherit(s, s2, keep=("_boundary", "_fan_start", "_circles", "_components"),
-             faces=(face_id, len(faces) - 1), _edges=lambda old: old + (a,),
-             _fresh=lambda old: (old[0], b + 1))
-    return Refinement(s2), a, len(faces) - 1, face_id
+    draft = _Draft(s)
+    a = draft.split(face_id, i, j)
+    return Refinement(draft.freeze()), a, len(s.faces), face_id
 
 
 def add_detached_circle(s: Surface, face_id: int, pos: int) -> tuple[Refinement, tuple[int, int], int]:

@@ -563,6 +563,46 @@ def test_bypass_over_the_term_budget_prints_nothing():
     assert "budget" in done.stderr and "Traceback" not in done.stderr
 
 
+def _limited_env():
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
+def test_deeply_nested_input_exits_two(tmp_path):
+    # json.load recurses once per bracket and gives up with RecursionError
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", _LIMITED_RUN, "contact", "--input", str(path)],
+                          env=_limited_env(), capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr == "error: input too big or too deeply nested (RecursionError)\n"
+
+
+_BROKEN_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import sutured_tqft.cli as cli
+
+def broken(*args, **kwargs):
+    raise KeyError(15)
+
+cli.disk_contact_element = broken
+raise SystemExit(cli.run(sys.argv[1:]))
+"""
+
+
+def test_unexpected_exception_exits_three():
+    # a bug that raises something other than InternalConsistencyError is
+    # still an internal error, never exit 1 ("verdict false") with a traceback
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", _BROKEN_RUN, "contact", "--diagram", "1-2,3-4"],
+                          env=_limited_env(), capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", "internal error: KeyError(15)\n")
+
+
 def test_axioms_over_the_square_family_budget_exits_two():
     # max_n 40 would check a square family of 2^39 members; the budget is
     # checked before any corpus is built
