@@ -11,6 +11,7 @@ fails (a bug).  Randomized commands take their entropy from a mandatory
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .axioms import run_axiom_suite
 from .contact import contact_element, default_basis, render_multivector
@@ -31,11 +32,21 @@ def _disk_labels(n: int):
     return disk_model(n).labels_plus if n >= 2 else None
 
 
+def _unique_keys(pairs):
+    """A JSON object, refused if it repeats a key: json.load alone keeps
+    the last value and drops the others unseen."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        dup = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValidationError(f"JSON object repeats key {dup!r}")
+    return obj
+
+
 def _load_json(path):
     if path == "-":
-        return json.load(sys.stdin)
+        return json.load(sys.stdin, object_pairs_hook=_unique_keys)
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def _bool_word(value: bool) -> str:

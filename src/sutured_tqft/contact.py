@@ -22,7 +22,6 @@ from .errors import InternalConsistencyError, ValidationError
 from .exterior import (
     RING_F2,
     RING_Z,
-    TERM_BUDGET,
     Multivector,
     equal_up_to_sign,
     indices_of,
@@ -73,21 +72,13 @@ def _region(ds: DividingSet, side: str) -> tuple[RelativeH1, int]:
 def _wedge_region(hr: RelativeH1, grade: int, basis: HomologyBasis, ring: str,
                   dual: bool = False) -> ContactElement:
     """The degree-`grade` part of the wedge of the region classes `hr`,
-    each expressed in the ambient `basis`.  A wedge step that would form
-    more than TERM_BUDGET products is refused before it starts."""
-    x = Multivector.unit(basis.rank, ring, dual=dual)
-    for i in range(hr.rank):
-        # subsurfaces keep halfedge ids, so region cycles are ambient chains
-        v = Multivector.vector(basis.rank, basis.express(hr.representative(i)),
-                               ring, dual=dual)
-        if len(x.terms) * len(v.terms) > TERM_BUDGET:
-            raise ValidationError(
-                f"wedging the region classes would pass the budget of "
-                f"{TERM_BUDGET} terms")
-        x = x.wedge(v)
-        if x.is_zero():
-            break
-    return ContactElement(x.grade_project(grade), grade, ring)
+    each expressed in the ambient `basis`: Λ of their columns applied to
+    the top class of `hr`, or to 0 off grade, since that wedge has degree
+    rank(hr)."""
+    # subsurfaces keep halfedge ids, so region cycles are ambient chains
+    cols = [basis.express(hr.representative(i)) for i in range(hr.rank)]
+    x = (Multivector.top if grade == hr.rank else Multivector.zero)(hr.rank, ring, dual)
+    return ContactElement(induced_map(transpose(cols), x, target_rank=basis.rank), grade, ring)
 
 
 def _element(ds: DividingSet, side: str, ring: str,

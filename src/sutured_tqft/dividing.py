@@ -243,6 +243,8 @@ class DividingSet:
             face_signs = {int(f): 1 if v == "+" else -1 for f, v in signs.items()}
         except ValueError as exc:
             raise InvalidDividingSetError(f"face id in 'signs' is not an integer: {exc}") from None
+        if len(face_signs) < len(signs):  # keys such as "0" and "00" name one face
+            raise InvalidDividingSetError("'signs' gives one face two signs")
         return cls(s, k, face_signs)
 
 

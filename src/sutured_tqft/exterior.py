@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .errors import ValidationError
+
 __all__ = [
     "RING_Z",
     "RING_F2",
@@ -43,7 +45,8 @@ RING_F2 = "f2"
 _RINGS = (RING_Z, RING_F2)
 
 # Bound on the terms an expansion may reach: the element of a large random
-# disk grows about 6x per 10 chords.  Callers check it before they expand.
+# disk grows about 6x per 10 chords.  `induced_map` checks it before each
+# wedge step, and `disks` checks its factored bound before it expands.
 TERM_BUDGET = 1 << 20
 
 
@@ -300,7 +303,8 @@ def interior(x: Multivector, y: Multivector) -> Multivector:
 def induced_map(matrix: Sequence[Sequence[int]], x: Multivector,
                 target_rank: int | None = None) -> Multivector:
     """Apply Lambda(T) to x, where T sends source generator j to
-    sum_i matrix[i][j] * (target generator i)."""
+    sum_i matrix[i][j] * (target generator i).  A wedge step that would
+    form more than TERM_BUDGET products is refused before it starts."""
     rows = len(matrix)
     if target_rank is None:
         target_rank = rows
@@ -314,6 +318,9 @@ def induced_map(matrix: Sequence[Sequence[int]], x: Multivector,
     for mask, c in x.terms.items():
         acc = Multivector.unit(target_rank, x.ring, x.dual)
         for j in indices_of(mask):
+            if len(acc.terms) * len(cols[j].terms) > TERM_BUDGET:
+                raise ValidationError(
+                    f"an exterior expansion would pass the budget of {TERM_BUDGET} terms")
             acc = acc.wedge(cols[j])
             if acc.is_zero():
                 break

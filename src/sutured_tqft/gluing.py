@@ -48,7 +48,6 @@ from .surface import (
     Surface,
     UnionFind,
     _Draft,
-    _inherit,
     chain_add,
     chain_boundary,
     push_chain,
@@ -307,11 +306,8 @@ def glue(tau: Gluing) -> GluedSurfaceData:
             marks[kind].add(root)
         elif kind == "alpha_plus":
             swallowed.append(root)
+    # the quotient builds its own indices on first use, like any surface
     result = Surface(twin, head, host.faces, marks)
-    # only faceless halfedges die, so the face indices carry over, and the
-    # boundary loses exactly the welded halfedges
-    _inherit(host, result, keep=("_face_of", "_walk_pos"),
-             _boundary=lambda old: tuple(h for h in old if h not in glued))
     validate_near(result, [min(members) for members in classes.values()])
     return GluedSurfaceData(
         gluing=tau,
@@ -591,12 +587,8 @@ def cut_open(s: Surface, path) -> Surface:
     marks["F_minus"].add(left)
     marks["F_plus"].add(right)
 
+    # the cut surface builds its own indices on first use, like any surface
     s2 = Surface(twin, head, s.faces, marks)
-    # both halfedges of a cut edge stay in their faces and now have
-    # faceless twins, so both join the boundary
-    opened = (*cut_edges, *(s.twin[c] for c in cut_edges))
-    _inherit(s, s2, keep=("_face_of", "_walk_pos"), _fresh=lambda old: (fresh_v, nxt_h),
-             _boundary=lambda old: tuple(sorted((*old, *opened))))
     validate_near(s2, [c for ids in copies.values() for c in ids])
     return s2
 

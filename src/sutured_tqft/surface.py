@@ -26,11 +26,10 @@ Surfaces are immutable: the constructor is the only writer, mark sets
 are frozensets and face walks tuples, and every refinement or gluing
 builds a new surface, so no derived index (face and walk position of a
 halfedge, boundary halfedges, fan starts, edges, boundary circles,
-components, the mark of each vertex, next free ids) is invalidated.  An
-index is built on first use, or handed down from a parent that built
-it, patched where a cut or gluing changed it.  Face splits and edge
-subdivisions go in by batches on a private mutable draft (`_Draft`)
-that patches its indices edit by edit and then builds one surface.
+components, the mark of each vertex, next free ids) is invalidated.  A
+surface builds each index on first use, and only the private edit draft
+(`_Draft`), on which face splits and edge subdivisions go in by
+batches, hands indices on: those its own edits keep current.
 
 1-chains on the complex are dicts mapping the canonical halfedge of an
 edge (the smaller id of the twin pair) to an integer coefficient.
@@ -110,7 +109,7 @@ class Surface:
 
     ``twin`` and ``head`` are plain dicts for lookup speed; treat them as
     read-only.  Derived indices never change: each is built on first use
-    or inherited from the surface this one was refined from.
+    or handed on by the edit draft that made this surface.
     """
 
     def __init__(self, twin: dict[int, int], head: dict[int, int],
@@ -378,6 +377,7 @@ class Surface:
     def from_json_dict(cls, data: dict) -> "Surface":
         """Load and validate a surface; any defect is an InvalidSurfaceError."""
         try:
+            ids = [json_int(rec["id"]) for rec in data["halfedges"]]
             twin = {json_int(rec["id"]): json_int(rec["twin"]) for rec in data["halfedges"]}
             head = {json_int(rec["id"]): json_int(rec["head"]) for rec in data["halfedges"]}
             faces = [[json_int(h) for h in w] for w in data["faces"]]
@@ -386,6 +386,9 @@ class Surface:
             declared = {json_int(v) for v in data.get("vertices", [])}
         except (AttributeError, KeyError, TypeError) as exc:
             raise InvalidSurfaceError(f"malformed surface JSON: {exc}") from exc
+        if len(twin) < len(ids):
+            dup = min(h for h, n in Counter(ids).items() if n > 1)
+            raise InvalidSurfaceError(f"halfedge {dup} is listed twice")
         s = cls(twin, head, faces, marks)
         if declared and declared != s.vertices:
             raise InvalidSurfaceError("declared vertex set disagrees with halfedge heads")
@@ -420,21 +423,12 @@ def _check_pinch(v: int, b_in: dict[int, int], b_out: dict[int, int]) -> None:
 def _check_fan(s: Surface, v: int, out_count: int, on_boundary: bool) -> None:
     """Umbrella condition: the rotational fan at v covers its `out_count`
     outgoing halfedges exactly once, and closes up if v is interior."""
-    twin, face_of, pos, faces = s.twin, s._face_of, s._walk_pos, s.faces
-    # the fan walk of Surface.outgoing_fan, written out: this runs once per
-    # halfedge of every surface fully validated
-    start = cur = s._fan_start[v]
-    fan = [start]
-    while cur in face_of:
-        cur = twin[faces[face_of[cur]][pos[cur] - 1]]
-        if cur == start:
-            break
-        fan.append(cur)
+    fan = s.outgoing_fan(v)
     if len(fan) != out_count or len(set(fan)) != len(fan):
         raise InvalidSurfaceError(f"vertex {v} is not locally a disk or half-disk")
     if not on_boundary:
         last = fan[-1]
-        if last not in face_of or twin[faces[face_of[last]][pos[last] - 1]] != start:
+        if not s.in_face(last) or s.twin[s.walk_prev(last)] != fan[0]:
             raise InvalidSurfaceError(f"interior vertex {v} has a broken fan")
 
 
@@ -643,33 +637,16 @@ def transport_chain(ref: Refinement, chain: dict[int, int]) -> dict[int, int]:
     return {e: v for e, v in out.items() if v}
 
 
-def _inherit(parent: Surface, child: Surface, keep: Sequence[str] = (), **patch) -> None:
-    """Hand the child each index the parent has already built.
-
-    Indices named in ``keep`` are shared unchanged; every other index
-    named in ``patch`` maps the parent's value to the child's.  An index
-    the parent never built is left to the child's own ``cached_property``,
-    which stays the only from-scratch definition.
-    """
-    built, mine = parent.__dict__, child.__dict__
-    for name in keep:
-        if name in built:
-            mine[name] = built[name]
-    for name, step in patch.items():
-        if name in built:
-            mine[name] = step(built[name])
-
-
 class _Draft:
     """A private, mutable copy of a surface for a batch of refinements.
 
     `split` and `subdivide` edit it in place, at the cost of the face
     walks they touch, with the ids `split_face` and `subdivide_edge` give.
-    Each index the draft holds stays as a from-scratch build would give
-    it: face and walk position, boundary, fan starts and next free ids,
-    and edges, circles, components and marks if the parent had them.
-    Arc realization queries it with `Surface`'s own code.  `freeze` builds
-    the batch's one `Surface`, hands it the indices and spends the draft.
+    It holds the indices its edits keep as a from-scratch build would give
+    them (face and walk position, boundary, fan starts, next free ids) and
+    shares the parent's mark index, which no edit changes.  Arc
+    realization queries it with `Surface`'s own code.  `freeze` builds the
+    batch's one `Surface`, hands it those indices and spends the draft.
     """
 
     tail, canonical, face_of, is_interior_edge, outgoing_fan, corners, boundary_vertices = (
@@ -677,16 +654,11 @@ class _Draft:
         Surface.outgoing_fan, Surface.corners, Surface.boundary_vertices)
 
     def __init__(self, s: Surface):
-        self.twin, self.head, self.faces, self.marks = (
-            dict(s.twin), dict(s.head), list(s.faces), s.marks)
+        self.twin, self.head, self.faces, self.marks, self._mark_of = (
+            dict(s.twin), dict(s.head), list(s.faces), s.marks, s._mark_of)
         self._fresh, self._boundary = s._fresh, s._boundary
         self._face_of, self._walk_pos, self._fan_start = (
             s._face_of.copy(), s._walk_pos.copy(), s._fan_start.copy())
-        built = s.__dict__
-        self.__dict__.update((k, built[k]) for k in ("_edges", "_circles", "_mark_of")
-                             if k in built)
-        if "_components" in built:
-            self._components = (built["_components"][0].copy(), list(built["_components"][1]))
 
     def split(self, fi: int, i: int, j: int) -> int:
         """`split_face` in place; returns the new halfedge a."""
@@ -711,9 +683,7 @@ class _Draft:
         for w in (keep, cut):
             self._walk_pos.update(zip(w, range(len(w))))
         # an interior edge between two old vertices with the largest ids
-        # yet: boundary, fans, circles and components stay as they are
-        if "_edges" in self.__dict__:
-            self._edges += (a,)
+        # yet: boundary and fans stay as they are
         return a
 
     def subdivide(self, h: int) -> int:
@@ -728,10 +698,9 @@ class _Draft:
         head.update({h: m, h2: v, t: m, t2: u})
         twin.update({h: t2, t2: h, h2: t, t: h2})
         # The fresh ids are the largest yet: a boundary piece goes last in
-        # the boundary and right after its old half on that half's circle,
-        # and m's fan starts at it, or else at h2, the smaller of m's two
-        # outgoing ids.  m joins the component of u.
-        opened: tuple[int, ...] = ()  # the boundary piece, if any
+        # the boundary, and m's fan starts at it, or else at h2, the
+        # smaller of m's two outgoing ids.
+        self._fan_start[m] = h2
         for x, x2, old_twin in ((h, h2, t), (t, t2, h)):
             fi = face_of.get(x)
             if fi is None:
@@ -740,20 +709,9 @@ class _Draft:
             walk = self.faces[fi] = walk[:p] + (x2,) + walk[p:]
             face_of[x2] = fi
             pos.update(zip(walk[p:], range(p, len(walk))))
-            if old_twin not in face_of:
-                opened = (x2,)
-                self._boundary += opened
-                if "_circles" in self.__dict__:
-                    self._circles = tuple(c[:c.index(x) + 1] + (x2,) + c[c.index(x) + 1:]
-                                          if x in c else c for c in self._circles)
-        self._fan_start[m] = opened[0] if opened else h2
-        if "_edges" in self.__dict__:
-            # both pieces keep an old id as canonical: the edges gain max(h, t)
-            self._edges = tuple(sorted((*self._edges, max(h, t))))
-        if "_components" in self.__dict__:
-            comp_of, sizes = self._components
-            comp_of[m] = comp_of[u]
-            sizes[comp_of[u]] += len(opened)
+            if old_twin not in face_of:  # x2 is the boundary piece
+                self._boundary += (x2,)
+                self._fan_start[m] = x2
         return m
 
     def freeze(self) -> Surface:

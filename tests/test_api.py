@@ -102,5 +102,5 @@ def test_private_names_shared_across_modules_stay_known():
               if isinstance(node, ast.ImportFrom) and node.level
               for alias in node.names if alias.name.startswith("_")}
     assert shared <= {"_OPPOSITE_MARK", "_respect_parts", "_respects",
-                      "_region", "_wedge_region", "_inherit",
+                      "_region", "_wedge_region",
                       "_welded_dividing_set", "_Draft"}

@@ -468,6 +468,33 @@ def test_loaded_dividing_set_is_validated_in_full(tmp_path, capsys):
     _assert_one_line_error(capsys)
 
 
+def test_loaded_surface_refuses_a_repeated_halfedge(tmp_path, capsys):
+    # the standard disk with one record listed twice: 9 records, 8 halfedges
+    data = standard_disk(1).to_json_dict()
+    data["halfedges"].append(dict(data["halfedges"][3]))
+    with pytest.raises(InvalidSurfaceError, match="halfedge 3 is listed twice"):
+        Surface.from_json_dict(data)
+    path = tmp_path / "disk.json"
+    path.write_text(json.dumps(data))
+    assert capture(["decompose", "--surface", str(path)]) == (2, "")
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("key, message", [
+    ('"0"', "JSON object repeats key '0'"),
+    ('"00"', "'signs' gives one face two signs"),
+], ids=("same key", "two spellings"))
+def test_repeated_face_sign_exits_two(tmp_path, capsys, key, message):
+    # a second sign for face 0, which a plain load would drop unseen
+    data = chord_to_dividing_set(ChordDiagram.parse("1-2,3-4")).to_json_dict()
+    assert data["signs"]["0"] == "-"
+    text = json.dumps(data).replace('"signs": {', f'"signs": {{{key}: "+", ', 1)
+    path = tmp_path / "ds.json"
+    path.write_text(text)
+    assert capture(["contact", "--input", str(path)]) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unsupported_decompose_exits_two(disk3_files, monkeypatch, capsys):
     def refuse(s):
         raise UnsupportedSurfaceError("no genus-reducing cut found")

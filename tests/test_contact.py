@@ -1,7 +1,7 @@
 """Contact elements: the annulus table, disk examples, and duality."""
 import pytest
 
-from sutured_tqft.contact import (DualStructure, contact_element, duality_check,
+from sutured_tqft.contact import (DualStructure, _region, contact_element, duality_check,
                                   negative_contact_element, region_homology,
                                   render_multivector)
 from sutured_tqft.dividing import (ChordDiagram, add_trivial_circle,
@@ -97,6 +97,22 @@ def test_isolating_gives_zero():
     for ring in (RING_F2, RING_Z):
         c = contact_element(ds2, ring=ring, basis=m2.basis_plus(ring))
         assert c.value.is_zero()
+
+
+def test_off_grade_element_is_zero_without_a_wedge(monkeypatch):
+    # a trivial circle in a negative face makes the grade L(K) differ from
+    # the rank of H_1(R+, a+), so the element is 0 and nothing is expanded
+    _, ds = annulus_fixture("L0")
+    ds2, _ = add_trivial_circle(ds, min(regions(ds).faces_minus))
+    hr, grade = _region(ds2, "plus")
+    assert grade != hr.rank
+
+    def no_wedge(*args):
+        raise AssertionError("an off-grade element was expanded")
+
+    monkeypatch.setattr(Multivector, "wedge", no_wedge)
+    for ring in (RING_F2, RING_Z):
+        assert contact_element(ds2, ring=ring).is_zero()
 
 
 def test_nontrivial_iff_nonisolating_all_disks():

@@ -5,6 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sutured_tqft.exterior as exterior
+from sutured_tqft.errors import ValidationError
 from sutured_tqft.exterior import (
     RING_F2,
     RING_Z,
@@ -214,6 +216,19 @@ def test_induced_map_functorial(data):
     a = [[data.draw(st.integers(-2, 2)) for _ in range(3)] for _ in range(3)]
     b = [[data.draw(st.integers(-2, 2)) for _ in range(3)] for _ in range(3)]
     assert induced_map(a, induced_map(b, x)) == induced_map(mat_mul(a, b), x)
+
+
+def test_induced_map_refuses_a_step_past_the_term_budget(monkeypatch):
+    # columns e_i + e_(i+1): the last of the four steps forms 4 * 2
+    # products, the most of any
+    matrix = [[1 if i in (j, j + 1) else 0 for j in range(4)] for i in range(5)]
+    top = Multivector.top(4, RING_Z)
+    full = induced_map(matrix, top)
+    monkeypatch.setattr(exterior, "TERM_BUDGET", 7)
+    with pytest.raises(ValidationError, match="budget"):
+        induced_map(matrix, top)
+    monkeypatch.setattr(exterior, "TERM_BUDGET", 8)
+    assert induced_map(matrix, top) == full
 
 
 def test_induced_map_is_determinant_on_top():

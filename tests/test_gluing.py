@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import json
 import random
-from collections import Counter
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -1316,29 +1315,30 @@ def _assert_indices_match_rebuilt(s):
             assert s.__dict__[name] == getattr(rebuilt, name), name
 
 
+# what a frozen draft is handed: the indices its edits keep current, and
+# the parent's mark index, which no edit changes
+_HANDED = {"_face_of", "_walk_pos", "_boundary", "_fan_start", "_fresh", "_mark_of"}
+
+
+def _built_indices(s):
+    return {name for name in s.__dict__ if name.startswith("_")}
+
+
 def test_inherited_indices_match_a_rebuild(monkeypatch):
-    made, inherited = [], Counter()
+    made = []
+    freeze = _Draft.freeze
 
-    def spy(fn, pick):
-        def wrapped(*args):
-            out = fn(*args)
-            s = pick(out)
-            made.append(s)
-            inherited.update(n for n in _INDICES if n in s.__dict__)
-            return out
-        return wrapped
+    def spy(d):
+        s = freeze(d)
+        assert _built_indices(s) == _HANDED
+        made.append(s)
+        return s
 
-    for owner, name, pick in ((_Draft, "freeze", lambda out: out),
-                              (gluing_module, "subdivide_edge", lambda out: out[0].surface),
-                              (gluing_module, "cut_open", lambda out: out),
-                              (gluing_module, "glue", lambda out: out.result)):
-        monkeypatch.setattr(owner, name, spy(getattr(owner, name), pick))
+    monkeypatch.setattr(_Draft, "freeze", spy)
     for s in _quadrangulation_hosts():
         square_chord_family(quadrangulate(s))
-    # each index was handed on at least once, so the comparison bites; a
-    # batch of edits makes one surface, so the 27 hosts make 128 in all
-    assert set(inherited) == set(_INDICES)
-    assert len(made) > 100
+    # a batch of edits makes one surface: the 27 hosts freeze 63 drafts
+    assert len(made) > 50
     monkeypatch.undo()
 
     # subdivisions the decomposition never makes: a boundary halfedge, its
@@ -1352,7 +1352,8 @@ def test_inherited_indices_match_a_rebuild(monkeypatch):
         for name in _INDICES:
             getattr(parent, name)
         child = subdivide_edge(parent, e)[0].surface
-        assert set(child.__dict__) >= set(_INDICES)
+        # the parent's edges, circles and components stay behind
+        assert _built_indices(child) == _HANDED
         made.append(child)
         validate_surface(child)
     for s in made:
