@@ -602,6 +602,11 @@ def random_sutured_surface(rng: random.Random) -> Surface:
     raise InternalConsistencyError("could not sample a sutured surface")
 
 
+def _draw_diagram(rng: random.Random, n: int) -> ChordDiagram:
+    """The draw of `rng.choice(enumerate_chord_diagrams(n))`, with no list built."""
+    return chord_diagram_at(n, rng.randrange(catalan(n)))
+
+
 def random_glued_dividing_sets(rng: random.Random, count: int,
                                max_n: int = 5):
     """(DividingSet, Gluing) pairs: a random chord diagram on a disk and
@@ -828,10 +833,9 @@ def run_axiom_suite(seed: int = DEFAULT_SEED, max_n: int = 5,
 
     du_pairs = []
     for _ in range(8):
-        cds = [rng.choice(enumerate_chord_diagrams(rng.randint(2, 4)))
-               for _ in range(2)]
+        cds = [_draw_diagram(rng, rng.randint(2, 4)) for _ in range(2)]
         du_pairs.append(tuple(chord_to_dividing_set(cd) for cd in cds))
-    iso_base = chord_to_dividing_set(rng.choice(enumerate_chord_diagrams(3)))
+    iso_base = chord_to_dividing_set(_draw_diagram(rng, 3))
     iso_factor = add_trivial_circle(
         iso_base, min(regions(iso_base).faces_plus))[0]
     du_pairs.append((chord_to_dividing_set(enumerate_chord_diagrams(2)[0]),
@@ -839,7 +843,7 @@ def run_axiom_suite(seed: int = DEFAULT_SEED, max_n: int = 5,
 
     trivial = []
     for n in (2, 3):
-        base = chord_to_dividing_set(rng.choice(enumerate_chord_diagrams(n)))
+        base = chord_to_dividing_set(_draw_diagram(rng, n))
         reg = regions(base)
         for fid in (min(reg.faces_plus), min(reg.faces_minus)):
             trivial.append((f"circle in a face of a {n}-suture disk",

@@ -18,7 +18,7 @@ from .contact import contact_element, default_basis, render_multivector
 from .disks import (TorusParameters, bypass_triple_at, disk_contact_element,
                     matchable, matchable_via_wedge, matching_curve_count,
                     rotate_diagram, solid_torus_tight)
-from .dividing import ChordDiagram, DividingSet, catalan, enumerate_chord_diagrams
+from .dividing import ChordDiagram, DividingSet, catalan, chord_diagrams
 from .errors import InternalConsistencyError, ValidationError
 from .exterior import RING_F2, RING_Z
 from .gluing import (Gluing, glue, glued_relative_basis, pushforward_class,
@@ -74,11 +74,10 @@ def _cmd_enumerate(args, out) -> int:
         print(catalan(args.n), file=out)
         return 0
     labels = _disk_labels(args.n)
-    lines = [f"{cd.render()}\t"
-             f"{render_multivector(disk_contact_element(cd, args.ring).value, labels)}"
-             for cd in enumerate_chord_diagrams(args.n)]
-    for line in sorted(lines):
-        print(line, file=out)
+    # text order, line by line: a line starts with its diagram's render
+    for cd in chord_diagrams(args.n, key=str):
+        x = disk_contact_element(cd, args.ring).value
+        print(f"{cd.render()}\t{render_multivector(x, labels)}", file=out)
     return 0
 
 

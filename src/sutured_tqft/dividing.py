@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Iterator
 
 from .errors import (InternalConsistencyError, InvalidChordDiagramError,
                      InvalidDividingSetError, json_field)
@@ -39,9 +40,7 @@ from .surface import (
     _Draft,
     add_detached_circle,
     disk_position,
-    split_face,
     standard_disk,
-    subdivide_edge,
 )
 from .models import SurfaceModel, annulus_model
 
@@ -412,28 +411,34 @@ class ChordDiagram:
         return out
 
 
+def chord_diagrams(n: int, key=int) -> Iterator[ChordDiagram]:
+    """Every noncrossing diagram on 2n points, by one depth-first walk: the
+    least open point a takes each partner b in `key` order, and its run
+    a..hi splits into the run inside a-b, walked first, and the run after
+    b.  key=int gives pair order, key=str text order (the renders of one n
+    have equal length, so none is a prefix of another).  Each b - a is odd
+    and each chord closes inside its run, so no diagram needs the
+    constructor's check."""
+    pairs: list[tuple[int, int]] = []
+
+    def walk(runs):
+        if not runs:
+            cd = object.__new__(ChordDiagram)
+            cd.__dict__.update(n=n, pairs=tuple(pairs))
+            yield cd
+            return
+        *rest, (a, hi) = runs
+        for b in sorted(range(a + 1, hi + 1, 2), key=key):
+            pairs.append((a, b))
+            yield from walk(rest + [r for r in ((b + 1, hi), (a + 1, b - 1)) if r[0] < r[1]])
+            pairs.pop()
+
+    return walk([(1, 2 * n)] if n > 0 else [])
+
+
 def enumerate_chord_diagrams(n: int) -> list[ChordDiagram]:
-    """All noncrossing diagrams on 2n points, lexicographic on pair lists.
-
-    The recursion yields that order with no sort.  Each list opens with
-    the chord at the least point, then its inside pairs, then its outside
-    pairs, each part sorted, so the list is sorted.  Lists come ordered by
-    that chord's closing point, then by the inside part, which has one
-    length per chord, then by the outside part: lexicographic order."""
-
-    def match(points: tuple[int, ...]) -> list[list[tuple[int, int]]]:
-        if not points:
-            return [[]]
-        first = points[0]
-        out = []
-        for idx in range(1, len(points), 2):
-            pair = (first, points[idx])
-            for left in match(points[1:idx]):
-                for right in match(points[idx + 1:]):
-                    out.append([pair] + left + right)
-        return out
-
-    return [ChordDiagram(n, tuple(ps)) for ps in match(tuple(range(1, 2 * n + 1)))]
+    """All noncrossing diagrams on 2n points, lexicographic on pair lists."""
+    return list(chord_diagrams(n))
 
 
 def catalan(n: int) -> int:
@@ -498,40 +503,30 @@ def chord_to_dividing_set(cd: ChordDiagram) -> DividingSet:
 # -- annulus fixtures ------------------------------------------------------
 
 class _Builder:
-    """Scratch pad for carving dividing sets out of a model surface."""
+    """Carves a dividing set out of a model surface on one edit draft, then
+    carries the model's bases through the one refinement."""
 
     def __init__(self, model: SurfaceModel):
         self.model = model
-        self.s = model.surface
-        self.ref: Refinement | None = None
-
-    def _absorb(self, ref: Refinement) -> None:
-        self.ref = ref if self.ref is None else self.ref.then(ref)
-        self.s = ref.surface
-
-    def halfedge(self, u: int, v: int) -> int:
-        hits = self.s.halfedges_between(u, v)
-        if len(hits) != 1:
-            raise InternalConsistencyError(f"halfedge {u}->{v} is not unique")
-        return hits[0]
+        self.d = _Draft(model.surface)
+        self.edge_map: dict[int, list[tuple[int, int]]] = {}
 
     def subdivide(self, u: int, v: int) -> int:
-        ref, m = subdivide_edge(self.s, self.halfedge(u, v))
-        self._absorb(ref)
-        return m
+        hits = Surface.halfedges_between(self.d, u, v)  # the draft answers as a surface
+        if len(hits) != 1:
+            raise InternalConsistencyError(f"halfedge {u}->{v} is not unique")
+        return self.d.subdivide_mapped(hits[0], self.edge_map)
 
-    def split(self, face_id: int, va: int, vb: int) -> tuple[int, int, int]:
-        walk = self.s.faces[face_id]
-        tails = [self.s.tail(h) for h in walk]
-        ref, a, side, comp = split_face(self.s, face_id, tails.index(va), tails.index(vb))
-        self._absorb(ref)
-        return a, side, comp
+    def split(self, face_id: int, va: int, vb: int) -> tuple[int, int]:
+        """Split a face at the corners at va, vb: (new halfedge in it, other side)."""
+        tails = [self.d.tail(h) for h in self.d.faces[face_id]]
+        return self.d.split(face_id, tails.index(va), tails.index(vb)), len(self.d.faces) - 1
 
     def finish(self, k_edges) -> tuple[SurfaceModel, DividingSet]:
-        signs = infer_face_signs(self.s, k_edges)
-        ds = DividingSet(self.s, orient_by_signs(self.s, k_edges, signs), signs)
-        model = self.model.transport(self.ref) if self.ref is not None else self.model
-        return model, ds
+        s = self.d.freeze()
+        signs = infer_face_signs(s, k_edges)
+        ds = DividingSet(s, orient_by_signs(s, k_edges, signs), signs)
+        return self.model.transport(Refinement(s, self.edge_map)), ds
 
 
 # Vertices of the annulus model: outer circle O0..O3 = 0..3 with the
@@ -544,48 +539,48 @@ _U, _W = 0, 1
 
 
 def _fixture_L0(b: _Builder) -> list[int]:
-    a1, _, _ = b.split(_U, _O0, _I2)
-    a2, _, _ = b.split(_W, _O2, _I0)
+    a1, _ = b.split(_U, _O0, _I2)
+    a2, _ = b.split(_W, _O2, _I0)
     return [a1, a2]
 
 
 def _fixture_L1(b: _Builder) -> list[int]:
     # The crossing arcs routed the other way around the annulus: each
     # winds an extra half turn, one twist of the core circle from L0.
-    a1, _, _ = b.split(_U, _O2, _I0)
-    a2, _, _ = b.split(_W, _O0, _I2)
+    a1, _ = b.split(_U, _O2, _I0)
+    a2, _ = b.split(_W, _O0, _I2)
     return [a1, a2]
 
 
 def _fixture_K_plus(b: _Builder) -> list[int]:
-    a1, _, _ = b.split(_U, _O0, _O2)
-    a2, _, _ = b.split(_W, _I0, _I2)
+    a1, _ = b.split(_U, _O0, _O2)
+    a2, _ = b.split(_W, _I0, _I2)
     return [a1, a2]
 
 
 def _fixture_K_minus(b: _Builder) -> list[int]:
-    a1, _, _ = b.split(_W, _O2, _O0)
-    a2, _, _ = b.split(_U, _I2, _I0)
+    a1, _ = b.split(_W, _O2, _O0)
+    a2, _ = b.split(_U, _I2, _I0)
     return [a1, a2]
 
 
 def _fixture_K0(b: _Builder) -> list[int]:
     w0 = b.subdivide(_O0, _I0)
     w2 = b.subdivide(_O2, _I2)
-    a1, _, _ = b.split(_U, _O0, _O2)
-    a2, side, _ = b.split(_U, w2, w0)
-    a3, _, _ = b.split(side, _I2, _I0)
-    a4, _, _ = b.split(_W, w0, w2)
+    a1, _ = b.split(_U, _O0, _O2)
+    a2, side = b.split(_U, w2, w0)
+    a3, _ = b.split(side, _I2, _I0)
+    a4, _ = b.split(_W, w0, w2)
     return [a1, a2, a3, a4]
 
 
 def _fixture_K1(b: _Builder) -> list[int]:
     w0 = b.subdivide(_O0, _I0)
     w2 = b.subdivide(_O2, _I2)
-    a1, _, _ = b.split(_W, _O2, _O0)
-    a2, side, _ = b.split(_W, w0, w2)
-    a3, _, _ = b.split(side, _I0, _I2)
-    a4, _, _ = b.split(_U, w2, w0)
+    a1, _ = b.split(_W, _O2, _O0)
+    a2, side = b.split(_W, w0, w2)
+    a3, _ = b.split(side, _I0, _I2)
+    a4, _ = b.split(_U, w2, w0)
     return [a1, a2, a3, a4]
 
 
@@ -611,8 +606,7 @@ def annulus_fixture(name: str) -> tuple[SurfaceModel, DividingSet]:
     possible ways.  Returns the transported homology model and the
     dividing set on a common refined surface.
     """
-    key = name.replace("_plus", "+").replace("_minus", "-")
-    if key not in _ANNULUS_FIXTURES:
+    if name not in _ANNULUS_FIXTURES:
         raise KeyError(f"unknown annulus fixture {name!r}; have {ANNULUS_FIXTURE_NAMES}")
     b = _Builder(annulus_model())
-    return b.finish(_ANNULUS_FIXTURES[key](b))
+    return b.finish(_ANNULUS_FIXTURES[name](b))

@@ -156,11 +156,6 @@ class Multivector:
         degs = {m.bit_count() for m in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
-    def grade_project(self, d: int) -> "Multivector":
-        return Multivector(self.rank,
-                           {m: c for m, c in self.terms.items() if m.bit_count() == d},
-                           self.ring, self.dual)
-
     def _sorted_masks(self) -> list[int]:
         return sorted(self.terms, key=lambda m: (m.bit_count(), indices_of(m)))
 

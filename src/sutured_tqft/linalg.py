@@ -27,7 +27,6 @@ __all__ = [
     "f2_rank",
     "f2_solve",
     "f2_invert",
-    "f2_left_inverse",
     "f2_row_space",
 ]
 
@@ -302,29 +301,18 @@ def f2_solve(a_rows: Sequence[int], b: Sequence[int], ncols: int) -> list[int] |
 
 
 def f2_invert(a_rows: Sequence[int], n: int) -> list[int] | None:
-    """Inverse of an n x n F2 matrix as row bitmasks, or None if singular."""
-    return f2_left_inverse(a_rows[:n], n)
+    """Inverse of an n x n F2 matrix as row bitmasks, or None if singular.
 
-
-def f2_left_inverse(rows: Sequence[int], ncols: int) -> list[int] | None:
-    """F2 matrix Q (row bitmasks) with Q*J = I, or None when J is not injective.
-
-    J is given as row bitmasks.  One Gauss-Jordan pass runs on J beside the
-    identity: the row reduced to the unit vector e_t carries, in its high
-    bits, the combination of J's rows that gives e_t, which is row t of Q.
+    One Gauss-Jordan pass runs on A beside the identity: the row reduced
+    to the unit vector e_t carries, in its high bits, row t of A^-1.
     """
-    aug = [row | (1 << (ncols + i)) for i, row in enumerate(rows)]
-    used = [False] * len(aug)
-    order: list[int] = []
-    for col in range(ncols):
-        piv = next((r for r, row in enumerate(aug)
-                    if not used[r] and (row >> col) & 1), None)
+    aug = [row | (1 << (n + i)) for i, row in enumerate(a_rows[:n])]
+    for col in range(n):
+        piv = next((r for r in range(col, len(aug)) if (aug[r] >> col) & 1), None)
         if piv is None:
             return None
-        used[piv] = True
-        order.append(piv)
-        prow = aug[piv]
+        aug[col], aug[piv] = aug[piv], aug[col]
         for r, row in enumerate(aug):
-            if r != piv and (row >> col) & 1:
-                aug[r] = row ^ prow
-    return [aug[r] >> ncols for r in order]
+            if r != col and (row >> col) & 1:
+                aug[r] = row ^ aug[col]
+    return [row >> n for row in aug]

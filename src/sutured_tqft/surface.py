@@ -597,32 +597,12 @@ class Refinement:
     """A refined surface plus transport data for chains.
 
     ``edge_map`` sends an old canonical halfedge to the (halfedge, sign)
-    pieces replacing it (identity where absent).  Halfedge ids never get
-    reused for a different edge, so identity defaults compose safely.
-    Vertex ids survive every refinement.
+    pieces replacing it (identity where absent).  Refinements do not
+    compose: a batch of edits goes in on one `_Draft`, subdividing each
+    old edge at most once.  Vertex ids survive every refinement.
     """
     surface: Surface
     edge_map: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-
-    def then(self, later: "Refinement") -> "Refinement":
-        """Composite refinement (self first, then later)."""
-        s1 = self.surface
-        edge_map: dict[int, list[tuple[int, int]]] = {}
-        for e, pieces in self.edge_map.items():
-            out: list[tuple[int, int]] = []
-            for h, sgn in pieces:
-                c = s1.canonical(h)
-                hsign = 1 if h == c else -1
-                sub = later.edge_map.get(c)
-                if sub is None:
-                    out.append((h, sgn))
-                else:
-                    out.extend((hh, sgn * hsign * ss) for hh, ss in sub)
-            edge_map[e] = out
-        for e, sub in later.edge_map.items():
-            if e not in edge_map:
-                edge_map[e] = list(sub)
-        return Refinement(later.surface, edge_map)
 
 
 def transport_chain(ref: Refinement, chain: dict[int, int]) -> dict[int, int]:
@@ -714,6 +694,18 @@ class _Draft:
                 self._fan_start[m] = x2
         return m
 
+    def subdivide_mapped(self, h: int, edge_map: dict[int, list[tuple[int, int]]]) -> int:
+        """`subdivide` that also files the edge's two pieces in `edge_map`,
+        a `Refinement` edge map of the draft's source surface; returns the
+        midpoint.  Pieces do not compose, so no edge is subdivided twice."""
+        c, other = sorted((h, self.twin[h]))
+        if {c, other} & {x for pieces in edge_map.values() for x, _ in pieces}:
+            raise InvalidSurfaceError(f"edge {c} is a piece of an edge subdivided before")
+        m = self.subdivide(h)
+        # c keeps its id on one piece; the other piece is the new twin of `other`
+        edge_map[c] = [(c, 1), (self.twin[other], 1)]
+        return m
+
     def freeze(self) -> Surface:
         """The batch's one surface, holding every index the draft kept."""
         s = Surface(self.twin, self.head, self.faces, self.marks)
@@ -729,11 +721,9 @@ def subdivide_edge(s: Surface, h: int) -> tuple[Refinement, int]:
     id on the head-side piece, so faceless twins stay faceless.
     """
     draft = _Draft(s)
-    m = draft.subdivide(h)
-    s2 = draft.freeze()
-    c, other = sorted((h, s.twin[h]))
-    # c keeps its id on one piece; the other piece is the new twin of `other`
-    return Refinement(s2, {c: [(c, 1), (s2.twin[other], 1)]}), m
+    edge_map: dict[int, list[tuple[int, int]]] = {}
+    m = draft.subdivide_mapped(h, edge_map)
+    return Refinement(draft.freeze(), edge_map), m
 
 
 def split_face(s: Surface, face_id: int, i: int, j: int) -> tuple[Refinement, int, int, int]:

@@ -13,12 +13,14 @@ import pytest
 
 from sutured_tqft.axioms import _suture_corner_sites
 from sutured_tqft.cli import main, run
-from sutured_tqft.disks import rotate_diagram
+from sutured_tqft.contact import render_multivector
+from sutured_tqft.disks import disk_contact_element, rotate_diagram
 from sutured_tqft.dividing import (ChordDiagram, DividingSet, add_trivial_circle,
-                                   chord_to_dividing_set)
+                                   chord_to_dividing_set, enumerate_chord_diagrams)
 from sutured_tqft.errors import (InvalidDividingSetError, InvalidSurfaceError,
                                  UnsupportedSurfaceError)
 from sutured_tqft.gluing import Gluing
+from sutured_tqft.models import disk_model
 from sutured_tqft.surface import Surface, disjoint_union, standard_disk
 
 
@@ -80,6 +82,34 @@ def test_enumerate_catalan_counts():
     for n in range(1, 21):
         code, text = capture(["enumerate", str(n), "--count-only"])
         assert code == 0 and text == f"{_catalan_by_recurrence(n)}\n"
+
+
+def test_enumerate_streams_the_sorted_lines(monkeypatch):
+    # the lines are the sorted table of every diagram with its element
+    for n in range(1, 7):
+        for ring in ("z", "f2"):
+            labels = disk_model(n).labels_plus if n >= 2 else None
+            table = [f"{cd.render()}\t"
+                     f"{render_multivector(disk_contact_element(cd, ring).value, labels)}"
+                     for cd in enumerate_chord_diagrams(n)]
+            assert capture(["enumerate", str(n), "--ring", ring]) == (
+                0, "".join(f"{line}\n" for line in sorted(table)))
+    # and each prints as it is found: when the first write fails, one
+    # element has been computed, not all 42
+    calls, seen = [], []
+
+    def counted(cd, ring):
+        calls.append(cd)
+        return disk_contact_element(cd, ring)
+
+    class Closed(io.StringIO):
+        def write(self, text):
+            seen.append(len(calls))
+            raise BrokenPipeError("output closed")
+
+    monkeypatch.setattr("sutured_tqft.cli.disk_contact_element", counted)
+    assert run(["enumerate", "5"], out=Closed()) == 2
+    assert seen == [1]
 
 
 # -- match -----------------------------------------------------------------

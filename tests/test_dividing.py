@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sutured_tqft.dividing as dividing_module
 from sutured_tqft.dividing import (ANNULUS_FIXTURE_NAMES, ChordDiagram,
                                    DividingSet, add_trivial_circle,
                                    annulus_fixture, boundary_arc_signs,
-                                   catalan, chord_diagram_at,
+                                   catalan, chord_diagram_at, chord_diagrams,
                                    chord_to_dividing_set,
                                    dividing_set_violations,
                                    enumerate_chord_diagrams, infer_face_signs,
@@ -21,8 +22,10 @@ from sutured_tqft.errors import (InvalidChordDiagramError,
 from sutured_tqft.exterior import RING_F2, RING_Z
 from sutured_tqft.axioms import random_glued_dividing_sets
 from sutured_tqft.gluing import glue, push_dividing_set
+from sutured_tqft.models import annulus_model
 from sutured_tqft.surface import (UnionFind, disk_position, split_face,
-                                  standard_disk, subsurface, validate_surface)
+                                  standard_disk, subdivide_edge, subsurface,
+                                  transport_chain, validate_surface)
 from test_models import check_model
 
 
@@ -34,12 +37,24 @@ def test_enumeration_counts():
 
 
 def test_enumeration_is_sorted_and_unique():
-    # every diagram validates as noncrossing, so distinct and Catalan many
-    # means all of them; the order is pair order with no sort applied
+    # every walked diagram passes the constructor's check, so distinct and
+    # Catalan many means all of them; the order is pair order with no sort applied
     for n in range(1, 10):
-        forms = [cd.pairs for cd in enumerate_chord_diagrams(n)]
+        diagrams = enumerate_chord_diagrams(n)
+        assert [ChordDiagram(n, cd.pairs) for cd in diagrams] == diagrams
+        forms = [cd.pairs for cd in diagrams]
         assert forms == sorted(forms)
         assert len(set(forms)) == len(forms) == catalan(n)
+
+
+def test_text_order_walk_is_the_sorted_renders():
+    # renders of one n have equal length, so branching on the partner's
+    # text gives the order of sorting the rendered lines
+    for n in range(1, 10):
+        renders = [cd.render() for cd in chord_diagrams(n, key=str)]
+        assert renders == sorted(cd.render() for cd in enumerate_chord_diagrams(n))
+    assert [cd.render() for cd in chord_diagrams(5, key=str)][:2] == [
+        "1-10,2-3,4-5,6-7,8-9", "1-10,2-3,4-5,6-9,7-8"]
 
 
 def test_unranking_matches_enumeration():
@@ -347,10 +362,50 @@ def test_annulus_fixture_valid(name):
     assert r.is_non_isolating()
 
 
-def test_fixture_alias():
-    m1, d1 = annulus_fixture("K_plus")
-    m2, d2 = annulus_fixture("K+")
-    assert d1.k_halfedges == d2.k_halfedges
+class _PerEditBuilder:
+    """The fixtures' former path, kept as the oracle: every split or
+    subdivision builds its own surface through `split_face` and
+    `subdivide_edge`, and the model's chains go through each refinement
+    in turn."""
+
+    def __init__(self, model):
+        self.model, self.s, self.refs = model, model.surface, []
+
+    def subdivide(self, u, v):
+        (h,) = self.s.halfedges_between(u, v)
+        ref, m = subdivide_edge(self.s, h)
+        self.refs.append(ref)
+        self.s = ref.surface
+        return m
+
+    def split(self, face_id, va, vb):
+        tails = [self.s.tail(h) for h in self.s.faces[face_id]]
+        ref, a, side, _ = split_face(self.s, face_id, tails.index(va), tails.index(vb))
+        self.refs.append(ref)
+        self.s = ref.surface
+        return a, side
+
+    def finish(self, k_edges):
+        signs = infer_face_signs(self.s, k_edges)
+        ds = DividingSet(self.s, orient_by_signs(self.s, k_edges, signs), signs)
+
+        def carry(chain):
+            for ref in self.refs:
+                chain = transport_chain(ref, chain)
+            return chain
+        return ([carry(c) for c in self.model.beta_plus],
+                [carry(c) for c in self.model.beta_minus]), ds
+
+
+@pytest.mark.parametrize("name", ANNULUS_FIXTURE_NAMES)
+def test_fixture_draft_matches_the_per_edit_path(name):
+    oracle = _PerEditBuilder(annulus_model())
+    (plus, minus), want = oracle.finish(dividing_module._ANNULUS_FIXTURES[name](oracle))
+    model, ds = annulus_fixture(name)
+    assert ds.to_json_dict() == want.to_json_dict()
+    assert ds.k_halfedges == want.k_halfedges and ds.face_signs == want.face_signs
+    assert model.surface is ds.surface
+    assert list(model.beta_plus) == plus and list(model.beta_minus) == minus
 
 
 def test_unknown_fixture():

@@ -10,7 +10,6 @@ from sutured_tqft.errors import InternalConsistencyError
 from sutured_tqft.linalg import (
     det_q,
     f2_invert,
-    f2_left_inverse,
     f2_rank,
     f2_solve,
     identity,
@@ -23,6 +22,31 @@ from sutured_tqft.linalg import (
     solve_z,
     transpose,
 )
+
+
+def f2_left_inverse(rows, ncols):
+    """F2 matrix Q (row bitmasks) with Q*J = I, or None when J is not
+    injective: the general left inverse, an oracle beside `f2_invert`.
+
+    J is given as row bitmasks.  One Gauss-Jordan pass runs on J beside the
+    identity: the row reduced to the unit vector e_t carries, in its high
+    bits, the combination of J's rows that gives e_t, which is row t of Q.
+    """
+    aug = [row | (1 << (ncols + i)) for i, row in enumerate(rows)]
+    used = [False] * len(aug)
+    order = []
+    for col in range(ncols):
+        piv = next((r for r, row in enumerate(aug)
+                    if not used[r] and (row >> col) & 1), None)
+        if piv is None:
+            return None
+        used[piv] = True
+        order.append(piv)
+        prow = aug[piv]
+        for r, row in enumerate(aug):
+            if r != piv and (row >> col) & 1:
+                aug[r] = row ^ prow
+    return [aug[r] >> ncols for r in order]
 
 
 def random_matrix(rng, n, m, lo=-4, hi=4):

@@ -9,7 +9,7 @@ from sutured_tqft.axioms import _suture_corner_sites, random_sutured_surface
 from sutured_tqft.errors import InvalidSurfaceError
 from sutured_tqft.gluing import Gluing, glue, quadrangulate
 from sutured_tqft.models import annulus_model, one_holed_torus
-from sutured_tqft.surface import (Refinement, Surface, UnionFind,
+from sutured_tqft.surface import (Refinement, Surface, UnionFind, _Draft,
                                   add_detached_circle, chain_boundary,
                                   chain_from_path, disjoint_union, disk_position,
                                   split_face, standard_disk, subdivide_edge,
@@ -259,17 +259,22 @@ def test_subdivide_interior_edge_and_transport_sign():
     assert back == {e: -v for e, v in moved.items()}
 
 
-def test_refinement_composition():
+def test_draft_subdivisions_file_each_edge_once():
+    # one draft files the pieces of several subdivided edges in one edge
+    # map; a piece cut again would need a composed map, so it is refused
     s = standard_disk(2)
-    ref1, m1 = subdivide_edge(s, 0)
-    ref2, m2 = subdivide_edge(ref1.surface, 0)
-    total = ref1.then(ref2)
-    assert total.surface is ref2.surface
+    d = _Draft(s)
+    edge_map = {}
+    d.subdivide_mapped(0, edge_map)
+    d.subdivide_mapped(5, edge_map)
+    for piece in (0, d.twin[0], d.twin[1], 1):
+        with pytest.raises(InvalidSurfaceError, match="subdivided before"):
+            d.subdivide_mapped(piece, edge_map)
+    ref = Refinement(d.freeze(), edge_map)
     chain = chain_from_path(s, [0, 2])
-    a = transport_chain(total, chain)
-    b = transport_chain(ref2, transport_chain(ref1, chain))
-    assert a == b
-    assert chain_boundary(total.surface, a) == {2: 1, 0: -1}
+    assert edge_map == {0: [(0, 1), (ref.surface.twin[1], 1)],
+                        4: [(4, 1), (ref.surface.twin[5], 1)]}
+    assert chain_boundary(ref.surface, transport_chain(ref, chain)) == {2: 1, 0: -1}
 
 
 def test_add_detached_circle():
@@ -336,10 +341,9 @@ def test_subsurface_of_split_disk():
 @given(st.integers(1, 3), st.lists(st.integers(0, 10 ** 6), max_size=6))
 def test_random_refinements_preserve_validity(n, seeds):
     s = standard_disk(n)
-    ref = Refinement(s)
-    base_chain = chain_from_path(s, [0, 2, 4])
+    cur = s
+    base_chain = moved = chain_from_path(s, [0, 2, 4])
     for seed in seeds:
-        cur = ref.surface
         kind = seed % 3
         if kind == 0:
             edges = cur.edges()
@@ -358,14 +362,13 @@ def test_random_refinements_preserve_validity(n, seeds):
         else:
             fid = seed // 3 % len(cur.faces)
             step, _, _ = add_detached_circle(cur, fid, seed // 5 % len(cur.faces[fid]))
-        ref = ref.then(step)
-    s2 = ref.surface
-    validate_complex(s2)
-    validate_marking(s2)
-    assert s2.euler_characteristic() == 1
+        cur = step.surface
+        moved = transport_chain(step, moved)
+    validate_complex(cur)
+    validate_marking(cur)
+    assert cur.euler_characteristic() == 1
     # original vertices keep their ids, so the boundary 0-chain is unchanged
-    moved = transport_chain(ref, base_chain)
-    assert chain_boundary(s2, moved) == chain_boundary(s, base_chain)
+    assert chain_boundary(cur, moved) == chain_boundary(s, base_chain)
 
 
 # -- the indexed queries against naive definitions --------------------------
