@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dividing import DividingSet, regions
+from .dividing import DividingSet
 from .errors import InternalConsistencyError, ValidationError
 from .exterior import (
     RING_F2,
@@ -32,7 +32,7 @@ from .exterior import (
 from .homology import HomologyBasis, RelativeH1
 from .linalg import det_q, transpose
 from .models import SurfaceModel
-from .surface import Surface, subsurface
+from .surface import Surface
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,20 @@ class ContactElement:
         return self.value.is_zero()
 
 
+# side -> (the sign of its faces, its relative marks)
+_SIDES = {"plus": (1, "alpha_plus"), "minus": (-1, "alpha_minus")}
+
+
+def _side(side: str) -> tuple[int, str]:
+    try:
+        return _SIDES[side]
+    except KeyError:
+        raise ValidationError(f"unknown side {side!r}") from None
+
+
 def default_basis(s: Surface, ring: str, side: str = "plus") -> HomologyBasis:
     """The generic basis of H_1(S, a+) (or a-) from the canonical coordinates."""
-    marks = s.marks["alpha_plus" if side == "plus" else "alpha_minus"]
-    return HomologyBasis(RelativeH1(s, sorted(marks)), ring)
+    return HomologyBasis(RelativeH1(s, sorted(s.marks[_side(side)[1]])), ring)
 
 
 def region_homology(ds: DividingSet, side: str = "plus") -> RelativeH1:
@@ -56,17 +66,17 @@ def region_homology(ds: DividingSet, side: str = "plus") -> RelativeH1:
 
 
 def _region(ds: DividingSet, side: str) -> tuple[RelativeH1, int]:
-    """H_1(R+, a+) and L(K), or H_1(R-, a-) and L-(K), from one regions() pass.
+    """H_1(R+, a+) and L(K), or H_1(R-, a-) and L-(K).
 
-    Neither depends on the coefficient ring, so a caller checking both
-    rings builds them once."""
-    reg = regions(ds)
-    if side == "plus":
-        faces, rel, grade = reg.faces_plus, "alpha_plus", reg.l_k
-    else:
-        faces, rel, grade = reg.faces_minus, "alpha_minus", reg.l_minus_k
-    sub = subsurface(ds.surface, sorted(faces))
-    return RelativeH1(sub, sorted(sub.marks[rel])), grade
+    The region's H_1 spans its faces on ds's surface, keeping every id,
+    and only this side's Euler characteristic is counted.  Neither
+    depends on the coefficient ring, so a caller checking both rings
+    builds them once."""
+    sign, rel = _side(side)
+    s = ds.surface
+    faces = [f for f, fs in ds.face_signs.items() if fs == sign]
+    grade = len(s.marks["F_plus"]) - s.euler_characteristic(faces)
+    return RelativeH1(s, s.marks[rel], faces), grade
 
 
 def _wedge_region(hr: RelativeH1, grade: int, basis: HomologyBasis, ring: str,
@@ -75,7 +85,7 @@ def _wedge_region(hr: RelativeH1, grade: int, basis: HomologyBasis, ring: str,
     each expressed in the ambient `basis`: Λ of their columns applied to
     the top class of `hr`, or to 0 off grade, since that wedge has degree
     rank(hr)."""
-    # subsurfaces keep halfedge ids, so region cycles are ambient chains
+    # the region's H_1 keeps the surface's ids, so its cycles are ambient chains
     cols = [basis.express(hr.representative(i)) for i in range(hr.rank)]
     x = (Multivector.top if grade == hr.rank else Multivector.zero)(hr.rank, ring, dual)
     return ContactElement(induced_map(transpose(cols), x, target_rank=basis.rank), grade, ring)

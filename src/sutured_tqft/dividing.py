@@ -278,15 +278,6 @@ class RegionDecomposition:
     l_minus_k: int
 
 
-def _euler_characteristic(s: Surface, faces) -> int:
-    """V - E + F of the subcomplex spanned by the faces: the heads of
-    their walks, the edges of their walks, and the faces themselves."""
-    walks = [s.faces[f] for f in faces]
-    vertices = {s.head[h] for walk in walks for h in walk}
-    edges = {s.canonical(h) for walk in walks for h in walk}
-    return len(vertices) - len(edges) + len(walks)
-
-
 def regions(ds: DividingSet) -> RegionDecomposition:
     """R+ is the faces signed +1 and R- the faces signed -1.
 
@@ -303,8 +294,8 @@ def regions(ds: DividingSet) -> RegionDecomposition:
     return RegionDecomposition(
         faces_plus=fplus,
         faces_minus=fminus,
-        l_k=n - _euler_characteristic(s, fplus),
-        l_minus_k=n - _euler_characteristic(s, fminus),
+        l_k=n - s.euler_characteristic(fplus),
+        l_minus_k=n - s.euler_characteristic(fminus),
     )
 
 

@@ -337,6 +337,8 @@ def glued_relative_basis(g: GluedSurfaceData, ring: str) -> HomologyBasis:
 def _check_basis(basis: HomologyBasis, s: Surface, ring: str, role: str) -> None:
     if not _same_complex(basis.surface, s):
         raise ValidationError(f"{role} basis lives on a different surface")
+    if len(basis.h1.faces) != len(s.faces):
+        raise ValidationError(f"{role} basis spans only part of the surface")
     if basis.h1.rel != frozenset(s.marks["alpha_plus"]):
         raise ValidationError(f"{role} basis is not relative to the positive sutures")
     if basis.ring != ring:

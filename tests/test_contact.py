@@ -1,15 +1,17 @@
 """Contact elements: the annulus table, disk examples, and duality."""
 import pytest
 
-from sutured_tqft.contact import (DualStructure, _region, contact_element, duality_check,
-                                  negative_contact_element, region_homology,
-                                  render_multivector)
+from sutured_tqft.contact import (DualStructure, _region, contact_element, default_basis,
+                                  duality_check, negative_contact_element,
+                                  region_homology, render_multivector)
 from sutured_tqft.dividing import (ChordDiagram, add_trivial_circle,
                                    annulus_fixture, chord_to_dividing_set,
                                    enumerate_chord_diagrams, regions)
 from sutured_tqft.errors import ValidationError
 from sutured_tqft.exterior import RING_F2, RING_Z, Multivector, pair
+from sutured_tqft.homology import RelativeH1
 from sutured_tqft.models import annulus_model, disk_model
+from sutured_tqft.surface import standard_disk, subsurface
 from test_dividing import region_census
 
 
@@ -124,6 +126,37 @@ def test_nontrivial_iff_nonisolating_all_disks():
             c = contact_element(ds, ring=RING_F2, basis=m.basis_plus(RING_F2))
             assert (not c.value.is_zero()) == region_census(ds).is_non_isolating()
             assert not c.value.is_zero()  # chord diagrams are never isolating
+
+
+def test_an_unknown_side_is_refused():
+    ds = chord_to_dividing_set(ChordDiagram.parse("1-4,2-3"))
+    for call in (lambda: default_basis(standard_disk(3), RING_Z, "positive"),
+                 lambda: region_homology(ds, "bogus"),
+                 lambda: _region(ds, "minus ")):
+        with pytest.raises(ValidationError, match="unknown side"):
+            call()
+
+
+def test_coordinates_refuse_a_chain_off_the_complex():
+    # every 4-chord diagram has an ambient basis cycle with an edge off R+;
+    # the region's H_1 refuses it as bad input, over either ring
+    for cd in enumerate_chord_diagrams(4):
+        ds = chord_to_dividing_set(cd)
+        s = ds.surface
+        hr = region_homology(ds)
+        region_edges = set(subsurface(s, sorted(regions(ds).faces_plus)).edges())
+        off = [c for c in default_basis(s, RING_Z).cycles if c.keys() - region_edges]
+        assert off
+        for c in off:
+            for ring in (RING_Z, RING_F2):
+                with pytest.raises(ValidationError, match="leaves the complex"):
+                    hr.coordinates(c, ring)
+    # so does a build on all faces, for an id that is no edge of the surface
+    h = RelativeH1(s, s.marks["alpha_plus"])
+    for stray in (max(s.twin) + 1, s.twin[h.cotree[0]]):
+        for ring in (RING_Z, RING_F2):
+            with pytest.raises(ValidationError, match="leaves the complex"):
+                h.reduce({stray: 1}, ring)
 
 
 # -- duality --------------------------------------------------------------

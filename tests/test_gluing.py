@@ -29,6 +29,7 @@ from sutured_tqft.dividing import (
     enumerate_chord_diagrams,
     infer_face_signs,
     orient_by_signs,
+    regions,
 )
 from sutured_tqft.errors import InternalConsistencyError, InvalidGluingError, ValidationError
 from sutured_tqft.exterior import (
@@ -830,20 +831,29 @@ def test_respect_builds_each_default_basis_once(monkeypatch):
             return fn(*args)
         return wrapper
 
+    def no_surface(*args, **kwargs):
+        raise AssertionError("the respect check built a Surface")
+
+    _, reps = _region_classes(*_region(ds, "plus"), RING_Z)
+    # the regions span their faces on the host and on the quotient
+    spans = [(host, tuple(sorted(regions(ds).faces_plus))),
+             (g.result, tuple(sorted(regions(push_dividing_set(g, ds)).faces_plus))),
+             (g.result, tuple(range(len(g.result.faces))))]
     monkeypatch.setattr(RelativeH1, "__init__", counting_init)
+    # the check builds no Surface at all, so no subsurface either
+    monkeypatch.setattr(Surface, "__init__", no_surface)
     # the morphism pushes the region classes of K into the result basis,
     # in which c(K_tau) is wedged; the host gets no basis
     monkeypatch.setattr(gluing_module, "default_basis", spy(default_basis, 0))
     monkeypatch.setattr(gluing_module, "_wedge_region", spy(_wedge_region, 2))
     monkeypatch.setattr(gluing_module, "_morphism", spy(_morphism, 2, 3))
-    _, reps = _region_classes(*_region(ds, "plus"), RING_Z)
     for ring in (RING_F2, RING_Z):
         built.clear()
         passed.clear()
         assert check_respect(g, ds, ring=ring)
-        # the result basis and the two regions; no host or middle homology
-        assert len(built) == 3
-        assert host not in {h1.surface for h1 in built}
+        # the two regions and the result basis; no host or middle homology
+        assert [(h1.surface, tuple(h1.faces)) for h1 in built] == spans
+        assert len(spans[0][1]) < len(host.faces)
         [[result], [chains, mrb], [rb]] = passed
         assert result is g.result and rb is mrb and rb.ring == ring
         assert chains == reps
@@ -913,6 +923,14 @@ def test_gluing_morphism_rejects_bases_of_other_homologies():
         gluing_morphism(g, x, host_basis=default_basis(s, RING_F2))
     with pytest.raises(ValidationError, match="result basis is over"):
         gluing_morphism(g, x, result_basis=default_basis(g.result, RING_F2))
+    # H_1(R+, a+) lives on the host and is relative to all of its positive
+    # sutures, but spans only the positive faces
+    ds, host, tau = _welding_fixture()
+    hr, _ = _region(ds, "plus")
+    assert hr.surface is host and hr.rel == host.marks["alpha_plus"]
+    with pytest.raises(ValidationError, match="host basis spans only part"):
+        gluing_morphism(glue(tau), Multivector.top(hr.rank, RING_Z),
+                        host_basis=HomologyBasis(hr, RING_Z))
 
 
 @pytest.mark.parametrize("ring", [RING_F2, RING_Z])

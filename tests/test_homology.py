@@ -8,8 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sutured_tqft.contact as contact_module
+import sutured_tqft.gluing as gluing_module
 from sutured_tqft import homology, linalg
-from sutured_tqft.axioms import _grid_disk, random_sutured_surface, run_axiom_suite
+from sutured_tqft.axioms import (DEFAULT_SEED, _grid_disk, random_sutured_surface,
+                                 run_axiom_suite)
+from sutured_tqft.contact import _region
+from sutured_tqft.dividing import chord_to_dividing_set, enumerate_chord_diagrams
 from sutured_tqft.errors import InternalConsistencyError, ValidationError
 from sutured_tqft.exterior import RING_F2, RING_Z
 from sutured_tqft.homology import HomologyBasis, RelativeH1, induced_matrix
@@ -18,7 +23,7 @@ from sutured_tqft.models import annulus_surface, one_holed_torus
 from sutured_tqft.surface import (chain_add, chain_boundary, disjoint_union,
                                   chain_from_path, face_boundary_chain,
                                   split_face, standard_disk, subdivide_edge,
-                                  transport_chain)
+                                  subsurface, transport_chain)
 
 from test_linalg import assert_same_smith, dense_smith_normal_form
 from test_surface import one_vertex_torus
@@ -183,9 +188,9 @@ def _surfaces_with_relative_sets():
 
 
 def face_boundary_rows(h):
-    """The face boundaries of h's surface in its cotree coordinates: one
-    dense row per cotree edge, one column per face."""
-    chains = [face_boundary_chain(h.surface, j) for j in range(len(h.surface.faces))]
+    """The boundaries of h's faces in its cotree coordinates: one dense
+    row per cotree edge, one column per face."""
+    chains = [face_boundary_chain(h.surface, f) for f in h.faces]
     return [[c.get(e, 0) for c in chains] for e in h.cotree]
 
 
@@ -203,7 +208,7 @@ def assert_matches_dense_smith(h, rng):
         chain = {}
         for j in range(len(h.cotree)):
             chain = chain_add(chain, h.cycle(j), rng.randint(-3, 3))
-        for f in range(len(s.faces)):
+        for f in h.faces:
             chain = chain_add(chain, face_boundary_chain(s, f), rng.randint(-2, 2))
         for ring in (RING_Z, RING_F2):
             full = mat_vec(oracle.u, h.coordinates(chain, ring))[rank:]
@@ -331,6 +336,56 @@ def test_grid_disk_homology_is_near_linear_in_cells():
     elapsed = time.perf_counter() - start
     assert h.rank == 95
     assert elapsed < 1.0, f"96x96 grid disk homology took {elapsed:.2f} s"
+
+
+# -- regions spanned by their faces on the host ---------------------------
+
+def assert_region_matches_subsurface_build(ds, side):
+    """`_region`'s H_1, read off ds's surface by face set, against the
+    H_1 of the region's subsurface: the same cotree, rank, lifts,
+    quotient functionals, cycles and representatives (in item order),
+    and the grade n - χ of that subsurface."""
+    s = ds.surface
+    sign, key = {"plus": (1, "alpha_plus"), "minus": (-1, "alpha_minus")}[side]
+    faces = sorted(f for f, x in ds.face_signs.items() if x == sign)
+    sub = subsurface(s, faces)
+    old = RelativeH1(sub, sorted(sub.marks[key]))
+    new, grade = _region(ds, side)
+    assert new.surface is s and new.faces == tuple(faces)
+    assert grade == len(s.marks["F_plus"]) - sub.euler_characteristic()
+    assert new.rel == old.rel
+    assert (new.cotree, new.rank, new._lifts) == (old.cotree, old.rank, old._lifts)
+    assert new._quotient == old._quotient
+    for j in range(len(new.cotree)):
+        assert list(new.cycle(j).items()) == list(old.cycle(j).items())
+    for i in range(new.rank):
+        assert list(new.representative(i).items()) == list(old.representative(i).items())
+
+
+def test_region_builds_match_subsurface_builds_on_small_disks():
+    for n in range(1, 7):
+        for cd in enumerate_chord_diagrams(n):
+            ds = chord_to_dividing_set(cd)
+            for side in ("plus", "minus"):
+                assert_region_matches_subsurface_build(ds, side)
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
+def test_suite_region_builds_match_subsurface_builds(monkeypatch, seed):
+    # both sides of every dividing set whose region a suite builds
+    seen = {}
+    for module in (contact_module, gluing_module):
+        def recording(ds, side, region=module._region):
+            seen.setdefault(id(ds), ds)
+            return region(ds, side)
+
+        monkeypatch.setattr(module, "_region", recording)
+    assert all(r.verdict for r in run_axiom_suite(seed))
+    monkeypatch.undo()
+    assert len(seen) > 300
+    for ds in seen.values():
+        for side in ("plus", "minus"):
+            assert_region_matches_subsurface_build(ds, side)
 
 
 # -- tree paths from the relative set -------------------------------------

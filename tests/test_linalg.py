@@ -252,6 +252,19 @@ def test_smith_matches_dense_loop_on_random_matrices():
     assert non_unit > 800
 
 
+def test_mat_vec_matches_the_dense_product():
+    # mat_vec skips the zero entries of v; the dense sum over every column
+    # is the oracle, on sparse and dense vectors with negative entries
+    rng = random.Random(59)
+    for _ in range(300):
+        n, m = rng.randint(0, 6), rng.randint(0, 7)
+        a = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(m)]
+             for _ in range(n)]
+        v = [rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(m)]
+        assert mat_vec(a, v) == [sum(row[j] * v[j] for j in range(m)) for row in a]
+    assert mat_vec([[2, -3]], [0, 0]) == [0]
+
+
 def test_solve_z_roundtrip():
     rng = random.Random(13)
     for _ in range(40):
