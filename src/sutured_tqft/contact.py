@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dividing import DividingSet
+from .dividing import DividingSet, regions
 from .errors import InternalConsistencyError, ValidationError
 from .exterior import (
     RING_F2,
@@ -66,17 +66,17 @@ def region_homology(ds: DividingSet, side: str = "plus") -> RelativeH1:
 
 
 def _region(ds: DividingSet, side: str) -> tuple[RelativeH1, int]:
-    """H_1(R+, a+) and L(K), or H_1(R-, a-) and L-(K).
+    """H_1(R+, a+) and L(K) = |F+| - χ(R+), or H_1(R-, a-) and L-(K).
 
-    The region's H_1 spans its faces on ds's surface, keeping every id,
-    and only this side's Euler characteristic is counted.  Neither
-    depends on the coefficient ring, so a caller checking both rings
-    builds them once."""
+    The region's H_1 spans its faces of `regions` on ds's surface, keeping
+    every id, and the grade reads χ off that build.  Neither depends on
+    the coefficient ring, so a caller checking both rings builds them
+    once."""
     sign, rel = _side(side)
     s = ds.surface
-    faces = [f for f, fs in ds.face_signs.items() if fs == sign]
-    grade = len(s.marks["F_plus"]) - s.euler_characteristic(faces)
-    return RelativeH1(s, s.marks[rel], faces), grade
+    r = regions(ds)
+    hr = RelativeH1(s, s.marks[rel], r.faces_plus if sign > 0 else r.faces_minus)
+    return hr, len(s.marks["F_plus"]) - hr.euler_characteristic
 
 
 def _wedge_region(hr: RelativeH1, grade: int, basis: HomologyBasis, ring: str,

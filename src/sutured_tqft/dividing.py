@@ -20,10 +20,9 @@ under a gluing is checked only at the merged vertices and across the
 welded edges, the rest being carried over (``gluing.push_dividing_set``).
 
 Closed K components (circles) are allowed.  ``regions`` reads the face
-sets of the positive/negative regions R+ / R- off the face signs and
-computes the grading
-
-    L(K) = n(F) - euler(R+).
+sets of the positive/negative regions R+ / R- off the face signs; the
+grading L(K) = n(F) - euler(R+) is read off the region's homology build
+(``contact``).
 """
 
 from __future__ import annotations
@@ -271,11 +270,9 @@ def _welded_dividing_set(s: Surface, k_halfedges, face_signs, vertices,
 
 @dataclass(frozen=True)
 class RegionDecomposition:
-    """The faces of R+ and R-, with their gradings L(K) and L-(K)."""
+    """The faces of R+ and R-."""
     faces_plus: frozenset[int]
     faces_minus: frozenset[int]
-    l_k: int
-    l_minus_k: int
 
 
 def regions(ds: DividingSet) -> RegionDecomposition:
@@ -287,16 +284,9 @@ def regions(ds: DividingSet) -> RegionDecomposition:
     positive pieces is exactly the positive faces, with no pass over the
     pieces themselves.
     """
-    s = ds.surface
     fplus = frozenset(f for f, sign in ds.face_signs.items() if sign > 0)
-    fminus = frozenset(ds.face_signs) - fplus
-    n = len(s.marks["F_plus"])
-    return RegionDecomposition(
-        faces_plus=fplus,
-        faces_minus=fminus,
-        l_k=n - s.euler_characteristic(fplus),
-        l_minus_k=n - s.euler_characteristic(fminus),
-    )
+    return RegionDecomposition(faces_plus=fplus,
+                               faces_minus=frozenset(ds.face_signs) - fplus)
 
 
 def add_trivial_circle(ds: DividingSet, face_id: int) -> tuple[DividingSet, Refinement]:

@@ -119,8 +119,9 @@ class RelativeH1:
     subcomplex of ``surface`` that ``faces`` span (all faces by default).
 
     X is read straight off the surface, with its ids: the heads and edges
-    of the walks of ``faces``, and those faces.  ``rel`` holds vertices of
-    the surface; those off X drop out."""
+    of the walks of ``faces``, and those faces, whose V - E + F is kept as
+    ``euler_characteristic``.  ``rel`` holds vertices of the surface;
+    those off X drop out."""
 
     def __init__(self, surface: Surface, rel: Iterable[int] = (),
                  faces: Iterable[int] | None = None):
@@ -128,17 +129,12 @@ class RelativeH1:
         head, twin = surface.head, surface.twin
         rel = frozenset(rel)
         if faces is None:
-            # the surface's own indices, built once and shared by every
-            # build on it (about a fifth of a build when they are warm)
-            self.faces: Sequence[int] = range(len(surface.faces))
-            vertices, edges, face_of = surface.vertices, surface.edges(), surface.face_of
-        else:
-            self.faces = tuple(sorted(set(faces)))
-            walk_face = {h: f for f in self.faces for h in surface.faces[f]}
-            vertices = {head[h] for h in walk_face}
-            edges = sorted({min(h, twin[h]) for h in walk_face})
-            face_of = walk_face.get
-        self._edges = edges
+            faces = range(len(surface.faces))
+        self.faces: tuple[int, ...] = tuple(sorted(set(faces)))
+        walk_face = {h: f for f in self.faces for h in surface.faces[f]}
+        vertices = {head[h] for h in walk_face}
+        self._edges = edges = sorted({min(h, twin[h]) for h in walk_face})
+        self.euler_characteristic = len(vertices) - len(edges) + len(self.faces)
         self.rel = rel & vertices
         if len(self.rel) < len(rel):
             stray = rel - surface.vertices
@@ -162,7 +158,7 @@ class RelativeH1:
 
         # the dual pass: cotree edge i runs from face ends[i][1] to face
         # ends[i][0], None standing for the ground node
-        ends = [(face_of(e), face_of(twin[e])) for e in self.cotree]
+        ends = [(walk_face.get(e), walk_face.get(twin[e])) for e in self.cotree]
         dual: Adjacency = {}
         union = UnionFind().union
         order = list(range(len(ends)))

@@ -291,16 +291,8 @@ class Surface:
         return [h for h in self.outgoing_fan(u) if head[h] == v]
 
     # -- global invariants ------------------------------------------------
-    def euler_characteristic(self, faces: Iterable[int] | None = None) -> int:
-        """V - E + F of the surface, or of the subcomplex that ``faces``
-        span: the heads and edges of their walks, and the faces themselves."""
-        if faces is None:
-            return len(self.vertices) - len(self.edges()) + len(self.faces)
-        walks = [self.faces[f] for f in faces]
-        head, twin = self.head, self.twin
-        vertices = {head[h] for walk in walks for h in walk}
-        edges = {min(h, twin[h]) for walk in walks for h in walk}
-        return len(vertices) - len(edges) + len(walks)
+    def euler_characteristic(self) -> int:
+        return len(self.vertices) - len(self.edges()) + len(self.faces)
 
     def components(self) -> list[set[int]]:
         """Vertex sets of connected components (edge connectivity), by

@@ -12,7 +12,7 @@ from sutured_tqft.exterior import RING_F2, RING_Z, Multivector, pair
 from sutured_tqft.homology import RelativeH1
 from sutured_tqft.models import annulus_model, disk_model
 from sutured_tqft.surface import standard_disk, subsurface
-from test_dividing import region_census
+from test_dividing import FIXTURE_GRADES, region_census
 
 
 def disk_setup(cd):
@@ -38,7 +38,7 @@ def test_annulus_table_f2(name):
     model, ds = annulus_fixture(name)
     c = contact_element(ds, ring=RING_F2, basis=model.basis_plus(RING_F2))
     assert render_multivector(c.value, model.labels_plus) == ANNULUS_TABLE_F2[name]
-    assert c.grade == regions(ds).l_k
+    assert c.grade == FIXTURE_GRADES[name][0]
 
 
 @pytest.mark.parametrize("name", sorted(ANNULUS_TABLE_F2))

@@ -16,7 +16,7 @@ from sutured_tqft.dividing import (ANNULUS_FIXTURE_NAMES, ChordDiagram,
                                    dividing_set_violations,
                                    enumerate_chord_diagrams, infer_face_signs,
                                    orient_by_signs, regions)
-from sutured_tqft.contact import region_homology
+from sutured_tqft.contact import _region, region_homology
 from sutured_tqft.errors import (InvalidChordDiagramError,
                                  InvalidDividingSetError)
 from sutured_tqft.exterior import RING_F2, RING_Z
@@ -192,11 +192,11 @@ def test_extreme_grades():
     n = 4
     wide = ChordDiagram(n, ((1, 2 * n),) + tuple((2 * i, 2 * i + 1) for i in range(1, n)))
     seq = ChordDiagram(n, tuple((2 * i + 1, 2 * i + 2) for i in range(n)))
-    assert regions(chord_to_dividing_set(wide)).l_k == n - 1
-    assert regions(chord_to_dividing_set(seq)).l_k == 0
+    assert _region(chord_to_dividing_set(wide), "plus")[1] == n - 1
+    assert _region(chord_to_dividing_set(seq), "plus")[1] == 0
     # nested chords split R+ into disk-shaped bands: every other one
     nested = ChordDiagram(n, tuple((i, 2 * n + 1 - i) for i in range(1, n + 1)))
-    assert regions(chord_to_dividing_set(nested)).l_k == n // 2
+    assert _region(chord_to_dividing_set(nested), "plus")[1] == n // 2
 
 
 # -- validation rules -----------------------------------------------------
@@ -264,9 +264,10 @@ class RegionCensus:
 
 
 def region_census(ds):
-    """The oracle for `regions`: the pieces by union-find over the plain
-    interior edges, R+ and R- as the unions of their pieces, and each
-    grade from the Euler characteristic of the region's subsurface."""
+    """The oracle for `regions` and the grades of `_region`: the pieces by
+    union-find over the plain interior edges, R+ and R- as the unions of
+    their pieces, and each grade from the Euler characteristic of the
+    region's subsurface."""
     s = ds.surface
     kset = {s.canonical(h) for h in ds.k_halfedges}
     pieces = UnionFind()
@@ -297,9 +298,8 @@ def test_region_euler_grading():
     n = 3
     seq = ChordDiagram(n, tuple((2 * i + 1, 2 * i + 2) for i in range(n)))
     ds = chord_to_dividing_set(seq)
-    r = regions(ds)
-    assert r.l_k == 0 and r.l_minus_k == n - 1
-    assert subsurface(ds.surface, sorted(r.faces_plus)).euler_characteristic() == n
+    assert (_region(ds, "plus")[1], _region(ds, "minus")[1]) == (0, n - 1)
+    assert subsurface(ds.surface, sorted(regions(ds).faces_plus)).euler_characteristic() == n
 
 
 def test_region_grades_match_subsurface_euler_characteristic():
@@ -316,11 +316,12 @@ def test_region_grades_match_subsurface_euler_characteristic():
     for ds in sets:
         r = regions(ds)
         c = region_census(ds)
-        assert (r.faces_plus, r.faces_minus, r.l_k, r.l_minus_k) == \
+        (hp, lp), (hm, lm) = _region(ds, "plus"), _region(ds, "minus")
+        assert (r.faces_plus, r.faces_minus, lp, lm) == \
             (c.faces_plus, c.faces_minus, c.l_k, c.l_minus_k)
         # rank H1(R+-, a+-) = L+-(K) + I+-(K)
-        assert region_homology(ds, "plus").rank == c.l_k + c.i_plus
-        assert region_homology(ds, "minus").rank == c.l_minus_k + c.i_minus
+        assert hp.rank == c.l_k + c.i_plus
+        assert hm.rank == c.l_minus_k + c.i_minus
 
 
 def test_region_rank_matches_grading():

@@ -187,6 +187,14 @@ def _surfaces_with_relative_sets():
             yield s, RelativeH1(s, rel)
 
 
+def test_a_whole_surface_build_spans_the_surface():
+    # the default face set is every face, so the complex is the surface
+    for s, h in _surfaces_with_relative_sets():
+        assert h.faces == tuple(range(len(s.faces)))
+        assert h._edges == list(s.edges())
+        assert h.euler_characteristic == s.euler_characteristic()
+
+
 def face_boundary_rows(h):
     """The boundaries of h's faces in its cotree coordinates: one dense
     row per cotree edge, one column per face."""
@@ -352,6 +360,7 @@ def assert_region_matches_subsurface_build(ds, side):
     old = RelativeH1(sub, sorted(sub.marks[key]))
     new, grade = _region(ds, side)
     assert new.surface is s and new.faces == tuple(faces)
+    assert new.euler_characteristic == sub.euler_characteristic()
     assert grade == len(s.marks["F_plus"]) - sub.euler_characteristic()
     assert new.rel == old.rel
     assert (new.cotree, new.rank, new._lifts) == (old.cotree, old.rank, old._lifts)
