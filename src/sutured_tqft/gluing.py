@@ -255,7 +255,7 @@ def glue(tau: Gluing) -> GluedSurfaceData:
     """
     host = tau.host
     link = tau.vertex_map()
-    seams = UnionFind()
+    seams = UnionFind(x for pair in link.items() for x in pair)
     for a, b in link.items():
         seams.union(a, b)
     # the merged classes: every other vertex is a class of its own
@@ -478,7 +478,7 @@ def _fan_groups(s: Surface, v: int, cut_edges: set[int],
     id.  ``boundary`` holds the boundary vertices of s."""
     fan = s.outgoing_fan(v)
     n = len(fan)
-    corners = UnionFind()
+    corners = UnionFind(range(n))
     # Crossing the ray of fan[i] moves between the corners at positions
     # i-1 and i, so an uncut ray merges them.
     for i in range(1, n):

@@ -27,6 +27,18 @@ z of the i-th leftover edge, and the class of a relative cycle with
 cotree coordinates w is, in place i, w at the leftover edge plus the
 signed sum of w over the dual forest path between that edge's ends.
 
+A build costs one loop over the walks of its faces (face lookup,
+vertices, canonical edges) and one loop over the sorted edges, in which
+each cotree edge enters the dual pass as the spanning pass finds it;
+both union-finds are seeded with their nodes.  The rank, the leftover
+edges and the spanning forest are built then.  The dual forest is walked,
+and the functionals filed by coordinate, on the first `reduce`, so an
+H_1 read only through its representatives, as a region's is, never walks
+it.  `coordinates` reads a chain's cotree restriction edge by edge and
+checks that the chain is the combination of fundamental cycles it names,
+summing only their tree parts, since each z_e is 1 on its own cotree
+edge and 0 on every other.
+
 That is exactly what the Smith normal form U*A*V = D of the boundary
 rows A (one row per cotree edge, one column per face) gives, as its
 rows of U and columns of U^-1 past the rank:
@@ -56,6 +68,7 @@ rows of U and columns of U^-1 past the rank:
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .errors import InternalConsistencyError, ValidationError
@@ -91,10 +104,11 @@ def _rooted_forest(adj: Adjacency) -> tuple[Forest, dict[Node, int]]:
         stack = [root]
         while stack:
             x = stack.pop()
+            below = depth[x] + 1
             for e, y, sgn in adj[x]:
                 if y not in depth:
                     up[y] = (e, x, -sgn)
-                    depth[y] = depth[x] + 1
+                    depth[y] = below
                     stack.append(y)
     return up, depth
 
@@ -126,14 +140,22 @@ class RelativeH1:
     def __init__(self, surface: Surface, rel: Iterable[int] = (),
                  faces: Iterable[int] | None = None):
         self.surface = surface
-        head, twin = surface.head, surface.twin
+        head, twin, walks = surface.head, surface.twin, surface.faces
         rel = frozenset(rel)
-        if faces is None:
-            faces = range(len(surface.faces))
-        self.faces: tuple[int, ...] = tuple(sorted(set(faces)))
-        walk_face = {h: f for f in self.faces for h in surface.faces[f]}
-        vertices = {head[h] for h in walk_face}
-        self._edges = edges = sorted({min(h, twin[h]) for h in walk_face})
+        self.faces: tuple[int, ...] = tuple(
+            range(len(walks)) if faces is None else sorted(set(faces)))
+        # one pass over the walks: face lookup, vertices, canonical edges
+        walk_face: dict[int, int] = {}
+        vertices: set[int] = set()
+        edges: set[int] = set()
+        add_vertex, add_edge = vertices.add, edges.add
+        for f in self.faces:
+            for h in walks[f]:
+                walk_face[h] = f
+                add_vertex(head[h])
+                t = twin[h]
+                add_edge(h if h < t else t)
+        self._edges = edges = sorted(edges)
         self.euler_characteristic = len(vertices) - len(edges) + len(self.faces)
         self.rel = rel & vertices
         if len(self.rel) < len(rel):
@@ -144,44 +166,65 @@ class RelativeH1:
         # -1 is the merged root for all of A (vertex ids are nonnegative)
         mv = {v: -1 if v in self.rel else v for v in vertices}
         adj: Adjacency = {v: [] for v in sorted(set(mv.values()))}
-        union = UnionFind().union
+        union = UnionFind(adj).union
+        # the dual pass takes each cotree edge as the spanning pass finds it:
+        # cotree edge i runs from face ends[i][1] to face ends[i][0], None
+        # standing for the ground node; the dual forest is walked only when
+        # `_quotient` is first read
+        dual_union = UnionFind((*self.faces, None)).union
+        face_of = walk_face.get
         self.cotree: list[int] = []
+        self._ends: list[tuple[Node, Node]] = []
+        cotree, ends = self.cotree, self._ends
+        order: list[int] = []
+        t = 0
         for e in edges:
             u, v = mv[head[twin[e]]], mv[head[e]]
             if union(u, v):
                 adj[u].append((e, v, 1))
                 adj[v].append((e, u, -1))
-            else:
-                self.cotree.append(e)
-        self._up, self._depth = _rooted_forest(adj)
-        self._cycles: dict[int, Chain] = {}
-
-        # the dual pass: cotree edge i runs from face ends[i][1] to face
-        # ends[i][0], None standing for the ground node
-        ends = [(walk_face.get(e), walk_face.get(twin[e])) for e in self.cotree]
-        dual: Adjacency = {}
-        union = UnionFind().union
-        order = list(range(len(ends)))
-        t = 0
-        for i, (a, b) in enumerate(ends):
-            if union(a, b):
+                continue
+            i = len(cotree)
+            cotree.append(e)
+            a, b = face_of(e), face_of(twin[e])
+            ends.append((a, b))
+            order.append(i)
+            if dual_union(a, b):
                 # places t..i-1 hold zero rows, and order[i] == i still
                 order[t], order[i] = i, order[t]
                 t += 1
-                dual.setdefault(b, []).append((i, a, 1))
-                dual.setdefault(a, []).append((i, b, -1))
+        self._up, self._depth = _rooted_forest(adj)
+        self._cycles: dict[int, Chain] = {}
         masks = [(0 if a is None else 1 << a) ^ (0 if b is None else 1 << b) for a, b in ends]
         if f2_rank(masks) != t:
             raise InternalConsistencyError("mod-2 rank of boundary map dropped")
         self.rank = len(ends) - t
-        # the functionals of the quotient, filed by cotree coordinate
-        up, depth = _rooted_forest(dual)
-        self._quotient: list[list[tuple[int, int]]] = [[] for _ in ends]
+        self._dual_forest = order[:t]
         self._lifts = order[t:]
+
+    @cached_property
+    def _quotient(self) -> list[list[tuple[int, int]]]:
+        """The functionals of the quotient, filed by cotree coordinate:
+        (class, sign) pairs, read off the dual forest that the merging
+        edges of the dual pass span."""
+        ends = self._ends
+        dual: Adjacency = {}
+        for i in self._dual_forest:
+            a, b = ends[i]
+            dual.setdefault(b, []).append((i, a, 1))
+            dual.setdefault(a, []).append((i, b, -1))
+        up, depth = _rooted_forest(dual)
+        quotient: list[list[tuple[int, int]]] = [[] for _ in ends]
         for r, i in enumerate(self._lifts):
-            self._quotient[i].append((r, 1))
+            quotient[i].append((r, 1))
             for j, sgn in _tree_path(up, depth, *ends[i]):
-                self._quotient[j].append((r, sgn))
+                quotient[j].append((r, sgn))
+        return quotient
+
+    @cached_property
+    def _coordinate(self) -> dict[int, int]:
+        """The coordinate of each cotree edge."""
+        return {e: j for j, e in enumerate(self.cotree)}
 
     def cycle(self, j: int) -> Chain:
         """Fundamental cycle of the j-th cotree edge,
@@ -224,12 +267,20 @@ class RelativeH1:
         if bad:
             self._refuse_off_complex(chain)
             raise ValidationError(f"chain is not a relative cycle (boundary at {sorted(bad)})")
-        w = [chain.get(e, 0) for e in self.cotree]
+        index, cycles = self._coordinate, self._cycles
+        w = [0] * len(index)
+        # z_j is 1 on its own cotree edge and 0 on every other one, so the
+        # cotree part of chain - sum w_j z_j cancels by construction: drop
+        # it, and sum only the tree part of each z_j
         residual = dict(chain)
-        for j, wi in enumerate(w):
-            if wi:
-                for e, c in self.cycle(j).items():
-                    residual[e] = residual.get(e, 0) - wi * c
+        for e, wi in chain.items():
+            j = index.get(e)
+            if j is not None and wi:
+                w[j] = wi
+                del residual[e]
+                z = cycles.get(j) or self.cycle(j)
+                for f, c in islice(z.items(), 1, None):
+                    residual[f] = residual.get(f, 0) - wi * c
         if any(c % 2 for c in residual.values()) if ring == RING_F2 else any(residual.values()):
             self._refuse_off_complex(chain)
             raise InternalConsistencyError("relative cycle escaped the tree-cotree span")
@@ -246,9 +297,10 @@ class RelativeH1:
         """Class of a relative cycle in the generic quotient basis."""
         # rows of U past the rank give the class; the rows before it are boundaries
         out = [0] * self.rank
+        quotient = self._quotient
         for j, x in enumerate(self.coordinates(chain, ring)):
             if x:
-                for r, c in self._quotient[j]:
+                for r, c in quotient[j]:
                     out[r] += c * x
         if ring == RING_F2:
             out = [x % 2 for x in out]

@@ -73,31 +73,43 @@ MARK_KEYS = ("F_plus", "alpha_plus", "F_minus", "alpha_minus")
 
 
 class UnionFind:
-    """Disjoint sets over hashable items; an item joins on first use."""
+    """Disjoint sets over hashable items, with path halving.  ``items``
+    are seeded as singletons; any other item joins on first use, at the
+    cost of one caught ``KeyError``, so a caller that knows its items
+    seeds them."""
 
-    def __init__(self):
-        self.parent: dict = {}
+    def __init__(self, items: Iterable = ()):
+        self.parent: dict = {x: x for x in items}
 
     def find(self, x):
         parent = self.parent
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+        try:
+            p = parent[x]
+        except KeyError:
+            parent[x] = p = x
+        while p != x:
+            parent[x] = x = parent[p]
+            p = parent[x]
         return x
 
     def union(self, a, b) -> bool:
         """Merge the sets of a and b; False if they were one set already."""
         # both root walks of `find`, written out: this runs once per edge
         parent = self.parent
-        parent.setdefault(a, a)
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        parent.setdefault(b, b)
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
+        try:
+            p = parent[a]
+        except KeyError:
+            parent[a] = p = a
+        while p != a:
+            parent[a] = a = parent[p]
+            p = parent[a]
+        try:
+            p = parent[b]
+        except KeyError:
+            parent[b] = p = b
+        while p != b:
+            parent[b] = b = parent[p]
+            p = parent[b]
         if a == b:
             return False
         parent[a] = b
@@ -186,10 +198,11 @@ class Surface:
     def _components(self) -> tuple[dict[int, int], list[int]]:
         """(vertex -> component id, numbered by least vertex; boundary
         halfedges per component)."""
-        cells = UnionFind()
         head = self.head
+        cells = UnionFind(head.values())
         for h, t in self.twin.items():
-            cells.union(head[h], head[t])
+            if h < t:
+                cells.union(head[h], head[t])
         roots: dict[int, int] = {}
         comp_of = {v: roots.setdefault(cells.find(v), len(roots))
                    for v in sorted(self.vertices)}
@@ -579,10 +592,13 @@ def push_chain(chain: dict[int, int], hmap: dict[int, int],
 
 
 def chain_boundary(s: Surface, chain: dict[int, int]) -> dict[int, int]:
+    head, twin = s.head, s.twin
     out: dict[int, int] = {}
     for e, c in chain.items():
-        for v, sgn in ((s.head[e], 1), (s.tail(e), -1)):
-            out[v] = out.get(v, 0) + sgn * c
+        v = head[e]
+        out[v] = out.get(v, 0) + c
+        v = head[twin[e]]
+        out[v] = out.get(v, 0) - c
     return {v: c for v, c in out.items() if c}
 
 

@@ -3,6 +3,7 @@ import random
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,17 +14,17 @@ import sutured_tqft.gluing as gluing_module
 from sutured_tqft import homology, linalg
 from sutured_tqft.axioms import (DEFAULT_SEED, _grid_disk, random_sutured_surface,
                                  run_axiom_suite)
-from sutured_tqft.contact import _region
-from sutured_tqft.dividing import chord_to_dividing_set, enumerate_chord_diagrams
+from sutured_tqft.contact import _region, contact_element
+from sutured_tqft.dividing import chord_to_dividing_set, enumerate_chord_diagrams, regions
 from sutured_tqft.errors import InternalConsistencyError, ValidationError
 from sutured_tqft.exterior import RING_F2, RING_Z
 from sutured_tqft.homology import HomologyBasis, RelativeH1, induced_matrix
 from sutured_tqft.linalg import mat_vec, rank_q
 from sutured_tqft.models import annulus_surface, one_holed_torus
-from sutured_tqft.surface import (chain_add, chain_boundary, disjoint_union,
-                                  chain_from_path, face_boundary_chain,
-                                  split_face, standard_disk, subdivide_edge,
-                                  subsurface, transport_chain)
+from sutured_tqft.surface import (UnionFind, chain_add, chain_boundary,
+                                  chain_from_path, disjoint_union,
+                                  face_boundary_chain, split_face, standard_disk,
+                                  subdivide_edge, subsurface, transport_chain)
 
 from test_linalg import assert_same_smith, dense_smith_normal_form
 from test_surface import one_vertex_torus
@@ -337,13 +338,312 @@ def test_grid_disk_homology_scales_with_cells():
 
 
 def test_grid_disk_homology_is_near_linear_in_cells():
-    # 9,216 faces: the build is two union-find passes and two forest walks
+    # 9,216 faces: the build is two union-find passes and one forest walk
     s = marked_grid_disk(96)
     start = time.perf_counter()
     h = RelativeH1(s, s.marks["alpha_plus"])
     elapsed = time.perf_counter() - start
     assert h.rank == 95
     assert elapsed < 1.0, f"96x96 grid disk homology took {elapsed:.2f} s"
+
+
+# -- the one-pass build against the direct oracle -------------------------
+
+class OracleUnionFind:
+    """Reference union-find: nothing is seeded, and every item joins
+    through `setdefault`."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        parent = self.parent
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        parent = self.parent
+        parent.setdefault(a, a)
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        parent.setdefault(b, b)
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a == b:
+            return False
+        parent[a] = b
+        return True
+
+
+def oracle_chain_boundary(s, chain):
+    out = {}
+    for e, c in chain.items():
+        for v, sgn in ((s.head[e], 1), (s.tail(e), -1)):
+            out[v] = out.get(v, 0) + sgn * c
+    return {v: c for v, c in out.items() if c}
+
+
+class OracleH1(RelativeH1):
+    """Reference `RelativeH1`, built the direct way: three comprehensions
+    over the walks, the spanning and dual union-find passes one after the
+    other, the dual forest and quotient functionals walked in the
+    constructor, and coordinates read off every cotree edge and checked
+    by the full residual, cotree part included."""
+
+    def __init__(self, surface, rel=(), faces=None):
+        self.surface = surface
+        head, twin = surface.head, surface.twin
+        rel = frozenset(rel)
+        if faces is None:
+            faces = range(len(surface.faces))
+        self.faces = tuple(sorted(set(faces)))
+        walk_face = {h: f for f in self.faces for h in surface.faces[f]}
+        vertices = {head[h] for h in walk_face}
+        self._edges = edges = sorted({min(h, twin[h]) for h in walk_face})
+        self.euler_characteristic = len(vertices) - len(edges) + len(self.faces)
+        self.rel = rel & vertices
+        if len(self.rel) < len(rel):
+            stray = rel - surface.vertices
+            if stray:
+                raise ValidationError(f"relative vertices {sorted(stray)} not in surface")
+
+        mv = {v: -1 if v in self.rel else v for v in vertices}
+        adj = {v: [] for v in sorted(set(mv.values()))}
+        union = OracleUnionFind().union
+        self.cotree = []
+        for e in edges:
+            u, v = mv[head[twin[e]]], mv[head[e]]
+            if union(u, v):
+                adj[u].append((e, v, 1))
+                adj[v].append((e, u, -1))
+            else:
+                self.cotree.append(e)
+        self._up, self._depth = homology._rooted_forest(adj)
+        self._cycles = {}
+
+        ends = [(walk_face.get(e), walk_face.get(twin[e])) for e in self.cotree]
+        dual = {}
+        union = OracleUnionFind().union
+        order = list(range(len(ends)))
+        t = 0
+        for i, (a, b) in enumerate(ends):
+            if union(a, b):
+                order[t], order[i] = i, order[t]
+                t += 1
+                dual.setdefault(b, []).append((i, a, 1))
+                dual.setdefault(a, []).append((i, b, -1))
+        masks = [(0 if a is None else 1 << a) ^ (0 if b is None else 1 << b) for a, b in ends]
+        if linalg.f2_rank(masks) != t:
+            raise InternalConsistencyError("mod-2 rank of boundary map dropped")
+        self.rank = len(ends) - t
+        up, depth = homology._rooted_forest(dual)
+        self._quotient = [[] for _ in ends]
+        self._lifts = order[t:]
+        for r, i in enumerate(self._lifts):
+            self._quotient[i].append((r, 1))
+            for j, sgn in homology._tree_path(up, depth, *ends[i]):
+                self._quotient[j].append((r, sgn))
+
+    def coordinates(self, chain, ring=RING_Z):
+        if ring == RING_F2:
+            chain = homology._mod2(chain)
+        boundary = oracle_chain_boundary(self.surface, chain)
+        if ring == RING_F2:
+            boundary = {v: c % 2 for v, c in boundary.items() if c % 2}
+        bad = boundary.keys() - self.rel
+        if bad:
+            raise ValidationError(f"chain is not a relative cycle (boundary at {sorted(bad)})")
+        w = [chain.get(e, 0) for e in self.cotree]
+        residual = dict(chain)
+        for j, wi in enumerate(w):
+            if wi:
+                for e, c in self.cycle(j).items():
+                    residual[e] = residual.get(e, 0) - wi * c
+        if any(c % 2 for c in residual.values()) if ring == RING_F2 else any(residual.values()):
+            raise InternalConsistencyError("relative cycle escaped the tree-cotree span")
+        return w
+
+
+def random_relative_cycle(h, rng):
+    """A random integer combination of h's fundamental cycles and face
+    boundaries: a relative cycle of h's complex."""
+    chain = {}
+    for j in range(len(h.cotree)):
+        chain = chain_add(chain, h.cycle(j), rng.randint(-2, 2))
+    for f in h.faces:
+        chain = chain_add(chain, face_boundary_chain(h.surface, f), rng.randint(-1, 1))
+    return chain
+
+
+def assert_matches_oracle(args, rng=None):
+    """A fresh build on ``args`` (surface, rel, faces) against the oracle:
+    the same cells, forest, rank, lifts, quotient functionals and cycles;
+    and, given ``rng``, the same boundary, coordinates and class of a
+    random relative cycle over both rings."""
+    new, old = RelativeH1(*args), OracleH1(*args)
+    assert "_quotient" not in vars(new)
+    assert new.faces == old.faces
+    assert new._edges == old._edges
+    assert new.euler_characteristic == old.euler_characteristic
+    assert new.rel == old.rel
+    assert new.cotree == old.cotree
+    assert new._up == old._up and new._depth == old._depth
+    assert new.rank == old.rank
+    assert new._lifts == old._lifts
+    assert new._quotient == old._quotient
+    for j in range(len(new.cotree)):
+        assert list(new.cycle(j).items()) == list(old.cycle(j).items())
+    if rng is not None:
+        chain = random_relative_cycle(old, rng)
+        assert chain_boundary(new.surface, chain) == oracle_chain_boundary(old.surface, chain)
+        for ring in (RING_Z, RING_F2):
+            assert new.coordinates(chain, ring) == old.coordinates(chain, ring)
+            assert new.reduce(chain, ring) == old.reduce(chain, ring)
+
+
+def recorded_build_args(monkeypatch, build):
+    """The (surface, rel, faces) of every `RelativeH1` built in `build()`."""
+    seen = []
+    init = RelativeH1.__init__
+
+    def recording(self, surface, rel=(), faces=None):
+        rel, faces = tuple(rel), faces if faces is None else tuple(faces)
+        init(self, surface, rel, faces)
+        seen.append((surface, rel, faces))
+
+    monkeypatch.setattr(RelativeH1, "__init__", recording)
+    build()
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
+def test_suite_builds_match_the_direct_oracle(monkeypatch, seed):
+    # every build the suite makes, whole surfaces and regions alike
+    seen = recorded_build_args(monkeypatch, lambda: run_axiom_suite(seed))
+    assert len(seen) > 600 and any(faces is not None for _, _, faces in seen)
+    rng = random.Random(seed)
+    for args in seen:
+        assert_matches_oracle(args, rng)
+
+
+def gluing_rank_rounds(monkeypatch, count):
+    """The first ``count`` rounds of the benchmark's gluing_rank inputs."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    return workloads.build("gluing_rank", DEFAULT_SEED)[:count]
+
+
+def test_gluing_rank_builds_match_the_direct_oracle(monkeypatch):
+    rounds = gluing_rank_rounds(monkeypatch, 2)
+    ops = [op for ops in rounds for op in ops]
+    seen = recorded_build_args(monkeypatch, lambda: [op.run() for op in ops])
+    # a respect check builds two regions and the quotient's H_1
+    assert len(seen) == 3 * len(ops) > 0
+    rng = random.Random(11)
+    for args in seen:
+        assert_matches_oracle(args, rng)
+
+
+def test_large_grid_disk_matches_the_direct_oracle():
+    s = marked_grid_disk(96)
+    assert_matches_oracle((s, s.marks["alpha_plus"]))
+
+
+def test_union_find_matches_the_setdefault_oracle():
+    # seeded or joining on first use: the same merges, the same parent
+    # links (unseeded, the same items too) and the same roots
+    rng = random.Random(5)
+    for n in (1, 2, 10, 200):
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)]
+        for items in ((), range(n)):
+            new, old = UnionFind(items), OracleUnionFind()
+            assert ([new.union(a, b) for a, b in pairs]
+                    == [old.union(a, b) for a, b in pairs])
+            if not items:
+                assert new.parent == old.parent
+            assert [new.find(x) for x in range(n)] == [old.find(x) for x in range(n)]
+
+
+def test_only_the_ambient_basis_walks_its_dual_forest(monkeypatch):
+    # regions are read only through their representatives, so neither
+    # builds its quotient functionals; the basis the classes are expressed
+    # in builds them once, if there is a class to express
+    def split(builds):
+        whole = [h for h in builds if h.faces == tuple(range(len(h.surface.faces)))]
+        assert len(whole) == 1
+        parts = [h for h in builds if h is not whole[0]]
+        assert all("_quotient" not in vars(h) for h in parts)
+        return whole[0], parts
+
+    for cd in enumerate_chord_diagrams(4):
+        ds = chord_to_dividing_set(cd)
+        for ring in (RING_Z, RING_F2):
+            basis, [region] = split(recorded_builds(monkeypatch, lambda: contact_element(ds, ring)))
+            assert ("_quotient" in vars(basis)) == (region.rank > 0)
+    for op in gluing_rank_rounds(monkeypatch, 1)[0]:
+        basis, parts = split(recorded_builds(monkeypatch, op.run))
+        assert len(parts) == 2 and "_quotient" in vars(basis)
+
+
+# -- the checks a build keeps ---------------------------------------------
+
+def test_a_corrupted_tree_path_is_an_internal_error():
+    s = standard_disk(4)
+    rel = s.marks["alpha_plus"]
+    h = RelativeH1(s, rel)
+    j = next(j for j in range(len(h.cotree)) if len(h.cycle(j)) > 2)
+    chain = dict(h.cycle(j))
+    for ring in (RING_Z, RING_F2):
+        # a cycle that lost the last edge of its tree path
+        h = RelativeH1(s, rel)
+        z = h.cycle(j)
+        del z[next(reversed(z))]
+        with pytest.raises(InternalConsistencyError, match="relative cycle escaped"):
+            h.coordinates(chain, ring)
+    # a forest edge whose sign was flipped
+    h = RelativeH1(s, rel)
+    f = list(chain)[1]
+    x = next(x for x, (e, _, _) in h._up.items() if e == f)
+    e, parent, sgn = h._up[x]
+    h._up[x] = (e, parent, -sgn)
+    with pytest.raises(InternalConsistencyError, match="relative cycle escaped"):
+        h.reduce(chain)
+
+
+def test_a_region_refuses_a_chain_off_its_complex():
+    # each failure path of `coordinates`: an unknown id, a boundary off
+    # the relative set, and a relative cycle with an edge off the region
+    ds = chord_to_dividing_set(enumerate_chord_diagrams(4)[0])
+    s = ds.surface
+    hr, _ = _region(ds, "plus")
+    off_edges = sorted(set(s.edges()) - set(hr._edges))
+    ambient = RelativeH1(s, s.marks["alpha_plus"])
+    cycle = next(ambient.cycle(j) for j in range(len(ambient.cotree))
+                 if ambient.cycle(j).keys() - set(hr._edges))
+    for chain in ({max(s.twin) + 1: 1}, {off_edges[0]: 1}, cycle):
+        for ring in (RING_Z, RING_F2):
+            with pytest.raises(ValidationError, match="chain leaves the complex"):
+                hr.coordinates(chain, ring)
+
+
+def test_a_stray_relative_vertex_is_refused():
+    ds = chord_to_dividing_set(enumerate_chord_diagrams(4)[0])
+    s = ds.surface
+    stray = max(s.vertices) + 1
+    faces = sorted(regions(ds).faces_plus)
+    # a vertex of the surface off the faces drops out
+    h = RelativeH1(s, s.vertices, faces)
+    assert h.rel < s.vertices
+    for span in (None, faces):
+        with pytest.raises(ValidationError, match=rf"relative vertices \[{stray}\] not in surface"):
+            RelativeH1(s, [*s.marks["alpha_plus"], stray], span)
 
 
 # -- regions spanned by their faces on the host ---------------------------
