@@ -196,7 +196,7 @@ def _closed_k_loops(ds: DividingSet) -> list[dict[int, int]]:
     A component that meets no suture is closed, and since the boundary
     of K is F+ - F-, its chain is a cycle."""
     s = ds.surface
-    curves = UnionFind()
+    curves = UnionFind(s.vertices)
     for h in ds.k_halfedges:
         curves.union(s.tail(h), s.head[h])
     comps: dict[int, list[int]] = {}

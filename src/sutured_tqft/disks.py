@@ -171,8 +171,9 @@ def matching_curve_count(cd1: ChordDiagram, cd2: ChordDiagram) -> int:
     components of the union of the two matchings."""
     if cd1.n != cd2.n:
         raise ValidationError("diagrams must have the same number of chords")
-    curves = UnionFind(x for pair in cd1.pairs for x in pair)
-    for a, b in (*cd1.pairs, *cd2.pairs):
+    pairs = (*cd1.pairs, *cd2.pairs)
+    curves = UnionFind(x for pair in pairs for x in pair)
+    for a, b in pairs:
         curves.union(a, b)
     return len({curves.find(x) for x in curves.parent})
 

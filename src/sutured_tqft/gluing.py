@@ -144,9 +144,10 @@ def gluing_violations(host: Surface, gamma: tuple[int, ...],
     if not out and gamma:
         # Reject identifications that close off a component entirely: the
         # host components they merge must keep a boundary halfedge unglued.
-        merged = UnionFind()
-        for a, b in link.items():
-            merged.union(host.component_of(a), host.component_of(b))
+        pairs = [(host.component_of(a), host.component_of(b)) for a, b in link.items()]
+        merged = UnionFind(c for pair in pairs for c in pair)
+        for a, b in pairs:
+            merged.union(a, b)
         unglued: dict[int, int] = {}
         for c in list(merged.parent):
             root = merged.find(c)

@@ -73,20 +73,15 @@ MARK_KEYS = ("F_plus", "alpha_plus", "F_minus", "alpha_minus")
 
 
 class UnionFind:
-    """Disjoint sets over hashable items, with path halving.  ``items``
-    are seeded as singletons; any other item joins on first use, at the
-    cost of one caught ``KeyError``, so a caller that knows its items
-    seeds them."""
+    """Disjoint sets over the hashable ``items`` it is given, each a
+    singleton at first, with path halving."""
 
-    def __init__(self, items: Iterable = ()):
+    def __init__(self, items: Iterable):
         self.parent: dict = {x: x for x in items}
 
     def find(self, x):
         parent = self.parent
-        try:
-            p = parent[x]
-        except KeyError:
-            parent[x] = p = x
+        p = parent[x]
         while p != x:
             parent[x] = x = parent[p]
             p = parent[x]
@@ -96,17 +91,11 @@ class UnionFind:
         """Merge the sets of a and b; False if they were one set already."""
         # both root walks of `find`, written out: this runs once per edge
         parent = self.parent
-        try:
-            p = parent[a]
-        except KeyError:
-            parent[a] = p = a
+        p = parent[a]
         while p != a:
             parent[a] = a = parent[p]
             p = parent[a]
-        try:
-            p = parent[b]
-        except KeyError:
-            parent[b] = p = b
+        p = parent[b]
         while p != b:
             parent[b] = b = parent[p]
             p = parent[b]

@@ -270,7 +270,7 @@ def region_census(ds):
     region's subsurface."""
     s = ds.surface
     kset = {s.canonical(h) for h in ds.k_halfedges}
-    pieces = UnionFind()
+    pieces = UnionFind(range(len(s.faces)))
     for e in s.edges():
         if e not in kset and s.is_interior_edge(e):
             pieces.union(s.face_of(e), s.face_of(s.twin[e]))

@@ -544,7 +544,7 @@ def test_union_find_matches_set_merging_oracle():
     for trial in range(200):
         n = rng.randint(1, 40)
         items = rng.sample(range(-5, 1000), n)
-        uf, blocks = UnionFind(), {}  # the oracle: item -> its shared set
+        uf, blocks = UnionFind(items), {}  # the oracle: item -> its shared set
         for _ in range(rng.randint(0, 3 * n)):
             a, b = rng.choice(items), rng.choice(items)
             sa, sb = blocks.setdefault(a, {a}), blocks.setdefault(b, {b})
@@ -553,7 +553,7 @@ def test_union_find_matches_set_merging_oracle():
                 sa |= sb
                 for x in sb:
                     blocks[x] = sa
-        assert set(uf.parent) == set(blocks)
+        assert set(uf.parent) == set(items)
         groups = {}
         for x in items:
             groups.setdefault(uf.find(x), set()).add(x)
