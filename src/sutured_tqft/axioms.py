@@ -29,7 +29,7 @@ from .contact import contact_element, default_basis
 from .dividing import (ChordDiagram, DividingSet, add_trivial_circle,
                        annulus_fixture, catalan, chord_diagram_at,
                        chord_to_dividing_set, enumerate_chord_diagrams,
-                       infer_face_signs, orient_by_signs, regions)
+                       regions)
 from .disks import disk_contact_element, rotate_diagram
 from .errors import (InternalConsistencyError, InvalidGluingError,
                      ValidationError)
@@ -48,6 +48,10 @@ DEFAULT_SEED = 20260823
 # max_n sutures has 2^(max_n - 1), and each costs a few milliseconds, so
 # the suite's time doubles with every step of max_n past the budget.
 SQUARE_FAMILY_BUDGET = 2 ** 10
+# Gluing samples the suite may draw: it draws the whole corpus up front,
+# about 2.3 KiB a sample, and 10,000 samples at max_n 11 took 13 s and
+# 238 MiB peak RSS on a 2-vCPU machine.
+GLUING_SAMPLES_BUDGET = 10_000
 
 AXIOM_NAMES = {
     1: "graded rank",
@@ -158,13 +162,7 @@ def check_disjoint_union(k1: DividingSet, k2: DividingSet,
     bases, up to one global sign over Z and exactly over F2."""
     s1, s2 = k1.surface, k2.surface
     union, _, hmap = disjoint_union(s1, s2)
-    offset = len(s1.faces)
-    signs = dict(k1.face_signs)
-    signs.update({fi + offset: sg for fi, sg in k2.face_signs.items()})
-    ku = DividingSet(
-        union,
-        k1.k_halfedges + tuple(hmap[h] for h in k2.k_halfedges),
-        signs)
+    ku = DividingSet(union, k1.k_halfedges + tuple(hmap[h] for h in k2.k_halfedges))
     ok = True
     seen = {}
     for ring in (RING_F2, RING_Z):
@@ -313,21 +311,6 @@ def _assert_marked_isomorphism(s: Surface, vmap: dict[int, int],
         raise ValidationError("relabeling moves the marks")
 
 
-def _face_map_from_halfedge_map(s: Surface,
-                                hmap: dict[int, int]) -> dict[int, int]:
-    where = {_face_key(w): i for i, w in enumerate(s.faces)}
-    return {i: where[_face_key([hmap[h] for h in w])]
-            for i, w in enumerate(s.faces)}
-
-
-def _push_marked_set(ds: DividingSet, hmap: dict[int, int]) -> DividingSet:
-    fmap = _face_map_from_halfedge_map(ds.surface, hmap)
-    return DividingSet(
-        ds.surface,
-        tuple(hmap[h] for h in ds.k_halfedges),
-        {fmap[fi]: sg for fi, sg in ds.face_signs.items()})
-
-
 def _commutes_with_gluing(s: Surface, hmap: dict[int, int], action,
                           tau: Gluing, basis: HomologyBasis,
                           ring: str) -> bool:
@@ -382,7 +365,7 @@ def check_relabel_invariance(s: Surface, relabeling: dict[int, int],
                             push=lambda ch: push_chain(ch, hmap, s))
     checks: list[tuple[str, bool]] = []
     for ds in dividing_sets:
-        pushed = _push_marked_set(ds, hmap)
+        pushed = DividingSet(ds.surface, [hmap[h] for h in ds.k_halfedges])
         lhs = induced_map(action,
                           contact_element(ds, ring=ring, basis=basis).value)
         rhs = contact_element(pushed, ring=ring, basis=basis).value
@@ -431,8 +414,7 @@ def check_basis_of_contact_elements(s: Surface,
         for opts, pick in zip(options, combo):
             for path in opts[pick]:
                 k_edges |= {pieces.canonical(h) for h in path}
-        signs = infer_face_signs(welded, k_edges)
-        ds = DividingSet(welded, orient_by_signs(welded, sorted(k_edges), signs), signs)
+        ds = DividingSet(welded, sorted(k_edges))
         c = contact_element(ds, ring=RING_F2, basis=base).value
         rows.append(sum((v & 1) << t for t, v in c.terms.items()))
     ok = (len(rows) == 1 << base.rank and f2_rank(rows) == len(rows))
@@ -650,16 +632,18 @@ def random_glued_dividing_sets(rng: random.Random, count: int,
 
 # -- excess-intersection induction ----------------------------------------
 
+def _grid_vertex(w: int, i: int, j: int) -> int:
+    """The id of grid point (i, j) on a grid w squares wide."""
+    return j * (w + 1) + i
+
+
 def _grid_disk(w: int, h: int, mark_plan) -> Surface:
     """A w-by-h square grid as one sutured disk.
 
-    Vertices are (i, j) encoded as j * (w + 1) + i; every unit square is
-    a face, the perimeter is the boundary circle.  `mark_plan` maps
-    (i, j) pairs to mark kinds.
+    Vertices are the points (i, j), numbered by `_grid_vertex`; every
+    unit square is a face, the perimeter is the boundary circle.
+    `mark_plan` maps (i, j) pairs to mark kinds.
     """
-    def vid(i, j):
-        return j * (w + 1) + i
-
     twin: dict[int, int] = {}
     head: dict[int, int] = {}
     hid: dict[tuple[int, int], int] = {}
@@ -680,13 +664,13 @@ def _grid_disk(w: int, h: int, mark_plan) -> Surface:
     faces = []
     for j in range(h):
         for i in range(w):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            a, b = _grid_vertex(w, i, j), _grid_vertex(w, i + 1, j)
+            c, d = _grid_vertex(w, i + 1, j + 1), _grid_vertex(w, i, j + 1)
             faces.append([edge(a, b), edge(b, c), edge(c, d), edge(d, a)])
     marks = {k: set() for k in ("F_plus", "alpha_plus", "F_minus",
                                 "alpha_minus")}
     for (i, j), kind in mark_plan.items():
-        marks[kind].add(vid(i, j))
+        marks[kind].add(_grid_vertex(w, i, j))
     s = Surface(twin, head, faces, marks)
     validate_surface(s)
     return s
@@ -715,18 +699,14 @@ def transversal_crossings(s: Surface, k_halfedges, arc_vertices) -> int:
     return crossings
 
 
-def _grid_set(s: Surface, paths) -> DividingSet:
-    def vid(i, j):
-        return j * 7 + i
-
+def _grid_set(s: Surface, w: int, paths) -> DividingSet:
+    """The dividing set along paths of points of the w-wide grid disk s."""
     k_edges: set[int] = set()
     for path in paths:
         for (a, b) in zip(path, path[1:]):
-            (h,) = s.halfedges_between(vid(*a), vid(*b))
+            (h,) = s.halfedges_between(_grid_vertex(w, *a), _grid_vertex(w, *b))
             k_edges.add(s.canonical(h))
-    signs = infer_face_signs(s, k_edges)
-    kh = orient_by_signs(s, sorted(k_edges), signs)
-    return DividingSet(s, kh, signs)
+    return DividingSet(s, sorted(k_edges))
 
 
 def excess_intersection_replay() -> dict:
@@ -744,31 +724,29 @@ def excess_intersection_replay() -> dict:
              (4, 0): "alpha_minus", (5, 0): "F_plus", (6, 4): "alpha_plus",
              (5, 8): "F_minus", (4, 8): "alpha_minus", (3, 8): "F_plus",
              (2, 8): "alpha_plus", (1, 8): "F_minus", (0, 4): "alpha_minus"}
-    s = _grid_disk(6, 8, marks)
+    w = 6
+    s = _grid_disk(w, 8, marks)
     sigma = [(i, 4) for i in range(7)]
 
-    k0 = _grid_set(s, [
+    k0 = _grid_set(s, w, [
         [(1, 0), (1, 1), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 5),
          (3, 4), (3, 3), (3, 2), (3, 1), (3, 0)],
         [(5, 0), (5, 1), (4, 1), (4, 2), (4, 3), (4, 4), (4, 5), (4, 6),
          (3, 6), (2, 6), (1, 6), (1, 7), (1, 8)],
         [(5, 8), (5, 7), (4, 7), (3, 7), (3, 8)]])
-    k1 = _grid_set(s, [
+    k1 = _grid_set(s, w, [
         [(1, 0), (1, 1), (2, 1), (3, 1), (3, 0)],
         [(5, 0), (5, 1), (4, 1), (4, 2), (4, 3), (4, 4), (4, 5), (4, 6),
          (3, 6), (2, 6), (1, 6), (1, 7), (1, 8)],
         [(5, 8), (5, 7), (4, 7), (3, 7), (3, 8)]])
-    k2 = _grid_set(s, [
+    k2 = _grid_set(s, w, [
         [(1, 0), (1, 1), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
          (1, 6), (1, 7), (1, 8)],
         [(3, 0), (3, 1), (4, 1), (5, 1), (5, 0)],
         [(5, 8), (5, 7), (4, 7), (3, 7), (3, 8)],
         [(3, 5), (4, 5), (4, 6), (3, 6), (3, 5)]])
 
-    def vid(i, j):
-        return j * 7 + i
-
-    arc = [vid(*p) for p in sigma]
+    arc = [_grid_vertex(w, *p) for p in sigma]
     sets = (k0, k1, k2)
     crossings = tuple(transversal_crossings(s, ds.k_halfedges, arc)
                       for ds in sets)
@@ -821,6 +799,9 @@ def run_axiom_suite(seed: int = DEFAULT_SEED, max_n: int = 5,
             f"{SQUARE_FAMILY_BUDGET.bit_length()})")
     if gluing_samples < 0:
         raise ValidationError(f"gluing_samples must be nonnegative, got {gluing_samples}")
+    if gluing_samples > GLUING_SAMPLES_BUDGET:
+        raise ValidationError(f"gluing_samples {gluing_samples} is over the budget of "
+                              f"{GLUING_SAMPLES_BUDGET}")
     rng = random.Random(seed)
 
     disks = [(f"disk with {n} sutures", standard_disk(n))

@@ -28,6 +28,11 @@ from .models import disk_model
 from .surface import Surface
 
 
+# The largest N `enumerate` takes: C(2N, N)/(N + 1) has at most 4,300
+# digits up to it, Python's default limit for printing an integer.
+ENUMERATE_MAX_N = 7152
+
+
 def _disk_labels(n: int):
     return disk_model(n).labels_plus if n >= 2 else None
 
@@ -70,6 +75,9 @@ def _cmd_contact(args, out) -> int:
 def _cmd_enumerate(args, out) -> int:
     if args.n < 1:
         raise ValidationError(f"need at least one chord, got {args.n}")
+    if args.n > ENUMERATE_MAX_N:
+        raise ValidationError(f"{args.n} chords is over the limit of {ENUMERATE_MAX_N}: "
+                              "the count would pass 4,300 digits")
     if args.count_only:
         print(catalan(args.n), file=out)
         return 0

@@ -1,23 +1,23 @@
-"""Dividing sets: oriented interior multicurves with a compatible face coloring.
+"""Dividing sets: oriented interior multicurves and the face coloring they force.
 
-A dividing set on a marked surface is a collection K of interior edges,
-each carrying an orientation, together with a sign for every face.  The
-rules (checked by :func:`dividing_set_violations`):
+A dividing set on a marked surface is a collection K of interior edges.
+K and the sutures fix a sign for every face: a face touching a boundary
+arc takes the arc's sign (+ through ``a_plus``, - through ``a_minus``),
+and signs agree across plain interior edges and flip across K.  So the
+constructor takes K alone; `infer_face_signs` derives the coloring,
+refusing a clash, and `orient_by_signs` turns each K edge to keep its
+positive face on the left.  The constructor then checks the rest:
 
-  * K edges are interior and pairwise distinct;
-  * each chosen halfedge keeps its positive face on the left: the face
-    containing it is +, the face containing its reversal is -;
-  * faces meeting across a non-K interior edge share their sign, and a
-    face touching a boundary arc matches that arc (+ for arcs through
-    ``a_plus``, - for arcs through ``a_minus``);
+  * K edges are known, interior and pairwise distinct;
   * the boundary of K as a 0-chain is  sum(F+) - sum(F-);
   * no vertex meets more than two K edges; sutures meet exactly one and
     other boundary vertices none.
 
-The last two rules are checked vertex by vertex.  The public constructor
-and ``from_json_dict`` check every rule; the image of a dividing set
-under a gluing is checked only at the merged vertices and across the
-welded edges, the rest being carried over (``gluing.push_dividing_set``).
+The last two rules are checked vertex by vertex.  ``from_json_dict``
+first checks the stated K and signs against every rule
+(:func:`dividing_set_violations`); the image of a dividing set under a
+gluing keeps its carried signs and is checked only at the merged
+vertices and across the welded edges (``gluing.push_dividing_set``).
 
 Closed K components (circles) are allowed.  ``regions`` reads the face
 sets of the positive/negative regions R+ / R- off the face signs; the
@@ -126,16 +126,6 @@ def orient_by_signs(s: Surface, k_edges, signs: dict[int, int]) -> tuple[int, ..
     return tuple(out)
 
 
-def _k_ends(s: Surface, k) -> tuple[dict[int, int], dict[int, int]]:
-    """The K halfedges into and out of each vertex."""
-    k_in: dict[int, int] = {}
-    k_out: dict[int, int] = {}
-    for h in k:
-        k_in[s.head[h]] = k_in.get(s.head[h], 0) + 1
-        k_out[s.tail(h)] = k_out.get(s.tail(h), 0) + 1
-    return k_in, k_out
-
-
 _SUTURE_SIGN = {"F_plus": 1, "F_minus": -1}
 
 
@@ -166,18 +156,40 @@ def _sign_change(s: Surface, e: int, face_signs) -> list[str]:
     return []
 
 
-def dividing_set_violations(s: Surface, k_halfedges, face_signs) -> list[str]:
-    """All rule violations for a would-be dividing set (empty = valid)."""
-    out: list[str] = []
-    k = list(k_halfedges)
+def _k_violations(s: Surface, k) -> list[str]:
+    """K edges are known halfedges, pairwise distinct and interior."""
     for h in k:
         if h not in s.twin:
             return [f"unknown halfedge {h}"]
+    out = []
     if len({s.canonical(h) for h in k}) != len(k):
         out.append("repeated K edge")
     for h in k:
         if not s.is_interior_edge(h):
             out.append(f"K edge {h} is not interior")
+    return out
+
+
+def _vertex_rule_violations(s: Surface, k, vertices=None) -> list[str]:
+    """The vertex rules at `vertices`; by default wherever they can fail,
+    at the ends of K and at the sutures."""
+    k_in: dict[int, int] = {}
+    k_out: dict[int, int] = {}
+    for h in k:
+        k_in[s.head[h]] = k_in.get(s.head[h], 0) + 1
+        k_out[s.tail(h)] = k_out.get(s.tail(h), 0) + 1
+    if vertices is None:
+        vertices = sorted(k_in.keys() | k_out.keys() | s.marks["F_plus"] | s.marks["F_minus"])
+    boundary = s.boundary_vertices()
+    return [m for v in vertices for m in _vertex_violations(s, v, k_in, k_out, boundary)]
+
+
+def dividing_set_violations(s: Surface, k_halfedges, face_signs) -> list[str]:
+    """All rule violations for a stated K and coloring (empty = valid)."""
+    k = list(k_halfedges)
+    out = _k_violations(s, k)
+    if any(h not in s.twin for h in k):
+        return out
     if sorted(face_signs) != list(range(len(s.faces))):
         out.append("face_signs keys do not match faces")
         return out
@@ -198,27 +210,28 @@ def dividing_set_violations(s: Surface, k_halfedges, face_signs) -> list[str]:
     for h, sign in boundary_arc_signs(s).items():
         if face_signs[s.face_of(h)] != sign:
             out.append(f"face {s.face_of(h)} disagrees with its boundary arc")
-    k_in, k_out = _k_ends(s, k)
-    boundary = s.boundary_vertices()
-    # a vertex with no K edge and no suture mark keeps every vertex rule
-    for v in sorted(k_in.keys() | k_out.keys() | s.marks["F_plus"] | s.marks["F_minus"]):
-        out += _vertex_violations(s, v, k_in, k_out, boundary)
-    return out
+    return out + _vertex_rule_violations(s, k)
 
 
 class DividingSet:
-    """An oriented dividing multicurve plus its face coloring.
+    """An oriented dividing multicurve and the face coloring it forces.
 
-    ``k_halfedges`` each keep their positive face on the left; the
-    coloring is stored explicitly so that degenerate surfaces with no
-    boundary-adjacent face still make sense.
+    ``DividingSet(surface, k_edges)`` takes each K edge by either of its
+    halfedges.  ``k_halfedges`` lists them in the given order, each turned
+    to keep its positive face on the left, and ``face_signs`` maps every
+    face to +1 or -1; both are derived from K and the sutures.  A K that
+    breaks a rule is refused with InvalidDividingSetError.
     """
 
-    def __init__(self, surface: Surface, k_halfedges, face_signs):
+    def __init__(self, surface: Surface, k_edges):
+        k = tuple(k_edges)
+        bad = _k_violations(surface, k)
+        if bad:
+            raise InvalidDividingSetError("; ".join(bad))
         self.surface = surface
-        self.k_halfedges = tuple(k_halfedges)
-        self.face_signs = dict(face_signs)
-        bad = dividing_set_violations(surface, self.k_halfedges, self.face_signs)
+        self.face_signs = infer_face_signs(surface, k)
+        self.k_halfedges = orient_by_signs(surface, k, self.face_signs)
+        bad = _vertex_rule_violations(surface, self.k_halfedges)
         if bad:
             raise InvalidDividingSetError("; ".join(bad))
 
@@ -243,7 +256,10 @@ class DividingSet:
             raise InvalidDividingSetError(f"face id in 'signs' is not an integer: {exc}") from None
         if len(face_signs) < len(signs):  # keys such as "0" and "00" name one face
             raise InvalidDividingSetError("'signs' gives one face two signs")
-        return cls(s, k, face_signs)
+        bad = dividing_set_violations(s, k, face_signs)
+        if bad:
+            raise InvalidDividingSetError("; ".join(bad))
+        return cls(s, k)
 
 
 def _welded_dividing_set(s: Surface, k_halfedges, face_signs, vertices,
@@ -252,13 +268,11 @@ def _welded_dividing_set(s: Surface, k_halfedges, face_signs, vertices,
     where the weld can break a rule: the vertex rules at the merged
     `vertices` and equal signs across the welded plain `edges`.
 
-    `gluing.push_dividing_set` argues why every other rule carries over.
-    Everywhere else a DividingSet is checked in full by its constructor."""
-    k_in, k_out = _k_ends(s, k_halfedges)
-    boundary = s.boundary_vertices()
+    `gluing.push_dividing_set` argues why every other rule carries over,
+    so the carried coloring is kept as it is.  Everywhere else a
+    DividingSet derives its coloring from K in its constructor."""
     bad = [m for e in edges for m in _sign_change(s, e, face_signs)]
-    for v in vertices:
-        bad += _vertex_violations(s, v, k_in, k_out, boundary)
+    bad += _vertex_rule_violations(s, k_halfedges, vertices)
     if bad:
         raise InvalidDividingSetError("; ".join(bad))
     ds = object.__new__(DividingSet)
@@ -279,10 +293,10 @@ def regions(ds: DividingSet) -> RegionDecomposition:
     """R+ is the faces signed +1 and R- the faces signed -1.
 
     Each piece of the complement of K has one sign: its faces meet across
-    plain interior edges, and `dividing_set_violations` refused any sign
-    change across such an edge when ds was built.  So the union of the
-    positive pieces is exactly the positive faces, with no pass over the
-    pieces themselves.
+    plain interior edges, and the coloring was inferred equal across each
+    such edge when ds was built (a welded image is checked across its
+    welded edges).  So the union of the positive pieces is exactly the
+    positive faces, with no pass over the pieces themselves.
     """
     fplus = frozenset(f for f, sign in ds.face_signs.items() if sign > 0)
     return RegionDecomposition(faces_plus=fplus,
@@ -296,15 +310,8 @@ def add_trivial_circle(ds: DividingSet, face_id: int) -> tuple[DividingSet, Refi
     face, so the new piece is a component of R+ or R- with no boundary
     arc: the result is isolating by construction.
     """
-    ref, (a, b), inner = add_detached_circle(ds.surface, face_id, 0)
-    s2 = ref.surface
-    signs = dict(ds.face_signs)
-    signs[inner] = -signs[face_id]
-    if signs[face_id] > 0:
-        k_new = (s2.twin[a], s2.twin[b])
-    else:
-        k_new = (a, b)
-    return DividingSet(s2, ds.k_halfedges + k_new, signs), ref
+    ref, (a, b), _ = add_detached_circle(ds.surface, face_id, 0)
+    return DividingSet(ref.surface, ds.k_halfedges + (a, b)), ref
 
 
 # -- chord diagrams on the standard disk ----------------------------------
@@ -476,9 +483,7 @@ def chord_to_dividing_set(cd: ChordDiagram) -> DividingSet:
             raise InternalConsistencyError(f"chord {a}-{b} has no common face")
         walk = d.faces[fi]
         chords.append(d.split(fi, walk.index(ha), walk.index(hb)))
-    s = d.freeze()
-    signs = infer_face_signs(s, chords)
-    return DividingSet(s, orient_by_signs(s, chords, signs), signs)
+    return DividingSet(d.freeze(), chords)
 
 
 # -- annulus fixtures ------------------------------------------------------
@@ -504,10 +509,8 @@ class _Builder:
         return self.d.split(face_id, tails.index(va), tails.index(vb)), len(self.d.faces) - 1
 
     def finish(self, k_edges) -> tuple[SurfaceModel, DividingSet]:
-        s = self.d.freeze()
-        signs = infer_face_signs(s, k_edges)
-        ds = DividingSet(s, orient_by_signs(s, k_edges, signs), signs)
-        return self.model.transport(Refinement(s, self.edge_map)), ds
+        ds = DividingSet(self.d.freeze(), k_edges)
+        return self.model.transport(Refinement(ds.surface, self.edge_map)), ds
 
 
 # Vertices of the annulus model: outer circle O0..O3 = 0..3 with the

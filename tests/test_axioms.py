@@ -15,6 +15,7 @@ import sutured_tqft.gluing as gluing_module
 import sutured_tqft.homology as homology_module
 from sutured_tqft.axioms import (
     DEFAULT_SEED,
+    GLUING_SAMPLES_BUDGET,
     AxiomReport,
     check_basis_of_contact_elements,
     check_disjoint_union,
@@ -854,7 +855,8 @@ def test_suite_output_is_locked():
 @pytest.mark.parametrize("kwargs", [{"gluing_samples": -1},
                                     {"max_n": 0, "gluing_samples": 0},
                                     {"max_n": -5, "gluing_samples": 0},
-                                    {"max_n": 12, "gluing_samples": 0}])
+                                    {"max_n": 12, "gluing_samples": 0},
+                                    {"gluing_samples": GLUING_SAMPLES_BUDGET + 1}])
 def test_suite_refuses_out_of_range_sizes(kwargs):
     with pytest.raises(ValidationError, match="max_n|gluing_samples"):
         run_axiom_suite(seed=1, **kwargs)

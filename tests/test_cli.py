@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 
 from sutured_tqft.axioms import _suture_corner_sites
-from sutured_tqft.cli import main, run
+from sutured_tqft.cli import ENUMERATE_MAX_N, main, run
 from sutured_tqft.contact import render_multivector
 from sutured_tqft.disks import disk_contact_element, rotate_diagram
 from sutured_tqft.dividing import (ChordDiagram, DividingSet, add_trivial_circle,
-                                   chord_to_dividing_set, enumerate_chord_diagrams)
+                                   catalan, chord_to_dividing_set,
+                                   enumerate_chord_diagrams)
 from sutured_tqft.errors import (InvalidDividingSetError, InvalidSurfaceError,
                                  UnsupportedSurfaceError)
 from sutured_tqft.gluing import Gluing
@@ -673,6 +674,32 @@ def test_axioms_over_the_square_family_budget_exits_two():
     assert (done.returncode, done.stdout) == (2, ""), done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
     assert "budget" in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "7200", "--count-only"],
+    ["enumerate", "1000000000", "--count-only"],
+    ["axioms", "--seed", "1", "--gluing-samples", "1000000000"],
+])
+def test_sizes_past_their_bound_exit_two_before_any_work(argv):
+    # a count of C(2N, N)/(N + 1) past 4,300 digits cannot be printed, and
+    # a billion gluing samples would be drawn before the first check
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", _LIMITED_RUN, *argv], env=_limited_env(),
+                          capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 1
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_enumerate_counts_up_to_the_bound(capsys):
+    code, text = capture(["enumerate", str(ENUMERATE_MAX_N), "--count-only"])
+    assert (code, text) == (0, f"{catalan(ENUMERATE_MAX_N)}\n")
+    assert len(text) == 4301
+    code, text = capture(["enumerate", str(ENUMERATE_MAX_N + 1), "--count-only"])
+    assert (code, text) == (2, "")
+    _assert_one_line_error(capsys)
 
 
 def test_contact_input_over_the_term_budget_exits_two(tmp_path):

@@ -20,10 +20,13 @@ from sutured_tqft.contact import _region, region_homology
 from sutured_tqft.errors import (InvalidChordDiagramError,
                                  InvalidDividingSetError)
 from sutured_tqft.exterior import RING_F2, RING_Z
-from sutured_tqft.axioms import random_glued_dividing_sets
+import sutured_tqft.axioms as axioms_module
+from sutured_tqft.axioms import (_face_key, random_glued_dividing_sets,
+                                 run_axiom_suite)
 from sutured_tqft.gluing import glue, push_dividing_set
 from sutured_tqft.models import annulus_model
-from sutured_tqft.surface import (UnionFind, disk_position, split_face,
+from sutured_tqft.surface import (UnionFind, add_detached_circle,
+                                  disjoint_union, disk_position, split_face,
                                   standard_disk, subdivide_edge, subsurface,
                                   transport_chain, validate_surface)
 from test_models import check_model
@@ -159,7 +162,8 @@ def test_any_diagram_realizes(n, data):
 def reference_chord_to_dividing_set(cd):
     """The face scan `chord_to_dividing_set` replaced: each chord splits
     the first face whose walk passes both ends, at each end's first
-    corner in that walk."""
+    corner in that walk.  Returns the surface and the oracle's K and
+    coloring."""
     s = standard_disk(cd.n)
     chords = []
     for a, b in cd.pairs:
@@ -172,16 +176,18 @@ def reference_chord_to_dividing_set(cd):
         ref, chord, _, _ = split_face(s, *spot)
         s = ref.surface
         chords.append(chord)
-    signs = infer_face_signs(s, chords)
-    return DividingSet(s, orient_by_signs(s, chords, signs), signs)
+    return s, oracle_dividing_set(s, chords)
 
 
 def test_chord_realization_matches_face_scan():
+    # the realized surface, and K and its coloring against the oracle's
     count = 0
     for n in range(1, 8):
         for cd in enumerate_chord_diagrams(n):
-            assert (chord_to_dividing_set(cd).to_json_dict()
-                    == reference_chord_to_dividing_set(cd).to_json_dict()), cd.render()
+            ds = chord_to_dividing_set(cd)
+            s, want = reference_chord_to_dividing_set(cd)
+            assert ds.surface.to_json_dict() == s.to_json_dict(), cd.render()
+            assert (ds.k_halfedges, ds.face_signs) == want, cd.render()
             count += 1
     assert count == sum(catalan(n) for n in range(1, 8)) == 625
 
@@ -229,7 +235,7 @@ def test_constructor_raises():
     cd = ChordDiagram.parse("1-2")
     ds = chord_to_dividing_set(cd)
     with pytest.raises(InvalidDividingSetError):
-        DividingSet(ds.surface, (), ds.face_signs)
+        DividingSet(ds.surface, ())
 
 
 def test_infer_signs_matches_stored():
@@ -243,6 +249,121 @@ def test_json_roundtrip():
     d = ds.to_json_dict()
     ds2 = DividingSet.from_json_dict(d)
     assert ds2.to_json_dict() == d
+
+
+# -- the coloring derived from K, against the constructions it replaced --
+
+def checked(s, k, signs):
+    """A stated K and coloring, after the full check of every rule."""
+    assert dividing_set_violations(s, k, signs) == []
+    return k, signs
+
+
+def oracle_dividing_set(s, k_edges):
+    """K and its coloring as callers built them before the constructor
+    derived them: inference, orientation, then the full check."""
+    signs = infer_face_signs(s, k_edges)
+    return checked(s, orient_by_signs(s, k_edges, signs), signs)
+
+
+def oracle_trivial_circle(ds, face_id):
+    """The hand-made coloring of `add_trivial_circle`: the inner 2-gon
+    takes the sign opposite to its face, and the circle is turned to keep
+    the positive side on its left."""
+    ref, (a, b), inner = add_detached_circle(ds.surface, face_id, 0)
+    s = ref.surface
+    signs = dict(ds.face_signs)
+    signs[inner] = -signs[face_id]
+    k_new = (s.twin[a], s.twin[b]) if signs[face_id] > 0 else (a, b)
+    return checked(s, ds.k_halfedges + k_new, signs)
+
+
+def oracle_disjoint_union(k1, k2):
+    """The hand-made coloring of a disjoint union: the second factor's
+    face ids shift past the first factor's faces."""
+    union, _, hmap = disjoint_union(k1.surface, k2.surface)
+    offset = len(k1.surface.faces)
+    signs = dict(k1.face_signs)
+    signs.update({f + offset: sign for f, sign in k2.face_signs.items()})
+    return checked(union, k1.k_halfedges + tuple(hmap[h] for h in k2.k_halfedges), signs)
+
+
+def oracle_marked_push(ds, hmap):
+    """The hand-made coloring of a relabeled set: each face's sign moves
+    to the face its walk is sent to."""
+    s = ds.surface
+    where = {_face_key(w): i for i, w in enumerate(s.faces)}
+    fmap = {i: where[_face_key([hmap[h] for h in w])] for i, w in enumerate(s.faces)}
+    return checked(s, tuple(hmap[h] for h in ds.k_halfedges),
+                   {fmap[f]: sign for f, sign in ds.face_signs.items()})
+
+
+def record_dividing_sets(monkeypatch):
+    """Every constructed dividing set, with the surface and K it was given."""
+    built = []
+    init = DividingSet.__init__
+
+    def recorded(self, surface, k_edges):
+        k_edges = list(k_edges)
+        init(self, surface, k_edges)
+        built.append((self, surface, k_edges))
+
+    monkeypatch.setattr(DividingSet, "__init__", recorded)
+    return built
+
+
+def test_trivial_circle_coloring_matches_the_hand_made_one():
+    count = 0
+    for n in range(1, 5):
+        for cd in enumerate_chord_diagrams(n):
+            ds = chord_to_dividing_set(cd)
+            for f in range(len(ds.surface.faces)):
+                got, _ = add_trivial_circle(ds, f)
+                assert (got.k_halfedges, got.face_signs) == oracle_trivial_circle(ds, f)
+                count += 1
+    assert count == 2 * 1 + 3 * 2 + 4 * 5 + 5 * 14
+
+
+def test_suite_colorings_match_the_hand_made_ones(monkeypatch):
+    # every set the default-seed suite builds against the oracle, and its
+    # disjoint unions, relabel pushes and trivial circles against the
+    # colorings their sites made by hand
+    built = record_dividing_sets(monkeypatch)
+    unions, pushes, circles = [], [], []
+    union_check = axioms_module.check_disjoint_union
+    relabel_check = axioms_module.check_relabel_invariance
+    circle = axioms_module.add_trivial_circle
+
+    def union_recorded(k1, k2, instance="pair"):
+        start = len(built)
+        report = union_check(k1, k2, instance)
+        (ku, _, _), = built[start:]
+        unions.append((ku, oracle_disjoint_union(k1, k2)))
+        return report
+
+    def relabel_recorded(s, relabeling, dividing_sets=(), **kwargs):
+        start = len(built)
+        report = relabel_check(s, relabeling, dividing_sets=dividing_sets, **kwargs)
+        hmap = axioms_module._halfedge_map_from_vertex_map(s, dict(relabeling))
+        assert len(built) - start == len(dividing_sets)
+        pushes.extend((pushed, oracle_marked_push(ds, hmap))
+                      for (pushed, _, _), ds in zip(built[start:], dividing_sets))
+        return report
+
+    def circle_recorded(ds, face_id):
+        out = circle(ds, face_id)
+        circles.append((out[0], oracle_trivial_circle(ds, face_id)))
+        return out
+
+    monkeypatch.setattr(axioms_module, "check_disjoint_union", union_recorded)
+    monkeypatch.setattr(axioms_module, "check_relabel_invariance", relabel_recorded)
+    monkeypatch.setattr(axioms_module, "add_trivial_circle", circle_recorded)
+    assert all(r.verdict for r in run_axiom_suite())
+    assert (len(unions), len(pushes), len(circles)) == (9, 1, 6)
+    for ds, want in unions + pushes + circles:
+        assert (ds.k_halfedges, ds.face_signs) == want
+    for ds, s, k_edges in built:
+        assert (ds.k_halfedges, ds.face_signs) == oracle_dividing_set(s, k_edges)
 
 
 # -- regions --------------------------------------------------------------
@@ -387,24 +508,22 @@ class _PerEditBuilder:
         return a, side
 
     def finish(self, k_edges):
-        signs = infer_face_signs(self.s, k_edges)
-        ds = DividingSet(self.s, orient_by_signs(self.s, k_edges, signs), signs)
-
         def carry(chain):
             for ref in self.refs:
                 chain = transport_chain(ref, chain)
             return chain
-        return ([carry(c) for c in self.model.beta_plus],
-                [carry(c) for c in self.model.beta_minus]), ds
+        return (([carry(c) for c in self.model.beta_plus],
+                 [carry(c) for c in self.model.beta_minus]),
+                self.s, oracle_dividing_set(self.s, k_edges))
 
 
 @pytest.mark.parametrize("name", ANNULUS_FIXTURE_NAMES)
 def test_fixture_draft_matches_the_per_edit_path(name):
     oracle = _PerEditBuilder(annulus_model())
-    (plus, minus), want = oracle.finish(dividing_module._ANNULUS_FIXTURES[name](oracle))
+    (plus, minus), s, want = oracle.finish(dividing_module._ANNULUS_FIXTURES[name](oracle))
     model, ds = annulus_fixture(name)
-    assert ds.to_json_dict() == want.to_json_dict()
-    assert ds.k_halfedges == want.k_halfedges and ds.face_signs == want.face_signs
+    assert ds.surface.to_json_dict() == s.to_json_dict()
+    assert (ds.k_halfedges, ds.face_signs) == want
     assert model.surface is ds.surface
     assert list(model.beta_plus) == plus and list(model.beta_minus) == minus
 

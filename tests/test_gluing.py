@@ -27,8 +27,6 @@ from sutured_tqft.dividing import (
     add_trivial_circle,
     chord_to_dividing_set,
     enumerate_chord_diagrams,
-    infer_face_signs,
-    orient_by_signs,
     regions,
 )
 from sutured_tqft.errors import InternalConsistencyError, InvalidGluingError, ValidationError
@@ -84,6 +82,7 @@ from sutured_tqft.surface import (
 )
 
 from test_disks import _random_diagram
+from test_dividing import oracle_dividing_set, record_dividing_sets
 from test_linalg import f2_left_inverse
 
 
@@ -1123,9 +1122,7 @@ def _pushed_square_family(s):
         for opts, pick in zip(options, combo):
             for path in opts[pick]:
                 k_edges |= {pieces.canonical(h) for h in path}
-        signs = infer_face_signs(pieces, k_edges)
-        kh = orient_by_signs(pieces, sorted(k_edges), signs)
-        out.append(push_dividing_set(data, DividingSet(pieces, kh, signs)))
+        out.append(push_dividing_set(data, DividingSet(pieces, sorted(k_edges))))
     return out
 
 
@@ -1138,18 +1135,6 @@ def test_reglued_square_dividing_sets_form_a_contact_basis():
             rows.append(sum((v & 1) << t for t, v in c.terms.items()))
         assert len(rows) == 1 << default_basis(family[0].surface, RING_F2).rank
         assert f2_rank(rows) == len(rows)
-
-
-def _record_dividing_sets(monkeypatch):
-    built = []
-    init = DividingSet.__init__
-
-    def recorded(self, *args):
-        init(self, *args)
-        built.append(self)
-
-    monkeypatch.setattr(DividingSet, "__init__", recorded)
-    return built
 
 
 def _face_scan_queries(s):
@@ -1191,13 +1176,13 @@ def _quadrangulation_hosts():
 def test_square_family_members_equal_their_pushed_sets(monkeypatch):
     # the basis check builds each member in place on the re-welded
     # surface; the one-suture gate is lifted so that every host counts
-    built = _record_dividing_sets(monkeypatch)
+    built = record_dividing_sets(monkeypatch)
     monkeypatch.setattr(axioms_module, "_one_suture_disk_components", lambda s: False)
     hosts = _quadrangulation_hosts()
     members = []
     for s in hosts:
         check_basis_of_contact_elements(s)
-        members.append(built[:])
+        members.append([ds for ds, _, _ in built])
         built.clear()
     monkeypatch.undo()
     assert len(hosts) == 27
@@ -1211,14 +1196,17 @@ def test_square_family_members_equal_their_pushed_sets(monkeypatch):
 
 
 def test_square_family_check_builds_one_dividing_set_per_member(monkeypatch):
-    # 2^L builds per check, where pushing each member doubled them
-    built = _record_dividing_sets(monkeypatch)
-    hosts = [standard_disk(n) for n in range(2, 7)]
+    # 2^L builds per check, where pushing each member doubled them; each
+    # member's K and coloring match the construction the constructor replaced
+    built = record_dividing_sets(monkeypatch)
+    hosts = [standard_disk(n) for n in range(2, 8)]
     hosts += [annulus_model().surface, one_holed_torus(),
               disjoint_union(standard_disk(2), standard_disk(3))[0]]
     for s in hosts:
         assert check_basis_of_contact_elements(s).verdict
         assert len(built) == 1 << default_basis(s, RING_F2).rank
+        for ds, surface, k_edges in built:
+            assert (ds.k_halfedges, ds.face_signs) == oracle_dividing_set(surface, k_edges)
         built.clear()
 
 

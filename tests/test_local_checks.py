@@ -205,5 +205,8 @@ def test_a_sign_change_across_the_weld_is_refused_locally_and_in_full():
     bad = _welded_dividing_set(s, k, flipped, (), ())
     with pytest.raises(InvalidDividingSetError, match="sign change across the plain edge"):
         gluing_module.push_dividing_set(data, bad)
+    # the constructor derives its own coloring, so the bad one goes in as input
+    stated = {**data.result.to_json_dict(), "K": list(k),
+              "signs": {str(f): "+" if sign > 0 else "-" for f, sign in flipped.items()}}
     with pytest.raises(InvalidDividingSetError, match="sign change across the plain edge"):
-        DividingSet(data.result, k, flipped)
+        DividingSet.from_json_dict(stated)
