@@ -22,6 +22,12 @@ the other; over F2, where every stored coefficient is 1, they skip signs
 and toggle.  Their results are built without the range and ring checks
 of the public constructor: every mask is a union or difference of
 in-range masks, F2 toggles stay in {0, 1} and Z needs no reduction.
+
+``induced_map`` is the one matrix expansion: contact elements, the
+gluing morphism, ``DualStructure`` and relabelings all go through it,
+and it refuses a wedge step that would form more than ``TERM_BUDGET``
+= 2^20 products before the step starts.  ``equal_up_to_sign`` is the
+one comparison up to sign (exact over F2).
 """
 from __future__ import annotations
 

@@ -4,6 +4,9 @@ Matrices over Z/Q are lists of rows of Python ints (or Fractions); F2
 matrices are lists of row bitmasks.  Everything here is deterministic:
 pivots are chosen lowest-index-first, except that the Smith form takes
 the smallest absolute value first (first in row-major order, on ties).
+Inverses take one elimination per ring: over Z one Smith form gives the
+left inverse V*U[:k], and unimodular inversion is its square case; over
+F2 one Gauss-Jordan pass runs beside the identity.
 """
 from __future__ import annotations
 
