@@ -96,16 +96,12 @@ class AxiomReport:
 # -- small multivector utilities ------------------------------------------
 
 def tensor_multivector(x: Multivector, y: Multivector) -> Multivector:
-    """x (x) y under the block identification e_i ^ e_{rank(x)+j}.
-
-    Concatenating the two index blocks needs no reordering signs: every
-    index of x precedes every index of y.
-    """
-    terms: dict[int, int] = {}
-    for m1, c1 in x.terms.items():
-        for m2, c2 in y.terms.items():
-            terms[m1 | (m2 << x.rank)] = c1 * c2
-    return Multivector(x.rank + y.rank, terms, x.ring)
+    """x (x) y under the block identification e_i ^ e_{rank(x)+j}: x
+    wedged with y shifted past x's generators, which costs no reordering
+    sign, since every index of x precedes every index of y."""
+    rank = x.rank + y.rank
+    shifted = {m << x.rank: c for m, c in y.terms.items()}
+    return Multivector(rank, x.terms, x.ring).wedge(Multivector(rank, shifted, y.ring))
 
 
 def _sign_normal(x: Multivector) -> Multivector:

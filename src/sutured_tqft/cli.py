@@ -79,7 +79,13 @@ def _cmd_enumerate(args, out) -> int:
         raise ValidationError(f"{args.n} chords is over the limit of {ENUMERATE_MAX_N}: "
                               "the count would pass 4,300 digits")
     if args.count_only:
-        print(catalan(args.n), file=out)
+        try:
+            count = str(catalan(args.n))
+        except ValueError:  # the digit limit was lowered from outside
+            raise ValidationError(
+                f"the count for {args.n} chords has more digits than the limit of "
+                f"{sys.get_int_max_str_digits()} that this Python prints") from None
+        print(count, file=out)
         return 0
     labels = _disk_labels(args.n)
     # text order, line by line: a line starts with its diagram's render

@@ -310,7 +310,7 @@ def add_trivial_circle(ds: DividingSet, face_id: int) -> tuple[DividingSet, Refi
     face, so the new piece is a component of R+ or R- with no boundary
     arc: the result is isolating by construction.
     """
-    ref, (a, b), _ = add_detached_circle(ds.surface, face_id, 0)
+    ref, (a, b) = add_detached_circle(ds.surface, face_id, 0)
     return DividingSet(ref.surface, ds.k_halfedges + (a, b)), ref
 
 

@@ -34,10 +34,11 @@ both union-finds are seeded with their nodes.  The rank, the leftover
 edges and the spanning forest are built then.  The dual forest is walked,
 and the functionals filed by coordinate, on the first `reduce`, so an
 H_1 read only through its representatives, as a region's is, never walks
-it.  `coordinates` reads a chain's cotree restriction edge by edge and
-checks that the chain is the combination of fundamental cycles it names,
-summing only their tree parts, since each z_e is 1 on its own cotree
-edge and 0 on every other.
+it.  `coordinates` reads a chain's cotree restriction w (mod 2 over F2),
+and its one check is the residual chain - sum w_e z_e, summing only tree
+parts as z_e is 1 on its own cotree edge and 0 on every other: that is 0
+exactly when the chain is a relative cycle of the complex.  Only a
+refused chain has its boundary walked, to name the fault.
 
 That is exactly what the Smith normal form U*A*V = D of the boundary
 rows A (one row per cotree edge, one column per face) gives, as its
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from .errors import InternalConsistencyError, ValidationError
 from .exterior import RING_F2, RING_Z
@@ -253,20 +254,9 @@ class RelativeH1:
         return back
 
     def coordinates(self, chain: Chain, ring: str = RING_Z) -> list[int]:
-        """Coordinates in the fundamental-cycle basis (= cotree restriction)."""
-        if ring == RING_F2:
-            chain = _mod2(chain)
-        try:
-            boundary = chain_boundary(self.surface, chain)
-        except KeyError:
-            self._refuse_off_complex(chain)
-            raise
-        if ring == RING_F2:
-            boundary = {v: c % 2 for v, c in boundary.items() if c % 2}
-        bad = boundary.keys() - self.rel
-        if bad:
-            self._refuse_off_complex(chain)
-            raise ValidationError(f"chain is not a relative cycle (boundary at {sorted(bad)})")
+        """Coordinates in the fundamental-cycle basis (= cotree restriction),
+        checked by the tree-cotree residual alone."""
+        f2 = ring == RING_F2
         index, cycles = self._coordinate, self._cycles
         w = [0] * len(index)
         # z_j is 1 on its own cotree edge and 0 on every other one, so the
@@ -275,23 +265,28 @@ class RelativeH1:
         residual = dict(chain)
         for e, wi in chain.items():
             j = index.get(e)
-            if j is not None and wi:
+            if j is not None and (wi := wi % 2 if f2 else wi):
                 w[j] = wi
                 del residual[e]
                 z = cycles.get(j) or self.cycle(j)
                 for f, c in islice(z.items(), 1, None):
                     residual[f] = residual.get(f, 0) - wi * c
-        if any(c % 2 for c in residual.values()) if ring == RING_F2 else any(residual.values()):
-            self._refuse_off_complex(chain)
-            raise InternalConsistencyError("relative cycle escaped the tree-cotree span")
+        if any(c % 2 for c in residual.values()) if f2 else any(residual.values()):
+            self._refuse(chain, ring)
         return w
 
-    def _refuse_off_complex(self, chain: Chain) -> None:
-        """Refuse a chain on an edge off this complex; `coordinates` asks
-        only once the chain has failed, so the hot path pays nothing."""
+    def _refuse(self, chain: Chain, ring: str) -> NoReturn:
+        """Name the fault of a chain that `coordinates` refused."""
+        if ring == RING_F2:
+            chain = _mod2(chain)
         off = chain.keys() - set(self._edges)
         if off:
             raise ValidationError(f"chain leaves the complex (edges {sorted(off)})")
+        bad = [v for v, c in chain_boundary(self.surface, chain).items()
+               if (c % 2 if ring == RING_F2 else c) and v not in self.rel]
+        if bad:
+            raise ValidationError(f"chain is not a relative cycle (boundary at {sorted(bad)})")
+        raise InternalConsistencyError("relative cycle escaped the tree-cotree span")
 
     def reduce(self, chain: Chain, ring: str = RING_Z) -> list[int]:
         """Class of a relative cycle in the generic quotient basis."""

@@ -745,13 +745,14 @@ def split_face(s: Surface, face_id: int, i: int, j: int) -> tuple[Refinement, in
     return Refinement(draft.freeze()), a, len(s.faces), face_id
 
 
-def add_detached_circle(s: Surface, face_id: int, pos: int) -> tuple[Refinement, tuple[int, int], int]:
+def add_detached_circle(s: Surface, face_id: int, pos: int) -> tuple[Refinement, tuple[int, int]]:
     """Plant a 2-gon circle inside a face, joined by a keyhole edge.
 
     The keyhole runs from the corner at walk position ``pos`` to a fresh
     circle vertex; both its sides lie in the ambient face, so it is never
     eligible for a dividing set.  Returns (refinement, (a, b) circle
-    halfedges bounding the inner 2-gon counterclockwise, inner face id).
+    halfedges bounding the inner 2-gon counterclockwise); the 2-gon is
+    the last face.
     """
     walk = s.faces[face_id]
     w = s.tail(walk[pos])
@@ -764,7 +765,7 @@ def add_detached_circle(s: Surface, face_id: int, pos: int) -> tuple[Refinement,
     faces = list(s.faces)
     faces[face_id] = walk[:pos] + (k, tb, ta, tk) + walk[pos:]
     faces.append((a, b))
-    return Refinement(Surface(twin, head, faces, s.marks)), (a, b), len(faces) - 1
+    return Refinement(Surface(twin, head, faces, s.marks)), (a, b)
 
 
 # -- builders -------------------------------------------------------------

@@ -104,6 +104,26 @@ def test_tensor_block_product():
     assert t2.rank == 2 and t2.terms == {3: 1}
 
 
+def oracle_tensor(x, y):
+    """x (x) y by concatenating the index blocks term by term."""
+    terms = {m1 | (m2 << x.rank): c1 * c2
+             for m1, c1 in x.terms.items() for m2, c2 in y.terms.items()}
+    return Multivector(x.rank + y.rank, terms, x.ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([RING_Z, RING_F2]), st.integers(0, 5), st.integers(0, 5),
+       st.randoms(use_true_random=False))
+def test_tensor_is_the_shifted_wedge(ring, r1, r2, rng):
+    def element(rank):
+        return Multivector(rank, {rng.randrange(1 << rank): rng.randint(-3, 3)
+                                  for _ in range(rng.randint(0, 6))}, ring)
+
+    x, y = element(r1), element(r2)
+    t = tensor_multivector(x, y)
+    assert (t.rank, t.ring, t.terms) == (r1 + r2, ring, oracle_tensor(x, y).terms)
+
+
 def test_disjoint_union_two_small_disks():
     outer, nested = enumerate_chord_diagrams(2)
     k1 = chord_to_dividing_set(outer)

@@ -702,6 +702,23 @@ def test_enumerate_counts_up_to_the_bound(capsys):
     _assert_one_line_error(capsys)
 
 
+def test_a_lowered_digit_limit_refuses_the_count():
+    # C(2400, 1200)/1201 has 718 digits: under the bound, but past a limit
+    # of 640 set from outside; a count under it still prints
+    env = {**_limited_env(), "PYTHONINTMAXSTRDIGITS": "640"}
+    for n, want in ((1200, 2), (1000, 0)):
+        done = subprocess.run([sys.executable, "-c", _LIMITED_RUN, "enumerate", str(n),
+                               "--count-only"], env=env, capture_output=True, text=True,
+                              timeout=10)
+        assert done.returncode == want, done.stderr
+        if want:
+            assert done.stdout == ""
+            assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+            assert "640" in done.stderr
+        else:
+            assert done.stdout == f"{catalan(n)}\n" and done.stderr == ""
+
+
 def test_contact_input_over_the_term_budget_exits_two(tmp_path):
     # the dividing set of the 60-chord diagram: wedging its region classes
     # would pass the term budget, which is checked before each wedge step

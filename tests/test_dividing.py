@@ -239,9 +239,14 @@ def test_constructor_raises():
 
 
 def test_infer_signs_matches_stored():
+    # the stored coloring against the rules, checked with no inference:
+    # it keeps every rule, and flipping any one face's sign breaks one
     for name in ANNULUS_FIXTURE_NAMES:
         _, ds = annulus_fixture(name)
-        assert infer_face_signs(ds.surface, ds.k_halfedges) == ds.face_signs
+        s, k, signs = ds.surface, ds.k_halfedges, ds.face_signs
+        assert dividing_set_violations(s, k, signs) == []
+        for f, sign in signs.items():
+            assert dividing_set_violations(s, k, {**signs, f: -sign}) != []
 
 
 def test_json_roundtrip():
@@ -270,8 +275,9 @@ def oracle_trivial_circle(ds, face_id):
     """The hand-made coloring of `add_trivial_circle`: the inner 2-gon
     takes the sign opposite to its face, and the circle is turned to keep
     the positive side on its left."""
-    ref, (a, b), inner = add_detached_circle(ds.surface, face_id, 0)
+    ref, (a, b) = add_detached_circle(ds.surface, face_id, 0)
     s = ref.surface
+    inner = len(s.faces) - 1
     signs = dict(ds.face_signs)
     signs[inner] = -signs[face_id]
     k_new = (s.twin[a], s.twin[b]) if signs[face_id] > 0 else (a, b)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sutured_tqft.axioms as axioms_module
 import sutured_tqft.contact as contact_module
 import sutured_tqft.gluing as gluing_module
 from sutured_tqft import homology, linalg
@@ -18,6 +19,7 @@ from sutured_tqft.contact import _region, contact_element
 from sutured_tqft.dividing import chord_to_dividing_set, enumerate_chord_diagrams, regions
 from sutured_tqft.errors import InternalConsistencyError, ValidationError
 from sutured_tqft.exterior import RING_F2, RING_Z
+from sutured_tqft.gluing import check_respect, glue
 from sutured_tqft.homology import HomologyBasis, RelativeH1, induced_matrix
 from sutured_tqft.linalg import mat_vec, rank_q
 from sutured_tqft.models import annulus_surface, one_holed_torus
@@ -504,6 +506,107 @@ def assert_matches_oracle(args, rng=None):
         for ring in (RING_Z, RING_F2):
             assert new.coordinates(chain, ring) == old.coordinates(chain, ring)
             assert new.reduce(chain, ring) == old.reduce(chain, ring)
+        assert_refusals_match_oracle(new, chain, rng)
+
+
+def oracle_coordinates(h, chain, ring=RING_Z):
+    """`RelativeH1.coordinates` with its former boundary pass up front,
+    and the off-complex refusal asked for on each failure."""
+    def refuse_off_complex(chain):
+        off = chain.keys() - set(h._edges)
+        if off:
+            raise ValidationError(f"chain leaves the complex (edges {sorted(off)})")
+
+    if ring == RING_F2:
+        chain = homology._mod2(chain)
+    try:
+        boundary = chain_boundary(h.surface, chain)
+    except KeyError:
+        refuse_off_complex(chain)
+        raise
+    if ring == RING_F2:
+        boundary = {v: c % 2 for v, c in boundary.items() if c % 2}
+    bad = boundary.keys() - h.rel
+    if bad:
+        refuse_off_complex(chain)
+        raise ValidationError(f"chain is not a relative cycle (boundary at {sorted(bad)})")
+    index = h._coordinate
+    w = [0] * len(index)
+    residual = dict(chain)
+    for e, wi in chain.items():
+        j = index.get(e)
+        if j is not None and wi:
+            w[j] = wi
+            del residual[e]
+            for f, c in list(h.cycle(j).items())[1:]:
+                residual[f] = residual.get(f, 0) - wi * c
+    if any(c % 2 for c in residual.values()) if ring == RING_F2 else any(residual.values()):
+        refuse_off_complex(chain)
+        raise InternalConsistencyError("relative cycle escaped the tree-cotree span")
+    return w
+
+
+def coordinates_outcome(coordinates, h, chain, ring):
+    """The coordinates a chain gets, or the type and message of its refusal."""
+    try:
+        return coordinates(h, chain, ring)
+    except (ValidationError, InternalConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_refusals_match_oracle(h, chain, rng):
+    """Coordinates and refusals agree with `oracle_coordinates` in both
+    rings on ``chain``, a relative cycle of h, and on its faulty variants."""
+    s = h.surface
+    nonzero = (-3, -2, -1, 1, 2, 3)
+    off_edges = sorted(set(s.edges()) - set(h._edges))
+    tree_edges = [e for e in chain if e not in h._coordinate]
+    feeds = [chain, {**chain, max(s.twin) + 1: rng.choice(nonzero)}]
+    feeds += [{**chain, e: rng.choice(nonzero)} for e in off_edges]
+    if s.boundary_halfedges():
+        b = rng.choice(s.boundary_halfedges())
+        feeds += [chain_add(chain, {b: 1}), chain_add(chain, {s.canonical(b): 1})]
+    if tree_edges:
+        dropped = dict(chain)
+        del dropped[rng.choice(tree_edges)]
+        feeds.append(dropped)
+    # even coefficients vanish over F2, on and off the complex
+    even = chain_add(chain, {rng.choice(h.cotree): 2} if h.cotree else {})
+    even.update({e: rng.choice((-2, 2, 4)) for e in off_edges[:3]})
+    feeds.append(even)
+    for ring in (RING_Z, RING_F2):
+        for feed in feeds:
+            want = coordinates_outcome(oracle_coordinates, h, feed, ring)
+            assert coordinates_outcome(RelativeH1.coordinates, h, feed, ring) == want
+        assert isinstance(coordinates_outcome(RelativeH1.coordinates, h, even, RING_F2), list)
+
+
+@pytest.mark.parametrize("ring", [RING_Z, RING_F2])
+def test_an_accepted_chain_has_no_boundary_walk(monkeypatch, ring):
+    # the respect corpus of a default suite, up to the gluing check
+    class Drawn(Exception):
+        pass
+
+    def stop(corpus, **kwargs):
+        raise Drawn(list(corpus))
+
+    monkeypatch.setattr(axioms_module, "check_gluing_axiom", stop)
+    with pytest.raises(Drawn) as drawn:
+        run_axiom_suite()
+    corpus = drawn.value.args[0]
+    calls = []
+
+    def counted(s, chain):
+        calls.append(chain)
+        return chain_boundary(s, chain)
+
+    monkeypatch.setattr(homology, "chain_boundary", counted)
+    assert all(check_respect(glue(tau), ds, ring) for ds, tau in corpus)
+    assert len(corpus) > 200 and calls == []
+    s = standard_disk(2)
+    with pytest.raises(ValidationError, match="not a relative cycle"):
+        RelativeH1(s, s.marks["alpha_plus"]).coordinates({0: 1}, ring)
+    assert len(calls) == 1
 
 
 def recorded_build_args(monkeypatch, build):
@@ -698,9 +801,7 @@ def test_suite_region_builds_match_subsurface_builds(monkeypatch, seed):
 
 def test_path_from_rel_joins_every_quotient_vertex_to_the_sutures(monkeypatch):
     # every quotient the default axiom suite builds, every vertex of it
-    import sutured_tqft.axioms as axioms_module
-
-    glue, results = axioms_module.glue, []
+    results = []
 
     def recording(tau):
         data = glue(tau)
