@@ -6,10 +6,11 @@ the boundary path from suture alpha_i to alpha_{i+2}, the odd-index arcs
 {beta_1, beta_3, ..., beta_{2n-3}} spanning H_1 rel the positive sutures
 and the even-index arcs spanning the negative side.
 
-A disk element c(K) is held as a wedge of pairwise disjoint beta masks
-(``_factor_masks``).  Its expansion has exactly one term per choice of a
-beta from each factor, and the product c(K1) ^ c(K2) and the solid-torus
-pairing are determinants of the factor masks, so neither expands anything.
+A disk element c(K) is held as a wedge of pairwise disjoint beta masks,
+read off in one walk over the boundary sectors (``_factor_masks``).  Its
+expansion has exactly one term per choice of a beta from each factor, and
+the product c(K1) ^ c(K2) and the solid-torus pairing are determinants of
+the factor masks, so neither expands anything.
 """
 
 from __future__ import annotations
@@ -39,55 +40,43 @@ __all__ = [
 ]
 
 
-def _region_sectors(cd: ChordDiagram) -> list[list[int]]:
-    """Boundary sectors of the cut disk, grouped by region.
-
-    Sector s runs from F_s to F_{s+1} and contains the suture alpha_s.
-    Chord (a, b) has sectors a..b-1 on its inside.  Chords do not cross,
-    so the chords around a sector are nested and the innermost one names
-    its region.  One walk over the sectors keeps the open chords on a
-    stack: sector s opens the chord starting at s or closes the one
-    ending there, and then lies in the region of the top of the stack.
-    Groups come out in order of their smallest sector, each ascending.
-    """
-    starts = {a for a, _ in cd.pairs}
-    open_chords = [0]  # 0 stands for the outer region
-    groups: dict[int, list[int]] = {}
-    for s in range(1, 2 * cd.n + 1):
-        if s in starts:
-            open_chords.append(s)
-        else:
-            open_chords.pop()
-        groups.setdefault(open_chords[-1], []).append(s)
-    return list(groups.values())
-
-
 def _factor_masks(cd: ChordDiagram) -> list[int]:
     """c(K) as a wedge of pairwise disjoint beta masks, in wedge order.
 
-    Within a disk region any path between sutures alpha_u and alpha_w is,
-    rel the positive sutures, the boundary path u -> w: the interval of
-    betas beta_u, beta_{u+2}, ..., beta_{w-2}.  c(K) is the wedge of the
-    consecutive-suture paths over all positive regions, regions ordered
-    by their smallest suture.  Chords do not cross, so any two of these
-    intervals are nested or disjoint, and in that order an interval never
-    comes after one it lies inside.  Replacing each interval by itself
-    minus the intervals strictly inside it is a unitriangular change of
-    factors, so the wedge stays the same while the factors become
-    disjoint.  Walking the intervals from last to first, each keeps the
-    betas that no later one has taken; a repeated interval comes out empty.
+    Sector s runs from F_s to F_{s+1} and contains the suture alpha_s.
+    The innermost chord (a, b) around a sector names its region by a, the
+    region's first sector; 0 names the outer region, which holds sector
+    2n, i.e. sector 0.  Within a region any path between alpha_u and
+    alpha_w is, rel the positive sutures, the interval of betas beta_u,
+    beta_{u+2}, ..., beta_{w-2}, and c(K) is the wedge of the
+    consecutive-suture paths over the positive regions, sorted by
+    (region, u).  One walk over the sectors keeps the open chords on a
+    stack: sector s opens the chord starting there or closes the top one,
+    then closes the interval (u, s) from its region's previous sector u.
+    Chords do not cross, so intervals are nested or disjoint and the ones
+    inside (u, s) close first; an odd s keeps the betas of (u, s) that no
+    inner interval took.  That is a unitriangular change of factors, so
+    the wedge stays the same while the factors become disjoint.
     """
-    masks = []
-    for region in _region_sectors(cd):
-        parity = {s % 2 for s in region}
-        if len(parity) != 1:
+    starts = {a for a, _ in cd.pairs}
+    regions, lasts = [0], [0]  # open regions, each with its latest sector
+    factors, taken = [], 0
+    for s in range(1, 2 * cd.n + 1):
+        if s in starts:
+            regions.append(s)
+            lasts.append(s)
+            continue
+        regions.pop()
+        lasts.pop()
+        u, lasts[-1] = lasts[-1], s
+        if (s - u) & 1:
             raise InternalConsistencyError("region touches boundary arcs of both signs")
-        if parity == {1}:  # beta_j, j odd, is bit j >> 1
-            masks += [(1 << (w >> 1)) - (1 << (u >> 1)) for u, w in zip(region, region[1:])]
-    taken = 0
-    for i in range(len(masks) - 1, -1, -1):
-        masks[i] &= ~taken
-        taken |= masks[i]
+        if s & 1:  # beta_j, j odd, is bit j >> 1
+            mask = ((1 << (s >> 1)) - (1 << (u >> 1))) & ~taken
+            taken |= mask
+            factors.append((regions[-1], u, mask))
+    factors.sort()
+    masks = [mask for _, _, mask in factors]
     if not all(masks):
         raise InternalConsistencyError("contact element is zero or inhomogeneous")
     return masks

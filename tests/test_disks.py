@@ -32,7 +32,14 @@ from sutured_tqft.errors import (
     InvalidChordDiagramError,
     ValidationError,
 )
-from sutured_tqft.exterior import Multivector, RING_F2, RING_Z, induced_map, pair
+from sutured_tqft.exterior import (
+    TERM_BUDGET,
+    Multivector,
+    RING_F2,
+    RING_Z,
+    induced_map,
+    pair,
+)
 from sutured_tqft.linalg import det_q
 from sutured_tqft.models import disk_arc_chain, disk_model
 
@@ -76,9 +83,26 @@ def test_region_rule_matches_homology_pipeline(n):
         assert fastz == slowz or fastz == slowz.scale(-1)
 
 
+def region_sectors(cd):
+    """Boundary sectors of the cut disk, grouped by region, in order of
+    their smallest sector, each ascending: one stack walk, where sector s
+    opens the chord starting at s or closes the one ending there, and
+    then lies in the region of the top of the stack."""
+    starts = {a for a, _ in cd.pairs}
+    open_chords = [0]  # 0 stands for the outer region
+    groups = {}
+    for s in range(1, 2 * cd.n + 1):
+        if s in starts:
+            open_chords.append(s)
+        else:
+            open_chords.pop()
+        groups.setdefault(open_chords[-1], []).append(s)
+    return list(groups.values())
+
+
 def reference_region_sectors(cd):
     """Group sectors by the set of chords around them: the oracle for the
-    one-pass walk."""
+    stack walk."""
     groups = {}
     for s in range(1, 2 * cd.n + 1):
         key = frozenset(k for k, (a, b) in enumerate(cd.pairs) if a <= s < b)
@@ -86,26 +110,74 @@ def reference_region_sectors(cd):
     return list(groups.values())
 
 
+def reference_factor_masks(cd):
+    """The factor masks in two passes, the oracle for the one-walk
+    ``disks._factor_masks``: the consecutive-suture intervals of the
+    positive regions in wedge order, then, walking them from last to
+    first, each keeps the betas that no later one has taken."""
+    masks = []
+    for region in region_sectors(cd):
+        parity = {s % 2 for s in region}
+        if len(parity) != 1:
+            raise InternalConsistencyError("region touches boundary arcs of both signs")
+        if parity == {1}:  # beta_j, j odd, is bit j >> 1
+            masks += [(1 << (w >> 1)) - (1 << (u >> 1)) for u, w in zip(region, region[1:])]
+    taken = 0
+    for i in range(len(masks) - 1, -1, -1):
+        masks[i] &= ~taken
+        taken |= masks[i]
+    if not all(masks):
+        raise InternalConsistencyError("contact element is zero or inhomogeneous")
+    return masks
+
+
 def test_region_sectors_match_reference():
     for n in range(1, 9):
         for cd in enumerate_chord_diagrams(n):
-            assert disks._region_sectors(cd) == reference_region_sectors(cd)
+            assert region_sectors(cd) == reference_region_sectors(cd)
     rng = random.Random(4040)
     for _ in range(200):
         cd = _random_diagram(rng, rng.randint(9, 40))
-        assert disks._region_sectors(cd) == reference_region_sectors(cd)
+        assert region_sectors(cd) == reference_region_sectors(cd)
+
+
+def test_factor_masks_match_two_pass_reference():
+    diagrams = [cd for n in range(1, 10) for cd in enumerate_chord_diagrams(n)]
+    assert len(diagrams) == 6917
+    rng = random.Random(3303)
+    diagrams += [_random_diagram(rng, rng.randint(1, 60)) for _ in range(3000)]
+    for cd in diagrams:
+        assert disks._factor_masks(cd) == reference_factor_masks(cd), cd.render()
 
 
 def test_region_rule_failures_are_internal_errors(monkeypatch):
+    # No diagram reaches either refusal, crossing or not: they guard the
+    # walk itself.  So feed the walk over 1-4,2-3 sector orders that no
+    # disk has.
     cd = ChordDiagram.parse("1-4,2-3")
-    monkeypatch.setattr(disks, "_region_sectors", lambda _: [[1, 2], [3, 4]])
+    # skipping sector 3 puts sectors 1 and 4 in one region
+    monkeypatch.setattr(disks, "range", lambda *_: [1, 2, 4], raising=False)
     with pytest.raises(InternalConsistencyError,
                        match="region touches boundary arcs of both signs"):
         disk_contact_element(cd)
-    # one positive region listed twice: its path wedges with itself to zero
-    monkeypatch.setattr(disks, "_region_sectors", lambda _: [[1, 3], [1, 3], [2, 4]])
+    # walking sectors 2 and 3 twice closes the empty interval (3, 3)
+    monkeypatch.setattr(disks, "range", lambda *_: [1, 2, 3, 2, 3, 4], raising=False)
     with pytest.raises(InternalConsistencyError, match="zero or inhomogeneous"):
         disk_contact_element(cd)
+
+
+def test_disk_element_over_the_term_budget_refuses():
+    # one positive region whose three consecutive-suture paths each pass
+    # over 128 betas: 128**3 = 2**21 terms, past the budget of 2**20
+    pairs = [(1, 770)]
+    for lo in (2, 258, 514):
+        pairs.append((lo, lo + 255))
+        pairs += [(p, p + 1) for p in range(lo + 1, lo + 254, 2)]
+    cd = ChordDiagram(385, tuple(sorted(pairs)))
+    assert math.prod(m.bit_count() for m in disks._factor_masks(cd)) == 2 * TERM_BUDGET
+    for ring in (RING_Z, RING_F2):
+        with pytest.raises(ValidationError, match="exceeds the budget"):
+            disk_contact_element(cd, ring)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -423,7 +495,7 @@ def wedged_paths(cd, ring):
     positive regions one at a time: the region rule expanded as read."""
     rank = cd.n - 1
     out, grade = Multivector.unit(rank, ring), 0
-    for region in disks._region_sectors(cd):
+    for region in region_sectors(cd):
         if region[0] % 2:
             for u, w in zip(region, region[1:]):
                 path = Multivector(rank, {1 << ((j - 1) // 2): 1 for j in range(u, w, 2)}, ring)
