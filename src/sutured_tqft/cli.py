@@ -20,7 +20,7 @@ from .disks import (TorusParameters, bypass_triple_at, disk_contact_element,
                     rotate_diagram, solid_torus_tight)
 from .dividing import ChordDiagram, DividingSet, catalan, chord_diagrams
 from .errors import InternalConsistencyError, ValidationError
-from .exterior import RING_F2, RING_Z
+from .exterior import Multivector, RING_F2, RING_Z
 from .gluing import (Gluing, glue, glued_relative_basis, pushforward_class,
                      quadrangulate)
 from .homology import induced_matrix
@@ -125,9 +125,8 @@ def _cmd_bypass(args, out) -> int:
     triple = bypass_triple_at(cd, site)
     # every element is computed before anything prints, so a term-budget
     # refusal leaves stdout empty
-    total = sum((disk_contact_element(d, RING_F2).value
-                 for d in triple.diagrams),
-                start=disk_contact_element(cd, RING_F2).value.scale(0))
+    total = sum((disk_contact_element(d, RING_F2).value for d in triple.diagrams),
+                start=Multivector.zero(cd.n - 1, RING_F2))
     for d in triple.diagrams:
         print(d.render(), file=out)
     print(f"# f2 sum zero: {_bool_word(total.is_zero())}", file=out)

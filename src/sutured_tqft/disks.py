@@ -9,8 +9,9 @@ and the even-index arcs spanning the negative side.
 A disk element c(K) is held as a wedge of pairwise disjoint beta masks,
 read off in one walk over the boundary sectors (``_factor_masks``).  Its
 expansion has exactly one term per choice of a beta from each factor, and
-the product c(K1) ^ c(K2) and the solid-torus pairing are determinants of
-the factor masks, so neither expands anything.
+the product c(K1) ^ c(K2) is a determinant of the factor masks, so it
+expands nothing.  The solid-torus pairing is that product for the
+rotated diagram.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .dividing import ChordDiagram
 from .errors import InternalConsistencyError, InvalidChordDiagramError, ValidationError
 from .exterior import TERM_BUDGET, Multivector, RING_Z, indices_of
 from .linalg import f2_rank
-from .models import disk_pairing
 from .surface import UnionFind
 
 __all__ = [
@@ -200,6 +200,7 @@ def rotation_map(n: int, j: int) -> list[list[int]]:
     """Matrix of beta_i -> beta_{i+j} from the odd beta basis to the even
     one, indices folded mod 2n; the images landing on beta_{2n} are spent
     through the full-circle relation beta_2 + beta_4 + ... + beta_{2n} = 0.
+    The tests' expanded-pairing oracle for ``solid_torus_tight`` reads it.
     """
     if j % 2 == 0:
         raise ValidationError("rotation step must be odd")
@@ -240,40 +241,18 @@ class TorusParameters:
         return 2 * self.n * self.p + 1
 
 
-def _image(cols: list[int], mask: int) -> int:
-    """The F2 image of a vector under a matrix given by its column masks."""
-    out = 0
-    for i in indices_of(mask):
-        out ^= cols[i]
-    return out
-
-
 def solid_torus_tight(cd: ChordDiagram, params: TorusParameters) -> bool:
     """Whether the meridian disk's dividing set gives the cut-open torus a
-    tight boundary neighborhood: the pairing of the (2np+1)-step rotation
-    of c(K) against c(K) is 1 mod 2.
+    tight boundary neighborhood: the pairing <R c(K) | c(K)> of the
+    (2np+1)-step rotation of c(K) against c(K) is 1 mod 2.
 
-    With c(K) the wedge of the factors v_i, Cauchy-Binet makes that
-    pairing det G mod 2, where G_ij = (P^T R v_i) . v_j for the rotation
-    R and the model pairing P.
+    An odd rotation swaps the signs of the regions, so R c(K) is the
+    rotated diagram's element over the even betas; and the model pairing
+    of two disk elements is 1 mod 2 exactly when their diagrams close up
+    to one curve, which the product criterion decides.
     """
     big = params.n * params.q
     if cd.n != big:
         raise ValidationError(
             f"diagram has {cd.n} chords; parameters demand n*q = {big}")
-    if big == 1:
-        return True  # rank-0 algebra: <1 | 1> = 1
-    masks = _factor_masks(cd)
-    rot = rotation_map(big, params.steps)
-    rot_cols = [sum((row[s] & 1) << r for r, row in enumerate(rot)) for s in range(big - 1)]
-    # the columns of P^T are the rows of P; the top generators pair to
-    # det P mod 2, which is 1 exactly when P has full F2 rank
-    pt_cols = [sum((x & 1) << i for i, x in enumerate(row)) for row in disk_pairing(big)]
-    if f2_rank(pt_cols) != big - 1:
-        raise InternalConsistencyError(
-            "top generators pair to 0, expected 1 -- model pairing is off")
-    gram = []
-    for v in masks:
-        x = _image(pt_cols, _image(rot_cols, v))
-        gram.append(sum(((x & w).bit_count() & 1) << j for j, w in enumerate(masks)))
-    return f2_rank(gram) == len(masks)
+    return matchable_via_wedge(rotate_diagram(cd, params.steps), cd)

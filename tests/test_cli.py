@@ -14,7 +14,8 @@ import pytest
 from sutured_tqft.axioms import _suture_corner_sites
 from sutured_tqft.cli import ENUMERATE_MAX_N, main, run
 from sutured_tqft.contact import render_multivector
-from sutured_tqft.disks import disk_contact_element, rotate_diagram
+from sutured_tqft.disks import (TorusParameters, disk_contact_element, matchable,
+                                rotate_diagram)
 from sutured_tqft.dividing import (ChordDiagram, DividingSet, add_trivial_circle,
                                    catalan, chord_to_dividing_set,
                                    enumerate_chord_diagrams)
@@ -738,13 +739,16 @@ def test_contact_input_over_the_term_budget_exits_two(tmp_path):
 
 def _random_pairs(rng, first, n):
     """A random noncrossing matching of the 2n sutures from `first` on:
-    `first` closes a chord around k others, and the rest follow it."""
-    pairs = []
-    while n:
-        k = rng.randrange(n)
-        pairs.append((first, first + 2 * k + 1))
-        pairs += _random_pairs(rng, first + 1, k)
-        first, n = first + 2 * k + 2, n - k - 1
+    `first` closes a chord around k others, and the rest follow it.  The
+    inside is drawn before the rest, from a stack rather than by recursion,
+    so thousands of chords nest without reaching the recursion limit."""
+    pairs, todo = [], [(first, n)]
+    while todo:
+        first, n = todo.pop()
+        if n:
+            k = rng.randrange(n)
+            pairs.append((first, first + 2 * k + 1))
+            todo += [(first + 2 * k + 2, n - k - 1), (first + 1, k)]
     return pairs
 
 
@@ -772,6 +776,28 @@ def test_match_and_torus_answer_on_an_80_chord_disk():
                 else [f"pairing {int(done.returncode == 0)}", f"tight {verdict}"])
         assert [line for line in done.stdout.splitlines()
                 if not line.startswith("#")] == want
+
+
+_RUN_IN_256_MIB = _LIMITED_RUN.replace("1 << 30", "1 << 28")
+
+
+def test_torus_on_4000_chords_runs_in_256_mib():
+    # the verdict is the product criterion on the factor masks, whose
+    # memory is linear in the chord count
+    rng = random.Random(4000)
+    cases = [(ChordDiagram.parse(",".join(f"{i}-{i + 1}" for i in range(1, 8000, 2))),
+              TorusParameters(4000, 0, 1)),
+             (ChordDiagram(4000, tuple(sorted(_random_pairs(rng, 1, 4000)))),
+              TorusParameters(2000, 1, 2))]
+    for cd, params in cases:
+        tight = matchable(rotate_diagram(cd, params.steps), cd)
+        word = "true" if tight else "false"
+        done = subprocess.run([sys.executable, "-c", _RUN_IN_256_MIB, "torus", cd.render(),
+                               "--n", str(params.n), "--p", str(params.p),
+                               "--q", str(params.q)],
+                              env=_limited_env(), capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == \
+            (0 if tight else 1, f"pairing {int(tight)}\ntight {word}\n", ""), params
 
 
 def test_malformed_inputs_exit_two_under_python_O(tmp_path):

@@ -37,11 +37,12 @@ from sutured_tqft.exterior import (
     Multivector,
     RING_F2,
     RING_Z,
+    indices_of,
     induced_map,
     pair,
 )
-from sutured_tqft.linalg import det_q
-from sutured_tqft.models import disk_arc_chain, disk_model
+from sutured_tqft.linalg import det_q, f2_rank
+from sutured_tqft.models import disk_arc_chain, disk_model, disk_pairing
 
 
 def catalan(n):
@@ -594,6 +595,66 @@ def test_matchable_matches_expanded_criterion_on_larger_disks():
         for ring in (RING_Z, RING_F2):
             want = expanded_matchable(wedged_paths(a, ring)[0], wedged_paths(b, ring)[0])
             assert matchable_via_wedge(a, b, ring) == want, (a.render(), b.render(), ring)
+
+
+def _f2_image(cols, mask):
+    """The F2 image of a vector under a matrix given by its column masks."""
+    out = 0
+    for i in indices_of(mask):
+        out ^= cols[i]
+    return out
+
+
+def gram_torus_pairing(cd, params):
+    """<R c(K) | c(K)> mod 2 as the Gram determinant of the factors: with
+    c(K) the wedge of the factors v_i, Cauchy-Binet makes the pairing
+    det G mod 2, where G_ij = (P^T R v_i) . v_j for the dense rotation R
+    and the model pairing P."""
+    big = cd.n
+    if big == 1:
+        return True  # rank-0 algebra: <1 | 1> = 1
+    masks = disks._factor_masks(cd)
+    rot = rotation_map(big, params.steps)
+    rot_cols = [sum((row[s] & 1) << r for r, row in enumerate(rot)) for s in range(big - 1)]
+    # the columns of P^T are the rows of P; the top generators pair to
+    # det P mod 2, which is 1 exactly when P has full F2 rank
+    pt_cols = [sum((x & 1) << i for i, x in enumerate(row)) for row in disk_pairing(big)]
+    if f2_rank(pt_cols) != big - 1:
+        raise InternalConsistencyError(
+            "top generators pair to 0, expected 1 -- model pairing is off")
+    gram = []
+    for v in masks:
+        x = _f2_image(pt_cols, _f2_image(rot_cols, v))
+        gram.append(sum(((x & w).bit_count() & 1) << j for j, w in enumerate(masks)))
+    return f2_rank(gram) == len(masks)
+
+
+def test_solid_torus_matches_gram_determinant():
+    checked = tight = 0
+    for q in range(1, 8):
+        for n in range(1, 7 // q + 1):
+            diagrams = enumerate_chord_diagrams(n * q)
+            for p in range(-7, 8):
+                if math.gcd(p, q) != 1:
+                    continue
+                params = TorusParameters(n, p, q)
+                for cd in diagrams:
+                    verdict = solid_torus_tight(cd, params)
+                    assert verdict == gram_torus_pairing(cd, params), (cd.render(), n, p, q)
+                    checked += 1
+                    tight += verdict
+    rng = random.Random(3110)
+    for _ in range(3000):
+        q = rng.randint(1, 6)
+        n = rng.randint(1, 60 // q)
+        p = rng.choice([p for p in range(-7, 8) if math.gcd(p, q) == 1])
+        params = TorusParameters(n, p, q)
+        cd = _random_diagram(rng, n * q)
+        verdict = solid_torus_tight(cd, params)
+        assert verdict == gram_torus_pairing(cd, params), (cd.render(), n, p, q)
+        checked += 1
+        tight += verdict
+    assert checked == 21485 and 0 < tight < checked
 
 
 def test_solid_torus_matches_expanded_pairing():
